@@ -18,18 +18,16 @@ the pullback identities satisfied by sections of that dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, Lit, Neg, Var
+from .expr import Expr, Lit, Var, add, diff, mul, neg, sub
 from .algebroid import (
     AlgebroidChart,
-    Coeff,
     ExprCoeff,
-    FnCoeff,
     KSection,
     Morphism,
     Prolongation,
@@ -128,7 +126,7 @@ class AffgebroidChart:
             for a in range(n):
                 for g in range(n):
                     structure[0][1 + a][1 + g] = self.C0[a][g]
-                    structure[1 + a][0][1 + g] = Neg(self.C0[a][g])
+                    structure[1 + a][0][1 + g] = neg(self.C0[a][g])
             for a in range(n):
                 for b in range(n):
                     for g in range(n):
@@ -177,16 +175,22 @@ class AffgebroidChart:
 
 @dataclass
 class HamiltonianSection:
-    """Section of the dual projection, (x, y) -> (x, -H(x, y), y)."""
+    """Section of the dual projection, (x, y) -> (x, -H(x, y), y).
+
+    ``partials`` holds the symbolic partials of H with respect to every
+    chart variable, base variables first, built once at construction.
+    """
 
     chart: AffgebroidChart
     H: Expr
+    partials: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.H = _as_expr(self.H)
         extra = ex.free_vars(self.H) - set(self.chart.all_vars())
         if extra:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
+        self.partials = [diff(self.H, v) for v in self.chart.all_vars()]
 
     def value(self, env) -> float:
         return ex.evaluate(self.H, env)
@@ -194,8 +198,8 @@ class HamiltonianSection:
     def gradients(self, env) -> tuple[float, list[float], list[float]]:
         """Value, base partials, fiber partials at one point."""
         m = self.chart.m
-        v, parts = ex.evaluate_with_partials(self.H, env, self.chart.all_vars())
-        return v, parts[:m], parts[m:]
+        parts = [ex.evaluate(p, env) for p in self.partials]
+        return ex.evaluate(self.H, env), parts[:m], parts[m:]
 
 
 @dataclass
@@ -214,9 +218,6 @@ class CoSection:
 
     def as_bidual_section(self) -> KSection:
         return KSection.one_section(self.chart.bidual_chart(), [self.alpha0] + self.alphaV)
-
-    def vertical_values(self, env) -> list[float]:
-        return [c.value(env) for c in self.alphaV]
 
     def is_expression_backed(self) -> bool:
         return isinstance(self.alpha0, ExprCoeff) and all(
@@ -260,45 +261,27 @@ def omega_h(h: HamiltonianSection) -> KSection:
         (g, n+1+g)    1
     """
     aff = h.chart
-    n = aff.n
+    n, m = aff.n, aff.m
     pro = aff.prolongation().chart
+    hx, hy = h.partials[:m], h.partials[m:]
+    y = [Var(v) for v in aff.fiber_vars]
     coeffs: dict[tuple, object] = {}
-
     for g in range(n):
-        c0_row = aff.C0[g]
-        rho_row = aff.rhoV[g]
-
-        def mixed(env, c0_row=c0_row, rho_row=rho_row):
-            _, hx, _ = h.gradients(env)
-            total = 0.0
-            for a in range(n):
-                total += ex.evaluate(c0_row[a], env) * env[aff.fiber_vars[a]]
-            for i in range(aff.m):
-                total -= ex.evaluate(rho_row[i], env) * hx[i]
-            return total
-
-        coeffs[(0, 1 + g)] = FnCoeff(mixed)
-
-        def dh_dy(env, g=g):
-            _, _, hy = h.gradients(env)
-            return -hy[g]
-
-        coeffs[(0, n + 1 + g)] = FnCoeff(dh_dy)
+        coeffs[(0, 1 + g)] = sub(_dot(aff.C0[g], y), _dot(aff.rhoV[g], hx))
+        coeffs[(0, n + 1 + g)] = neg(hy[g])
         coeffs[(1 + g, n + 1 + g)] = Lit(1.0)
-
     for a in range(n):
         for b in range(a + 1, n):
-            node = None
-            for g in range(n):
-                entry = aff.CV[a][b][g]
-                if isinstance(entry, Lit) and entry.value == 0.0:
-                    continue
-                term = entry * Var(aff.fiber_vars[g])
-                node = term if node is None else node + term
-            if node is not None:
-                coeffs[(1 + a, 1 + b)] = node
-
+            coeffs[(1 + a, 1 + b)] = _dot(aff.CV[a][b], y)
     return KSection(pro, 2, coeffs)
+
+
+def _dot(row: Sequence[Expr], col: Sequence[Expr]) -> Expr:
+    """sum_i row[i] col[i] as a folded expression."""
+    node = Lit(0.0)
+    for r, c in zip(row, col):
+        node = add(node, mul(r, c))
+    return node
 
 
 def hamiltonian_morphism(h: HamiltonianSection) -> Morphism:
@@ -312,7 +295,7 @@ def hamiltonian_morphism(h: HamiltonianSection) -> Morphism:
 
     base_map: list[object] = []
     for var in dst.base_vars:
-        base_map.append(Neg(h.H) if var == y0 else Var(var))
+        base_map.append(neg(h.H) if var == y0 else Var(var))
 
     zero = Lit(0.0)
     fiber = [[zero] * src.rank for _ in range(dst.rank)]
@@ -320,24 +303,12 @@ def hamiltonian_morphism(h: HamiltonianSection) -> Morphism:
         fiber[a][a] = Lit(1.0)
     e0bar = n + 1  # vertical row of the extra dual fiber
 
-    def drag_along(row_idx):
-        # rho^i_(row) dH/dx^i, negated: the y0-component of the pushed lift
-        rho_row = aff.rho0 if row_idx == 0 else aff.rhoV[row_idx - 1]
-
-        def fn(env, rho_row=rho_row):
-            _, hx, _ = h.gradients(env)
-            return -sum(ex.evaluate(rho_row[i], env) * hx[i] for i in range(m))
-
-        return FnCoeff(fn)
-
+    # the y0-component of a pushed lift is -rho^i_(row) dH/dx^i
+    hx, hy = h.partials[:m], h.partials[m:]
     for a in range(n + 1):
-        fiber[e0bar][a] = drag_along(a)
+        fiber[e0bar][a] = neg(_dot(aff.rho0 if a == 0 else aff.rhoV[a - 1], hx))
     for g in range(n):
-        def fn(env, g=g):
-            _, _, hy = h.gradients(env)
-            return -hy[g]
-
-        fiber[e0bar][n + 1 + g] = FnCoeff(fn)
+        fiber[e0bar][n + 1 + g] = neg(hy[g])
         fiber[n + 2 + g][n + 1 + g] = Lit(1.0)
 
     return Morphism(src, dst, base_map, fiber)
@@ -455,7 +426,7 @@ def covector_morphism(gamma: VStarSection) -> Morphism:
     correction rho^i_a (d gamma_v / dx^i) along each fiber direction.
     """
     aff = gamma.chart
-    n, m = aff.n, aff.m
+    n = aff.n
     src = aff.bidual_chart()
     dst = aff.prolongation().chart
 
@@ -465,14 +436,10 @@ def covector_morphism(gamma: VStarSection) -> Morphism:
     fiber = [[zero] * src.rank for _ in range(dst.rank)]
     for a in range(n + 1):
         fiber[a][a] = Lit(1.0)
-    for a in range(n + 1):
-        rho_row = aff.rho0 if a == 0 else aff.rhoV[a - 1]
-        for nu in range(n):
-            def fn(env, rho_row=rho_row, nu=nu):
-                _, dg = ex.evaluate_with_partials(gamma.gammaV[nu], env, aff.base_vars)
-                return sum(ex.evaluate(rho_row[i], env) * dg[i] for i in range(m))
-
-            fiber[n + 1 + nu][a] = FnCoeff(fn)
+    for nu in range(n):
+        grad = [diff(gamma.gammaV[nu], v) for v in aff.base_vars]
+        for a in range(n + 1):
+            fiber[n + 1 + nu][a] = _dot(aff.rho0 if a == 0 else aff.rhoV[a - 1], grad)
     return Morphism(src, dst, base_map, fiber)
 
 
@@ -481,8 +448,8 @@ def h_compose(h: HamiltonianSection, gamma: VStarSection) -> KSection:
 
     Components in the adapted dual basis: (-H(x, gamma(x)), gamma_a(x))."""
     aff = h.chart
-    sub = {aff.fiber_vars[a]: gamma.gammaV[a] for a in range(aff.n)}
-    head = Neg(ex.substitute(h.H, sub))
+    mapping = {aff.fiber_vars[a]: gamma.gammaV[a] for a in range(aff.n)}
+    head = neg(ex.substitute(h.H, mapping))
     return KSection.one_section(aff.bidual_chart(), [head] + list(gamma.gammaV))
 
 

@@ -7,11 +7,14 @@ morphisms, numeric chart validation (antisymmetry, anchor compatibility and
 Jacobi via d.d = 0 at sampled points), and the prolongation of a chart over
 a fibration together with its Liouville and canonical symplectic sections.
 
-Coefficients come in two flavours: expression-backed ones (exact partial
-derivatives via dual arithmetic) and derived point-evaluators produced by
-the differential or a pullback, whose partials are taken by central finite
-differences.  Tolerances of the numeric checks are calibrated to the
-finite-difference step.
+Coefficients are expressions unless a user supplies a callable.  The
+differential, pullbacks and linear combinations of expression-backed data
+are built symbolically with the folding constructors of ``expr``: every
+derived coefficient is one exact expression, built once and evaluated at
+each sample point, and a coefficient that folds to zero is dropped.  A
+coefficient given as a callable is a point evaluator (``FnCoeff``); derived
+coefficients that depend on one are point evaluators too, and their
+partials are taken by central finite differences.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import expr as ex
-from .expr import Expr, Lit, Var
+from .expr import Expr, Lit, Var, add, mul
 
 __all__ = [
     "FD_STEP",
@@ -46,7 +49,6 @@ __all__ = [
     "section_max_abs",
     "section_max_diff",
     "section_combine",
-    "section_scale",
 ]
 
 FD_STEP = 1e-5  # central-difference step for partials of derived coefficients
@@ -75,7 +77,7 @@ class ExprCoeff:
 
 
 class FnCoeff:
-    """Derived coefficient known only as a point evaluator.
+    """Coefficient known only as a point evaluator (a user callable).
 
     Partials fall back to central finite differences of step ``FD_STEP``;
     users of these partials must budget tolerances accordingly.
@@ -130,7 +132,11 @@ def as_coeff(obj) -> Coeff:
 
 
 def is_zero_coeff(c: Coeff) -> bool:
-    return isinstance(c, ExprCoeff) and isinstance(c.node, Lit) and c.node.value == 0.0
+    return isinstance(c, ExprCoeff) and ex.literal_value(c.node) == 0.0
+
+
+def _expression_backed(coeffs: Iterable[Coeff]) -> bool:
+    return all(isinstance(c, ExprCoeff) for c in coeffs)
 
 
 # ------------------------------------------------------------------ sampling
@@ -164,6 +170,10 @@ class SamplePlan:
     seed: int = 42
 
     DEFAULT_INTERVAL = (-1.0, 1.0)
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"sample count must be at least 1, got {self.count}")
 
     def interval(self, var: str) -> tuple[float, float]:
         return self.box.get(var, self.DEFAULT_INTERVAL)
@@ -214,6 +224,9 @@ class AlgebroidChart:
                 nz = [(c, co) for c, co in enumerate(self.structure[a][b]) if not is_zero_coeff(co)]
                 if nz:
                     self._struct_nz[(a, b)] = nz
+        self.expression_backed = _expression_backed(
+            c for _, c in itertools.chain(*self._anchor_nz, *self._struct_nz.values())
+        )
 
     @property
     def dim(self) -> int:
@@ -228,9 +241,6 @@ class AlgebroidChart:
 
     def structure_nonzero(self, a: int, b: int):
         return self._struct_nz.get((a, b), ())
-
-    def anchor_value(self, a: int, env) -> list[float]:
-        return [c.value(env) for c in self.anchor[a]]
 
     def __repr__(self):
         return f"AlgebroidChart(rank={self.rank}, base={self.base_vars})"
@@ -320,15 +330,19 @@ def _sort_with_sign(indices: tuple[int, ...]):
 def differential(s: KSection) -> KSection:
     """Exterior differential of a section of degree at most 2.
 
-    Evaluates the Cartan-type formula on basis tuples: the anchor acts on
+    Applies the Cartan-type formula on basis tuples: the anchor acts on
     coefficient functions through their partials, brackets of basis sections
-    contribute through the structure functions.  Output coefficients are
-    point evaluators, not printable expressions.
+    contribute through the structure functions.  With expression-backed
+    section and chart data each output coefficient is one folded expression,
+    sum of rho * (symbolic partial) and of +-C * coefficient, and one that
+    folds to zero is dropped.  Data holding a callable gives point-evaluator
+    coefficients whose partials are finite differences.
     """
     if s.degree > 2:
         raise ValueError("differential implemented for sections of degree <= 2")
     chart = s.chart
     k = s.degree
+    exact = chart.expression_backed and _expression_backed(s.coeffs.values())
     out: dict[tuple, Coeff] = {}
     for idx in itertools.combinations(range(chart.rank), k + 1):
         anchor_terms = []
@@ -355,9 +369,23 @@ def differential(s: KSection) -> KSection:
                     if coeff is None:
                         continue
                     bracket_terms.append((sign_ij * sgn, c_coeff, coeff))
-        if anchor_terms or bracket_terms:
+        if not (anchor_terms or bracket_terms):
+            continue
+        if exact:
+            out[idx] = ExprCoeff(_differential_expr(anchor_terms, bracket_terms))
+        else:
             out[idx] = FnCoeff(_differential_closure(anchor_terms, bracket_terms))
     return KSection(chart, k + 1, out)
+
+
+def _differential_expr(anchor_terms, bracket_terms) -> Expr:
+    node = _ZERO
+    for sign, coeff, row, names in anchor_terms:
+        for (_, rc), name in zip(row, names):
+            node = add(node, mul(sign, mul(rc.node, ex.diff(coeff.node, name))))
+    for sign, c_coeff, coeff in bracket_terms:
+        node = add(node, mul(sign, mul(c_coeff.node, coeff.node)))
+    return node
 
 
 def _differential_closure(anchor_terms, bracket_terms):
@@ -398,6 +426,9 @@ class Morphism:
     def __post_init__(self):
         self.base_map = [as_coeff(c) for c in self.base_map]
         self.fiber_map = [[as_coeff(c) for c in row] for row in self.fiber_map]
+        self.expression_backed = _expression_backed(
+            itertools.chain(self.base_map, *self.fiber_map)
+        )
         if len(self.base_map) != self.dst.dim:
             raise ValueError("base map must produce every destination coordinate")
         if len(self.fiber_map) != self.dst.rank or any(
@@ -426,21 +457,34 @@ _PERMS = {
 
 
 def pullback(morph: Morphism, s: KSection) -> KSection:
-    """Pointwise multilinear pullback of a section along a morphism."""
+    """Pointwise multilinear pullback of a section along a morphism.
+
+    The coefficient on source indices (a_1..a_k) is the sum over destination
+    indices b of det(fiber_map[b_p][a_q]) times s_b at the pushed point.
+    With expression-backed data it is one folded expression: the base map
+    substituted into s_b, multiplied by the determinant terms.  Data holding
+    a callable gives point-evaluator coefficients.
+    """
     if s.chart is not morph.dst:
         raise ValueError("section must live on the destination chart of the morphism")
     k = s.degree
+    exact = morph.expression_backed and _expression_backed(s.coeffs.values())
+    if exact:
+        mapping = {var: c.node for var, c in zip(morph.dst.base_vars, morph.base_map)}
+        pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
     if k == 0:
         coeff = s.coeffs.get(())
         if coeff is None:
             return KSection.zero(morph.src, 0)
+        if exact:
+            return KSection(morph.src, 0, {(): pulled[()]})
         return KSection(
             morph.src, 0, {(): FnCoeff(lambda env, c=coeff: c.value(morph.push_env(env)))}
         )
     out: dict[tuple, Coeff] = {}
     for idx in itertools.combinations(range(morph.src.rank), k):
         terms = []
-        for bkey, coeff in s.coeffs.items():
+        for bkey in s.coeffs:
             det_terms = []
             for perm, sign in _PERMS[k]:
                 entries = [morph.fiber_map[bkey[perm[p]]][idx[p]] for p in range(k)]
@@ -448,9 +492,23 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
                     continue
                 det_terms.append((sign, entries))
             if det_terms:
-                terms.append((coeff, det_terms))
-        if terms:
-            out[idx] = FnCoeff(_pullback_closure(morph, terms))
+                terms.append((bkey, det_terms))
+        if not terms:
+            continue
+        if exact:
+            node = _ZERO
+            for bkey, det_terms in terms:
+                det = _ZERO
+                for sign, entries in det_terms:
+                    prod = sign
+                    for e in entries:
+                        prod = mul(prod, e.node)
+                    det = add(det, prod)
+                node = add(node, mul(det, pulled[bkey]))
+            out[idx] = ExprCoeff(node)
+        else:
+            closure_terms = [(s.coeffs[bkey], det_terms) for bkey, det_terms in terms]
+            out[idx] = FnCoeff(_pullback_closure(morph, closure_terms))
     return KSection(morph.src, k, out)
 
 
@@ -515,11 +573,11 @@ def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
     for idx in set(s.coeffs) | set(t.coeffs):
         cs, ct = s.coeffs.get(idx), t.coeffs.get(idx)
         if isinstance(cs, (ExprCoeff, type(None))) and isinstance(ct, (ExprCoeff, type(None))):
-            node = Lit(0.0)
+            node = _ZERO
             if cs is not None:
-                node = node + Lit(a) * cs.node
+                node = add(node, mul(a, cs.node))
             if ct is not None:
-                node = node + Lit(b) * ct.node
+                node = add(node, mul(b, ct.node))
             out[idx] = ExprCoeff(node)
         else:
             def fn(env, cs=cs, ct=ct):
@@ -532,10 +590,6 @@ def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
 
             out[idx] = FnCoeff(fn)
     return KSection(s.chart, s.degree, out)
-
-
-def section_scale(s: KSection, factor: float) -> KSection:
-    return section_combine(factor, s, 0.0, KSection.zero(s.chart, s.degree))
 
 
 # --------------------------------------------------------------- validation
@@ -649,14 +703,12 @@ class Prolongation:
             comps[(a, r + a)] = Lit(1.0)
         for a in range(r):
             for b in range(a + 1, r):
-                node = None
+                node = _ZERO
                 for c, coeff in self.parent.structure_nonzero(a, b):
                     if not isinstance(coeff, ExprCoeff):
                         raise ValueError("parent structure must be expression-backed")
-                    term = coeff.node * Var(self.fiber_vars[c])
-                    node = term if node is None else node + term
-                if node is not None:
-                    comps[(a, b)] = node
+                    node = add(node, mul(coeff.node, Var(self.fiber_vars[c])))
+                comps[(a, b)] = node
         return KSection(self.chart, 2, comps)
 
 

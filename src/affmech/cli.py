@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import FD_STEP, VALIDATION_TOL, SamplePlan, validate_chart
+from .algebroid import VALIDATION_TOL, SamplePlan, validate_chart
 from .affgebroid import CoSection
 from .dynamics import DEFAULT_STEP, integrate
 from .hj import (
@@ -46,7 +46,6 @@ DEFAULTS = {
     "validation_tol": VALIDATION_TOL,
     "pointwise_tol": POINT_TOL,
     "trajectory_tol": TRAJECTORY_TOL,
-    "fd_step": FD_STEP,
     "verify_points": 10,
 }
 

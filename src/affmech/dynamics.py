@@ -39,9 +39,6 @@ class Trajectory:
     ok: bool = True
     error: str | None = None
 
-    def final_state(self) -> list[float]:
-        return self.states[-1]
-
     def __len__(self) -> int:
         return len(self.times)
 

@@ -2,8 +2,9 @@
 
 Every coefficient function in this package (anchor components, structure
 functions, Hamiltonians, section components) is one of these expressions.
-The module provides parsing, printing, evaluation, and exact first partial
-derivatives via forward-mode dual arithmetic.
+The module provides parsing, printing, evaluation, exact first partial
+derivatives at a point via forward-mode dual arithmetic, and symbolic
+derivatives built from constant-folding constructors.
 
 Grammar (EBNF)::
 
@@ -45,6 +46,15 @@ __all__ = [
     "evaluate_with_partials",
     "substitute",
     "free_vars",
+    "literal_value",
+    "add",
+    "sub",
+    "mul",
+    "div",
+    "neg",
+    "power",
+    "call",
+    "diff",
     "FUNCTIONS",
 ]
 
@@ -298,7 +308,7 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _fmt(e: Expr, ctx: int) -> str:
     if isinstance(e, Lit):
-        v = e.value
+        v = float(e.value)
         s = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
         return f"({s})" if v < 0 else s
     if isinstance(e, Var):
@@ -327,7 +337,8 @@ def to_string(e: Expr) -> str:
 # -------------------------------------------------------------- evaluation
 
 
-def _const_exponent(e: Expr):
+def literal_value(e: Expr) -> float | None:
+    """Value of a literal or a negated literal; None for any other node."""
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Neg) and isinstance(e.arg, Lit):
@@ -372,7 +383,7 @@ def evaluate(e: Expr, env: Env) -> float:
     assert isinstance(e, BinOp)
     a = evaluate(e.lhs, env)
     if e.op == "^":
-        c = _const_exponent(e.rhs)
+        c = literal_value(e.rhs)
         if c is not None:
             return _checked_pow(a, c, e)
         b = evaluate(e.rhs, env)
@@ -441,7 +452,7 @@ def _dual(e: Expr, env: Env, slot: Mapping[str, int], n: int) -> tuple[float, li
     assert isinstance(e, BinOp)
     a, da = _dual(e.lhs, env, slot, n)
     if e.op == "^":
-        c = _const_exponent(e.rhs)
+        c = literal_value(e.rhs)
         if c is not None:
             v = _checked_pow(a, c, e)
             if c == 0.0:
@@ -476,18 +487,19 @@ def _dual(e: Expr, env: Env, slot: Mapping[str, int], n: int) -> tuple[float, li
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, simultaneously.
 
-    Purely structural; no simplification is performed.
+    The result is rebuilt with the folding constructors, so literals that
+    the substitution brings together are folded.
     """
     if isinstance(e, Lit):
         return e
     if isinstance(e, Var):
         return mapping.get(e.name, e)
     if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
+        return neg(substitute(e.arg, mapping))
     if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, mapping))
+        return call(e.fn, substitute(e.arg, mapping))
     assert isinstance(e, BinOp)
-    return BinOp(e.op, substitute(e.lhs, mapping), substitute(e.rhs, mapping))
+    return _BUILD[e.op](substitute(e.lhs, mapping), substitute(e.rhs, mapping))
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -501,3 +513,159 @@ def free_vars(e: Expr) -> set[str]:
         return free_vars(e.arg)
     assert isinstance(e, BinOp)
     return free_vars(e.lhs) | free_vars(e.rhs)
+
+
+# ------------------------------------------------------ folding constructors
+#
+# These build the same nodes as the operator sugar, but treat literals and
+# negated literals as numbers: they drop +0, *1 and ^1 and turn *0 and 0/x
+# into 0.  A node made only of literals is folded into one literal only when
+# evaluating it succeeds with a finite value, so '1/0' or 'log(-1)' stays in
+# the tree and still raises DomainError when evaluated.
+
+_ZERO = Lit(0.0)
+_ONE = Lit(1.0)
+
+
+def _fold(node: Expr) -> Expr:
+    try:
+        v = evaluate(node, {})
+    except (EvalError, ValueError):
+        return node
+    return _literal(v, node)
+
+
+def _literal(v: float, node: Expr) -> Expr:
+    """The folded value of an all-literal node, or the node if v is not finite."""
+    return _lift(v) if math.isfinite(v) else node
+
+
+def add(a, b) -> Expr:
+    a, b = _lift(a), _lift(b)
+    x, y = literal_value(a), literal_value(b)
+    if x is not None and y is not None:
+        return _literal(x + y, BinOp("+", a, b))
+    if x == 0.0:
+        return b
+    if y == 0.0:
+        return a
+    return BinOp("+", a, b)
+
+
+def sub(a, b) -> Expr:
+    a, b = _lift(a), _lift(b)
+    x, y = literal_value(a), literal_value(b)
+    if x is not None and y is not None:
+        return _literal(x - y, BinOp("-", a, b))
+    if x == 0.0:
+        return neg(b)
+    if y == 0.0:
+        return a
+    return BinOp("-", a, b)
+
+
+def mul(a, b) -> Expr:
+    a, b = _lift(a), _lift(b)
+    x, y = literal_value(a), literal_value(b)
+    if x is not None and y is not None:
+        return _literal(x * y, BinOp("*", a, b))
+    if x == 0.0 or y == 0.0:
+        return _ZERO
+    if x == 1.0:
+        return b
+    if y == 1.0:
+        return a
+    if x == -1.0:
+        return neg(b)
+    if y == -1.0:
+        return neg(a)
+    return BinOp("*", a, b)
+
+
+def div(a, b) -> Expr:
+    a, b = _lift(a), _lift(b)
+    x, y = literal_value(a), literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("/", a, b))
+    if x == 0.0:
+        return _ZERO
+    if y == 1.0:
+        return a
+    return BinOp("/", a, b)
+
+
+def neg(a) -> Expr:
+    a = _lift(a)
+    x = literal_value(a)
+    if x is not None:
+        return _lift(-x)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def power(a, b) -> Expr:
+    a, b = _lift(a), _lift(b)
+    x, y = literal_value(a), literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("^", a, b))
+    if y == 1.0:
+        return a
+    return BinOp("^", a, b)
+
+
+def call(fn: str, a) -> Expr:
+    a = _lift(a)
+    node = Call(fn, a)
+    return _fold(node) if literal_value(a) is not None else node
+
+
+_BUILD = {"+": add, "-": sub, "*": mul, "/": div, "^": power}
+
+# fn -> derivative of the call node with respect to its argument
+_CHAIN = {
+    "sin": lambda e: call("cos", e.arg),
+    "cos": lambda e: neg(call("sin", e.arg)),
+    "tan": lambda e: add(_ONE, mul(e, e)),
+    "exp": lambda e: e,
+    "log": lambda e: div(_ONE, e.arg),
+    "sqrt": lambda e: div(0.5, e),
+}
+
+
+def diff(e: Expr, var: str) -> Expr:
+    """Symbolic partial derivative with respect to ``var``.
+
+    Built from the folding constructors with the rules of the dual
+    arithmetic in ``evaluate_with_partials``, so a derivative that vanishes
+    by structure comes out as ``Lit(0)``.
+    """
+    if isinstance(e, Lit):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.name == var else _ZERO
+    if isinstance(e, Neg):
+        return neg(diff(e.arg, var))
+    if isinstance(e, Call):
+        return mul(_CHAIN[e.fn](e), diff(e.arg, var))
+    assert isinstance(e, BinOp)
+    a, b = e.lhs, e.rhs
+    da = diff(a, var)
+    if e.op == "^":
+        c = literal_value(b)
+        if c == 0.0:
+            return _ZERO
+        if c == 1.0:
+            return da
+        if c is not None:
+            return mul(mul(c, power(a, c - 1.0)), da)
+        return mul(e, add(mul(diff(b, var), call("log", a)), div(mul(b, da), a)))
+    db = diff(b, var)
+    if e.op == "+":
+        return add(da, db)
+    if e.op == "-":
+        return sub(da, db)
+    if e.op == "*":
+        return add(mul(da, b), mul(a, db))
+    # quotient rule as the dual arithmetic applies it: (a' - (a/b) b') / b
+    return div(sub(da, mul(e, db)), b)

@@ -41,7 +41,7 @@ def f_of(h: HamiltonianSection, alpha: CoSection):
     aff = h.chart
     if alpha.is_expression_backed():
         sub = {aff.fiber_vars[a]: alpha.alphaV[a].node for a in range(aff.n)}
-        return ExprCoeff(alpha.alpha0.node + ex.substitute(h.H, sub))
+        return ExprCoeff(ex.add(alpha.alpha0.node, ex.substitute(h.H, sub)))
 
     def fn(env):
         inner = dict(env)

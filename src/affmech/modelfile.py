@@ -271,4 +271,7 @@ def _sampling(entries, known_vars):
             box[var] = (lo, hi)
         else:
             raise ModelFileError(f"unknown sampling key '{key}'", line)
-    return SamplePlan(box=box, count=count, seed=seed)
+    try:
+        return SamplePlan(box=box, count=count, seed=seed)
+    except ValueError as err:
+        raise ModelFileError(str(err)) from None

@@ -299,13 +299,13 @@ def by_name(name: str) -> ModelBundle:
     if name == "oscillator":
         return harmonic_oscillator()
     if name == "perturbed-so3":
-        bundle = ModelBundle(
+        chart = _perturbed_so3_aff()
+        return ModelBundle(
             name="perturbed-so3",
-            chart=_perturbed_so3_aff(),
-            hamiltonian=HamiltonianSection(_perturbed_so3_aff(), 0.0),
+            chart=chart,
+            hamiltonian=HamiltonianSection(chart, 0.0),
             description="invalid structure constants (Jacobi violation)",
         )
-        return bundle
     if name.startswith("trivial:"):
         return trivial_fibration(_positive_int(name, name.split(":", 1)[1]))
     if name.startswith("linear:tangent"):

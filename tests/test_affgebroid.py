@@ -5,6 +5,7 @@ import pytest
 from affmech import expr as ex
 from affmech.expr import Lit
 from affmech.algebroid import (
+    ExprCoeff,
     KSection,
     SamplePlan,
     SplitMix64,
@@ -34,7 +35,13 @@ from affmech.affgebroid import (
     reeb_solve,
     vertical_restriction_check,
 )
-from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
+from affmech.models import (
+    by_name,
+    harmonic_oscillator,
+    linear_tangent_model,
+    rigid_body,
+    trivial_fibration,
+)
 
 
 def all_models():
@@ -394,7 +401,59 @@ def test_hamiltonian_rejects_unknown_variables():
         HamiltonianSection(aff, "p1^2/2 + w")
 
 
+def test_hamiltonian_gradients_match_dual_arithmetic():
+    aff = trivial_fibration(2).chart
+    h = HamiltonianSection(aff, "p1^2/2+exp(t)*p2*q1-sin(q2)*p1/(2+t^2)")
+    for env in SamplePlan(count=20, seed=5).points(aff.all_vars()):
+        v, hx, hy = h.gradients(env)
+        dv, parts = ex.evaluate_with_partials(h.H, env, aff.all_vars())
+        assert v == dv
+        assert hx + hy == pytest.approx(parts, rel=1e-12, abs=1e-15)
+
+
 def test_cosection_needs_full_fiber_data():
     aff = trivial_fibration(2).chart
     with pytest.raises(ValueError):
         CoSection(aff, 0.0, ["q1"])
+
+
+# ------------------------------------------------------ exact coefficients
+
+BUILTIN_NAMES = ["trivial:2", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
+
+
+def test_derived_coefficients_are_expressions_on_every_builtin():
+    seen = 0
+    for name in BUILTIN_NAMES:
+        bundle = by_name(name)
+        aff, h = bundle.chart, bundle.hamiltonian
+        pro = aff.prolongation().chart
+        gamma = seeded_polynomial_gammas(aff, count=1)[0]
+        h_morph, g_morph = hamiltonian_morphism(h), covector_morphism(gamma)
+        sections = [
+            omega_h(h),
+            differential(KSection.function(pro, ex.parse(f"{aff.fiber_vars[0]}^2"))),
+            differential(KSection.basis_covector(aff.bidual_chart(), 1)),
+            differential(h_compose(h, gamma)),
+            lambda_h(h),
+            omega_h_from_pullback(h),
+            pullback(g_morph, omega_h(h)),
+        ]
+        coeffs = [c for s in sections for c in s.coeffs.values()]
+        for morph in (h_morph, g_morph):
+            coeffs += morph.base_map + [c for row in morph.fiber_map for c in row]
+        assert all(isinstance(c, ExprCoeff) for c in coeffs), name
+        seen += len(coeffs)
+    assert seen > 100
+
+
+def test_dd_has_no_coefficients_on_constant_builtin_charts():
+    for name in BUILTIN_NAMES[:-1]:
+        aff = by_name(name).chart
+        for chart in (aff.bidual_chart(), aff.vertical_chart(), aff.prolongation().chart):
+            for var in chart.base_vars:
+                dd = differential(differential(KSection.function(chart, ex.Var(var))))
+                assert dd.coeffs == {}, (name, var)
+            for a in range(chart.rank):
+                dd = differential(differential(KSection.basis_covector(chart, a)))
+                assert dd.coeffs == {}, (name, chart.labels[a])

@@ -105,6 +105,19 @@ def test_unknown_model_name_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_show_defaults_has_no_finite_difference_step(capsys):
+    assert main(["--show-defaults"]) == 0
+    assert "fd_step" not in capsys.readouterr().out
+
+
+def test_hj_nonpositive_samples_is_input_error(capsys):
+    for samples in ("0", "-5"):
+        code = main(["hj", "trivial:1", "--alpha", "w_free", "--samples", samples])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "sample count" in err
+
+
 # -------------------------------------------------------------------- flow
 
 

@@ -224,3 +224,87 @@ def test_substitute_is_simultaneous():
 
 def test_free_vars():
     assert ex.free_vars(ex.parse("x*sin(y)+2")) == {"x", "y"}
+
+
+# -------------------------------------------------- folding and diff
+
+
+def test_folding_constructors_drop_neutral_elements():
+    x = Var("x")
+    assert ex.add(x, Lit(0.0)) is x and ex.add(Lit(0.0), x) is x
+    assert ex.sub(x, Lit(0.0)) is x
+    assert ex.mul(Lit(1.0), x) is x and ex.mul(x, Lit(1.0)) is x
+    assert ex.power(x, Lit(1.0)) is x
+    assert ex.mul(x, Neg(Lit(0.0))) == Lit(0.0)
+    assert ex.div(Lit(0.0), x) == Lit(0.0)
+    assert ex.add(Lit(2.0), Neg(Lit(3.0))) == Neg(Lit(1.0))
+    assert ex.neg(ex.neg(x)) is x
+
+
+def test_folding_keeps_literal_domain_errors():
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.div(Lit(1), Lit(0)), {})
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.call("log", Neg(Lit(1.0))), {})
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.power(Lit(0.0), Neg(Lit(1.0))), {})
+
+
+def test_diff_of_structural_zero_is_literal_zero():
+    assert ex.diff(ex.parse("4.2"), "x") == Lit(0.0)
+    assert ex.diff(ex.parse("sin(y)*exp(z)+y^3"), "x") == Lit(0.0)
+    assert ex.diff(ex.parse("x*y"), "x") == Var("y")
+
+
+def test_diff_matches_dual_arithmetic_on_corpus():
+    checked = 0
+    for k, e in enumerate(expression_corpus(200)):
+        variables = sorted(ex.free_vars(e))
+        if not variables:
+            continue
+        derivs = [ex.diff(e, v) for v in variables]
+        for env in corpus_points(e, count=8, seed=1000 + k):
+            _, ad = ex.evaluate_with_partials(e, env, variables)
+            for d, a in zip(derivs, ad):
+                assert ex.evaluate(d, env) == pytest.approx(a, rel=1e-12, abs=1e-300), (
+                    ex.to_string(e),
+                    env,
+                )
+                checked += 1
+    assert checked > 2000
+
+
+def _to_sympy(e, sp):
+    if isinstance(e, Lit):
+        return sp.Float(e.value, 30)
+    if isinstance(e, Var):
+        return sp.Symbol(e.name)
+    if isinstance(e, Neg):
+        return -_to_sympy(e.arg, sp)
+    if isinstance(e, Call):
+        return getattr(sp, e.fn)(_to_sympy(e.arg, sp))
+    a, b = _to_sympy(e.lhs, sp), _to_sympy(e.rhs, sp)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a**b}[e.op]
+
+
+def test_diff_matches_sympy_on_corpus():
+    sp = pytest.importorskip("sympy")
+    checked = 0
+    for k, e in enumerate(expression_corpus(60)):
+        variables = sorted(ex.free_vars(e))
+        if not variables:
+            continue
+        sym = _to_sympy(e, sp)
+        for v in variables:
+            reference = sp.diff(sym, sp.Symbol(v))
+            d = ex.diff(e, v)
+            for env in corpus_points(e, count=3, seed=2000 + k):
+                subs = {sp.Symbol(name): sp.Float(val, 30) for name, val in env.items()}
+                expected = float(reference.evalf(30, subs=subs))
+                assert ex.evaluate(d, env) == pytest.approx(expected, rel=1e-12, abs=1e-12), (
+                    ex.to_string(e),
+                    v,
+                    env,
+                )
+                checked += 1
+    assert checked > 200

@@ -4,7 +4,7 @@ import pytest
 
 from affmech import expr as ex
 from affmech.expr import Lit, Var
-from affmech.algebroid import FnCoeff, SamplePlan
+from affmech.algebroid import FnCoeff, SamplePlan, differential
 from affmech.affgebroid import CoSection, HamiltonianSection
 from affmech.hj import (
     NotACocycleError,
@@ -276,3 +276,28 @@ def test_direction_failed_hj_has_trajectory_witness():
                 found = True
                 break
         assert found, (bundle.name, name)
+
+
+def test_callable_backed_sections_match_expression_backed():
+    # a section given by callables takes the point-evaluator path of the
+    # differential; its residuals agree with the exact ones up to the
+    # finite-difference error
+    bundle = trivial_fibration(1)
+    for name, solves in (("w_free", True), ("w_cubic", False), ("w_sq", False)):
+        exact = bundle.section(name)
+        wrapped = CoSection(
+            bundle.chart, FnCoeff(exact.alpha0.value), [FnCoeff(c.value) for c in exact.alphaV]
+        )
+        d_alpha = differential(wrapped.as_bidual_section())
+        assert all(isinstance(c, FnCoeff) for c in d_alpha.coeffs.values())
+
+        coc = cocycle_residual(wrapped, bundle.sample)
+        assert coc.is_cocycle
+        assert coc.max_residual == pytest.approx(
+            cocycle_residual(exact, bundle.sample).max_residual, abs=1e-7
+        )
+        hj = hj_residual(wrapped, bundle.hamiltonian, bundle.sample)
+        assert hj.is_solution == solves, name
+        assert hj.max_residual == pytest.approx(
+            hj_residual(exact, bundle.hamiltonian, bundle.sample).max_residual, abs=1e-7
+        )

@@ -113,6 +113,12 @@ def test_malformed_fields_report_lines(mutation, fragment):
     assert fragment in str(err.value)
 
 
+def test_nonpositive_sample_count_is_model_error():
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(FREE_PARTICLE.replace("count = 60", "count = 0"))
+    assert "sample count" in str(err.value)
+
+
 def test_structure_triple_errors():
     base = SO3_LINEAR.replace("1,2,3 = 1", "{}")
     for bad, fragment in [

@@ -145,6 +145,11 @@ def test_by_name_round_trip():
     assert by_name("perturbed-so3").chart.n == 3
 
 
+def test_by_name_perturbed_so3_shares_one_chart():
+    bundle = by_name("perturbed-so3")
+    assert bundle.hamiltonian.chart is bundle.chart
+
+
 def test_by_name_errors():
     for bad in ("nope", "trivial:x", "trivial:0", "rigid:1,2", "rigid:a,b,c", "linear:tangent"):
         with pytest.raises(ModelNameError):
