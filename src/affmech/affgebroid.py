@@ -179,11 +179,14 @@ class HamiltonianSection:
 
     ``partials`` holds the symbolic partials of H with respect to every
     chart variable, base variables first, built once at construction.
+    ``compiled_rhs`` caches the compiled Hamilton field; ``dynamics.hamilton_rhs``
+    fills it on its first call (False when the field could not be compiled).
     """
 
     chart: AffgebroidChart
     H: Expr
     partials: list = field(init=False, repr=False, compare=False)
+    compiled_rhs: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.H = _as_expr(self.H)
@@ -204,11 +207,16 @@ class HamiltonianSection:
 
 @dataclass
 class CoSection:
-    """Section of the full dual bundle: components (alpha0, alphaV) over the base."""
+    """Section of the full dual bundle: components (alpha0, alphaV) over the base.
+
+    ``compiled_alpha`` caches alphaV and its base partials compiled into one
+    function; ``dynamics.compiled_alpha`` fills it on its first call.
+    """
 
     chart: AffgebroidChart
     alpha0: object
     alphaV: list
+    compiled_alpha: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.alpha0 = as_coeff(self.alpha0)

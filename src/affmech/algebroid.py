@@ -20,6 +20,7 @@ partials are taken by central finite differences.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -36,6 +37,7 @@ __all__ = [
     "is_zero_coeff",
     "SplitMix64",
     "SamplePlan",
+    "check_box_var",
     "AlgebroidChart",
     "KSection",
     "differential",
@@ -47,6 +49,7 @@ __all__ = [
     "Prolongation",
     "prolong",
     "section_max_abs",
+    "values_at",
     "section_max_diff",
     "section_combine",
 ]
@@ -174,6 +177,14 @@ class SamplePlan:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"sample count must be at least 1, got {self.count}")
+        for var, (lo, hi) in self.box.items():
+            # lo == hi pins the variable: verify_theorem samples the range
+            # of a trajectory, along which a coordinate may stay constant
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(
+                    f"box for '{var}' needs finite bounds with lo < hi "
+                    f"(or lo == hi), got {lo!r}, {hi!r}"
+                )
 
     def interval(self, var: str) -> tuple[float, float]:
         return self.box.get(var, self.DEFAULT_INTERVAL)
@@ -184,6 +195,14 @@ class SamplePlan:
         for _ in range(self.count):
             pts.append({v: rng.uniform(*self.interval(v)) for v in variables})
         return pts
+
+
+def check_box_var(var: str, variables: Sequence[str]) -> None:
+    """Reject a sampling-box key that names none of ``variables``."""
+    if var not in variables:
+        raise ValueError(
+            f"box for unknown variable '{var}' (base variables: {', '.join(variables)})"
+        )
 
 
 # -------------------------------------------------------------------- charts
@@ -543,13 +562,36 @@ def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
 
 
 def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
+    """Largest |coefficient| over the points, its index and its point.
+
+    An evaluation error records the point it happened at as ``point``.
+    """
     worst, where, at = 0.0, (), {}
     for env in envs:
-        for idx, c in s.coeffs.items():
-            v = abs(c.value(env))
-            if v > worst:
-                worst, where, at = v, idx, env
+        try:
+            for idx, c in s.coeffs.items():
+                v = abs(c.value(env))
+                if v > worst:
+                    worst, where, at = v, idx, env
+        except ex.EvalError as err:
+            err.point = env
+            raise
     return worst, where, at
+
+
+def values_at(fn, envs) -> list:
+    """``fn(env)`` at every point, in order.
+
+    An evaluation error records the point it happened at as ``point``.
+    """
+    out = []
+    for env in envs:
+        try:
+            out.append(fn(env))
+        except ex.EvalError as err:
+            err.point = env
+            raise
+    return out
 
 
 def section_max_diff(s1: KSection, s2: KSection, envs) -> float:

@@ -13,11 +13,12 @@ Exit codes: 0 pass, 1 check failed, 2 input error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import VALIDATION_TOL, SamplePlan, validate_chart
+from .algebroid import VALIDATION_TOL, SamplePlan, check_box_var, validate_chart, values_at
 from .affgebroid import CoSection
 from .dynamics import DEFAULT_STEP, integrate
 from .hj import (
@@ -162,6 +163,8 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
     try:
         x0 = _parse_floats(args.x0, chart.m, "--x0")
         y0 = _parse_floats(args.y0, chart.n, "--y0")
+        if not all(map(math.isfinite, (args.step, args.t0, args.t_end))):
+            raise ValueError("--step, --t0 and --t-end must be finite numbers")
         if args.step <= 0 or args.t_end <= args.t0 or args.thin < 1:
             raise ValueError("need step > 0, t-end > t0 and thin >= 1")
     except ValueError as err:
@@ -212,8 +215,10 @@ def _plan_from_args(bundle: ModelBundle, args) -> SamplePlan:
         if "=" not in override:
             raise ValueError(f"--box expects var=lo,hi, got '{override}'")
         var, bounds = override.split("=", 1)
-        lo, hi = (float(p) for p in bounds.split(","))
-        box[var.strip()] = (lo, hi)
+        var = var.strip()
+        check_box_var(var, bundle.chart.base_vars)
+        lo, hi = _parse_floats(bounds, 2, f"--box {var}")
+        box[var] = (lo, hi)
     return SamplePlan(
         box=box,
         count=args.samples if args.samples is not None else bundle.sample.count,
@@ -229,22 +234,33 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
-    coc = cocycle_residual(alpha, plan)
+    try:
+        coc = cocycle_residual(alpha, plan)
+        f = f_of(bundle.hamiltonian, alpha)
+        values = values_at(f.value, plan.points(bundle.chart.base_vars))
+        hj = hj_residual(alpha, bundle.hamiltonian, plan)
+    except ex.EvalError as err:
+        return _evaluation_error(err)
+
     for line in coc.lines():
         print(line)
-
-    f = f_of(bundle.hamiltonian, alpha)
-    values = [f.value(env) for env in plan.points(bundle.chart.base_vars)]
     print(f"f_min = {min(values):.6e}")
     print(f"f_max = {max(values):.6e}")
     print(f"f_mean = {sum(values)/len(values):.6e}")
-
-    hj = hj_residual(alpha, bundle.hamiltonian, plan)
     for line in hj.lines():
         print(line)
     passed = coc.is_cocycle and hj.is_solution
     print(f"hj_pass = {passed}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def _evaluation_error(err: ex.EvalError) -> int:
+    """Report a section that cannot be evaluated at a sample point."""
+    where = ""
+    if err.point is not None:
+        where = " at " + ", ".join(f"{var}={value!r}" for var, value in err.point.items())
+    print(f"error: {err}{where}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 # ------------------------------------------------------------------ verify
@@ -282,6 +298,8 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
         except IntegrationFailure as err:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_CHECK_FAILED
+        except ex.EvalError as err:
+            return _evaluation_error(err)
         reports.append(report)
         coords = ",".join(f"{v:.6g}" for v in x0)
         print(
@@ -302,3 +320,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
         return EXIT_INCONSISTENT
     print("verdict = (i) and (ii) AGREE")
     return EXIT_OK if holds_i else EXIT_CHECK_FAILED
+
+
+if __name__ == "__main__":
+    entry()

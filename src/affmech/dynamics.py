@@ -4,6 +4,12 @@ States are flat float lists ordered as (base coordinates, fiber coordinates).
 Integration is classical fixed-step RK4; the last step is shortened to land
 exactly on the requested end time.  No structure-preserving scheme is used;
 conservation tolerances elsewhere are calibrated to RK4 at the default step.
+
+The Hamilton field of a section is built once as m+n expressions and
+compiled once (``expr.compile``) into straight-line code, so an RK4 stage
+walks no expression tree.  The interpreter stays the reference: it takes
+over at any state where the compiled field raises or gives a non-finite
+value, and every domain error and its message comes from it.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ __all__ = [
     "integrate",
     "integrate_field",
     "reduced_field",
+    "compiled_alpha",
     "integrate_reduced",
 ]
 
@@ -48,7 +55,57 @@ def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
 
         dx^i/dt = rho0^i + dH/dy_a rhoV[a]^i
         dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
+
+    The m+n right-hand sides are built as expressions and compiled once per
+    section, on the first call.  Where the compiled field raises or returns
+    a non-finite value, the interpreter computes this state instead: it
+    skips the terms whose factor dH/dy_b or y_g is 0 at the state, so it
+    can give a value where the compiled field meets a domain error or inf*0,
+    and it gives every error its message.
     """
+    if h.compiled_rhs is None:
+        h.compiled_rhs = _compile_rhs(h)
+    out = ex.run_compiled(h.compiled_rhs, state)
+    return out[: len(state)] if out is not None else _interpreted_rhs(h, state)
+
+
+def _compile_rhs(h: HamiltonianSection):
+    """The field, followed by H and every partial, as one compiled function.
+
+    The interpreter evaluates H and all its partials at every state; the
+    folded field drops some of them (dH/dt where rhoV[a][t] = 0), so they
+    are compiled as extra outputs.  The compiled function then raises
+    wherever the interpreter does.  False where compiling fails.
+    """
+    exprs = _rhs_exprs(h) + [h.H] + h.partials
+    return ex.try_compile(exprs, h.chart.all_vars()) or False
+
+
+def _rhs_exprs(h: HamiltonianSection) -> list[ex.Expr]:
+    """The right-hand sides as folded expressions, in the interpreter's order."""
+    aff = h.chart
+    m, n = aff.m, aff.n
+    hx, hy = h.partials[:m], h.partials[m:]
+    out = []
+    for i in range(m):
+        total = aff.rho0[i]
+        for a in range(n):
+            total = ex.add(total, ex.mul(hy[a], aff.rhoV[a][i]))
+        out.append(total)
+    for a in range(n):
+        total = ex.Lit(0.0)
+        for i in range(m):
+            total = ex.sub(total, ex.mul(aff.rhoV[a][i], hx[i]))
+        for g in range(n):
+            coef = aff.C0[a][g]
+            for b in range(n):
+                coef = ex.add(coef, ex.mul(aff.CV[b][a][g], hy[b]))
+            total = ex.add(total, ex.mul(ex.Var(aff.fiber_vars[g]), coef))
+        out.append(total)
+    return out
+
+
+def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
     aff = h.chart
     m, n = aff.m, aff.n
     env = dict(zip(aff.all_vars(), state))
@@ -144,16 +201,40 @@ def reduced_field(alpha: CoSection, h: HamiltonianSection):
 
     Realized by evaluating the full right-hand side at y = alphaV(x), which
     makes the base equation of the restored flow hold by construction.
+    alphaV comes from ``compiled_alpha``, with the interpreter as the
+    fallback, as in ``hamilton_rhs``.
     """
     aff = h.chart
-    m = aff.m
+    m, n = aff.m, aff.n
+    alpha_fn = compiled_alpha(alpha)
 
     def field(x_state: Sequence[float]) -> list[float]:
-        env = dict(zip(aff.base_vars, x_state))
-        y = [c.value(env) for c in alpha.alphaV]
-        return hamilton_rhs(h, list(x_state) + y)[:m]
+        y = ex.run_compiled(alpha_fn, x_state)
+        if y is None:
+            env = dict(zip(aff.base_vars, x_state))
+            y = [c.value(env) for c in alpha.alphaV]
+        return hamilton_rhs(h, list(x_state) + y[:n])[:m]
 
     return field
+
+
+def compiled_alpha(alpha: CoSection):
+    """alphaV and its base partials as one compiled function of the base point.
+
+    Outputs: the n components of alphaV, then dalphaV[a]/dx^i at index
+    n + a*m + i.  Compiled once per section, on the first call, and cached
+    on it; False for a section that is not expression-backed or cannot be
+    compiled, which leaves its callers on the interpreter.
+    """
+    if alpha.compiled_alpha is None:
+        fn = False
+        if alpha.is_expression_backed():
+            base = alpha.chart.base_vars
+            nodes = [c.node for c in alpha.alphaV]
+            partials = [ex.diff(g, v) for g in nodes for v in base]
+            fn = ex.try_compile(nodes + partials, base) or False
+        alpha.compiled_alpha = fn
+    return alpha.compiled_alpha
 
 
 def integrate_reduced(

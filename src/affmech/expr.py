@@ -6,6 +6,14 @@ The module provides parsing, printing, evaluation, exact first partial
 derivatives at a point via forward-mode dual arithmetic, and symbolic
 derivatives built from constant-folding constructors.
 
+``compile`` turns a list of expressions that is evaluated many times into
+one Python function of straight-line code: one assignment per distinct
+node, with common subexpressions computed once.  It does exactly the float
+operations of the interpreter, so its values equal ``evaluate`` bit for
+bit.  It builds no error messages: where it raises, or gives a value the
+caller does not trust, the caller re-runs the interpreter (``evaluate``),
+which stays the reference and the source of every ``DomainError``.
+
 Grammar (EBNF)::
 
     expr   := term (('+'|'-') term)*
@@ -21,10 +29,11 @@ Known functions: sin, cos, tan, exp, log, sqrt.
 
 from __future__ import annotations
 
+import builtins
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -44,6 +53,9 @@ __all__ = [
     "to_string",
     "evaluate",
     "evaluate_with_partials",
+    "compile",
+    "try_compile",
+    "run_compiled",
     "substitute",
     "free_vars",
     "literal_value",
@@ -79,7 +91,13 @@ class UnknownFunctionError(ParseError):
 
 
 class EvalError(ExprError):
-    """Base class for evaluation errors."""
+    """Base class for evaluation errors.
+
+    ``point`` is the sample point (variable -> value) at which the error
+    happened, when a loop over sample points recorded it; otherwise None.
+    """
+
+    point: Mapping[str, float] | None = None
 
 
 class UnboundVariableError(EvalError):
@@ -346,17 +364,27 @@ def literal_value(e: Expr) -> float | None:
     return None
 
 
-def _checked_pow(base: float, c: float, node: Expr) -> float:
+def _checked_pow(base: float, c: float, node: Expr | None = None) -> float:
+    """base^c for a literal exponent c.
+
+    Compiled code calls it, with no node, only for a non-integer c.
+    """
     if base == 0.0:
         if c < 0.0:
-            raise DomainError("0 raised to a negative power", node)
+            raise _domain_error("0 raised to a negative power", node)
         return 1.0 if c == 0.0 else 0.0
     if base < 0.0 and not float(c).is_integer():
-        raise DomainError("negative base with non-integer exponent", node)
+        raise _domain_error("negative base with non-integer exponent", node)
     try:
         return math.pow(base, c)
     except OverflowError:
-        raise DomainError("overflow in power", node) from None
+        raise _domain_error("overflow in power", node) from None
+
+
+def _domain_error(reason: str, node: Expr | None) -> ArithmeticError | DomainError:
+    # without a node the failure is only a signal: the caller re-runs the
+    # interpreter, which builds the DomainError and its message
+    return DomainError(reason, node) if node is not None else ArithmeticError(reason)
 
 
 def evaluate(e: Expr, env: Env) -> float:
@@ -479,6 +507,130 @@ def _dual(e: Expr, env: Env, slot: Mapping[str, int], n: int) -> tuple[float, li
         raise DomainError("division by zero", e)
     v = a / b
     return v, [(da[k] - v * db[k]) / b for k in range(n)]
+
+
+# ------------------------------------------------------------- compilation
+
+_COMPILED_NAMES = {f"_{name}": fns[0] for name, fns in FUNCTIONS.items()}
+_COMPILED_NAMES.update(_pow=math.pow, _checked_pow=_checked_pow)
+
+
+def compile(
+    exprs: Sequence[Expr], variables: Sequence[str]
+) -> Callable[[Sequence[float]], list[float]]:
+    """One function ``x -> [value of each expression]`` of straight-line code.
+
+    ``x`` lists the values of ``variables`` in order.  Every distinct node
+    is one assignment, and nodes with the same operation on the same
+    operands share it, so each common subexpression is computed once.  The
+    code does the interpreter's float operations on the interpreter's
+    operands, so each value equals ``evaluate`` bit for bit.  Where
+    ``evaluate`` raises, the function raises ArithmeticError or ValueError
+    instead (it builds no DomainError); the caller re-runs the interpreter
+    for the error and its message.
+
+    Raises UnboundVariableError for a variable missing from ``variables``
+    and RecursionError for input too deep to walk.
+    """
+    names = {v: f"v{i}" for i, v in enumerate(variables)}
+    consts: dict[str, object] = {}  # literals with no exact source text
+    # Sharing is keyed on the emitted right-hand side rather than on node
+    # equality, which treats Lit(0.0) and Lit(-0.0) as equal.
+    seen: dict[str, str] = {}  # right-hand side -> the temporary holding it
+    lines: list[str] = []
+    memo: dict[int, str] = {}  # id(node) -> its operand text
+
+    def const(v) -> str:
+        if type(v) is float and math.isfinite(v):
+            return repr(v)
+        name = f"_k{len(consts)}"
+        consts[name] = v
+        return name
+
+    def operand(e: Expr) -> str:
+        text = memo.get(id(e))
+        if text is not None:
+            return text
+        guard = None
+        if isinstance(e, Lit):
+            text = const(e.value)
+        elif isinstance(e, Var):
+            if e.name not in names:
+                raise UnboundVariableError(e.name)
+            text = names[e.name]
+        elif isinstance(e, Neg):
+            rhs = f"-{operand(e.arg)}"
+        elif isinstance(e, Call):
+            rhs = f"_{e.fn}({operand(e.arg)})"
+        elif e.op == "^":
+            c = literal_value(e.rhs)
+            if c is not None and float(c).is_integer():
+                # math.pow raises where _checked_pow does; only 0^c with
+                # c > 0 odd differs (-0.0 for a base of -0.0)
+                a = operand(e.lhs)
+                rhs = f"_pow({a}, {const(c)})"
+                if c > 0.0:
+                    rhs = f"0.0 if {a} == 0.0 else {rhs}"
+            elif c is not None:
+                rhs = f"_checked_pow({operand(e.lhs)}, {const(c)})"
+            else:
+                a, b = operand(e.lhs), operand(e.rhs)
+                guard, rhs = f"if {a} <= 0.0: raise ArithmeticError", f"_pow({a}, {b})"
+        else:
+            rhs = f"{operand(e.lhs)} {e.op} {operand(e.rhs)}"
+        if text is None:
+            text = seen.get(rhs)
+            if text is None:
+                text = seen[rhs] = f"t{len(seen)}"
+                if guard:
+                    lines.append(guard)
+                lines.append(f"{text} = {rhs}")
+        memo[id(e)] = text
+        return text
+
+    outputs = [operand(e) for e in exprs]
+    params = ", ".join([*_COMPILED_NAMES, *consts])
+    body = "\n".join(f"        {line}" for line in lines)
+    src = (
+        f"def _build({params}):\n"
+        f"    def compiled(x):\n"
+        f"        ({''.join(f'v{i}, ' for i in range(len(variables)))}) = x\n"
+        f"{body}\n"
+        f"        return [{', '.join(outputs)}]\n"
+        f"    return compiled\n"
+    )
+    scope: dict = {}
+    exec(builtins.compile(src, "<affmech.expr.compile>", "exec"), scope)
+    return scope["_build"](**_COMPILED_NAMES, **consts)
+
+
+def try_compile(exprs: Sequence[Expr], variables: Sequence[str]):
+    """``compile(exprs, variables)``, or None where that raises.
+
+    A caller that gets None keeps using the interpreter.
+    """
+    try:
+        return compile(exprs, variables)
+    except (RecursionError, EvalError):
+        return None
+
+
+def run_compiled(fn, x: Sequence[float]) -> list[float] | None:
+    """``fn(x)`` when ``fn`` is a compiled function and every value is finite.
+
+    None where there is no function, where it raises, or where a value is
+    not finite: the caller then computes the values with the interpreter,
+    which decides between a value and an error.
+    """
+    if not fn:
+        return None
+    try:
+        out = fn(x)
+        if all(map(math.isfinite, out)):
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    return None
 
 
 # ------------------------------------------------------------ manipulation

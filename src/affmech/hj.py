@@ -9,9 +9,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import expr as ex
-from .algebroid import ExprCoeff, FnCoeff, KSection, SamplePlan, differential
+from .algebroid import (
+    ExprCoeff,
+    FnCoeff,
+    KSection,
+    SamplePlan,
+    differential,
+    section_max_abs,
+    values_at,
+)
 from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
-from .dynamics import DEFAULT_STEP, Trajectory, hamilton_rhs, integrate_reduced, reduced_field
+from .dynamics import (
+    DEFAULT_STEP,
+    Trajectory,
+    compiled_alpha,
+    hamilton_rhs,
+    integrate_reduced,
+    reduced_field,
+)
 
 __all__ = [
     "POINT_TOL",
@@ -75,12 +90,7 @@ def cocycle_residual(alpha: CoSection, sample: SamplePlan | None = None) -> Cocy
     plan = sample if sample is not None else SamplePlan()
     envs = plan.points(alpha.chart.base_vars)
     d_alpha = differential(alpha.as_bidual_section())
-    worst, where = 0.0, ()
-    for env in envs:
-        for idx, coeff in d_alpha.coeffs.items():
-            v = abs(coeff.value(env))
-            if v > worst:
-                worst, where = v, idx
+    worst, where, _ = section_max_abs(d_alpha, envs)
     return CocycleReport(worst, where, len(envs))
 
 
@@ -114,13 +124,8 @@ def hj_residual(
     plan = sample if sample is not None else SamplePlan()
     envs = plan.points(aff.base_vars)
     df = differential(KSection.function(aff.vertical_chart(), f_of(h, alpha)))
-    worst, where = 0.0, -1
-    for env in envs:
-        for idx, coeff in df.coeffs.items():
-            v = abs(coeff.value(env))
-            if v > worst:
-                worst, where = v, idx[0]
-    return HJReport(worst, where, len(envs))
+    worst, where, _ = section_max_abs(df, envs)
+    return HJReport(worst, where[0] if where else -1, len(envs))
 
 
 class NotACocycleError(ValueError):
@@ -191,7 +196,7 @@ def verify_theorem(
     the computed trajectory.  Requires alpha to be a cocycle.
     """
     aff = h.chart
-    m = aff.m
+    m, n = aff.m, aff.n
     plan = sample if sample is not None else SamplePlan()
 
     coc = cocycle_residual(alpha, plan)
@@ -203,20 +208,32 @@ def verify_theorem(
         raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
     field = reduced_field(alpha, h)
-    traj_max = 0.0
-    base_defect = 0.0
-    for state in traj.states:
-        env = dict(zip(aff.base_vars, state))
-        yv = [c.value(env) for c in alpha.alphaV]
-        rhs = hamilton_rhs(h, list(state) + yv)
+    # alphaV and its base partials from the function the reduced field
+    # already compiled; the interpreter (values, then dual partials) covers
+    # anything else
+    alpha_fn = compiled_alpha(alpha)
+
+    def residuals(env):
+        """Base-equation defect and largest fiber residual at one state."""
+        state = [env[v] for v in aff.base_vars]
+        fast = ex.run_compiled(alpha_fn, state)
+        yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
+        rhs = hamilton_rhs(h, state + yv)
         xdot = field(state)
-        base_defect = max(
-            base_defect, max(abs(rhs[i] - xdot[i]) for i in range(m))
-        )
-        for a in range(aff.n):
-            _, dg = alpha.alphaV[a].value_and_partials(env, aff.base_vars)
+        worst = 0.0
+        for a in range(n):
+            if fast is not None:
+                dg = fast[n + a * m : n + (a + 1) * m]
+            else:
+                _, dg = alpha.alphaV[a].value_and_partials(env, aff.base_vars)
             r = sum(dg[i] * xdot[i] for i in range(m)) - rhs[m + a]
-            traj_max = max(traj_max, abs(r))
+            worst = max(worst, abs(r))
+        return max(abs(rhs[i] - xdot[i]) for i in range(m)), worst
+
+    envs = [dict(zip(aff.base_vars, state)) for state in traj.states]
+    per_state = values_at(residuals, envs)
+    base_defect = max(d for d, _ in per_state)
+    traj_max = max(r for _, r in per_state)
     if base_defect > 1e-12:
         raise IntegrationFailure(
             f"base equation failed to hold by construction: defect {base_defect:.3e}"

@@ -40,7 +40,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import SamplePlan
+from .algebroid import SamplePlan, check_box_var
 from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 from .models import ModelBundle
 
@@ -90,7 +90,7 @@ def parse_model_text(text: str, name: str = "model") -> ModelBundle:
         raise ModelFileError(str(err), h_line) from None
 
     sections = _sections(entries, chart, n)
-    sample = _sampling(entries, set(names))
+    sample = _sampling(entries, base)
 
     return ModelBundle(
         name=name,
@@ -242,7 +242,7 @@ def _sections(entries, chart, n):
     return out
 
 
-def _sampling(entries, known_vars):
+def _sampling(entries, base_vars):
     box = {}
     count, seed = 100, 42
     for key, (value, line) in entries["sampling"].items():
@@ -252,13 +252,16 @@ def _sampling(entries, known_vars):
             except ValueError:
                 raise ModelFileError(f"'{key}' must be an integer, got {value!r}", line) from None
             if key == "count":
+                _check_plan(line, count=parsed)
                 count = parsed
             else:
                 seed = parsed
         elif key.startswith("box."):
             var = key[len("box."):]
-            if var not in known_vars:
-                raise ModelFileError(f"box for unknown variable '{var}'", line)
+            try:
+                check_box_var(var, base_vars)
+            except ValueError as err:
+                raise ModelFileError(str(err), line) from None
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 2:
                 raise ModelFileError(f"box needs 'lo, hi', got {value!r}", line)
@@ -266,12 +269,16 @@ def _sampling(entries, known_vars):
                 lo, hi = float(parts[0]), float(parts[1])
             except ValueError:
                 raise ModelFileError(f"box bounds must be numbers, got {value!r}", line) from None
-            if not lo < hi:
-                raise ModelFileError("box interval must satisfy lo < hi", line)
+            _check_plan(line, box={var: (lo, hi)})
             box[var] = (lo, hi)
         else:
             raise ModelFileError(f"unknown sampling key '{key}'", line)
+    return SamplePlan(box=box, count=count, seed=seed)
+
+
+def _check_plan(line, **fields):
+    """Run SamplePlan's checks on one sampling entry, keeping its line."""
     try:
-        return SamplePlan(box=box, count=count, seed=seed)
+        SamplePlan(**fields)
     except ValueError as err:
-        raise ModelFileError(str(err)) from None
+        raise ModelFileError(str(err), line) from None

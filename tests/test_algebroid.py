@@ -244,3 +244,10 @@ def test_ksection_rejects_bad_indices():
         KSection(chart, 1, {(7,): Lit(1.0)})
     with pytest.raises(ValueError):
         KSection(chart, 4, {})
+
+
+def test_sample_plan_rejects_reversed_and_non_finite_boxes():
+    for interval in [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="box for 'a'"):
+            SamplePlan(box={"a": interval})
+    assert SamplePlan(box={"a": (2.0, 2.0)}, count=3).points(["a"]) == [{"a": 2.0}] * 3

@@ -172,6 +172,16 @@ def test_flow_aborts_flagged(tmp_path, capsys):
     assert out.strip().splitlines()[-1] == "# ABORTED"
 
 
+def test_flow_aborts_where_the_hamiltonian_is_undefined(tmp_path, capsys):
+    # H = log(t) + ... is undefined at t < 0 although dH/dt never enters the field
+    p = tmp_path / "log_t.model"
+    p.write_text(FREE_PARTICLE.replace("H = p1^2/2", "H = p1^2/2 + log(t)"))
+    code = main(["flow", str(p), "--x0=-1,0", "--y0", "1", "--t0=-1", "--t-end", "0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.strip().splitlines()[-1] == "# ABORTED"
+
+
 def test_flow_bad_arguments(free_file, capsys):
     assert main(["flow", free_file, "--x0", "0", "--y0", "1", "--t-end", "1"]) == 2
     assert main(["flow", free_file, "--x0", "0,1", "--y0", "1", "--t-end", "-1"]) == 2
@@ -266,3 +276,80 @@ def test_show_defaults(capsys):
     out = capsys.readouterr().out
     for key in ("seed = 42", "samples = 100", "step = 0.001"):
         assert key in out
+
+
+# ---------------------------------------------------------- input contracts
+
+
+def error_line(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0], captured.out
+
+
+def test_hj_domain_error_is_input_error_naming_the_point(capsys):
+    assert main(["hj", "oscillator", "--alpha", "alphaV=log(q1)"]) == 2
+    line, out = error_line(capsys)
+    assert "log of non-positive value in 'log(q1)'" in line
+    point = dict(item.split("=") for item in line.split(" at ", 1)[1].split(", "))
+    assert set(point) == {"t", "q1"} and float(point["q1"]) <= 0.0
+    assert out == ""
+
+
+def test_verify_domain_error_is_input_error_naming_the_point(capsys):
+    code = main(["verify", "oscillator", "--alpha", "alpha0=sqrt(q1)", "--x0-set", "0.5,0.5"])
+    assert code == 2
+    line, _ = error_line(capsys)
+    assert "sqrt of negative value in 'sqrt(q1)' at t=" in line
+
+
+def test_hj_box_must_be_ordered_finite_and_known(capsys):
+    for box, fragment in [
+        ("t=2,1", "lo < hi"),
+        ("t=0,inf", "finite"),
+        ("t=nan,1", "finite"),
+        ("zz=0,1", "unknown variable 'zz'"),
+        ("p1=0,1", "unknown variable 'p1'"),  # a fiber variable is never sampled
+        ("t=1", "--box t needs 2"),
+        ("t=0,1,2", "--box t needs 2"),
+    ]:
+        assert main(["hj", "oscillator", "--alpha", "w_osc", "--box", box]) == 2, box
+        line, out = error_line(capsys)
+        assert fragment in line and out == ""
+
+
+def test_hj_one_point_box_pins_the_variable(capsys):
+    assert main(["hj", "oscillator", "--alpha", "w_osc", "--box", "t=1,1", "--samples", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_flow_non_finite_arguments_are_input_errors(free_file, capsys):
+    base = ["flow", free_file, "--x0", "0,1", "--y0", "1"]
+    for extra in (
+        ["--t-end", "1", "--step", "nan"],
+        ["--t-end", "1", "--step", "inf"],
+        ["--t-end", "inf"],
+        ["--t-end", "nan"],
+        ["--t-end", "1", "--t0=-inf"],
+    ):
+        assert main(base + extra) == 2, extra
+        line, out = error_line(capsys)
+        assert "finite" in line and out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("affmech", "affmech.cli"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "validate", "oscillator"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "model_valid = True" in result.stdout

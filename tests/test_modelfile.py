@@ -161,3 +161,20 @@ def test_load_model_from_disk(tmp_path):
     bundle = load_model(path)
     assert bundle.name == "free"
     assert bundle.chart.m == 2
+
+
+def test_sampling_entries_are_checked_on_their_line():
+    lines = FREE_PARTICLE.splitlines()
+    for old, new, fragment in [
+        ("box.t = -0.5, 1", "box.p1 = 0, 1", "unknown variable 'p1'"),  # fibers are never sampled
+        ("box.t = -0.5, 1", "box.t = 0, inf", "finite"),
+        ("box.t = -0.5, 1", "box.t = nan, 1", "finite"),
+        ("box.t = -0.5, 1", "box.t = 1, 0", "lo < hi"),
+        ("count = 60", "count = 0", "sample count"),
+    ]:
+        with pytest.raises(ModelFileError) as err:
+            parse_model_text(FREE_PARTICLE.replace(old, new))
+        assert fragment in str(err.value)
+        assert err.value.line == lines.index(old) + 1, new
+    pinned = parse_model_text(FREE_PARTICLE.replace("box.t = -0.5, 1", "box.t = 0.5, 0.5"))
+    assert {p["t"] for p in pinned.sample.points(["t", "q1"])} == {0.5}
