@@ -12,8 +12,9 @@ stored data reduces to
 
 From this chart the module builds the vertical subalgebroid, the
 prolongation over the dual of the vertical bundle with its cosymplectic
-pair, the Reeb section (closed formula and defining-equation solve), and
-the pullback identities satisfied by sections of that dual.
+pair, the Hamilton field of a Hamiltonian section, the Reeb section (read
+off that field, and solved from its defining equations), and the pullback
+identities satisfied by sections of that dual.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from .algebroid import (
     KSection,
     Morphism,
     Prolongation,
+    Report,
     SamplePlan,
     as_coeff,
+    as_expr,
     differential,
     prolong,
     pullback,
@@ -51,8 +54,10 @@ __all__ = [
     "lambda_h",
     "omega_h_from_pullback",
     "hamiltonian_morphism",
+    "hamilton_field",
     "reeb",
     "reeb_solve",
+    "REEB_RESIDUAL_TOL",
     "ReebResult",
     "DegenerateStructureError",
     "covector_morphism",
@@ -64,18 +69,6 @@ __all__ = [
 ]
 
 
-def _as_expr(obj) -> Expr:
-    if isinstance(obj, str):
-        return ex.parse(obj)
-    if isinstance(obj, (int, float)):
-        return Lit(float(obj))
-    if isinstance(obj, ex._Node):
-        return obj
-    if isinstance(obj, ExprCoeff):
-        return obj.node
-    raise TypeError(f"chart data must be expressions, got {obj!r}")
-
-
 class AffgebroidChart:
     """Single-chart affgebroid data in a basis adapted to the 1-cocycle."""
 
@@ -83,10 +76,10 @@ class AffgebroidChart:
         self.base_vars = list(base_vars)
         self.fiber_vars = list(fiber_vars)
         m, n = len(self.base_vars), len(self.fiber_vars)
-        self.rho0 = [_as_expr(c) for c in rho0]
-        self.rhoV = [[_as_expr(c) for c in row] for row in rhoV]
-        self.C0 = [[_as_expr(c) for c in row] for row in C0]
-        self.CV = [[[_as_expr(c) for c in col] for col in mat] for mat in CV]
+        self.rho0 = [as_expr(c) for c in rho0]
+        self.rhoV = [[as_expr(c) for c in row] for row in rhoV]
+        self.C0 = [[as_expr(c) for c in row] for row in C0]
+        self.CV = [[[as_expr(c) for c in col] for col in mat] for mat in CV]
         if len(self.rho0) != m:
             raise ValueError("rho0 needs one component per base variable")
         if len(self.rhoV) != n or any(len(r) != m for r in self.rhoV):
@@ -189,7 +182,7 @@ class HamiltonianSection:
     compiled_rhs: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.H = _as_expr(self.H)
+        self.H = as_expr(self.H)
         extra = ex.free_vars(self.H) - set(self.chart.all_vars())
         if extra:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
@@ -241,12 +234,9 @@ class VStarSection:
     gammaV: list
 
     def __post_init__(self):
-        self.gammaV = [_as_expr(c) for c in self.gammaV]
+        self.gammaV = [as_expr(c) for c in self.gammaV]
         if len(self.gammaV) != self.chart.n:
             raise ValueError("gammaV needs one component per fiber coordinate")
-
-    def values(self, env) -> list[float]:
-        return [ex.evaluate(c, env) for c in self.gammaV]
 
 
 # ------------------------------------------------------- cosymplectic pair
@@ -348,37 +338,52 @@ class ReebResult:
     rank: int
 
 
+def hamilton_field(h: HamiltonianSection) -> list[Expr]:
+    """The Hamilton equations of h as m+n folded expressions.
+
+        dx^i/dt = rho0^i + dH/dy_a rhoV[a]^i
+        dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
+
+    Base components first, then fiber components, each summed in the order
+    ``dynamics._interpreted_rhs`` sums it; terms whose data is a structural
+    zero fold away.
+    """
+    aff = h.chart
+    m, n = aff.m, aff.n
+    hx, hy = h.partials[:m], h.partials[m:]
+    out = []
+    for i in range(m):
+        total = aff.rho0[i]
+        for a in range(n):
+            total = add(total, mul(hy[a], aff.rhoV[a][i]))
+        out.append(total)
+    for a in range(n):
+        total = Lit(0.0)
+        for i in range(m):
+            total = sub(total, mul(aff.rhoV[a][i], hx[i]))
+        for g in range(n):
+            coef = aff.C0[a][g]
+            for b in range(n):
+                coef = add(coef, mul(aff.CV[b][a][g], hy[b]))
+            total = add(total, mul(Var(aff.fiber_vars[g]), coef))
+        out.append(total)
+    return out
+
+
 def reeb(h: HamiltonianSection):
-    """Closed-formula Reeb evaluator in the ordered prolongation basis.
+    """The Reeb section of (omega_h, eta) in the ordered prolongation basis.
 
     Returns a function of a point of the dual producing the 2n+1 components
 
-        (1,
-         dH/dy_a,
-         -(CV[a][b][g] y_g dH/dy_b + rhoV[a][i] dH/dx_i - C0[a][g] y_g)).
+        (1, dH/dy_a, dy_a/dt of the Hamilton field):
+
+    the integral curves of the Reeb section are the solutions of the
+    Hamilton equations, so its fiber components are those of
+    ``hamilton_field``, and ``reeb_solve`` checks them against the
+    defining equations.
     """
-    aff = h.chart
-    n, m = aff.n, aff.m
-
-    def evaluate(env) -> list[float]:
-        _, hx, hy = h.gradients(env)
-        yv = [env[v] for v in aff.fiber_vars]
-        out = [1.0] + list(hy)
-        for a in range(n):
-            total = 0.0
-            for b in range(n):
-                if hy[b] == 0.0:
-                    continue
-                for g in range(n):
-                    total += ex.evaluate(aff.CV[a][b][g], env) * yv[g] * hy[b]
-            for i in range(m):
-                total += ex.evaluate(aff.rhoV[a][i], env) * hx[i]
-            for g in range(n):
-                total -= ex.evaluate(aff.C0[a][g], env) * yv[g]
-            out.append(-total)
-        return out
-
-    return evaluate
+    exprs = [Lit(1.0)] + h.partials[h.chart.m :] + hamilton_field(h)[h.chart.m :]
+    return lambda env: [ex.evaluate(e, env) for e in exprs]
 
 
 def omega_matrix(omega: KSection, env) -> np.ndarray:
@@ -392,12 +397,10 @@ def omega_matrix(omega: KSection, env) -> np.ndarray:
     return mat
 
 
-def reeb_solve(
-    h: HamiltonianSection,
-    env,
-    omega: KSection | None = None,
-    residual_tol: float = 1e-8,
-) -> ReebResult:
+REEB_RESIDUAL_TOL = 1e-8
+
+
+def reeb_solve(h: HamiltonianSection, env, omega: KSection | None = None) -> ReebResult:
     """Solve the defining conditions of the Reeb section at one point.
 
     Stacks the contraction equations with the 2-section on top of the
@@ -417,7 +420,7 @@ def reeb_solve(
     rhs[r] = 1.0
     sol, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
     residual = float(np.linalg.norm(system @ sol - rhs))
-    if rank < r or residual > residual_tol:
+    if rank < r or residual > REEB_RESIDUAL_TOL:
         raise DegenerateStructureError(
             f"degenerate cosymplectic pair at {env}: rank {rank} of {r}, residual {residual:.3e}"
         )
@@ -462,22 +465,16 @@ def h_compose(h: HamiltonianSection, gamma: VStarSection) -> KSection:
 
 
 @dataclass
-class PullbackIdentitiesReport:
+class PullbackIdentitiesReport(Report):
+    CHECKS = (("lambda_dev", "pullback_lambda_dev"), ("omega_dev", "pullback_omega_dev"))
+    VERDICT = "pullback_identities_hold"
+    TOL = 1e-8
+
     lambda_dev: float
     omega_dev: float
     points: int
-    tol: float = 1e-8
 
-    @property
-    def holds(self) -> bool:
-        return self.lambda_dev <= self.tol and self.omega_dev <= self.tol
-
-    def lines(self) -> list[str]:
-        return [
-            f"pullback_lambda_dev = {self.lambda_dev:.3e}",
-            f"pullback_omega_dev = {self.omega_dev:.3e}",
-            f"pullback_identities_hold = {self.holds}",
-        ]
+    holds = Report.verdict
 
 
 def pullback_identities(
@@ -522,24 +519,21 @@ def vertical_inclusion_morphism(aff: AffgebroidChart) -> Morphism:
 
 
 @dataclass
-class RestrictionReport:
+class RestrictionReport(Report):
+    CHECKS = (
+        ("lambda_dev", "restriction_lambda_dev"),
+        ("omega_dev", "restriction_omega_dev"),
+        ("eta_dev", "restriction_eta_dev"),
+    )
+    VERDICT = "restriction_holds"
+    TOL = 1e-10
+
     lambda_dev: float
     omega_dev: float
     eta_dev: float
     points: int
-    tol: float = 1e-10
 
-    @property
-    def holds(self) -> bool:
-        return max(self.lambda_dev, self.omega_dev, self.eta_dev) <= self.tol
-
-    def lines(self) -> list[str]:
-        return [
-            f"restriction_lambda_dev = {self.lambda_dev:.3e}",
-            f"restriction_omega_dev = {self.omega_dev:.3e}",
-            f"restriction_eta_dev = {self.eta_dev:.3e}",
-            f"restriction_holds = {self.holds}",
-        ]
+    holds = Report.verdict
 
 
 def vertical_restriction_check(

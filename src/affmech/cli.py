@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import VALIDATION_TOL, SamplePlan, check_box_var, validate_chart, values_at
+from .algebroid import VALIDATION_TOL, SamplePlan, check_box_var, nan_max, validate_chart, values_at
 from .affgebroid import CoSection
 from .dynamics import DEFAULT_STEP, integrate
 from .hj import (
@@ -307,8 +307,8 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
             f"hj = {report.hj_max:.3e}"
         )
 
-    traj_max = max(r.trajectory_max for r in reports)
-    hj_max = max(r.hj_max for r in reports)
+    traj_max = nan_max(r.trajectory_max for r in reports)
+    hj_max = nan_max(r.hj_max for r in reports)
     holds_i = all(r.holds_along_trajectory for r in reports)
     holds_ii = all(r.holds_pointwise for r in reports)
     print(f"trajectory_residual_max = {traj_max:.3e}")

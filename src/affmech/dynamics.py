@@ -15,11 +15,13 @@ value, and every domain error and its message comes from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import expr as ex
-from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
+from .affgebroid import CoSection, HamiltonianSection, hamilton_field
+
+_rhs_exprs = hamilton_field  # earlier name, still imported by callers
 
 __all__ = [
     "DEFAULT_STEP",
@@ -53,13 +55,10 @@ class Trajectory:
 def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
     """Right-hand side of the Hamilton equations at one state.
 
-        dx^i/dt = rho0^i + dH/dy_a rhoV[a]^i
-        dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
-
-    The m+n right-hand sides are built as expressions and compiled once per
-    section, on the first call.  Where the compiled field raises or returns
-    a non-finite value, the interpreter computes this state instead: it
-    skips the terms whose factor dH/dy_b or y_g is 0 at the state, so it
+    The m+n right-hand sides of ``affgebroid.hamilton_field`` are compiled
+    once per section, on the first call.  Where the compiled field raises or
+    returns a non-finite value, the interpreter computes this state instead:
+    it skips the terms whose factor dH/dy_b or y_g is 0 at the state, so it
     can give a value where the compiled field meets a domain error or inf*0,
     and it gives every error its message.
     """
@@ -77,35 +76,12 @@ def _compile_rhs(h: HamiltonianSection):
     are compiled as extra outputs.  The compiled function then raises
     wherever the interpreter does.  False where compiling fails.
     """
-    exprs = _rhs_exprs(h) + [h.H] + h.partials
+    exprs = hamilton_field(h) + [h.H] + h.partials
     return ex.try_compile(exprs, h.chart.all_vars()) or False
 
 
-def _rhs_exprs(h: HamiltonianSection) -> list[ex.Expr]:
-    """The right-hand sides as folded expressions, in the interpreter's order."""
-    aff = h.chart
-    m, n = aff.m, aff.n
-    hx, hy = h.partials[:m], h.partials[m:]
-    out = []
-    for i in range(m):
-        total = aff.rho0[i]
-        for a in range(n):
-            total = ex.add(total, ex.mul(hy[a], aff.rhoV[a][i]))
-        out.append(total)
-    for a in range(n):
-        total = ex.Lit(0.0)
-        for i in range(m):
-            total = ex.sub(total, ex.mul(aff.rhoV[a][i], hx[i]))
-        for g in range(n):
-            coef = aff.C0[a][g]
-            for b in range(n):
-                coef = ex.add(coef, ex.mul(aff.CV[b][a][g], hy[b]))
-            total = ex.add(total, ex.mul(ex.Var(aff.fiber_vars[g]), coef))
-        out.append(total)
-    return out
-
-
 def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
+    """``hamilton_field`` evaluated term by term by the interpreter."""
     aff = h.chart
     m, n = aff.m, aff.n
     env = dict(zip(aff.all_vars(), state))

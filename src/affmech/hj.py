@@ -13,8 +13,10 @@ from .algebroid import (
     ExprCoeff,
     FnCoeff,
     KSection,
+    Report,
     SamplePlan,
     differential,
+    nan_max,
     section_max_abs,
     values_at,
 )
@@ -68,21 +70,16 @@ def f_of(h: HamiltonianSection, alpha: CoSection):
 
 
 @dataclass
-class CocycleReport:
+class CocycleReport(Report):
+    CHECKS = (("max_residual", "cocycle_residual"),)
+    VERDICT = "is_cocycle"
+    TOL = POINT_TOL
+
     max_residual: float
     component: tuple
     points: int
-    tol: float = POINT_TOL
 
-    @property
-    def is_cocycle(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def lines(self) -> list[str]:
-        return [
-            f"cocycle_residual = {self.max_residual:.3e}",
-            f"is_cocycle = {self.is_cocycle}",
-        ]
+    is_cocycle = Report.verdict
 
 
 def cocycle_residual(alpha: CoSection, sample: SamplePlan | None = None) -> CocycleReport:
@@ -95,21 +92,16 @@ def cocycle_residual(alpha: CoSection, sample: SamplePlan | None = None) -> Cocy
 
 
 @dataclass
-class HJReport:
+class HJReport(Report):
+    CHECKS = (("max_residual", "hj_residual"),)
+    VERDICT = "is_solution"
+    TOL = POINT_TOL
+
     max_residual: float
     component: int
     points: int
-    tol: float = POINT_TOL
 
-    @property
-    def is_solution(self) -> bool:
-        return self.max_residual <= self.tol
-
-    def lines(self) -> list[str]:
-        return [
-            f"hj_residual = {self.max_residual:.3e}",
-            f"is_solution = {self.is_solution}",
-        ]
+    is_solution = Report.verdict
 
 
 def hj_residual(
@@ -152,30 +144,18 @@ class TheoremReport:
     hj_max: float
     trajectory: Trajectory
     box: dict
-    trajectory_tol: float = TRAJECTORY_TOL
-    point_tol: float = POINT_TOL
 
     @property
     def holds_along_trajectory(self) -> bool:
-        return self.trajectory_max <= self.trajectory_tol
+        return self.trajectory_max <= TRAJECTORY_TOL
 
     @property
     def holds_pointwise(self) -> bool:
-        return self.hj_max <= self.point_tol
+        return self.hj_max <= POINT_TOL
 
     @property
     def agree(self) -> bool:
         return self.holds_along_trajectory == self.holds_pointwise
-
-    def lines(self) -> list[str]:
-        return [
-            f"cocycle_residual = {self.cocycle_max:.3e}",
-            f"trajectory_residual = {self.trajectory_max:.3e}",
-            f"hj_residual = {self.hj_max:.3e}",
-            f"condition_i_holds = {self.holds_along_trajectory}",
-            f"condition_ii_holds = {self.holds_pointwise}",
-            f"verdicts_agree = {self.agree}",
-        ]
 
 
 def verify_theorem(
@@ -193,7 +173,9 @@ def verify_theorem(
     the base equation is an identity of the construction (asserted to
     1e-12), the fiber residual uses exact partials of alpha along the
     curve.  The pointwise HJ residual is evaluated on the bounding box of
-    the computed trajectory.  Requires alpha to be a cocycle.
+    the computed trajectory.  Requires alpha to be a cocycle.  A start point
+    where the reduced field cannot be evaluated raises the evaluation error,
+    with x0 as its ``point``.
     """
     aff = h.chart
     m, n = aff.m, aff.n
@@ -204,10 +186,13 @@ def verify_theorem(
         raise NotACocycleError(coc)
 
     traj = integrate_reduced(alpha, h, x0, 0.0, horizon, step)
+    field = reduced_field(alpha, h)
     if not traj.ok:
+        # a start point outside the section's domain is an input error, not a
+        # failed flow; evaluating there raises it with x0 as its point
+        values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
         raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
-    field = reduced_field(alpha, h)
     # alphaV and its base partials from the function the reduced field
     # already compiled; the interpreter (values, then dual partials) covers
     # anything else
@@ -220,21 +205,20 @@ def verify_theorem(
         yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
         rhs = hamilton_rhs(h, state + yv)
         xdot = field(state)
-        worst = 0.0
+        fiber = []
         for a in range(n):
             if fast is not None:
                 dg = fast[n + a * m : n + (a + 1) * m]
             else:
                 _, dg = alpha.alphaV[a].value_and_partials(env, aff.base_vars)
-            r = sum(dg[i] * xdot[i] for i in range(m)) - rhs[m + a]
-            worst = max(worst, abs(r))
-        return max(abs(rhs[i] - xdot[i]) for i in range(m)), worst
+            fiber.append(abs(sum(dg[i] * xdot[i] for i in range(m)) - rhs[m + a]))
+        return nan_max(abs(rhs[i] - xdot[i]) for i in range(m)), nan_max(fiber)
 
     envs = [dict(zip(aff.base_vars, state)) for state in traj.states]
     per_state = values_at(residuals, envs)
-    base_defect = max(d for d, _ in per_state)
-    traj_max = max(r for _, r in per_state)
-    if base_defect > 1e-12:
+    base_defect = nan_max(d for d, _ in per_state)
+    traj_max = nan_max(r for _, r in per_state)
+    if not base_defect <= 1e-12:
         raise IntegrationFailure(
             f"base equation failed to hold by construction: defect {base_defect:.3e}"
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebroid import AlgebroidChart, ExprCoeff, SamplePlan, validate_chart
+from .algebroid import AlgebroidChart, SamplePlan, validate_chart
 from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 
 __all__ = [
@@ -174,18 +174,11 @@ def linear_algebroid(chart: AlgebroidChart, fiber_vars=None) -> AffgebroidChart:
                 name += "_"
             used.add(name)
             fiber_vars.append(name)
-    for row in chart.anchor:
-        for c in row:
-            if not isinstance(c, ExprCoeff):
-                raise ValueError("chart data must be expression-backed")
-    rhoV = [[chart.anchor[a][i].node for i in range(m)] for a in range(n)]
-    CV = [
-        [[chart.structure[a][b][g].node for g in range(n)] for b in range(n)]
-        for a in range(n)
-    ]
     zeros_m = [0.0] * m
     zeros_nn = [[0.0] * n for _ in range(n)]
-    return AffgebroidChart(chart.base_vars, fiber_vars, zeros_m, rhoV, zeros_nn, CV)
+    return AffgebroidChart(
+        chart.base_vars, fiber_vars, zeros_m, chart.anchor, zeros_nn, chart.structure
+    )
 
 
 def linear_tangent_model(dim: int) -> ModelBundle:
@@ -273,11 +266,7 @@ def perturbed_so3_chart() -> AlgebroidChart:
     with cyclic-sum residual 0.3.  (Rescaling a single diagonal constant
     does not: any diagonal antisymmetric bracket on a rank-3 chart is a Lie
     algebra.)"""
-    chart = so3_chart()
-    structure = [
-        [[chart.structure[a][b][g].node for g in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
+    structure = [[list(col) for col in mat] for mat in so3_chart().structure]
     structure[0][1][1] = 0.3
     structure[1][0][1] = -0.3
     return AlgebroidChart(["t"], [[0.0], [0.0], [0.0]], structure)
@@ -334,16 +323,11 @@ def _positive_int(name: str, text: str) -> int:
 
 def _perturbed_so3_aff() -> AffgebroidChart:
     """Affgebroid wrapper around the invalid chart, bypassing the guard."""
-    chart = perturbed_so3_chart()
-    structure = [
-        [[chart.structure[a][b][g].node for g in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
     return AffgebroidChart(
         ["t"],
         ["y1", "y2", "y3"],
         [0.0],
         [[0.0], [0.0], [0.0]],
         [[0.0] * 3 for _ in range(3)],
-        structure,
+        perturbed_so3_chart().structure,
     )

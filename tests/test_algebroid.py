@@ -222,6 +222,43 @@ def test_pullback_chart_mismatch():
         pullback(morph, s)
 
 
+def test_chart_morphism_and_symbolic_operations_reject_callables():
+    # callables are accepted only as section coefficients, and pullback and
+    # section_combine build expressions, which a callable cannot give
+    def fn(env):
+        return env["t"]
+
+    with pytest.raises(TypeError):
+        AlgebroidChart(["t"], [[fn]], [[[0.0]]])
+    chart = so3_chart()
+    identity = [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)]
+    with pytest.raises(TypeError):
+        Morphism(chart, chart, [fn], identity)
+    with pytest.raises(TypeError):
+        Morphism(chart, chart, [Var("t")], [[fn, 0.0, 0.0]] + identity[1:])
+    s = KSection.one_section(chart, [fn, Lit(1.0), Lit(0.0)])
+    with pytest.raises(TypeError):
+        pullback(Morphism(chart, chart, [Var("t")], identity), s)
+    for a, b in ((s, KSection.zero(chart, 1)), (KSection.zero(chart, 1), s)):
+        with pytest.raises(TypeError):
+            section_combine(1.0, a, 1.0, b)
+
+
+def test_nan_residuals_are_the_maximum():
+    # t*t overflows to inf on this box and inf - inf is NaN
+    chart = AlgebroidChart(
+        ["t"], [[0.0], [0.0]], [[[0.0, 0.0], ["t*t - t*t", 0.0]], [["t*t - t*t", 0.0], [0.0, 0.0]]]
+    )
+    report = validate_chart(chart, SamplePlan(box={"t": (1e200, 1e201)}, count=3))
+    assert math.isnan(report.antisymmetry_max)
+    assert not report.valid
+    assert "antisymmetry_max = nan" in report.lines()
+    nan_section = KSection.function(chart, "t*t - t*t")
+    envs = envs_for(chart, count=3, box={"t": (1e200, 1e201)})
+    assert math.isnan(section_max_abs(nan_section, envs)[0])
+    assert math.isnan(section_max_diff(nan_section, KSection.zero(chart, 0), envs))
+
+
 # -------------------------------------------------------------- k-sections
 
 

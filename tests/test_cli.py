@@ -304,6 +304,34 @@ def test_verify_domain_error_is_input_error_naming_the_point(capsys):
     assert "sqrt of negative value in 'sqrt(q1)' at t=" in line
 
 
+def test_verify_start_point_outside_the_domain_is_input_error(capsys):
+    code = main(["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,-0.3"])
+    assert code == 2
+    line, out = error_line(capsys)
+    assert line == "error: log of non-positive value in 'log(q1)' at t=0.5, q1=-0.3"
+    assert out == ""
+
+
+def test_verify_flow_leaving_the_domain_is_a_failed_check(capsys):
+    # q1 starts inside the domain of log and reaches 0 at t = 0.378
+    code = main(["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,0.5"])
+    assert code == 1
+    line, _ = error_line(capsys)
+    assert line.startswith("error: reduced flow aborted: domain violation at t=0.378: ")
+
+
+def test_hj_nan_residuals_fail_their_checks(capsys):
+    # q1*q1 overflows to inf on this box and inf - inf is NaN: a NaN
+    # residual must fail its tolerance, not read as 0
+    argv = ["hj", "trivial:1", "--alpha", "alphaV=q1*q1*t - q1*q1*t",
+            "--box", "q1=1e200,1e201", "--samples", "5"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    for line in ("cocycle_residual = nan", "is_cocycle = False",
+                 "hj_residual = nan", "is_solution = False", "hj_pass = False"):
+        assert line in out.splitlines()
+
+
 def test_hj_box_must_be_ordered_finite_and_known(capsys):
     for box, fragment in [
         ("t=2,1", "lo < hi"),

@@ -308,3 +308,50 @@ def test_diff_matches_sympy_on_corpus():
                 )
                 checked += 1
     assert checked > 200
+
+
+NON_LITERAL_POWERS = ["x^y", "(1.5+x*x)^(y-z)", "2^x"]
+
+
+def test_non_literal_exponents_diff_dual_and_compile_agree():
+    # the corpus draws only the exponents 2 and 3, so the x^y rule of diff
+    # and the non-literal branch of dual arithmetic need their own inputs
+    for k, src in enumerate(NON_LITERAL_POWERS):
+        e = ex.parse(src)
+        variables = sorted(ex.free_vars(e))
+        derivs = [ex.diff(e, v) for v in variables]
+        fn = ex.compile([e], variables)
+        points = corpus_points(e, count=20, seed=3000 + k, box=(0.1, 2.0))
+        assert len(points) == 20
+        for env in points:
+            _, ad = ex.evaluate_with_partials(e, env, variables)
+            for d, a in zip(derivs, ad):
+                assert ex.evaluate(d, env) == pytest.approx(a, rel=1e-12, abs=1e-300), (src, env)
+            assert fn([env[v] for v in variables]) == [ex.evaluate(e, env)], (src, env)
+
+
+def test_non_literal_exponents_diff_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    for k, src in enumerate(NON_LITERAL_POWERS):
+        e = ex.parse(src)
+        sym = _to_sympy(e, sp)
+        for v in sorted(ex.free_vars(e)):
+            reference = sp.diff(sym, sp.Symbol(v))
+            d = ex.diff(e, v)
+            for env in corpus_points(e, count=5, seed=3100 + k, box=(0.1, 2.0)):
+                subs = {sp.Symbol(name): sp.Float(val, 30) for name, val in env.items()}
+                expected = float(reference.evalf(30, subs=subs))
+                assert ex.evaluate(d, env) == pytest.approx(expected, rel=1e-12), (src, v, env)
+
+
+def test_non_literal_exponent_of_non_positive_base_raises():
+    e = ex.parse("x^y")
+    fn = ex.compile([e], ["x", "y"])
+    for x in (0.0, -0.0, -1.5):
+        env = {"x": x, "y": 2.0}
+        with pytest.raises(ex.DomainError):
+            ex.evaluate(e, env)
+        with pytest.raises(ex.DomainError):
+            ex.evaluate_with_partials(e, env, ["x", "y"])
+        with pytest.raises(ArithmeticError):
+            fn([x, 2.0])
