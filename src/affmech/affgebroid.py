@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as ex
 from .expr import Expr, Lit, Var, add, diff, mul, neg, sub
 from .algebroid import (
@@ -204,12 +202,14 @@ class CoSection:
 
     ``compiled_alpha`` caches alphaV and its base partials compiled into one
     function; ``dynamics.compiled_alpha`` fills it on its first call.
+    ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h.
     """
 
     chart: AffgebroidChart
     alpha0: object
     alphaV: list
     compiled_alpha: object = field(init=False, repr=False, compare=False, default=None)
+    compiled_stage: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.alpha0 = as_coeff(self.alpha0)
@@ -386,8 +386,10 @@ def reeb(h: HamiltonianSection):
     return lambda env: [ex.evaluate(e, env) for e in exprs]
 
 
-def omega_matrix(omega: KSection, env) -> np.ndarray:
+def omega_matrix(omega: KSection, env) -> "numpy.ndarray":
     """Full antisymmetric coefficient matrix of a 2-section at a point."""
+    import numpy as np  # here and in reeb_solve only: it is slow to import
+
     r = omega.chart.rank
     mat = np.zeros((r, r))
     for (a, b), coeff in omega.coeffs.items():
@@ -407,7 +409,8 @@ def reeb_solve(h: HamiltonianSection, env, omega: KSection | None = None) -> Ree
     normalization row and solves the least-squares system; a tiny residual
     certifies pointwise nondegeneracy of the cosymplectic pair.
     """
-    aff = h.chart
+    import numpy as np
+
     om = omega if omega is not None else omega_h(h)
     r = om.chart.rank
     mat = omega_matrix(om, env)

@@ -13,6 +13,7 @@ Exit codes: 0 pass, 1 check failed, 2 input error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -72,7 +73,9 @@ def main(argv=None) -> int:
     return args.handler(bundle, args)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; argparse copies the ``--box`` default before appending."""
     parser = argparse.ArgumentParser(
         prog="affmech",
         description=__doc__,
@@ -281,7 +284,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
             points = [[env[v] for v in chart.base_vars] for env in envs]
         if not points:
             raise ValueError("no initial points given")
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

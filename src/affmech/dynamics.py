@@ -10,10 +10,18 @@ compiled once (``expr.compile``) into straight-line code, so an RK4 stage
 walks no expression tree.  The interpreter stays the reference: it takes
 over at any state where the compiled field raises or gives a non-finite
 value, and every domain error and its message comes from it.
+
+``integrate`` and ``integrate_reduced`` also pass a fused RK4 step, generated
+code that calls one compiled stage (the field, or ``reduced_stage``) four
+times, checks each output for finiteness and does ``integrate_field``'s float
+operations in its order.  Where it raises or returns None, that step is redone
+on the per-stage path, so every state, abort and message is the per-stage one.
 """
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -31,6 +39,7 @@ __all__ = [
     "integrate_field",
     "reduced_field",
     "compiled_alpha",
+    "reduced_stage",
     "integrate_reduced",
 ]
 
@@ -62,22 +71,23 @@ def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
     can give a value where the compiled field meets a domain error or inf*0,
     and it gives every error its message.
     """
-    if h.compiled_rhs is None:
-        h.compiled_rhs = _compile_rhs(h)
-    out = ex.run_compiled(h.compiled_rhs, state)
+    out = ex.run_compiled(_compiled_rhs(h), state)
     return out[: len(state)] if out is not None else _interpreted_rhs(h, state)
 
 
-def _compile_rhs(h: HamiltonianSection):
+def _compiled_rhs(h: HamiltonianSection):
     """The field, followed by H and every partial, as one compiled function.
 
     The interpreter evaluates H and all its partials at every state; the
     folded field drops some of them (dH/dt where rhoV[a][t] = 0), so they
     are compiled as extra outputs.  The compiled function then raises
-    wherever the interpreter does.  False where compiling fails.
+    wherever the interpreter does.  Compiled on the first call and cached
+    in ``h.compiled_rhs``; False where compiling fails.
     """
-    exprs = hamilton_field(h) + [h.H] + h.partials
-    return ex.try_compile(exprs, h.chart.all_vars()) or False
+    if h.compiled_rhs is None:
+        exprs = hamilton_field(h) + [h.H] + h.partials
+        h.compiled_rhs = ex.try_compile(exprs, h.chart.all_vars()) or False
+    return h.compiled_rhs
 
 
 def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
@@ -118,8 +128,14 @@ def integrate_field(
     t0: float,
     t_end: float,
     step: float,
+    fused: Callable[[list[float], float], list[float] | None] | None = None,
 ) -> Trajectory:
-    """Fixed-step RK4 for an autonomous field; aborts on non-finite states."""
+    """Fixed-step RK4 for an autonomous field; aborts on non-finite states.
+
+    ``fused(y, hs)``, when given, does one whole step as ``f`` would, bit
+    for bit, or returns None; where it returns None or raises
+    ArithmeticError or ValueError, the step is redone with ``f``.
+    """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if not t_end > t0:
@@ -132,28 +148,62 @@ def integrate_field(
     while t < t_end:
         hs = min(step, t_end - t)
         try:
-            k1 = f(y)
-            k2 = f([y[j] + 0.5 * hs * k1[j] for j in range(len(y))])
-            k3 = f([y[j] + 0.5 * hs * k2[j] for j in range(len(y))])
-            k4 = f([y[j] + hs * k3[j] for j in range(len(y))])
-        except ex.EvalError as err:
-            # a stage state left the domain of the coefficient expressions
-            return Trajectory(
-                t0, step, times, states, ok=False, error=f"domain violation at t={t!r}: {err}"
-            )
-        y = [
-            y[j] + hs * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0
-            for j in range(len(y))
-        ]
+            y_new = fused(y, hs) if fused else None
+        except (ArithmeticError, ValueError):
+            y_new = None
+        if y_new is None:
+            try:
+                k1 = f(y)
+                k2 = f([y[j] + 0.5 * hs * k1[j] for j in range(len(y))])
+                k3 = f([y[j] + 0.5 * hs * k2[j] for j in range(len(y))])
+                k4 = f([y[j] + hs * k3[j] for j in range(len(y))])
+            except ex.EvalError as err:
+                # a stage state left the domain of the coefficient expressions
+                return Trajectory(
+                    t0, step, times, states, ok=False, error=f"domain violation at t={t!r}: {err}"
+                )
+            y_new = [
+                y[j] + hs * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0
+                for j in range(len(y))
+            ]
+        y = y_new
         i += 1
         t = min(t0 + i * step, t_end)
-        if not all(math.isfinite(v) for v in y):
+        if not all(map(math.isfinite, y)):
             return Trajectory(
                 t0, step, times, states, ok=False, error=f"non-finite state at t={t!r}"
             )
         times.append(t)
         states.append(y)
     return Trajectory(t0, step, times, states)
+
+
+@functools.lru_cache(maxsize=32)
+def _rk4_builder(dim: int):
+    """``build(stage, sum) -> step(y, hs)``, one RK4 step on ``dim`` values.
+
+    None unless every stage output is finite (a sum that overflows reads as
+    non-finite too, which only costs a per-stage step); the first ``dim``
+    are the field.  0.5*hs*k is ``h2 * k``, ``h2 = 0.5 * hs``: the same products.
+    """
+    js = range(dim)
+    lines = ["h2 = 0.5 * hs", f"({''.join(f'y{j}, ' for j in js)}) = y"]
+    for k, prev, scale in (("a", "", ""), ("b", "a", "h2"), ("c", "b", "h2"), ("e", "c", "hs")):
+        state = "[" + ", ".join(f"y{j} + {scale} * {prev}{j}" for j in js) + "]" if prev else "y"
+        lines += [f"k = stage({state})", "if _sum(k) * 0.0 != 0.0: return None"]
+        lines += [f"{k}{j} = k[{j}]" for j in js]
+    z = (f"y{j} + hs * (a{j} + 2.0 * b{j} + 2.0 * c{j} + e{j}) / 6.0" for j in js)
+    lines.append(f"return [{', '.join(z)}]")
+    body = "".join(f"        {line}\n" for line in lines)
+    src = f"def _build(stage, _sum):\n    def step(y, hs):\n{body}    return step\n"
+    scope: dict = {}
+    exec(builtins.compile(src, "<affmech.dynamics.rk4_step>", "exec"), scope)
+    return scope["_build"]
+
+
+def _rk4_step(stage, dim: int):
+    """The fused step over a compiled stage function, or None without one."""
+    return _rk4_builder(dim)(stage, sum) if stage else None
 
 
 def integrate(
@@ -167,7 +217,8 @@ def integrate(
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step)
+    fused = _rk4_step(_compiled_rhs(h), aff.m + aff.n)
+    return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, fused)
 
 
 def reduced_field(alpha: CoSection, h: HamiltonianSection):
@@ -213,6 +264,31 @@ def compiled_alpha(alpha: CoSection):
     return alpha.compiled_alpha
 
 
+def reduced_stage(alpha: CoSection, h: HamiltonianSection):
+    """alphaV, the Hamilton field at (x, alphaV(x)) and dalphaV as one function of x.
+
+    Outputs: the m+n rows of ``hamilton_field`` (the first m are the reduced
+    field X(x)), H and its m+n partials, alphaV from index W = 2(m+n)+1 and
+    dalphaV[a]/dx^i at W + n + a*m + i.  The fiber variables are ``bound`` to
+    the computed alphaV, so each value is the per-stage one.  Cached on alpha
+    for the last h; False where alpha is not expression-backed or compilable.
+    """
+    cached = alpha.compiled_stage
+    if cached is None or cached[0] is not h:
+        fn = False
+        if alpha.is_expression_backed():
+            aff = h.chart
+            nodes = [c.node for c in alpha.alphaV]
+            partials = [ex.diff(g, v) for g in nodes for v in aff.base_vars]
+            exprs = hamilton_field(h) + [h.H] + h.partials + nodes + partials
+            try:
+                fn = ex.compile(exprs, aff.base_vars, dict(zip(aff.fiber_vars, nodes)))
+            except (RecursionError, ex.EvalError):
+                pass
+        alpha.compiled_stage = cached = (h, fn)
+    return cached[1]
+
+
 def integrate_reduced(
     alpha: CoSection,
     h: HamiltonianSection,
@@ -224,4 +300,5 @@ def integrate_reduced(
     """Integrate the reduced base-space field from a base point."""
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step)
+    fused = _rk4_step(reduced_stage(alpha, h), h.chart.m)
+    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, fused)

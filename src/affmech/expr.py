@@ -68,6 +68,7 @@ __all__ = [
     "call",
     "diff",
     "FUNCTIONS",
+    "MAX_DEPTH",
 ]
 
 
@@ -79,7 +80,8 @@ class ParseError(ExprError):
     """Syntax error; carries the byte offset and the expected-token set."""
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]):
-        super().__init__(f"{message} at offset {offset} (expected {sorted(expected)})")
+        hint = f" (expected {sorted(expected)})" if expected else ""
+        super().__init__(f"{message} at offset {offset}{hint}")
         self.offset = offset
         self.expected = expected
 
@@ -231,11 +233,35 @@ def _tokenize(src: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(src)
 
 
+MAX_DEPTH = 100  # deepest nesting, and deepest tree, that parse accepts
+
+
 class _Parser:
+    """Recursive descent.  ``nest`` (open parentheses, calls, minus signs, exponents)
+    bounds its recursion; ``depth`` (of each node built) bounds every walk over the tree."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = list(_tokenize(src))
         self.i = 0
+        self.nest = 0
+        self.depth: dict[int, int] = {}
+
+    def bounded(self, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, self.peek()[2], frozenset())
+        return depth
+
+    def nested(self, parse: Callable[[], Expr]) -> Expr:
+        self.nest = self.bounded(self.nest + 1)
+        e = parse()
+        self.nest -= 1
+        return e
+
+    def node(self, e: Expr, *children: Expr) -> Expr:
+        self.depth[id(e)] = self.bounded(1 + max(self.depth.get(id(c), 1) for c in children))
+        return e
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -264,27 +290,31 @@ class _Parser:
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            e = BinOp(op, e, self.term())
+            rhs = self.term()
+            e = self.node(BinOp(op, e, rhs), e, rhs)
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
-            e = BinOp(op, e, self.factor())
+            rhs = self.factor()
+            e = self.node(BinOp(op, e, rhs), e, rhs)
         return e
 
     def factor(self) -> Expr:
         if self.peek()[0] == "-":
             self.take()
-            return Neg(self.factor())
+            arg = self.nested(self.factor)
+            return self.node(Neg(arg), arg)
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            return BinOp("^", base, self.factor())
+            exponent = self.nested(self.factor)
+            return self.node(BinOp("^", base, exponent), base, exponent)
         return base
 
     def atom(self) -> Expr:
@@ -298,13 +328,13 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise UnknownFunctionError(text, offset)
                 self.take()
-                arg = self.expr()
+                arg = self.nested(self.expr)
                 self.expect(")")
-                return Call(text, arg)
+                return self.node(Call(text, arg), arg)
             return Var(text)
         if kind == "(":
             self.take()
-            e = self.expr()
+            e = self.nested(self.expr)
             self.expect(")")
             return e
         raise ParseError(
@@ -315,7 +345,11 @@ class _Parser:
 
 
 def parse(src: str) -> Expr:
-    """Parse a source string into an expression AST."""
+    """Parse a source string into an expression AST.
+
+    Input nested deeper than ``MAX_DEPTH`` raises ParseError, so that no
+    walk over the tree can exhaust the interpreter's recursion limit.
+    """
     return _Parser(src).parse()
 
 
@@ -516,7 +550,9 @@ _COMPILED_NAMES.update(_pow=math.pow, _checked_pow=_checked_pow)
 
 
 def compile(
-    exprs: Sequence[Expr], variables: Sequence[str]
+    exprs: Sequence[Expr],
+    variables: Sequence[str],
+    bound: Mapping[str, Expr] | None = None,
 ) -> Callable[[Sequence[float]], list[float]]:
     """One function ``x -> [value of each expression]`` of straight-line code.
 
@@ -528,6 +564,10 @@ def compile(
     ``evaluate`` raises, the function raises ArithmeticError or ValueError
     instead (it builds no DomainError); the caller re-runs the interpreter
     for the error and its message.
+
+    ``bound`` maps further names to expressions in ``variables``, computed
+    first; in ``exprs`` such a name reads that value.  No tree is
+    substituted, so no float operation changes.
 
     Raises UnboundVariableError for a variable missing from ``variables``
     and RecursionError for input too deep to walk.
@@ -588,6 +628,8 @@ def compile(
         memo[id(e)] = text
         return text
 
+    if bound:
+        names.update({name: operand(e) for name, e in bound.items()})
     outputs = [operand(e) for e in exprs]
     params = ", ".join([*_COMPILED_NAMES, *consts])
     body = "\n".join(f"        {line}" for line in lines)

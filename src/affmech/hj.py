@@ -28,6 +28,7 @@ from .dynamics import (
     hamilton_rhs,
     integrate_reduced,
     reduced_field,
+    reduced_stage,
 )
 
 __all__ = [
@@ -176,6 +177,11 @@ def verify_theorem(
     the computed trajectory.  Requires alpha to be a cocycle.  A start point
     where the reduced field cannot be evaluated raises the evaluation error,
     with x0 as its ``point``.
+
+    The base defect compares two independently compiled routes to the field
+    at (x, alphaV(x)): ``dynamics.reduced_stage`` and ``hamilton_rhs``.  A
+    state where the first fails is measured on the per-stage path, whose
+    evaluation errors record the state as their ``point``.
     """
     aff = h.chart
     m, n = aff.m, aff.n
@@ -193,29 +199,36 @@ def verify_theorem(
         values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
         raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
-    # alphaV and its base partials from the function the reduced field
-    # already compiled; the interpreter (values, then dual partials) covers
-    # anything else
+    def measure(xdot, rhs, dg):
+        """Base-equation defect and largest fiber residual; dg[a*m + i] = dalphaV[a]/dx^i."""
+        fiber = [abs(sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a])
+                 for a in range(n)]
+        return nan_max(abs(rhs[i] - xdot[i]) for i in range(m)), nan_max(fiber)
+
+    # per-stage path: alphaV and its partials from the reduced field's compiled
+    # alpha, or the interpreter (values, then dual partials)
     alpha_fn = compiled_alpha(alpha)
 
     def residuals(env):
-        """Base-equation defect and largest fiber residual at one state."""
         state = [env[v] for v in aff.base_vars]
         fast = ex.run_compiled(alpha_fn, state)
         yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
         rhs = hamilton_rhs(h, state + yv)
         xdot = field(state)
-        fiber = []
-        for a in range(n):
-            if fast is not None:
-                dg = fast[n + a * m : n + (a + 1) * m]
-            else:
-                _, dg = alpha.alphaV[a].value_and_partials(env, aff.base_vars)
-            fiber.append(abs(sum(dg[i] * xdot[i] for i in range(m)) - rhs[m + a]))
-        return nan_max(abs(rhs[i] - xdot[i]) for i in range(m)), nan_max(fiber)
+        dg = fast[n:] if fast is not None else [
+            d for c in alpha.alphaV for d in c.value_and_partials(env, aff.base_vars)[1]]
+        return measure(xdot, rhs, dg)
 
-    envs = [dict(zip(aff.base_vars, state)) for state in traj.states]
-    per_state = values_at(residuals, envs)
+    stage = reduced_stage(alpha, h)
+    w = 2 * (m + n) + 1  # where alphaV starts among the stage's outputs
+    per_state = []
+    for state in traj.states:
+        out = ex.run_compiled(stage, state)
+        if out is None:
+            per_state += values_at(residuals, [dict(zip(aff.base_vars, state))])
+        else:
+            rhs = hamilton_rhs(h, state + out[w : w + n])
+            per_state.append(measure(out[:m], rhs, out[w + n :]))
     base_defect = nan_max(d for d, _ in per_state)
     traj_max = nan_max(r for _, r in per_state)
     if not base_defect <= 1e-12:

@@ -288,3 +288,23 @@ def test_sample_plan_rejects_reversed_and_non_finite_boxes():
         with pytest.raises(ValueError, match="box for 'a'"):
             SamplePlan(box={"a": interval})
     assert SamplePlan(box={"a": (2.0, 2.0)}, count=3).points(["a"]) == [{"a": 2.0}] * 3
+
+
+def test_sample_points_are_the_splitmix_uniform_draws_bit_for_bit():
+    boxes = [{}, {"t": (0.5, 0.5)}, {"t": (-0.0, -0.0), "q1": (-3.0, 1e-300)}, {"q2": (2.0, 7.5)}]
+    variable_lists = [["t"], ["t", "q1"], ["q1", "t", "q2", "q3"], []]
+    for seed in (0, 1, 42, 2**64 + 5, -7):
+        for count in (1, 3, 17):
+            for box in boxes:
+                for variables in variable_lists:
+                    plan = SamplePlan(box=box, count=count, seed=seed)
+                    rng = SplitMix64(seed)
+                    want = [
+                        {v: rng.uniform(*plan.interval(v)) for v in variables}
+                        for _ in range(count)
+                    ]
+                    got = plan.points(variables)
+                    assert [list(p) for p in got] == [list(p) for p in want]
+                    assert [[x.hex() for x in p.values()] for p in got] == [
+                        [x.hex() for x in p.values()] for p in want
+                    ]

@@ -381,3 +381,63 @@ def test_python_dash_m_runs_the_cli():
         )
         assert result.returncode == 0, result.stderr
         assert "model_valid = True" in result.stdout
+
+
+# ------------------------------------------------------------- one parser
+
+
+def test_parser_is_built_once_and_append_defaults_are_not_shared(capsys):
+    from affmech.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    plain = ["hj", "oscillator", "--alpha", "w_osc", "--samples", "20"]
+    assert main(plain) == 0
+    default_box = capsys.readouterr().out
+    assert main(plain + ["--box", "t=0.3,1.3"]) == 0
+    assert capsys.readouterr().out != default_box
+    assert main(plain) == 0
+    assert capsys.readouterr().out == default_box
+
+
+def test_help_and_argument_errors_keep_their_exit_codes(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["hj", "oscillator"])  # --alpha is required
+        assert info.value.code == 2
+        with pytest.raises(SystemExit) as info:
+            main(["frobnicate"])
+        assert info.value.code == 2
+    capsys.readouterr()
+
+
+# ------------------------------------------------------------ deep input
+
+
+@pytest.mark.parametrize("alpha", ["(" * 300 + "q1" + ")" * 300, "-" * 3000 + "q1"])
+@pytest.mark.parametrize("command", ["hj", "verify"])
+def test_deeply_nested_input_is_an_input_error(command, alpha, capsys):
+    assert main([command, "trivial:1", "--alpha", f"alphaV={alpha}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: expression nested deeper than 100 levels")
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        "sin(" * 99 + "q1" + ")" * 99,  # tree depth 100: diff, substitute and compile recurse
+        "(" * 100 + "q1" + ")" * 100,
+        "-" * 99 + "q1",
+        "+".join(["q1"] * 100),
+        "*".join(["q1"] * 100),
+    ],
+)
+def test_input_at_the_depth_limit_runs_end_to_end(alpha, capsys):
+    assert main(["hj", "trivial:1", "--alpha", f"alphaV={alpha}"]) in (0, 1)
+    argv = ["verify", "trivial:1", "--alpha", f"alphaV={alpha}", "--x0-set", "0.1,0.2",
+            "--horizon", "0.05"]
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().err == ""

@@ -355,3 +355,34 @@ def test_non_literal_exponent_of_non_positive_base_raises():
             ex.evaluate_with_partials(e, env, ["x", "y"])
         with pytest.raises(ArithmeticError):
             fn([x, 2.0])
+
+
+# ------------------------------------------------------------ depth limit
+
+
+DEPTH_K = {  # name -> source nested k levels deep
+    "parens": lambda k: "(" * k + "x" + ")" * k,
+    "calls": lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+    "minus": lambda k: "-" * (k - 1) + "x",
+    "powers": lambda k: "2^" * (k - 1) + "x",
+    "sum": lambda k: "+".join(["x"] * k),
+    "quotient": lambda k: "/".join(["x"] * k),
+}
+
+
+@pytest.mark.parametrize("nest", DEPTH_K.values(), ids=DEPTH_K.keys())
+def test_parse_accepts_the_depth_limit_and_rejects_one_more(nest):
+    e = ex.parse(nest(ex.MAX_DEPTH))
+    assert ex.parse(ex.to_string(e)) == e
+    with pytest.raises(ex.ParseError, match="nested deeper than 100 levels"):
+        ex.parse(nest(ex.MAX_DEPTH + 1))
+
+
+def test_deep_sum_of_nested_groups_is_rejected():
+    # 50 groups of 50 terms nest only 50 parentheses deep, but the tree is
+    # 50 * 50 levels deep
+    src = "x"
+    for _ in range(50):
+        src = "(" + "+".join([src] + ["x"] * 49) + ")"
+    with pytest.raises(ex.ParseError, match="nested deeper"):
+        ex.parse(src)
