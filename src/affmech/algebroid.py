@@ -156,16 +156,15 @@ class SplitMix64:
     """Deterministic 64-bit PRNG (splitmix64), identical on every platform."""
 
     _MASK = (1 << 64) - 1
-    _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + self._GAMMA) & self._MASK
+        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
-        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
         return z ^ (z >> 31)
 
     def uniform(self, lo: float, hi: float) -> float:
@@ -198,21 +197,9 @@ class SamplePlan:
         return self.box.get(var, self.DEFAULT_INTERVAL)
 
     def points(self, variables: Sequence[str]) -> list[dict[str, float]]:
-        """``SplitMix64(seed).uniform`` draws, each variable in turn, written out."""
-        rng = SplitMix64
-        mask, gamma, mix1, mix2 = rng._MASK, rng._GAMMA, rng._MIX1, rng._MIX2
-        spans = [(v, lo, hi - lo) for v in variables for lo, hi in [self.interval(v)]]
-        state = rng(self.seed).state
-        pts = []
-        for _ in range(self.count):
-            env = {}
-            for v, lo, width in spans:
-                state = (state + gamma) & mask
-                z = ((state ^ (state >> 30)) * mix1) & mask
-                z = ((z ^ (z >> 27)) * mix2) & mask
-                env[v] = lo + width * (((z ^ (z >> 31)) >> 11) * 2.0**-53)
-            pts.append(env)
-        return pts
+        rng = SplitMix64(self.seed)
+        spans = [(v, *self.interval(v)) for v in variables]
+        return [{v: rng.uniform(lo, hi) for v, lo, hi in spans} for _ in range(self.count)]
 
 
 def check_box_var(var: str, variables: Sequence[str]) -> None:

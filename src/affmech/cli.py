@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         bundle = _resolve_model(args.model)
-    except (ModelFileError, ModelNameError) as err:
+    except (ModelFileError, ModelNameError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return args.handler(bundle, args)

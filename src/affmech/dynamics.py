@@ -11,17 +11,16 @@ walks no expression tree.  The interpreter stays the reference: it takes
 over at any state where the compiled field raises or gives a non-finite
 value, and every domain error and its message comes from it.
 
-``integrate`` and ``integrate_reduced`` also pass a fused RK4 step, generated
-code that calls one compiled stage (the field, or ``reduced_stage``) four
-times, checks each output for finiteness and does ``integrate_field``'s float
-operations in its order.  Where it raises or returns None, that step is redone
-on the per-stage path, so every state, abort and message is the per-stage one.
+``integrate`` and ``integrate_reduced`` also pass a fused RK4 step, which
+calls one compiled stage (the field, or ``reduced_stage``) four times with no
+wrapper between, checks each output for finiteness and does
+``integrate_field``'s float operations in its order.  Where it raises or
+returns None, that step is redone on the per-stage path, so every state,
+abort and message is the per-stage one.
 """
 
 from __future__ import annotations
 
-import builtins
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -85,9 +84,13 @@ def _compiled_rhs(h: HamiltonianSection):
     in ``h.compiled_rhs``; False where compiling fails.
     """
     if h.compiled_rhs is None:
-        exprs = hamilton_field(h) + [h.H] + h.partials
-        h.compiled_rhs = ex.try_compile(exprs, h.chart.all_vars()) or False
+        h.compiled_rhs = ex.try_compile(_field_outputs(h), h.chart.all_vars()) or False
     return h.compiled_rhs
+
+
+def _field_outputs(h: HamiltonianSection) -> list[ex.Expr]:
+    """The m+n rows of ``hamilton_field``, then H and its m+n partials."""
+    return hamilton_field(h) + [h.H] + h.partials
 
 
 def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
@@ -178,32 +181,37 @@ def integrate_field(
     return Trajectory(t0, step, times, states)
 
 
-@functools.lru_cache(maxsize=32)
-def _rk4_builder(dim: int):
-    """``build(stage, sum) -> step(y, hs)``, one RK4 step on ``dim`` values.
+def _rk4_step(stage):
+    """One RK4 step ``step(y, hs)`` over a compiled stage, or None without one.
 
-    None unless every stage output is finite (a sum that overflows reads as
-    non-finite too, which only costs a per-stage step); the first ``dim``
-    are the field.  0.5*hs*k is ``h2 * k``, ``h2 = 0.5 * hs``: the same products.
+    Does ``integrate_field``'s float operations in its order (0.5*hs*k as
+    ``h2 * k``, ``h2 = 0.5 * hs``: the same products) on the first len(y)
+    outputs of each stage.  None unless every stage output is finite (a sum
+    that overflows reads as non-finite too, which only costs a per-stage step).
     """
-    js = range(dim)
-    lines = ["h2 = 0.5 * hs", f"({''.join(f'y{j}, ' for j in js)}) = y"]
-    for k, prev, scale in (("a", "", ""), ("b", "a", "h2"), ("c", "b", "h2"), ("e", "c", "hs")):
-        state = "[" + ", ".join(f"y{j} + {scale} * {prev}{j}" for j in js) + "]" if prev else "y"
-        lines += [f"k = stage({state})", "if _sum(k) * 0.0 != 0.0: return None"]
-        lines += [f"{k}{j} = k[{j}]" for j in js]
-    z = (f"y{j} + hs * (a{j} + 2.0 * b{j} + 2.0 * c{j} + e{j}) / 6.0" for j in js)
-    lines.append(f"return [{', '.join(z)}]")
-    body = "".join(f"        {line}\n" for line in lines)
-    src = f"def _build(stage, _sum):\n    def step(y, hs):\n{body}    return step\n"
-    scope: dict = {}
-    exec(builtins.compile(src, "<affmech.dynamics.rk4_step>", "exec"), scope)
-    return scope["_build"]
+    if not stage:
+        return None
 
+    def step(y, hs):
+        h2 = 0.5 * hs
+        k1 = stage(y)
+        if sum(k1) * 0.0 != 0.0:
+            return None
+        k2 = stage([a + h2 * b for a, b in zip(y, k1)])
+        if sum(k2) * 0.0 != 0.0:
+            return None
+        k3 = stage([a + h2 * b for a, b in zip(y, k2)])
+        if sum(k3) * 0.0 != 0.0:
+            return None
+        k4 = stage([a + hs * b for a, b in zip(y, k3)])
+        if sum(k4) * 0.0 != 0.0:
+            return None
+        return [
+            a + hs * (b + 2.0 * c + 2.0 * d + e) / 6.0
+            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+        ]
 
-def _rk4_step(stage, dim: int):
-    """The fused step over a compiled stage function, or None without one."""
-    return _rk4_builder(dim)(stage, sum) if stage else None
+    return step
 
 
 def integrate(
@@ -217,7 +225,7 @@ def integrate(
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    fused = _rk4_step(_compiled_rhs(h), aff.m + aff.n)
+    fused = _rk4_step(_compiled_rhs(h))
     return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, fused)
 
 
@@ -256,12 +264,15 @@ def compiled_alpha(alpha: CoSection):
     if alpha.compiled_alpha is None:
         fn = False
         if alpha.is_expression_backed():
-            base = alpha.chart.base_vars
-            nodes = [c.node for c in alpha.alphaV]
-            partials = [ex.diff(g, v) for g in nodes for v in base]
-            fn = ex.try_compile(nodes + partials, base) or False
+            fn = ex.try_compile(_alpha_outputs(alpha), alpha.chart.base_vars) or False
         alpha.compiled_alpha = fn
     return alpha.compiled_alpha
+
+
+def _alpha_outputs(alpha: CoSection) -> list[ex.Expr]:
+    """The n components of alphaV, then dalphaV[a]/dx^i at index n + a*m + i."""
+    nodes = [c.node for c in alpha.alphaV]
+    return nodes + [ex.diff(g, v) for g in nodes for v in alpha.chart.base_vars]
 
 
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
@@ -271,19 +282,19 @@ def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     field X(x)), H and its m+n partials, alphaV from index W = 2(m+n)+1 and
     dalphaV[a]/dx^i at W + n + a*m + i.  The fiber variables are ``bound`` to
     the computed alphaV, so each value is the per-stage one.  Cached on alpha
-    for the last h; False where alpha is not expression-backed or compilable.
+    for the last h; False where ``compiled_alpha`` or ``hamilton_rhs``'s
+    compiled field is.
     """
     cached = alpha.compiled_stage
     if cached is None or cached[0] is not h:
         fn = False
-        if alpha.is_expression_backed():
+        if compiled_alpha(alpha) and _compiled_rhs(h):
             aff = h.chart
-            nodes = [c.node for c in alpha.alphaV]
-            partials = [ex.diff(g, v) for g in nodes for v in aff.base_vars]
-            exprs = hamilton_field(h) + [h.H] + h.partials + nodes + partials
+            alpha_exprs = _alpha_outputs(alpha)
+            bound = dict(zip(aff.fiber_vars, alpha_exprs))
             try:
-                fn = ex.compile(exprs, aff.base_vars, dict(zip(aff.fiber_vars, nodes)))
-            except (RecursionError, ex.EvalError):
+                fn = ex.compile(_field_outputs(h) + alpha_exprs, aff.base_vars, bound)
+            except RecursionError:  # both parts compiled: no variable is unbound
                 pass
         alpha.compiled_stage = cached = (h, fn)
     return cached[1]
@@ -300,5 +311,5 @@ def integrate_reduced(
     """Integrate the reduced base-space field from a base point."""
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    fused = _rk4_step(reduced_stage(alpha, h), h.chart.m)
+    fused = _rk4_step(reduced_stage(alpha, h))
     return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, fused)

@@ -233,34 +233,25 @@ def _tokenize(src: str) -> Iterator[tuple[str, str, int]]:
     yield "eof", "", len(src)
 
 
-MAX_DEPTH = 100  # deepest nesting, and deepest tree, that parse accepts
+MAX_DEPTH = 100  # deepest nesting (parentheses, calls, minus signs, exponents) parse accepts
 
 
 class _Parser:
-    """Recursive descent.  ``nest`` (open parentheses, calls, minus signs, exponents)
-    bounds its recursion; ``depth`` (of each node built) bounds every walk over the tree."""
+    """Recursive descent; ``nest`` counts the levels it is inside, up to ``MAX_DEPTH``."""
 
     def __init__(self, src: str):
         self.src = src
         self.tokens = list(_tokenize(src))
         self.i = 0
         self.nest = 0
-        self.depth: dict[int, int] = {}
-
-    def bounded(self, depth: int) -> int:
-        if depth > MAX_DEPTH:
-            message = f"expression nested deeper than {MAX_DEPTH} levels"
-            raise ParseError(message, self.peek()[2], frozenset())
-        return depth
 
     def nested(self, parse: Callable[[], Expr]) -> Expr:
-        self.nest = self.bounded(self.nest + 1)
+        if self.nest == MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, self.peek()[2], frozenset())
+        self.nest += 1
         e = parse()
         self.nest -= 1
-        return e
-
-    def node(self, e: Expr, *children: Expr) -> Expr:
-        self.depth[id(e)] = self.bounded(1 + max(self.depth.get(id(c), 1) for c in children))
         return e
 
     def peek(self) -> tuple[str, str, int]:
@@ -290,31 +281,27 @@ class _Parser:
         e = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            rhs = self.term()
-            e = self.node(BinOp(op, e, rhs), e, rhs)
+            e = BinOp(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
-            rhs = self.factor()
-            e = self.node(BinOp(op, e, rhs), e, rhs)
+            e = BinOp(op, e, self.factor())
         return e
 
     def factor(self) -> Expr:
         if self.peek()[0] == "-":
             self.take()
-            arg = self.nested(self.factor)
-            return self.node(Neg(arg), arg)
+            return Neg(self.nested(self.factor))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            exponent = self.nested(self.factor)
-            return self.node(BinOp("^", base, exponent), base, exponent)
+            return BinOp("^", base, self.nested(self.factor))
         return base
 
     def atom(self) -> Expr:
@@ -330,7 +317,7 @@ class _Parser:
                 self.take()
                 arg = self.nested(self.expr)
                 self.expect(")")
-                return self.node(Call(text, arg), arg)
+                return Call(text, arg)
             return Var(text)
         if kind == "(":
             self.take()
@@ -347,8 +334,9 @@ class _Parser:
 def parse(src: str) -> Expr:
     """Parse a source string into an expression AST.
 
-    Input nested deeper than ``MAX_DEPTH`` raises ParseError, so that no
-    walk over the tree can exhaust the interpreter's recursion limit.
+    Input nested deeper than ``MAX_DEPTH`` levels raises ParseError rather
+    than exhausting the interpreter's recursion limit.  Long sums and
+    products are not nested: they parse in a loop, at any length.
     """
     return _Parser(src).parse()
 

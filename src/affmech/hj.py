@@ -205,13 +205,11 @@ def verify_theorem(
                  for a in range(n)]
         return nan_max(abs(rhs[i] - xdot[i]) for i in range(m)), nan_max(fiber)
 
-    # per-stage path: alphaV and its partials from the reduced field's compiled
-    # alpha, or the interpreter (values, then dual partials)
-    alpha_fn = compiled_alpha(alpha)
-
     def residuals(env):
+        """The per-stage path: alphaV and its partials from ``compiled_alpha``,
+        or the interpreter (values, then dual partials)."""
         state = [env[v] for v in aff.base_vars]
-        fast = ex.run_compiled(alpha_fn, state)
+        fast = ex.run_compiled(compiled_alpha(alpha), state)
         yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
         rhs = hamilton_rhs(h, state + yv)
         xdot = field(state)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from affmech.cli import main
+from affmech.models import by_name
 
 FREE_PARTICLE = """
 [space]
@@ -428,9 +429,10 @@ def test_deeply_nested_input_is_an_input_error(command, alpha, capsys):
 @pytest.mark.parametrize(
     "alpha",
     [
-        "sin(" * 99 + "q1" + ")" * 99,  # tree depth 100: diff, substitute and compile recurse
+        "sin(" * 100 + "q1" + ")" * 100,  # diff, substitute and compile recurse
         "(" * 100 + "q1" + ")" * 100,
-        "-" * 99 + "q1",
+        "-" * 100 + "q1",
+        "sin(" * 50 + "+".join(["q1"] * 100) + ")" * 50,
         "+".join(["q1"] * 100),
         "*".join(["q1"] * 100),
     ],
@@ -441,3 +443,15 @@ def test_input_at_the_depth_limit_runs_end_to_end(alpha, capsys):
             "--horizon", "0.05"]
     assert main(argv) in (0, 1)
     assert capsys.readouterr().err == ""
+
+
+def test_long_sums_are_not_rejected_as_nesting(tmp_path, capsys):
+    # 150 terms of one sum: a flat loop in the parser, not 150 nested levels
+    h = "+".join(["p1^2/300"] * 150)
+    p = tmp_path / "sum150.model"
+    p.write_text(FREE_PARTICLE.replace("H = p1^2/2", f"H = {h}"))
+    assert main(["validate", str(p)]) == 0
+    assert main(["hj", str(p), "--alpha", "w"]) == 0
+    assert main(["verify", str(p), "--alpha", "w", "--x0-set", "0.1,0.2", "--horizon", "0.5"]) == 0
+    assert capsys.readouterr().err == ""
+    assert by_name("trivial:105").hamiltonian.chart.n == 105  # H sums over every fiber

@@ -36,7 +36,7 @@ def per_stage(monkeypatch):
     """Switch the fused step and the compiled per-state residual off."""
 
     def apply():
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda stage, dim: None)
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda stage: None)
         monkeypatch.setattr(dynamics, "reduced_stage", lambda alpha, h: False)
         monkeypatch.setattr(hj, "reduced_stage", lambda alpha, h: False)
 
