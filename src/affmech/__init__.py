@@ -14,7 +14,6 @@ from .expr import (
     ParseError,
     UnboundVariableError,
     evaluate,
-    evaluate_with_partials,
     parse,
     substitute,
     to_string,
@@ -33,7 +32,6 @@ from .algebroid import (
 from .affgebroid import (
     AffgebroidChart,
     CoSection,
-    DegenerateStructureError,
     HamiltonianSection,
     VStarSection,
     eta,
@@ -41,7 +39,6 @@ from .affgebroid import (
     omega_h,
     pullback_identities,
     reeb,
-    reeb_solve,
     vertical_restriction_check,
 )
 from .dynamics import Trajectory, hamilton_rhs, integrate, integrate_reduced, reduced_field

@@ -13,8 +13,8 @@ stored data reduces to
 From this chart the module builds the vertical subalgebroid, the
 prolongation over the dual of the vertical bundle with its cosymplectic
 pair, the Hamilton field of a Hamiltonian section, the Reeb section (read
-off that field, and solved from its defining equations), and the pullback
-identities satisfied by sections of that dual.
+off that field), and the pullback identities satisfied by sections of that
+dual.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import expr as ex
 from .expr import Expr, Lit, Var, add, diff, mul, neg, sub
 from .algebroid import (
     AlgebroidChart,
-    ExprCoeff,
     KSection,
     Morphism,
     Prolongation,
@@ -54,10 +53,6 @@ __all__ = [
     "hamiltonian_morphism",
     "hamilton_field",
     "reeb",
-    "reeb_solve",
-    "REEB_RESIDUAL_TOL",
-    "ReebResult",
-    "DegenerateStructureError",
     "covector_morphism",
     "h_compose",
     "pullback_identities",
@@ -200,6 +195,7 @@ class HamiltonianSection:
 class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
+    The components are expressions (``as_coeff``); a callable is a TypeError.
     ``compiled_alpha`` caches alphaV and its base partials compiled into one
     function; ``dynamics.compiled_alpha`` fills it on its first call.
     ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h.
@@ -219,11 +215,6 @@ class CoSection:
 
     def as_bidual_section(self) -> KSection:
         return KSection.one_section(self.chart.bidual_chart(), [self.alpha0] + self.alphaV)
-
-    def is_expression_backed(self) -> bool:
-        return isinstance(self.alpha0, ExprCoeff) and all(
-            isinstance(c, ExprCoeff) for c in self.alphaV
-        )
 
 
 @dataclass
@@ -327,17 +318,6 @@ def omega_h_from_pullback(h: HamiltonianSection) -> KSection:
 # ------------------------------------------------------------ Reeb section
 
 
-class DegenerateStructureError(RuntimeError):
-    """The pair (omega, eta) failed to determine a unique Reeb value."""
-
-
-@dataclass
-class ReebResult:
-    coefficients: list[float]
-    residual: float
-    rank: int
-
-
 def hamilton_field(h: HamiltonianSection) -> list[Expr]:
     """The Hamilton equations of h as m+n folded expressions.
 
@@ -379,55 +359,10 @@ def reeb(h: HamiltonianSection):
 
     the integral curves of the Reeb section are the solutions of the
     Hamilton equations, so its fiber components are those of
-    ``hamilton_field``, and ``reeb_solve`` checks them against the
-    defining equations.
+    ``hamilton_field``.
     """
     exprs = [Lit(1.0)] + h.partials[h.chart.m :] + hamilton_field(h)[h.chart.m :]
     return lambda env: [ex.evaluate(e, env) for e in exprs]
-
-
-def omega_matrix(omega: KSection, env) -> "numpy.ndarray":
-    """Full antisymmetric coefficient matrix of a 2-section at a point."""
-    import numpy as np  # here and in reeb_solve only: it is slow to import
-
-    r = omega.chart.rank
-    mat = np.zeros((r, r))
-    for (a, b), coeff in omega.coeffs.items():
-        v = coeff.value(env)
-        mat[a, b] = v
-        mat[b, a] = -v
-    return mat
-
-
-REEB_RESIDUAL_TOL = 1e-8
-
-
-def reeb_solve(h: HamiltonianSection, env, omega: KSection | None = None) -> ReebResult:
-    """Solve the defining conditions of the Reeb section at one point.
-
-    Stacks the contraction equations with the 2-section on top of the
-    normalization row and solves the least-squares system; a tiny residual
-    certifies pointwise nondegeneracy of the cosymplectic pair.
-    """
-    import numpy as np
-
-    om = omega if omega is not None else omega_h(h)
-    r = om.chart.rank
-    mat = omega_matrix(om, env)
-    system = np.zeros((r + 1, r))
-    # row b: sum_a v^a Omega(e_a, e_b) = 0
-    for b in range(r):
-        system[b, :] = mat[:, b]
-    system[r, 0] = 1.0  # normalization against the adapted 1-section
-    rhs = np.zeros(r + 1)
-    rhs[r] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
-    residual = float(np.linalg.norm(system @ sol - rhs))
-    if rank < r or residual > REEB_RESIDUAL_TOL:
-        raise DegenerateStructureError(
-            f"degenerate cosymplectic pair at {env}: rank {rank} of {r}, residual {residual:.3e}"
-        )
-    return ReebResult([float(v) for v in sol], residual, int(rank))
 
 
 # --------------------------------------------------- sections of the dual

@@ -7,16 +7,12 @@ morphisms, numeric chart validation (antisymmetry, anchor compatibility and
 Jacobi via d.d = 0 at sampled points), and the prolongation of a chart over
 a fibration together with its Liouville and canonical symplectic sections.
 
-Chart and morphism data are expressions (``as_expr``; anything else is a
-TypeError).  The differential, pullbacks and linear combinations are built
-symbolically with the folding constructors of ``expr``: every derived
-coefficient is one exact expression, built once and evaluated at each
-sample point, and a coefficient that folds to zero is dropped.  A callable
-is accepted only as a coefficient of a section, for dual sections given
-by a user: it is a point evaluator (``FnCoeff``), the differential of a
-section holding one is a point evaluator too, with partials taken by
-central finite differences, and ``pullback`` and ``section_combine``
-reject it.
+Chart data, morphism data and section coefficients are expressions
+(``as_expr``; anything else is a TypeError).  The differential, pullbacks
+and linear combinations are built symbolically with the folding
+constructors of ``expr``: every derived coefficient is one exact
+expression, built once and evaluated at each sample point, and a
+coefficient that folds to zero is dropped.
 """
 
 from __future__ import annotations
@@ -24,17 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from . import expr as ex
 from .expr import Expr, Lit, Var, add, mul
 
 __all__ = [
-    "FD_STEP",
     "VALIDATION_TOL",
     "ExprCoeff",
-    "FnCoeff",
-    "Coeff",
     "as_expr",
     "as_coeff",
     "is_zero_coeff",
@@ -59,7 +52,6 @@ __all__ = [
     "section_combine",
 ]
 
-FD_STEP = 1e-5  # central-difference step for partials of derived coefficients
 VALIDATION_TOL = 1e-8
 
 
@@ -67,7 +59,7 @@ VALIDATION_TOL = 1e-8
 
 
 class ExprCoeff:
-    """Coefficient backed by an expression; partials are exact."""
+    """Coefficient backed by an expression."""
 
     __slots__ = ("node",)
 
@@ -77,48 +69,9 @@ class ExprCoeff:
     def value(self, env) -> float:
         return ex.evaluate(self.node, env)
 
-    def value_and_partials(self, env, wrt: Sequence[str]):
-        return ex.evaluate_with_partials(self.node, env, wrt)
-
     def __repr__(self):
         return f"ExprCoeff({ex.to_string(self.node)})"
 
-
-class FnCoeff:
-    """Coefficient known only as a point evaluator (a user callable).
-
-    Partials fall back to central finite differences of step ``FD_STEP``;
-    users of these partials must budget tolerances accordingly.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Mapping[str, float]], float]):
-        self.fn = fn
-
-    def value(self, env) -> float:
-        return self.fn(env)
-
-    def value_and_partials(self, env, wrt: Sequence[str]):
-        v = self.fn(env)
-        h = FD_STEP
-        parts = []
-        shifted = dict(env)
-        for name in wrt:
-            x = env[name]
-            shifted[name] = x + h
-            vp = self.fn(shifted)
-            shifted[name] = x - h
-            vm = self.fn(shifted)
-            shifted[name] = x
-            parts.append((vp - vm) / (2.0 * h))
-        return v, parts
-
-    def __repr__(self):
-        return "FnCoeff(<evaluator>)"
-
-
-Coeff = Union[ExprCoeff, FnCoeff]
 
 _ZERO = Lit(0.0)
 
@@ -133,20 +86,16 @@ def as_expr(obj) -> Expr:
         return obj
     if isinstance(obj, ExprCoeff):
         return obj.node
-    raise TypeError(f"chart data must be expressions, got {obj!r}")
+    raise TypeError(f"coefficients must be expressions, got {obj!r}")
 
 
-def as_coeff(obj) -> Coeff:
-    """Coerce an expression, string, number, callable or Coeff."""
-    if isinstance(obj, (ExprCoeff, FnCoeff)):
-        return obj
-    if callable(obj):
-        return FnCoeff(obj)
-    return ExprCoeff(as_expr(obj))
+def as_coeff(obj) -> ExprCoeff:
+    """Coerce a string, number, expression or ExprCoeff to an ExprCoeff."""
+    return obj if isinstance(obj, ExprCoeff) else ExprCoeff(as_expr(obj))
 
 
-def is_zero_coeff(c: Coeff) -> bool:
-    return isinstance(c, ExprCoeff) and ex.literal_value(c.node) == 0.0
+def is_zero_coeff(c: ExprCoeff) -> bool:
+    return ex.literal_value(c.node) == 0.0
 
 
 # ------------------------------------------------------------------ sampling
@@ -280,7 +229,7 @@ class KSection:
             raise ValueError(f"degree must be between 0 and {MAX_DEGREE}")
         self.chart = chart
         self.degree = degree
-        self.coeffs: dict[tuple[int, ...], Coeff] = {}
+        self.coeffs: dict[tuple[int, ...], ExprCoeff] = {}
         for idx, c in coeffs.items():
             idx = tuple(idx)
             if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != len(idx):
@@ -350,31 +299,24 @@ def differential(s: KSection) -> KSection:
 
     Applies the Cartan-type formula on basis tuples: the anchor acts on
     coefficient functions through their partials, brackets of basis sections
-    contribute through the structure functions.  With expression-backed
-    section coefficients each output coefficient is one folded expression,
-    sum of rho * (symbolic partial) and of +-C * coefficient, and one that
-    folds to zero is dropped.  A section holding a callable gives
-    point-evaluator coefficients whose partials are finite differences.
+    contribute through the structure functions.  Each output coefficient is
+    one folded expression, sum of rho * (symbolic partial) and of
+    +-C * coefficient, and one that folds to zero is dropped.
     """
     if s.degree > 2:
         raise ValueError("differential implemented for sections of degree <= 2")
     chart = s.chart
     k = s.degree
-    exact = all(isinstance(c, ExprCoeff) for c in s.coeffs.values())
-    out: dict[tuple, Coeff] = {}
+    out: dict[tuple, ExprCoeff] = {}
     for idx in itertools.combinations(range(chart.rank), k + 1):
-        anchor_terms = []
+        node = _ZERO
         for i, a in enumerate(idx):
-            sub = idx[:i] + idx[i + 1 :]
-            coeff = s.coeffs.get(sub)
+            coeff = s.coeffs.get(idx[:i] + idx[i + 1 :])
             if coeff is None:
                 continue
-            row = chart.anchor_nonzero(a)
-            if not row:
-                continue
-            names = [chart.base_vars[vi] for vi, _ in row]
-            anchor_terms.append(((-1.0) ** i, coeff, row, names))
-        bracket_terms = []
+            for vi, rc in chart.anchor_nonzero(a):
+                term = mul(rc.node, ex.diff(coeff.node, chart.base_vars[vi]))
+                node = add(node, mul((-1.0) ** i, term))
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
                 rest = tuple(idx[p] for p in range(k + 1) if p not in (i, j))
@@ -386,42 +328,10 @@ def differential(s: KSection) -> KSection:
                     coeff = s.coeffs.get(key)
                     if coeff is None:
                         continue
-                    bracket_terms.append((sign_ij * sgn, c_coeff, coeff))
-        if not (anchor_terms or bracket_terms):
-            continue
-        if exact:
-            out[idx] = ExprCoeff(_differential_expr(anchor_terms, bracket_terms))
-        else:
-            out[idx] = FnCoeff(_differential_closure(anchor_terms, bracket_terms))
+                    node = add(node, mul(sign_ij * sgn, mul(c_coeff.node, coeff.node)))
+        if ex.literal_value(node) != 0.0:
+            out[idx] = ExprCoeff(node)
     return KSection(chart, k + 1, out)
-
-
-def _differential_expr(anchor_terms, bracket_terms) -> Expr:
-    node = _ZERO
-    for sign, coeff, row, names in anchor_terms:
-        for (_, rc), name in zip(row, names):
-            node = add(node, mul(sign, mul(rc.node, ex.diff(coeff.node, name))))
-    for sign, c_coeff, coeff in bracket_terms:
-        node = add(node, mul(sign, mul(c_coeff.node, coeff.node)))
-    return node
-
-
-def _differential_closure(anchor_terms, bracket_terms):
-    def evaluate(env):
-        total = 0.0
-        for sign, coeff, row, names in anchor_terms:
-            _, parts = coeff.value_and_partials(env, names)
-            acc = 0.0
-            for p, (_, rc) in enumerate(row):
-                acc += rc.value(env) * parts[p]
-            total += sign * acc
-        for sign, c_coeff, coeff in bracket_terms:
-            cv = c_coeff.value(env)
-            if cv != 0.0:
-                total += sign * cv * coeff.value(env)
-        return total
-
-    return evaluate
 
 
 # ---------------------------------------------------------------- morphisms
@@ -472,16 +382,16 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
     The coefficient on source indices (a_1..a_k) is the sum over destination
     indices b of det(fiber_map[b_p][a_q]) times s_b at the pushed point, as
     one folded expression: the base map substituted into s_b, multiplied by
-    the determinant terms.  A callable coefficient of ``s`` is a TypeError.
+    the determinant terms.
     """
     if s.chart is not morph.dst:
         raise ValueError("section must live on the destination chart of the morphism")
     k = s.degree
     mapping = {var: c.node for var, c in zip(morph.dst.base_vars, morph.base_map)}
-    pulled = {key: ex.substitute(node, mapping) for key, node in _nodes(s).items()}
+    pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
     if k == 0:
         return KSection(morph.src, 0, pulled)
-    out: dict[tuple, Coeff] = {}
+    out: dict[tuple, ExprCoeff] = {}
     for idx in itertools.combinations(range(morph.src.rank), k):
         node = _ZERO
         for bkey, s_b in pulled.items():
@@ -497,14 +407,6 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
             node = add(node, mul(det, s_b))
         out[idx] = ExprCoeff(node)
     return KSection(morph.src, k, out)
-
-
-def _nodes(s: KSection) -> dict[tuple, Expr]:
-    """The coefficient expressions of a section; TypeError for a callable one."""
-    for c in s.coeffs.values():
-        if not isinstance(c, ExprCoeff):
-            raise TypeError(f"expected expression coefficients, got {c!r}")
-    return {key: c.node for key, c in s.coeffs.items()}
 
 
 def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
@@ -580,14 +482,12 @@ def section_max_diff(s1: KSection, s2: KSection, envs) -> float:
 
 
 def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
-    """Pointwise a*s + b*t for sections of one chart and degree.
-
-    A callable coefficient of ``s`` or ``t`` is a TypeError.
-    """
+    """Pointwise a*s + b*t for sections of one chart and degree."""
     if s.chart is not t.chart or s.degree != t.degree:
         raise ValueError("sections must share chart and degree")
-    ns, nt = _nodes(s), _nodes(t)
-    out: dict[tuple, Coeff] = {}
+    ns = {idx: c.node for idx, c in s.coeffs.items()}
+    nt = {idx: c.node for idx, c in t.coeffs.items()}
+    out: dict[tuple, ExprCoeff] = {}
     for idx in set(ns) | set(nt):
         node = _ZERO
         if idx in ns:

@@ -66,11 +66,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        bundle = _resolve_model(args.model)
+        return args.handler(_resolve_model(args.model), args)
     except (ModelFileError, ModelNameError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    return args.handler(bundle, args)
+    except RecursionError:
+        # a tree too deep for a recursive walk: a sum or product of very many terms
+        print("error: expression too large to process (recursion limit exceeded)",
+              file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except Exception as err:  # no traceback reaches the user
+        message = str(err).replace("\n", " ")
+        print(f"error: internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 @functools.cache

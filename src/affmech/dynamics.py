@@ -258,14 +258,12 @@ def compiled_alpha(alpha: CoSection):
 
     Outputs: the n components of alphaV, then dalphaV[a]/dx^i at index
     n + a*m + i.  Compiled once per section, on the first call, and cached
-    on it; False for a section that is not expression-backed or cannot be
-    compiled, which leaves its callers on the interpreter.
+    on it; False for a section that cannot be compiled, which leaves its
+    callers on the interpreter.
     """
     if alpha.compiled_alpha is None:
-        fn = False
-        if alpha.is_expression_backed():
-            fn = ex.try_compile(_alpha_outputs(alpha), alpha.chart.base_vars) or False
-        alpha.compiled_alpha = fn
+        fn = ex.try_compile(_alpha_outputs(alpha), alpha.chart.base_vars)
+        alpha.compiled_alpha = fn or False
     return alpha.compiled_alpha
 
 

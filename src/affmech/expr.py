@@ -2,9 +2,8 @@
 
 Every coefficient function in this package (anchor components, structure
 functions, Hamiltonians, section components) is one of these expressions.
-The module provides parsing, printing, evaluation, exact first partial
-derivatives at a point via forward-mode dual arithmetic, and symbolic
-derivatives built from constant-folding constructors.
+The module provides parsing, printing, evaluation, and symbolic partial
+derivatives (``diff``) built from constant-folding constructors.
 
 ``compile`` turns a list of expressions that is evaluated many times into
 one Python function of straight-line code: one assignment per distinct
@@ -52,7 +51,6 @@ __all__ = [
     "parse",
     "to_string",
     "evaluate",
-    "evaluate_with_partials",
     "compile",
     "try_compile",
     "run_compiled",
@@ -184,14 +182,13 @@ class Call(_Node):
 Expr = Union[Lit, Var, Neg, BinOp, Call]
 Env = Mapping[str, float]
 
-# fn -> (value, derivative given (x, fn(x)))
 FUNCTIONS = {
-    "sin": (math.sin, lambda x, fx: math.cos(x)),
-    "cos": (math.cos, lambda x, fx: -math.sin(x)),
-    "tan": (math.tan, lambda x, fx: 1.0 + fx * fx),
-    "exp": (math.exp, lambda x, fx: fx),
-    "log": (math.log, lambda x, fx: 1.0 / x),
-    "sqrt": (math.sqrt, lambda x, fx: 0.5 / fx if fx != 0.0 else math.inf),
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": math.exp,
+    "log": math.log,
+    "sqrt": math.sqrt,
 }
 
 
@@ -427,7 +424,7 @@ def evaluate(e: Expr, env: Env) -> float:
         if e.fn == "sqrt" and x < 0.0:
             raise DomainError("sqrt of negative value", e)
         try:
-            return FUNCTIONS[e.fn][0](x)
+            return FUNCTIONS[e.fn](x)
         except OverflowError:
             raise DomainError(f"overflow in {e.fn}", e) from None
     assert isinstance(e, BinOp)
@@ -455,85 +452,9 @@ def evaluate(e: Expr, env: Env) -> float:
     return a / b
 
 
-def evaluate_with_partials(
-    e: Expr, env: Env, wrt: Sequence[str]
-) -> tuple[float, list[float]]:
-    """Value and exact first partials with respect to ``wrt``.
-
-    One forward pass of dual arithmetic carrying one derivative slot per
-    requested variable; partials are exact up to floating-point rounding.
-    """
-    slot = {name: k for k, name in enumerate(wrt)}
-    n = len(wrt)
-    return _dual(e, env, slot, n)
-
-
-def _dual(e: Expr, env: Env, slot: Mapping[str, int], n: int) -> tuple[float, list[float]]:
-    if isinstance(e, Lit):
-        return e.value, [0.0] * n
-    if isinstance(e, Var):
-        try:
-            v = env[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-        d = [0.0] * n
-        k = slot.get(e.name)
-        if k is not None:
-            d[k] = 1.0
-        return v, d
-    if isinstance(e, Neg):
-        v, d = _dual(e.arg, env, slot, n)
-        return -v, [-x for x in d]
-    if isinstance(e, Call):
-        x, dx = _dual(e.arg, env, slot, n)
-        if e.fn == "log" and x <= 0.0:
-            raise DomainError("log of non-positive value", e)
-        if e.fn == "sqrt" and x < 0.0:
-            raise DomainError("sqrt of negative value", e)
-        val_fn, der_fn = FUNCTIONS[e.fn]
-        try:
-            fx = val_fn(x)
-        except OverflowError:
-            raise DomainError(f"overflow in {e.fn}", e) from None
-        g = der_fn(x, fx)
-        if not math.isfinite(g) and any(dx):
-            raise DomainError(f"infinite derivative of {e.fn}", e)
-        return fx, [g * t for t in dx]
-    assert isinstance(e, BinOp)
-    a, da = _dual(e.lhs, env, slot, n)
-    if e.op == "^":
-        c = literal_value(e.rhs)
-        if c is not None:
-            v = _checked_pow(a, c, e)
-            if c == 0.0:
-                return v, [0.0] * n
-            g = c * _checked_pow(a, c - 1.0, e)
-            return v, [g * t for t in da]
-        b, db = _dual(e.rhs, env, slot, n)
-        if a <= 0.0:
-            raise DomainError("non-literal exponent requires positive base", e)
-        try:
-            v = math.pow(a, b)
-        except OverflowError:
-            raise DomainError("overflow in power", e) from None
-        lg = math.log(a)
-        return v, [v * (db[k] * lg + b * da[k] / a) for k in range(n)]
-    b, db = _dual(e.rhs, env, slot, n)
-    if e.op == "+":
-        return a + b, [da[k] + db[k] for k in range(n)]
-    if e.op == "-":
-        return a - b, [da[k] - db[k] for k in range(n)]
-    if e.op == "*":
-        return a * b, [da[k] * b + a * db[k] for k in range(n)]
-    if b == 0.0:
-        raise DomainError("division by zero", e)
-    v = a / b
-    return v, [(da[k] - v * db[k]) / b for k in range(n)]
-
-
 # ------------------------------------------------------------- compilation
 
-_COMPILED_NAMES = {f"_{name}": fns[0] for name, fns in FUNCTIONS.items()}
+_COMPILED_NAMES = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _COMPILED_NAMES.update(_pow=math.pow, _checked_pow=_checked_pow)
 
 
@@ -818,9 +739,8 @@ _CHAIN = {
 def diff(e: Expr, var: str) -> Expr:
     """Symbolic partial derivative with respect to ``var``.
 
-    Built from the folding constructors with the rules of the dual
-    arithmetic in ``evaluate_with_partials``, so a derivative that vanishes
-    by structure comes out as ``Lit(0)``.
+    Built from the folding constructors, so a derivative that vanishes by
+    structure comes out as ``Lit(0)``.
     """
     if isinstance(e, Lit):
         return _ZERO
@@ -849,5 +769,5 @@ def diff(e: Expr, var: str) -> Expr:
         return sub(da, db)
     if e.op == "*":
         return add(mul(da, b), mul(a, db))
-    # quotient rule as the dual arithmetic applies it: (a' - (a/b) b') / b
+    # quotient rule in the form (a' - (a/b) b') / b, which reuses the node a/b
     return div(sub(da, mul(e, db)), b)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from . import expr as ex
 from .algebroid import (
     ExprCoeff,
-    FnCoeff,
     KSection,
     Report,
     SamplePlan,
@@ -24,6 +23,7 @@ from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 from .dynamics import (
     DEFAULT_STEP,
     Trajectory,
+    _alpha_outputs,
     compiled_alpha,
     hamilton_rhs,
     integrate_reduced,
@@ -52,22 +52,11 @@ TRAJECTORY_TOL = 1e-6  # trajectory residuals absorb RK4 error at the default st
 def f_of(h: HamiltonianSection, alpha: CoSection):
     """Scalar measuring how far alpha is from the graph of h.
 
-    In dual coordinates: alpha0(x) + H(x, alphaV(x)).  Expression-backed
-    sections yield an expression (exact partials); otherwise a point
-    evaluator is returned.
+    In dual coordinates: alpha0(x) + H(x, alphaV(x)), as one expression.
     """
     aff = h.chart
-    if alpha.is_expression_backed():
-        sub = {aff.fiber_vars[a]: alpha.alphaV[a].node for a in range(aff.n)}
-        return ExprCoeff(ex.add(alpha.alpha0.node, ex.substitute(h.H, sub)))
-
-    def fn(env):
-        inner = dict(env)
-        for a in range(aff.n):
-            inner[aff.fiber_vars[a]] = alpha.alphaV[a].value(env)
-        return alpha.alpha0.value(env) + ex.evaluate(h.H, inner)
-
-    return FnCoeff(fn)
+    sub = {aff.fiber_vars[a]: alpha.alphaV[a].node for a in range(aff.n)}
+    return ExprCoeff(ex.add(alpha.alpha0.node, ex.substitute(h.H, sub)))
 
 
 @dataclass
@@ -207,14 +196,14 @@ def verify_theorem(
 
     def residuals(env):
         """The per-stage path: alphaV and its partials from ``compiled_alpha``,
-        or the interpreter (values, then dual partials)."""
+        or the interpreter on the same expressions (values, then partials)."""
         state = [env[v] for v in aff.base_vars]
         fast = ex.run_compiled(compiled_alpha(alpha), state)
         yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
         rhs = hamilton_rhs(h, state + yv)
         xdot = field(state)
         dg = fast[n:] if fast is not None else [
-            d for c in alpha.alphaV for d in c.value_and_partials(env, aff.base_vars)[1]]
+            ex.evaluate(d, env) for d in _alpha_outputs(alpha)[n:]]
         return measure(xdot, rhs, dg)
 
     stage = reduced_stage(alpha, h)

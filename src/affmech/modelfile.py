@@ -86,6 +86,8 @@ def parse_model_text(text: str, name: str = "model") -> ModelBundle:
     try:
         chart = AffgebroidChart(base, fibers, rho0, rhoV, C0, CV)
         hamiltonian = HamiltonianSection(chart, _parse_expr(h_src, h_line))
+    except ModelFileError:
+        raise  # already names its line
     except (ValueError, TypeError) as err:
         raise ModelFileError(str(err), h_line) from None
 

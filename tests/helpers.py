@@ -4,15 +4,22 @@ The expression corpus is built safe-by-construction (bounded trig/exp
 arguments, positively offset log/sqrt arguments, guarded denominators) and
 points are rejection-sampled away from residual domain violations, so the
 finite-difference oracle is well conditioned wherever it is evaluated.
+Forward-mode dual arithmetic (``evaluate_with_partials``) is the oracle for
+the symbolic ``expr.diff``, and a least-squares solve (``reeb_solve``) the
+oracle for ``affgebroid.reeb``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 from affmech import expr as ex
-from affmech.expr import BinOp, Call, Lit, Neg, Var
+from affmech.affgebroid import omega_h
+from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 
 
 def fd_partials(e, env, wrt, h=1e-6):
@@ -25,6 +32,149 @@ def fd_partials(e, env, wrt, h=1e-6):
         down[name] = env[name] - h
         out.append((ex.evaluate(e, up) - ex.evaluate(e, down)) / (2 * h))
     return out
+
+
+# ---------------------------------------------- dual-number oracle for diff
+
+# fn -> derivative given (x, fn(x))
+DERIVATIVES = {
+    "sin": lambda x, fx: math.cos(x),
+    "cos": lambda x, fx: -math.sin(x),
+    "tan": lambda x, fx: 1.0 + fx * fx,
+    "exp": lambda x, fx: fx,
+    "log": lambda x, fx: 1.0 / x,
+    "sqrt": lambda x, fx: 0.5 / fx if fx != 0.0 else math.inf,
+}
+
+
+def evaluate_with_partials(e, env, wrt):
+    """Value and exact first partials with respect to ``wrt``.
+
+    One forward pass of dual arithmetic carrying one derivative slot per
+    requested variable: an evaluation of the tree independent of ``ex.diff``,
+    against which the symbolic partials are checked.
+    """
+    slot = {name: k for k, name in enumerate(wrt)}
+    return _dual(e, env, slot, len(wrt))
+
+
+def _dual(e, env, slot, n):
+    if isinstance(e, Lit):
+        return e.value, [0.0] * n
+    if isinstance(e, Var):
+        try:
+            v = env[e.name]
+        except KeyError:
+            raise UnboundVariableError(e.name) from None
+        d = [0.0] * n
+        k = slot.get(e.name)
+        if k is not None:
+            d[k] = 1.0
+        return v, d
+    if isinstance(e, Neg):
+        v, d = _dual(e.arg, env, slot, n)
+        return -v, [-x for x in d]
+    if isinstance(e, Call):
+        x, dx = _dual(e.arg, env, slot, n)
+        if e.fn == "log" and x <= 0.0:
+            raise DomainError("log of non-positive value", e)
+        if e.fn == "sqrt" and x < 0.0:
+            raise DomainError("sqrt of negative value", e)
+        try:
+            fx = ex.FUNCTIONS[e.fn](x)
+        except OverflowError:
+            raise DomainError(f"overflow in {e.fn}", e) from None
+        g = DERIVATIVES[e.fn](x, fx)
+        if not math.isfinite(g) and any(dx):
+            raise DomainError(f"infinite derivative of {e.fn}", e)
+        return fx, [g * t for t in dx]
+    assert isinstance(e, BinOp)
+    a, da = _dual(e.lhs, env, slot, n)
+    if e.op == "^":
+        c = ex.literal_value(e.rhs)
+        if c is not None:
+            v = ex._checked_pow(a, c, e)
+            if c == 0.0:
+                return v, [0.0] * n
+            g = c * ex._checked_pow(a, c - 1.0, e)
+            return v, [g * t for t in da]
+        b, db = _dual(e.rhs, env, slot, n)
+        if a <= 0.0:
+            raise DomainError("non-literal exponent requires positive base", e)
+        try:
+            v = math.pow(a, b)
+        except OverflowError:
+            raise DomainError("overflow in power", e) from None
+        lg = math.log(a)
+        return v, [v * (db[k] * lg + b * da[k] / a) for k in range(n)]
+    b, db = _dual(e.rhs, env, slot, n)
+    if e.op == "+":
+        return a + b, [da[k] + db[k] for k in range(n)]
+    if e.op == "-":
+        return a - b, [da[k] - db[k] for k in range(n)]
+    if e.op == "*":
+        return a * b, [da[k] * b + a * db[k] for k in range(n)]
+    if b == 0.0:
+        raise DomainError("division by zero", e)
+    v = a / b
+    return v, [(da[k] - v * db[k]) / b for k in range(n)]
+
+
+# ---------------------------------------------- least-squares Reeb oracle
+
+REEB_RESIDUAL_TOL = 1e-8
+
+
+class DegenerateStructureError(RuntimeError):
+    """The pair (omega, eta) failed to determine a unique Reeb value."""
+
+
+@dataclass
+class ReebResult:
+    coefficients: list[float]
+    residual: float
+    rank: int
+
+
+def omega_matrix(omega, env):
+    """Full antisymmetric coefficient matrix of a 2-section at a point."""
+    r = omega.chart.rank
+    mat = np.zeros((r, r))
+    for (a, b), coeff in omega.coeffs.items():
+        v = coeff.value(env)
+        mat[a, b] = v
+        mat[b, a] = -v
+    return mat
+
+
+def reeb_solve(h, env, omega=None):
+    """Solve the defining conditions of the Reeb section at one point.
+
+    Stacks the contraction equations with the 2-section on top of the
+    normalization row and solves the least-squares system; a tiny residual
+    certifies pointwise nondegeneracy of the cosymplectic pair.  The
+    independent oracle for ``affgebroid.reeb``.
+    """
+    om = omega if omega is not None else omega_h(h)
+    r = om.chart.rank
+    mat = omega_matrix(om, env)
+    system = np.zeros((r + 1, r))
+    # row b: sum_a v^a Omega(e_a, e_b) = 0
+    for b in range(r):
+        system[b, :] = mat[:, b]
+    system[r, 0] = 1.0  # normalization against the adapted 1-section
+    rhs = np.zeros(r + 1)
+    rhs[r] = 1.0
+    sol, _, rank, _ = np.linalg.lstsq(system, rhs, rcond=None)
+    residual = float(np.linalg.norm(system @ sol - rhs))
+    if rank < r or residual > REEB_RESIDUAL_TOL:
+        raise DegenerateStructureError(
+            f"degenerate cosymplectic pair at {env}: rank {rank} of {r}, residual {residual:.3e}"
+        )
+    return ReebResult([float(v) for v in sol], residual, int(rank))
+
+
+# ------------------------------------------------------- structure oracles
 
 
 def jacobi_cyclic_residual(C):

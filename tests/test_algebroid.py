@@ -223,8 +223,7 @@ def test_pullback_chart_mismatch():
 
 
 def test_chart_morphism_and_symbolic_operations_reject_callables():
-    # callables are accepted only as section coefficients, and pullback and
-    # section_combine build expressions, which a callable cannot give
+    # chart data, morphism data and section coefficients are expressions only
     def fn(env):
         return env["t"]
 
@@ -236,12 +235,8 @@ def test_chart_morphism_and_symbolic_operations_reject_callables():
         Morphism(chart, chart, [fn], identity)
     with pytest.raises(TypeError):
         Morphism(chart, chart, [Var("t")], [[fn, 0.0, 0.0]] + identity[1:])
-    s = KSection.one_section(chart, [fn, Lit(1.0), Lit(0.0)])
     with pytest.raises(TypeError):
-        pullback(Morphism(chart, chart, [Var("t")], identity), s)
-    for a, b in ((s, KSection.zero(chart, 1)), (KSection.zero(chart, 1), s)):
-        with pytest.raises(TypeError):
-            section_combine(1.0, a, 1.0, b)
+        KSection.one_section(chart, [fn, Lit(1.0), Lit(0.0)])
 
 
 def test_nan_residuals_are_the_maximum():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +309,15 @@ def test_verify_domain_error_is_input_error_naming_the_point(capsys):
     assert "sqrt of negative value in 'sqrt(q1)' at t=" in line
 
 
+def test_verify_infinite_partial_of_sqrt_is_input_error_at_the_point(capsys):
+    # d/dq1 sqrt(q1) = 0.5/sqrt(q1), evaluated where the compiled code fails
+    code = main(["verify", "trivial:1", "--alpha", "alphaV=sqrt(q1)", "--x0-set", "0,0"])
+    assert code == 2
+    line, out = error_line(capsys)
+    assert line == "error: division by zero in '0.5/sqrt(q1)' at t=0.0, q1=0.0"
+    assert out == ""
+
+
 def test_verify_start_point_outside_the_domain_is_input_error(capsys):
     code = main(["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,-0.3"])
     assert code == 2
@@ -367,21 +380,25 @@ def test_flow_non_finite_arguments_are_input_errors(free_file, capsys):
         assert "finite" in line and out == ""
 
 
-def test_python_dash_m_runs_the_cli():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def run_python(*args):
+    """A fresh interpreter with this checkout's src/ first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
     for module in ("affmech", "affmech.cli"):
-        result = subprocess.run(
-            [sys.executable, "-m", module, "validate", "oscillator"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_python("-m", module, "validate", "oscillator")
         assert result.returncode == 0, result.stderr
         assert "model_valid = True" in result.stdout
+
+
+def test_importing_the_package_does_not_load_numpy():
+    result = run_python("-c", "import sys, affmech, affmech.cli; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- one parser
@@ -455,3 +472,29 @@ def test_long_sums_are_not_rejected_as_nesting(tmp_path, capsys):
     assert main(["verify", str(p), "--alpha", "w", "--x0-set", "0.1,0.2", "--horizon", "0.5"]) == 0
     assert capsys.readouterr().err == ""
     assert by_name("trivial:105").hamiltonian.chart.n == 105  # H sums over every fiber
+
+
+# ---------------------------------------------------- unexpected errors
+
+
+@pytest.mark.parametrize("command, rest", [("hj", []), ("verify", ["--x0-set", "0.1,0.2"])])
+def test_sum_too_long_for_recursive_walks_is_an_input_error(command, rest, capsys):
+    # the sum parses in a loop, but diff walks its left-deep tree recursively
+    alpha = "alphaV=" + "+".join(["q1"] * 3000)
+    assert main([command, "trivial:1", "--alpha", alpha, *rest]) == 2
+    line, out = error_line(capsys)
+    assert line == "error: expression too large to process (recursion limit exceeded)"
+    assert out == ""
+
+
+def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
+    from affmech import cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cocycle_residual", boom)
+    assert main(["hj", "oscillator", "--alpha", "w_osc"]) == 3
+    line, out = error_line(capsys)
+    assert line == "error: internal error: RuntimeError: boom second line"
+    assert out == ""

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from affmech import expr as ex
-from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
+from affmech.affgebroid import AffgebroidChart, HamiltonianSection
 from affmech.dynamics import (
     _interpreted_rhs,
     _rhs_exprs,
-    compiled_alpha,
     hamilton_rhs,
     integrate,
     integrate_field,
@@ -20,7 +19,7 @@ from affmech.hj import verify_theorem
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
-from helpers import CORPUS_VARS, corpus_points, expression_corpus
+from helpers import CORPUS_VARS, corpus_points, evaluate_with_partials, expression_corpus
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
 
@@ -288,16 +287,8 @@ def test_alpha_is_compiled_once_and_shared_by_verify(monkeypatch):
     fn = alpha.compiled_alpha
     x = [0.3, 0.7]
     env = dict(zip(bundle.chart.base_vars, x))
-    value, partials = alpha.alphaV[0].value_and_partials(env, bundle.chart.base_vars)
+    value, partials = evaluate_with_partials(alpha.alphaV[0].node, env, bundle.chart.base_vars)
     assert fn(x) == [value, *partials]
     assert reduced_field(alpha, bundle.hamiltonian)(x) == hamilton_rhs(
         bundle.hamiltonian, x + [value]
     )[:2]
-
-
-def test_alpha_given_by_callables_is_not_compiled():
-    chart = by_name("oscillator").chart
-    alpha = CoSection(chart, lambda env: 0.0, [lambda env: env["q1"]])
-    assert compiled_alpha(alpha) is False
-    h = HamiltonianSection(chart, "(p1^2+q1^2)/2")
-    assert reduced_field(alpha, h)([0.0, 0.5]) == [1.0, 0.5]

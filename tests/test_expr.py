@@ -5,7 +5,7 @@ import pytest
 from affmech import expr as ex
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 
-from helpers import corpus_points, expression_corpus, fd_partials
+from helpers import corpus_points, evaluate_with_partials, expression_corpus, fd_partials
 
 
 # ------------------------------------------------------------------ parsing
@@ -125,13 +125,13 @@ def test_eval_is_pure_and_deterministic():
 
 
 def test_partials_polynomial():
-    v, parts = ex.evaluate_with_partials(ex.parse("x^2*y"), {"x": 3.0, "y": 2.0}, ["x", "y"])
+    v, parts = evaluate_with_partials(ex.parse("x^2*y"), {"x": 3.0, "y": 2.0}, ["x", "y"])
     assert v == 18.0
     assert parts == [12.0, 9.0]
 
 
 def test_partials_sin_at_zero():
-    v, parts = ex.evaluate_with_partials(ex.parse("sin(x)"), {"x": 0.0}, ["x"])
+    v, parts = evaluate_with_partials(ex.parse("sin(x)"), {"x": 0.0}, ["x"])
     assert v == 0.0
     assert parts == [1.0]
 
@@ -139,23 +139,23 @@ def test_partials_sin_at_zero():
 def test_partials_quotient_and_chain():
     e = ex.parse("exp(2*x)/(1+y^2)")
     env = {"x": 0.3, "y": 0.7}
-    v, parts = ex.evaluate_with_partials(e, env, ["x", "y"])
+    v, parts = evaluate_with_partials(e, env, ["x", "y"])
     assert v == pytest.approx(math.exp(0.6) / 1.49)
     assert parts[0] == pytest.approx(2 * math.exp(0.6) / 1.49)
     assert parts[1] == pytest.approx(-math.exp(0.6) * 1.4 / 1.49**2)
 
 
 def test_partials_zero_base_literal_exponent():
-    _, parts = ex.evaluate_with_partials(ex.parse("x^2"), {"x": 0.0}, ["x"])
+    _, parts = evaluate_with_partials(ex.parse("x^2"), {"x": 0.0}, ["x"])
     assert parts == [0.0]
-    _, parts = ex.evaluate_with_partials(ex.parse("x^1"), {"x": 0.0}, ["x"])
+    _, parts = evaluate_with_partials(ex.parse("x^1"), {"x": 0.0}, ["x"])
     assert parts == [1.0]
-    v, parts = ex.evaluate_with_partials(ex.parse("x^0"), {"x": 0.0}, ["x"])
+    v, parts = evaluate_with_partials(ex.parse("x^0"), {"x": 0.0}, ["x"])
     assert v == 1.0 and parts == [0.0]
 
 
 def test_partials_only_requested_variables():
-    _, parts = ex.evaluate_with_partials(ex.parse("x*y+z"), {"x": 2.0, "y": 5.0, "z": 1.0}, ["y"])
+    _, parts = evaluate_with_partials(ex.parse("x*y+z"), {"x": 2.0, "y": 5.0, "z": 1.0}, ["y"])
     assert parts == [2.0]
 
 
@@ -167,7 +167,7 @@ def test_ad_matches_fd_on_corpus():
         if not variables:
             continue
         for env in corpus_points(e, count=8, seed=1000 + k):
-            _, ad = ex.evaluate_with_partials(e, env, variables)
+            _, ad = evaluate_with_partials(e, env, variables)
             fd = fd_partials(e, env, variables)
             for a, f in zip(ad, fd):
                 assert abs(a - f) <= 1e-5 * (1.0 + abs(f)), (ex.to_string(e), env)
@@ -264,7 +264,7 @@ def test_diff_matches_dual_arithmetic_on_corpus():
             continue
         derivs = [ex.diff(e, v) for v in variables]
         for env in corpus_points(e, count=8, seed=1000 + k):
-            _, ad = ex.evaluate_with_partials(e, env, variables)
+            _, ad = evaluate_with_partials(e, env, variables)
             for d, a in zip(derivs, ad):
                 assert ex.evaluate(d, env) == pytest.approx(a, rel=1e-12, abs=1e-300), (
                     ex.to_string(e),
@@ -324,7 +324,7 @@ def test_non_literal_exponents_diff_dual_and_compile_agree():
         points = corpus_points(e, count=20, seed=3000 + k, box=(0.1, 2.0))
         assert len(points) == 20
         for env in points:
-            _, ad = ex.evaluate_with_partials(e, env, variables)
+            _, ad = evaluate_with_partials(e, env, variables)
             for d, a in zip(derivs, ad):
                 assert ex.evaluate(d, env) == pytest.approx(a, rel=1e-12, abs=1e-300), (src, env)
             assert fn([env[v] for v in variables]) == [ex.evaluate(e, env)], (src, env)
@@ -352,7 +352,7 @@ def test_non_literal_exponent_of_non_positive_base_raises():
         with pytest.raises(ex.DomainError):
             ex.evaluate(e, env)
         with pytest.raises(ex.DomainError):
-            ex.evaluate_with_partials(e, env, ["x", "y"])
+            evaluate_with_partials(e, env, ["x", "y"])
         with pytest.raises(ArithmeticError):
             fn([x, 2.0])
 

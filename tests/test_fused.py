@@ -123,7 +123,7 @@ def test_verify_leaving_the_domain_gives_the_per_stage_output(x0, code, per_stag
 
 
 @pytest.mark.parametrize("name,sec", SECTIONS)
-def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage):
+def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage, monkeypatch):
     bundle = by_name(name)
     h, alpha = bundle.hamiltonian, bundle.sections[sec]
     rng = random.Random(sec)
@@ -133,6 +133,9 @@ def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage):
     except hj.NotACocycleError:
         return
     per_stage()
+    assert verify_theorem(alpha, h, x0, 0.3, 1e-2) == fused
+    # and with alphaV and its diff partials from the interpreter
+    monkeypatch.setattr(hj, "compiled_alpha", lambda alpha: False)
     assert verify_theorem(alpha, h, x0, 0.3, 1e-2) == fused
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from affmech import expr as ex
 from affmech.expr import Lit, Var
-from affmech.algebroid import FnCoeff, SamplePlan, differential
+from affmech.algebroid import SamplePlan
 from affmech.affgebroid import CoSection, HamiltonianSection
 from affmech.hj import (
     NotACocycleError,
@@ -15,6 +15,8 @@ from affmech.hj import (
 )
 from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
+from helpers import evaluate_with_partials
+
 
 def coboundary(chart_aff, s_node, ds_nodes):
     """Section with components rho^i_a dS/dx^i, built from hand partials.
@@ -22,7 +24,7 @@ def coboundary(chart_aff, s_node, ds_nodes):
     The partials are cross-checked against dual arithmetic before use, so a
     wrong hand derivative fails loudly here rather than downstream."""
     for env in SamplePlan(count=20, seed=77).points(chart_aff.base_vars):
-        _, ad = ex.evaluate_with_partials(s_node, env, chart_aff.base_vars)
+        _, ad = evaluate_with_partials(s_node, env, chart_aff.base_vars)
         hand = [ex.evaluate(d, env) for d in ds_nodes]
         assert all(abs(a - b) <= 1e-10 for a, b in zip(ad, hand)), "bad hand partials"
 
@@ -73,16 +75,13 @@ def test_f_zero_hamiltonian_returns_alpha0():
     assert f.value(env) == pytest.approx(math.sin(0.6))
 
 
-def test_f_evaluator_backed_sections():
+def test_callable_section_components_are_type_errors():
+    # a dual section is expressions only, like chart and morphism data
     bundle = trivial_fibration(1)
-    alpha = CoSection(
-        bundle.chart,
-        FnCoeff(lambda env: env["t"] ** 2),
-        [FnCoeff(lambda env: env["q1"])],
-    )
-    f = f_of(bundle.hamiltonian, alpha)
-    env = {"t": 0.5, "q1": 0.8}
-    assert f.value(env) == pytest.approx(0.25 + 0.5 * 0.64)
+    with pytest.raises(TypeError):
+        CoSection(bundle.chart, lambda env: env["t"] ** 2, ["q1"])
+    with pytest.raises(TypeError):
+        CoSection(bundle.chart, "t^2", [lambda env: env["q1"]])
 
 
 # ------------------------------------------------------------------ cocycle
@@ -276,28 +275,3 @@ def test_direction_failed_hj_has_trajectory_witness():
                 found = True
                 break
         assert found, (bundle.name, name)
-
-
-def test_callable_backed_sections_match_expression_backed():
-    # a section given by callables takes the point-evaluator path of the
-    # differential; its residuals agree with the exact ones up to the
-    # finite-difference error
-    bundle = trivial_fibration(1)
-    for name, solves in (("w_free", True), ("w_cubic", False), ("w_sq", False)):
-        exact = bundle.section(name)
-        wrapped = CoSection(
-            bundle.chart, FnCoeff(exact.alpha0.value), [FnCoeff(c.value) for c in exact.alphaV]
-        )
-        d_alpha = differential(wrapped.as_bidual_section())
-        assert all(isinstance(c, FnCoeff) for c in d_alpha.coeffs.values())
-
-        coc = cocycle_residual(wrapped, bundle.sample)
-        assert coc.is_cocycle
-        assert coc.max_residual == pytest.approx(
-            cocycle_residual(exact, bundle.sample).max_residual, abs=1e-7
-        )
-        hj = hj_residual(wrapped, bundle.hamiltonian, bundle.sample)
-        assert hj.is_solution == solves, name
-        assert hj.max_residual == pytest.approx(
-            hj_residual(exact, bundle.hamiltonian, bundle.sample).max_residual, abs=1e-7
-        )

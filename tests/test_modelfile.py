@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from affmech import expr as ex
@@ -111,6 +113,7 @@ def test_malformed_fields_report_lines(mutation, fragment):
     with pytest.raises(ModelFileError) as err:
         parse_model_text(text)
     assert fragment in str(err.value)
+    assert len(re.findall(r"line \d+:", str(err.value))) == 1  # the prefix appears once
 
 
 def test_nonpositive_sample_count_is_model_error():
