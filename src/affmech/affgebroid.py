@@ -196,14 +196,16 @@ class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
     The components are expressions (``as_coeff``); a callable is a TypeError.
-    ``compiled_alpha`` caches alphaV and its base partials compiled into one
-    function; ``dynamics.compiled_alpha`` fills it on its first call.
+    ``alpha_outputs`` caches alphaV and its base partials as expressions,
+    ``compiled_alpha`` the same compiled into one function; the functions of
+    the same names in ``dynamics`` fill them on their first call.
     ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h.
     """
 
     chart: AffgebroidChart
     alpha0: object
     alphaV: list
+    alpha_outputs: object = field(init=False, repr=False, compare=False, default=None)
     compiled_alpha: object = field(init=False, repr=False, compare=False, default=None)
     compiled_stage: object = field(init=False, repr=False, compare=False, default=None)
 
@@ -426,17 +428,16 @@ def pullback_identities(
     """
     aff = gamma.chart
     plan = sample if sample is not None else SamplePlan()
-    envs = plan.points(aff.base_vars)
     morph = covector_morphism(gamma)
     hg = h_compose(h, gamma)
 
     lam_pulled = pullback(morph, lambda_h(h))
-    lambda_dev = section_max_diff(lam_pulled, hg, envs)
+    lambda_dev = section_max_diff(lam_pulled, hg, plan)
 
     om_pulled = pullback(morph, omega_h(h))
     minus_dhg = section_combine(-1.0, differential(hg), 0.0, KSection.zero(aff.bidual_chart(), 2))
-    omega_dev = section_max_diff(om_pulled, minus_dhg, envs)
-    return PullbackIdentitiesReport(lambda_dev, omega_dev, len(envs))
+    omega_dev = section_max_diff(om_pulled, minus_dhg, plan)
+    return PullbackIdentitiesReport(lambda_dev, omega_dev, plan.count)
 
 
 # --------------------------------------------------- vertical restriction
@@ -484,12 +485,11 @@ def vertical_restriction_check(
     1-section to zero."""
     aff = h.chart
     plan = sample if sample is not None else SamplePlan()
-    envs = plan.points(aff.prolongation().chart.base_vars)
     incl = vertical_inclusion_morphism(aff)
     vp = aff.vertical_prolongation()
 
-    omega_dev = section_max_diff(pullback(incl, omega_h(h)), vp.canonical_symplectic(), envs)
-    lambda_dev = section_max_diff(pullback(incl, lambda_h(h)), vp.liouville(), envs)
+    omega_dev = section_max_diff(pullback(incl, omega_h(h)), vp.canonical_symplectic(), plan)
+    lambda_dev = section_max_diff(pullback(incl, lambda_h(h)), vp.liouville(), plan)
     eta_restricted = pullback(incl, eta(aff))
-    eta_dev, _, _ = section_max_abs(eta_restricted, envs)
-    return RestrictionReport(lambda_dev, omega_dev, eta_dev, len(envs))
+    eta_dev, _, _ = section_max_abs(eta_restricted, plan)
+    return RestrictionReport(lambda_dev, omega_dev, eta_dev, plan.count)

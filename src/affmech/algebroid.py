@@ -11,8 +11,16 @@ Chart data, morphism data and section coefficients are expressions
 (``as_expr``; anything else is a TypeError).  The differential, pullbacks
 and linear combinations are built symbolically with the folding
 constructors of ``expr``: every derived coefficient is one exact
-expression, built once and evaluated at each sample point, and a
-coefficient that folds to zero is dropped.
+expression, built once, and a coefficient that folds to zero is dropped.
+
+The checks (``section_max_abs``, ``section_max_diff``, ``validate_chart``)
+count a residual as exactly 0, without evaluating it, when it is *proved*: a
+polynomial whose exact rational expansion is 0 (``expr.is_zero``) and whose
+every node stays below ``expr.SAFE_MAGNITUDE`` over the points, so that its
+evaluation cannot overflow to a NaN (``expr.magnitude_below``).  Every other
+residual (calls, non-constant divisors, nonzero or too large polynomials,
+possible overflow) is sampled at every point; a check given a SamplePlan
+draws its points only then.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from . import expr as ex
-from .expr import Expr, Lit, Var, add, mul
+from .expr import BinOp, Expr, Lit, Var, add, mul
 
 __all__ = [
     "VALIDATION_TOL",
@@ -419,17 +427,46 @@ def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
 # --------------------------------------------------------------- comparisons
 
 
+def _unproved(nodes: Mapping, envs, variables: Sequence[str]) -> tuple[list, list]:
+    """The keys of ``nodes`` (key -> residual) not proved 0, and the points to sample.
+
+    The points are ``envs`` itself, or those of a SamplePlan ``envs`` over
+    ``variables``, drawn only when a key is left.
+    """
+    left, bounds = [], None
+    for key, node in nodes.items():
+        if ex.is_zero(node):
+            if bounds is None:  # only a proved residual needs them
+                bounds = _bounds(envs, variables)
+            if ex.magnitude_below(node, bounds):
+                continue
+        left.append(key)
+    if isinstance(envs, SamplePlan):
+        envs = envs.points(variables) if left else []
+    return left, envs
+
+
+def _bounds(envs, variables: Sequence[str]) -> dict[str, float]:
+    """Bound of |v| over a plan's box or over a list of points."""
+    if isinstance(envs, SamplePlan):
+        return {v: max(map(abs, envs.interval(v))) for v in variables}
+    return {v: nan_max(abs(env.get(v, math.nan)) for env in envs) for v in variables}
+
+
 def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     """Largest |coefficient| over the points, its index and its point.
 
-    A NaN coefficient is the largest.  An evaluation error records the
-    point it happened at as ``point``.
+    ``envs`` is a list of points or a SamplePlan over the chart's base
+    variables.  A proved coefficient (see the module docstring) counts 0;
+    the others are sampled.  A NaN coefficient is the largest.  An
+    evaluation error records the point it happened at as ``point``.
     """
+    left, envs = _unproved({idx: c.node for idx, c in s.coeffs.items()}, envs, s.chart.base_vars)
     worst, where, at = 0.0, (), {}
     for env in envs:
         try:
-            for idx, c in s.coeffs.items():
-                v = abs(c.value(env))
+            for idx in left:
+                v = abs(s.coeffs[idx].value(env))
                 if v > worst or v != v:
                     worst, where, at = v, idx, env
         except ex.EvalError as err:
@@ -467,18 +504,19 @@ def values_at(fn, envs) -> list:
 
 
 def section_max_diff(s1: KSection, s2: KSection, envs) -> float:
+    """Largest |s1 - s2| over the coefficients and the points.
+
+    Each difference of coefficients (a missing one is 0) is proved or
+    sampled as in ``section_max_abs``.
+    """
     if s1.degree != s2.degree:
         raise ValueError("sections must have equal degree")
     keys = set(s1.coeffs) | set(s2.coeffs)
-    worst = 0.0
-    for env in envs:
-        for idx in keys:
-            a = s1.coeffs[idx].value(env) if idx in s1.coeffs else 0.0
-            b = s2.coeffs[idx].value(env) if idx in s2.coeffs else 0.0
-            d = abs(a - b)
-            if d > worst or d != d:
-                worst = d
-    return worst
+    diffs = {
+        idx: BinOp("-", as_expr(s1.coeffs.get(idx, 0.0)), as_expr(s2.coeffs.get(idx, 0.0)))
+        for idx in keys
+    }
+    return section_max_abs(KSection(s1.chart, s1.degree, diffs), envs)[0]
 
 
 def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
@@ -549,24 +587,25 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
     """Check C antisymmetry and d.d = 0 on coordinates and basis covectors.
 
     d.d on coordinate functions encodes compatibility of the anchor with the
-    bracket; d.d on basis covectors encodes the Jacobi identity.
+    bracket; d.d on basis covectors encodes the Jacobi identity.  Each check
+    proves or samples its residuals as ``section_max_abs`` does.
     """
     plan = sample if sample is not None else SamplePlan()
-    envs = plan.points(chart.base_vars)
     r = chart.rank
 
-    pairs = []
+    sums = {}  # C^c_ab + C^c_ba
     for a in range(r):
         for b in range(a, r):
             cols = {c for c, _ in chart.structure_nonzero(a, b)}
             cols |= {c for c, _ in chart.structure_nonzero(b, a)}
-            pairs += [(chart.structure[a][b][c], chart.structure[b][a][c]) for c in cols]
-    antisym = nan_max(
-        abs(fwd.value(env) + rev.value(env)) for fwd, rev in pairs for env in envs
-    )
+            for c in cols:
+                fwd, rev = chart.structure[a][b][c], chart.structure[b][a][c]
+                sums[(a, b, c)] = BinOp("+", fwd.node, rev.node)
+    left, envs = _unproved(sums, plan, chart.base_vars)
+    antisym = nan_max(abs(ex.evaluate(sums[key], env)) for key in left for env in envs)
 
     def dd_max(s: KSection):
-        return section_max_abs(differential(differential(s)), envs)
+        return section_max_abs(differential(differential(s)), plan)
 
     anchor_max = nan_max(dd_max(KSection.function(chart, Var(v)))[0] for v in chart.base_vars)
 
@@ -576,7 +615,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
         if worst > jacobi_max or worst != worst:
             jacobi_max = worst
             worst_info = f"d(d {chart.labels[a]}) component {where}"
-    return ValidationReport(antisym, anchor_max, jacobi_max, len(envs), worst_jacobi=worst_info)
+    return ValidationReport(antisym, anchor_max, jacobi_max, plan.count, worst_jacobi=worst_info)
 
 
 # ------------------------------------------------------------- prolongation

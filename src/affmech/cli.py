@@ -246,10 +246,11 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
         return EXIT_INPUT_ERROR
 
     try:
-        coc = cocycle_residual(alpha, plan)
+        envs = plan.points(bundle.chart.base_vars)  # f is always sampled: draw once, share
+        coc = cocycle_residual(alpha, envs)
         f = f_of(bundle.hamiltonian, alpha)
-        values = values_at(f.value, plan.points(bundle.chart.base_vars))
-        hj = hj_residual(alpha, bundle.hamiltonian, plan)
+        values = values_at(f.value, envs)
+        hj = hj_residual(alpha, bundle.hamiltonian, envs)
     except ex.EvalError as err:
         return _evaluation_error(err)
 

@@ -236,15 +236,14 @@ def reduced_field(alpha: CoSection, h: HamiltonianSection):
 
     Realized by evaluating the full right-hand side at y = alphaV(x), which
     makes the base equation of the restored flow hold by construction.
-    alphaV comes from ``compiled_alpha``, with the interpreter as the
-    fallback, as in ``hamilton_rhs``.
+    alphaV comes from ``compiled_alpha``, compiled on the first call of the
+    field, with the interpreter as the fallback, as in ``hamilton_rhs``.
     """
     aff = h.chart
     m, n = aff.m, aff.n
-    alpha_fn = compiled_alpha(alpha)
 
     def field(x_state: Sequence[float]) -> list[float]:
-        y = ex.run_compiled(alpha_fn, x_state)
+        y = ex.run_compiled(compiled_alpha(alpha), x_state)
         if y is None:
             env = dict(zip(aff.base_vars, x_state))
             y = [c.value(env) for c in alpha.alphaV]
@@ -259,7 +258,8 @@ def compiled_alpha(alpha: CoSection):
     Outputs: the n components of alphaV, then dalphaV[a]/dx^i at index
     n + a*m + i.  Compiled once per section, on the first call, and cached
     on it; False for a section that cannot be compiled, which leaves its
-    callers on the interpreter.
+    callers on the interpreter.  Only the per-stage path reads it: the fused
+    step and ``verify_theorem`` read ``reduced_stage``.
     """
     if alpha.compiled_alpha is None:
         fn = ex.try_compile(_alpha_outputs(alpha), alpha.chart.base_vars)
@@ -268,9 +268,11 @@ def compiled_alpha(alpha: CoSection):
 
 
 def _alpha_outputs(alpha: CoSection) -> list[ex.Expr]:
-    """The n components of alphaV, then dalphaV[a]/dx^i at index n + a*m + i."""
-    nodes = [c.node for c in alpha.alphaV]
-    return nodes + [ex.diff(g, v) for g in nodes for v in alpha.chart.base_vars]
+    """The n components of alphaV, then dalphaV[a]/dx^i at index n + a*m + i; cached."""
+    if alpha.alpha_outputs is None:
+        nodes = [c.node for c in alpha.alphaV]
+        alpha.alpha_outputs = nodes + [ex.diff(g, v) for g in nodes for v in alpha.chart.base_vars]
+    return alpha.alpha_outputs
 
 
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
@@ -280,19 +282,19 @@ def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     field X(x)), H and its m+n partials, alphaV from index W = 2(m+n)+1 and
     dalphaV[a]/dx^i at W + n + a*m + i.  The fiber variables are ``bound`` to
     the computed alphaV, so each value is the per-stage one.  Cached on alpha
-    for the last h; False where ``compiled_alpha`` or ``hamilton_rhs``'s
-    compiled field is.
+    for the last h; False where ``hamilton_rhs``'s compiled field is, or
+    where alphaV cannot be compiled over the base variables.
     """
     cached = alpha.compiled_stage
     if cached is None or cached[0] is not h:
         fn = False
-        if compiled_alpha(alpha) and _compiled_rhs(h):
+        if _compiled_rhs(h):
             aff = h.chart
             alpha_exprs = _alpha_outputs(alpha)
             bound = dict(zip(aff.fiber_vars, alpha_exprs))
             try:
                 fn = ex.compile(_field_outputs(h) + alpha_exprs, aff.base_vars, bound)
-            except RecursionError:  # both parts compiled: no variable is unbound
+            except (RecursionError, ex.EvalError):
                 pass
         alpha.compiled_stage = cached = (h, fn)
     return cached[1]

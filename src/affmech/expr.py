@@ -13,6 +13,9 @@ bit.  It builds no error messages: where it raises, or gives a value the
 caller does not trust, the caller re-runs the interpreter (``evaluate``),
 which stays the reference and the source of every ``DomainError``.
 
+``is_zero`` proves a polynomial 0 by exact expansion, or answers "not
+proved"; ``magnitude_below`` tells whether its evaluation could overflow.
+
 Grammar (EBNF)::
 
     expr   := term (('+'|'-') term)*
@@ -56,6 +59,9 @@ __all__ = [
     "run_compiled",
     "substitute",
     "free_vars",
+    "is_zero",
+    "magnitude_below",
+    "SAFE_MAGNITUDE",
     "literal_value",
     "add",
     "sub",
@@ -616,6 +622,161 @@ def free_vars(e: Expr) -> set[str]:
         return free_vars(e.arg)
     assert isinstance(e, BinOp)
     return free_vars(e.lhs) | free_vars(e.rhs)
+
+
+# ------------------------------------------------------------- exact zeros
+#
+# A polynomial is built from finite literals, variables, negation, + - *,
+# division by a variable-free divisor and '^' with an integer literal >= 0.
+# It expands to a dict from monomials (sorted tuples of variable names) to
+# int numerators over one int denominator: exact, each literal at its binary value.
+
+MAX_DEGREE = 32  # largest degree of any node; a power of a constant counts it as degree 1
+MAX_TERMS = 200  # largest number of terms any step of an expansion may hold
+SAFE_MAGNITUDE = 1e300  # a node bounded below this cannot overflow when evaluated
+
+
+class _NotProved(Exception):
+    pass
+
+
+def is_zero(e: Expr) -> bool:
+    """True when ``e`` is a polynomial that is exactly 0; False means "not proved".
+
+    A non-polynomial is rejected before any arithmetic; past ``MAX_DEGREE``
+    or ``MAX_TERMS`` the answer is "not proved" too.
+    """
+    try:
+        _degree(e, {})
+        return not _expand(e, {})[0]
+    except (_NotProved, RecursionError):
+        return False
+
+
+def _degree(e: Expr, memo: dict) -> int:
+    d = memo.get(id(e))
+    if d is not None:
+        return d
+    if isinstance(e, Lit):
+        if not math.isfinite(e.value):
+            raise _NotProved
+        d = 0
+    elif isinstance(e, Var):
+        d = 1
+    elif isinstance(e, Call):
+        raise _NotProved
+    elif isinstance(e, Neg):
+        d = _degree(e.arg, memo)
+    elif e.op == "^":
+        k = literal_value(e.rhs)
+        if k is None or k < 0 or not float(k).is_integer():
+            raise _NotProved
+        d = int(k) * max(_degree(e.lhs, memo), 1)
+    elif e.op == "/":
+        if _degree(e.rhs, memo):
+            raise _NotProved
+        d = _degree(e.lhs, memo)
+    else:
+        a, b = _degree(e.lhs, memo), _degree(e.rhs, memo)
+        d = a + b if e.op == "*" else max(a, b)
+    if d > MAX_DEGREE:
+        raise _NotProved
+    memo[id(e)] = d
+    return d
+
+
+def _expand(e: Expr, memo: dict) -> tuple[dict, int]:
+    p = memo.get(id(e))
+    if p is not None:
+        return p
+    if isinstance(e, Lit):
+        n, den = float(e.value).as_integer_ratio()
+        p = {(): n} if n else {}, den
+    elif isinstance(e, Var):
+        p = {(e.name,): 1}, 1
+    elif isinstance(e, Neg):
+        terms, den = _expand(e.arg, memo)
+        p = {m: -c for m, c in terms.items()}, den
+    elif e.op == "^":
+        (base, den), k = _expand(e.lhs, memo), int(literal_value(e.rhs))
+        terms = {(): 1}
+        for _ in range(k):
+            terms = _times(terms, base)
+        p = terms, den**k
+    else:
+        (a, da), (b, db) = _expand(e.lhs, memo), _expand(e.rhs, memo)
+        if e.op == "*":
+            p = _times(a, b), da * db
+        elif e.op == "/":  # by the constant b[()]/db
+            if not b:
+                raise _NotProved  # evaluation divides by zero
+            p = {m: c * db for m, c in a.items()}, da * b[()]
+        else:
+            den = math.lcm(da, db)  # denominators may be negative; lcm is not
+            fa, fb = den // da, (den // db if e.op == "+" else -(den // db))
+            terms = {}
+            for m in a.keys() | b.keys():
+                c = a.get(m, 0) * fa + b.get(m, 0) * fb
+                if c:
+                    terms[m] = c
+            p = terms, den
+    if len(p[0]) > MAX_TERMS:
+        raise _NotProved
+    memo[id(e)] = p
+    return p
+
+
+def _times(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(sorted(m1 + m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        if len(out) > MAX_TERMS:
+            raise _NotProved
+    return out
+
+
+def magnitude_below(e: Expr, bounds: Mapping[str, float]) -> bool:
+    """True when every node of the polynomial ``e`` stays below ``SAFE_MAGNITUDE``.
+
+    ``bounds[v]`` bounds |v| (a missing variable is unbounded).  Uses |a+-b|
+    <= |a|+|b|, |ab| <= |a||b|, |a^k| <= |a|^k and |a/c| <= |a|/|c| with c
+    the divisor's float value, which must be nonzero.
+    """
+    try:
+        _bound(e, bounds, {})
+        return True
+    except (_NotProved, ArithmeticError, EvalError, RecursionError):
+        return False
+
+
+def _bound(e: Expr, bounds: Mapping[str, float], memo: dict) -> float:
+    b = memo.get(id(e))
+    if b is not None:
+        return b
+    if isinstance(e, Lit):
+        b = abs(e.value)
+    elif isinstance(e, Var):
+        b = bounds.get(e.name, math.inf)
+    elif isinstance(e, Neg):
+        b = _bound(e.arg, bounds, memo)
+    else:
+        x, y = _bound(e.lhs, bounds, memo), _bound(e.rhs, bounds, memo)
+        if e.op == "^":
+            b = x ** int(literal_value(e.rhs))
+        elif e.op == "/":
+            b = x / abs(evaluate(e.rhs, {}))
+        else:
+            b = x * y if e.op == "*" else x + y
+    if not b < SAFE_MAGNITUDE:  # NaN too
+        raise _NotProved
+    memo[id(e)] = b
+    return b
 
 
 # ------------------------------------------------------ folding constructors

@@ -72,13 +72,18 @@ class CocycleReport(Report):
     is_cocycle = Report.verdict
 
 
-def cocycle_residual(alpha: CoSection, sample: SamplePlan | None = None) -> CocycleReport:
-    """Max coefficient of the differential of alpha on the bidual chart."""
-    plan = sample if sample is not None else SamplePlan()
-    envs = plan.points(alpha.chart.base_vars)
-    d_alpha = differential(alpha.as_bidual_section())
-    worst, where, _ = section_max_abs(d_alpha, envs)
-    return CocycleReport(worst, where, len(envs))
+def cocycle_residual(alpha: CoSection, sample=None) -> CocycleReport:
+    """Max coefficient of the differential of alpha on the bidual chart.
+
+    ``sample``: a SamplePlan (default ``SamplePlan()``) or a list of points.
+    """
+    envs = sample if sample is not None else SamplePlan()
+    worst, where, _ = section_max_abs(differential(alpha.as_bidual_section()), envs)
+    return CocycleReport(worst, where, _count(envs))
+
+
+def _count(envs) -> int:
+    return envs.count if isinstance(envs, SamplePlan) else len(envs)
 
 
 @dataclass
@@ -94,20 +99,17 @@ class HJReport(Report):
     is_solution = Report.verdict
 
 
-def hj_residual(
-    alpha: CoSection, h: HamiltonianSection, sample: SamplePlan | None = None
-) -> HJReport:
+def hj_residual(alpha: CoSection, h: HamiltonianSection, sample=None) -> HJReport:
     """Max vertical derivative of the scalar defect at sampled base points.
 
     The components rhoV[a]^i df/dx^i are the coefficients of the vertical
     differential of f; the section solves the HJ equation when they vanish.
+    ``sample`` is as in ``cocycle_residual``.
     """
-    aff = h.chart
-    plan = sample if sample is not None else SamplePlan()
-    envs = plan.points(aff.base_vars)
-    df = differential(KSection.function(aff.vertical_chart(), f_of(h, alpha)))
+    envs = sample if sample is not None else SamplePlan()
+    df = differential(KSection.function(h.chart.vertical_chart(), f_of(h, alpha)))
     worst, where, _ = section_max_abs(df, envs)
-    return HJReport(worst, where[0] if where else -1, len(envs))
+    return HJReport(worst, where[0] if where else -1, _count(envs))
 
 
 class NotACocycleError(ValueError):

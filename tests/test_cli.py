@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from affmech.algebroid import SamplePlan
 from affmech.cli import main
 from affmech.models import by_name
 
@@ -361,6 +362,19 @@ def test_hj_box_must_be_ordered_finite_and_known(capsys):
         assert fragment in line and out == ""
 
 
+def test_hj_draws_its_sample_points_once(monkeypatch, capsys):
+    draws, real = [], SamplePlan.points
+
+    def counted(plan, variables):
+        draws.append(list(variables))
+        return real(plan, variables)
+
+    monkeypatch.setattr(SamplePlan, "points", counted)
+    assert main(["hj", "oscillator", "--alpha", "w_osc"]) == 0
+    capsys.readouterr()
+    assert draws == [["t", "q1"]]
+
+
 def test_hj_one_point_box_pins_the_variable(capsys):
     assert main(["hj", "oscillator", "--alpha", "w_osc", "--box", "t=1,1", "--samples", "5"]) == 0
     capsys.readouterr()
@@ -396,9 +410,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_importing_the_package_does_not_load_numpy():
-    result = run_python("-c", "import sys, affmech, affmech.cli; print('numpy' in sys.modules)")
+    # fractions (with decimal and numbers) is imported by the first exact
+    # zero test that needs it, not at start-up
+    code = "import sys, affmech, affmech.cli; print([m in sys.modules for m in %r])"
+    result = run_python("-c", code % ["numpy", "fractions", "decimal"])
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[False, False, False]"
 
 
 # ------------------------------------------------------------- one parser

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmech import expr as ex
 from affmech.expr import BinOp, Call, Lit, Neg, Var
@@ -202,6 +204,27 @@ def test_round_trip_corpus():
         printed = ex.to_string(e)
         first = ex.parse(printed)
         assert ex.parse(ex.to_string(first)) == first, printed
+
+
+def _trees():
+    """Trees as the parser builds them: literals are finite and not negative."""
+    literals = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Lit)
+    names = st.sampled_from(["x", "y", "t", "sin", "e1", "p_2"]).map(Var)
+    return st.recursive(
+        literals | names,
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(Call, st.sampled_from(sorted(ex.FUNCTIONS)), sub),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_trees())
+def test_round_trip_property(e):
+    assert ex.parse(ex.to_string(e)) == e, ex.to_string(e)
 
 
 # ------------------------------------------------------------- substitution
