@@ -12,6 +12,9 @@ Chart data, morphism data and section coefficients are expressions
 and linear combinations are built symbolically with the folding
 constructors of ``expr``: every derived coefficient is one exact
 expression, built once, and a coefficient that folds to zero is dropped.
+The differential and the pullback walk only nonzero entries (coefficients,
+anchor rows, structure functions, fiber-map entries), never the whole basis,
+and sum the terms of each output in the order of a walk over the basis.
 
 The checks (``section_max_abs``, ``section_max_diff``, ``validate_chart``)
 count a residual as exactly 0, without evaluating it, when it is *proved*: a
@@ -200,11 +203,15 @@ class AlgebroidChart:
             for row in self.anchor
         ]
         self._struct_nz = {}
+        self._struct_by_c = {}  # c -> [(a, b, C^c_ab)] for a < b
         for a in range(r):
             for b in range(r):
                 nz = [(c, co) for c, co in enumerate(self.structure[a][b]) if not is_zero_coeff(co)]
                 if nz:
                     self._struct_nz[(a, b)] = nz
+                if a < b:
+                    for c, co in nz:
+                        self._struct_by_c.setdefault(c, []).append((a, b, co))
 
     @property
     def dim(self) -> int:
@@ -213,9 +220,6 @@ class AlgebroidChart:
     @property
     def rank(self) -> int:
         return len(self.anchor)
-
-    def anchor_nonzero(self, a: int):
-        return self._anchor_nz[a]
 
     def structure_nonzero(self, a: int, b: int):
         return self._struct_nz.get((a, b), ())
@@ -305,41 +309,48 @@ def _sort_with_sign(indices: tuple[int, ...]):
 def differential(s: KSection) -> KSection:
     """Exterior differential of a section of degree at most 2.
 
-    Applies the Cartan-type formula on basis tuples: the anchor acts on
-    coefficient functions through their partials, brackets of basis sections
-    contribute through the structure functions.  Each output coefficient is
-    one folded expression, sum of rho * (symbolic partial) and of
-    +-C * coefficient, and one that folds to zero is dropped.
+    Applies the Cartan-type formula, walking only the nonzero entries: each
+    nonzero s_K meets each index a not in K with a nonzero anchor row (the
+    anchor acts on s_K through its partials), and each c in K meets each
+    nonzero C^c_ab with a < b and a, b not in K minus c (the bracket terms).
+    The terms of each output coefficient are summed, as one folded
+    expression, in the order of a walk over the basis: anchor terms by the
+    position of a and the base variable, then bracket terms by the
+    positions of a and b and by c.  An output that folds to zero is dropped.
     """
     if s.degree > 2:
         raise ValueError("differential implemented for sections of degree <= 2")
     chart = s.chart
-    k = s.degree
-    out: dict[tuple, ExprCoeff] = {}
-    for idx in itertools.combinations(range(chart.rank), k + 1):
-        node = _ZERO
-        for i, a in enumerate(idx):
-            coeff = s.coeffs.get(idx[:i] + idx[i + 1 :])
-            if coeff is None:
+    terms: dict[tuple, list] = {}  # output index -> [(order in the basis walk, term)]
+    for key, coeff in s.coeffs.items():
+        partials: dict[int, Expr] = {}
+        for a, anchor in enumerate(chart._anchor_nz):
+            if not anchor or a in key:
                 continue
-            for vi, rc in chart.anchor_nonzero(a):
-                term = mul(rc.node, ex.diff(coeff.node, chart.base_vars[vi]))
-                node = add(node, mul((-1.0) ** i, term))
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = tuple(idx[p] for p in range(k + 1) if p not in (i, j))
-                sign_ij = (-1.0) ** (i + j)
-                for c, c_coeff in chart.structure_nonzero(idx[i], idx[j]):
-                    key, sgn = _sort_with_sign((c,) + rest)
-                    if key is None:
-                        continue
-                    coeff = s.coeffs.get(key)
-                    if coeff is None:
-                        continue
-                    node = add(node, mul(sign_ij * sgn, mul(c_coeff.node, coeff.node)))
+            idx = tuple(sorted(key + (a,)))
+            i = idx.index(a)
+            for vi, rc in anchor:
+                if vi not in partials:
+                    partials[vi] = ex.diff(coeff.node, chart.base_vars[vi])
+                term = mul((-1.0) ** i, mul(rc.node, partials[vi]))
+                terms.setdefault(idx, []).append(((0, i, vi), term))
+        for p, c in enumerate(key):
+            rest = key[:p] + key[p + 1 :]
+            for a, b, cc in chart._struct_by_c.get(c, ()):
+                if a in rest or b in rest:
+                    continue
+                idx = tuple(sorted(rest + (a, b)))
+                i, j = idx.index(a), idx.index(b)
+                term = mul((-1.0) ** (i + j + p), mul(cc.node, coeff.node))
+                terms.setdefault(idx, []).append(((1, i, j, c), term))
+    out: dict[tuple, ExprCoeff] = {}
+    for idx in sorted(terms):
+        node = _ZERO
+        for _, term in sorted(terms[idx]):  # the orders are distinct: terms are never compared
+            node = add(node, term)
         if ex.literal_value(node) != 0.0:
             out[idx] = ExprCoeff(node)
-    return KSection(chart, k + 1, out)
+    return KSection(chart, s.degree + 1, out)
 
 
 # ---------------------------------------------------------------- morphisms
@@ -368,6 +379,10 @@ class Morphism:
             len(row) != self.src.rank for row in self.fiber_map
         ):
             raise ValueError("fiber map must be dst.rank x src.rank")
+        self._fiber_nz = [
+            [(a, c.node) for a, c in enumerate(row) if not is_zero_coeff(c)]
+            for row in self.fiber_map
+        ]
 
 
 _PERMS = {
@@ -390,7 +405,10 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
     The coefficient on source indices (a_1..a_k) is the sum over destination
     indices b of det(fiber_map[b_p][a_q]) times s_b at the pushed point, as
     one folded expression: the base map substituted into s_b, multiplied by
-    the determinant terms.
+    the determinant terms.  Only nonzero entries are walked: for each
+    nonzero s_b and each permutation, the products of the nonzero entries
+    of the rows it selects whose columns increase.  The terms are summed in
+    the order of a walk over every source index tuple.
     """
     if s.chart is not morph.dst:
         raise ValueError("section must live on the destination chart of the morphism")
@@ -399,22 +417,21 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
     pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
     if k == 0:
         return KSection(morph.src, 0, pulled)
-    out: dict[tuple, ExprCoeff] = {}
-    for idx in itertools.combinations(range(morph.src.rank), k):
-        node = _ZERO
-        for bkey, s_b in pulled.items():
-            det = _ZERO
-            for perm, sign in _PERMS[k]:
-                entries = [morph.fiber_map[bkey[perm[p]]][idx[p]] for p in range(k)]
-                if any(is_zero_coeff(e) for e in entries):
+    nodes: dict[tuple, Expr] = {}
+    for bkey, s_b in pulled.items():
+        dets: dict[tuple, Expr] = {}
+        for perm, sign in _PERMS[k]:
+            for entries in itertools.product(*(morph._fiber_nz[bkey[q]] for q in perm)):
+                idx = tuple(a for a, _ in entries)
+                if any(x >= y for x, y in zip(idx, idx[1:])):
                     continue
                 prod = sign
-                for e in entries:
-                    prod = mul(prod, e.node)
-                det = add(det, prod)
-            node = add(node, mul(det, s_b))
-        out[idx] = ExprCoeff(node)
-    return KSection(morph.src, k, out)
+                for _, e in entries:
+                    prod = mul(prod, e)
+                dets[idx] = add(dets.get(idx, _ZERO), prod)
+        for idx, det in dets.items():
+            nodes[idx] = add(nodes.get(idx, _ZERO), mul(det, s_b))
+    return KSection(morph.src, k, {idx: nodes[idx] for idx in sorted(nodes)})
 
 
 def morphism_defect(morph: Morphism, s: KSection, envs) -> float:

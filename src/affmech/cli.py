@@ -21,7 +21,7 @@ from pathlib import Path
 from . import expr as ex
 from .algebroid import VALIDATION_TOL, SamplePlan, check_box_var, nan_max, validate_chart, values_at
 from .affgebroid import CoSection
-from .dynamics import DEFAULT_STEP, integrate
+from .dynamics import DEFAULT_STEP, MAX_STEPS, check_step_budget, integrate
 from .hj import (
     POINT_TOL,
     TRAJECTORY_TOL,
@@ -49,6 +49,7 @@ DEFAULTS = {
     "pointwise_tol": POINT_TOL,
     "trajectory_tol": TRAJECTORY_TOL,
     "verify_points": 10,
+    "max_steps": MAX_STEPS,
 }
 
 
@@ -178,6 +179,7 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
             raise ValueError("--step, --t0 and --t-end must be finite numbers")
         if args.step <= 0 or args.t_end <= args.t0 or args.thin < 1:
             raise ValueError("need step > 0, t-end > t0 and thin >= 1")
+        check_step_budget(args.t0, args.t_end, args.step)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -281,6 +283,11 @@ def _evaluation_error(err: ex.EvalError) -> int:
 def cmd_verify(bundle: ModelBundle, args) -> int:
     chart = bundle.chart
     try:
+        if not all(map(math.isfinite, (args.step, args.horizon))):
+            raise ValueError("--step and --horizon must be finite numbers")
+        if args.step <= 0 or args.horizon <= 0:
+            raise ValueError("need step > 0 and horizon > 0")
+        check_step_budget(0.0, args.horizon, args.step)
         alpha = _resolve_alpha(bundle, args.alpha)
         if args.x0_set:
             points = [
@@ -289,6 +296,8 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
                 if p.strip()
             ]
         else:
+            if args.points < 1:
+                raise ValueError(f"--points must be at least 1, got {args.points}")
             envs = bundle.sample.points(chart.base_vars)[: args.points]
             points = [[env[v] for v in chart.base_vars] for env in envs]
         if not points:

@@ -4,6 +4,9 @@ States are flat float lists ordered as (base coordinates, fiber coordinates).
 Integration is classical fixed-step RK4; the last step is shortened to land
 exactly on the requested end time.  No structure-preserving scheme is used;
 conservation tolerances elsewhere are calibrated to RK4 at the default step.
+A Trajectory keeps every state, so an integration that would take more than
+``MAX_STEPS`` steps is refused with a ValueError before the first step
+(``check_step_budget``).
 
 The Hamilton field of a section is built once as m+n expressions and
 compiled once (``expr.compile``) into straight-line code, so an RK4 stage
@@ -32,6 +35,8 @@ _rhs_exprs = hamilton_field  # earlier name, still imported by callers
 
 __all__ = [
     "DEFAULT_STEP",
+    "MAX_STEPS",
+    "check_step_budget",
     "Trajectory",
     "hamilton_rhs",
     "integrate",
@@ -43,6 +48,17 @@ __all__ = [
 ]
 
 DEFAULT_STEP = 1e-3
+MAX_STEPS = 1_000_000  # RK4 steps one integration may take
+
+
+def check_step_budget(t0: float, t_end: float, step: float) -> None:
+    """Raise ValueError when going from t0 to t_end takes more than MAX_STEPS steps."""
+    steps = (t_end - t0) / step
+    if not steps <= MAX_STEPS:  # ceil(steps) > MAX_STEPS, or an infinite or NaN span
+        raise ValueError(
+            f"integrating from t={t0!r} to t={t_end!r} at step {step!r} takes "
+            f"{steps:.6g} steps, more than the step budget of {MAX_STEPS}"
+        )
 
 
 @dataclass
@@ -143,6 +159,7 @@ def integrate_field(
         raise ValueError("step must be positive")
     if not t_end > t0:
         raise ValueError("t_end must exceed t0")
+    check_step_budget(t0, t_end, step)
     times = [t0]
     states = [list(map(float, y0))]
     y = states[0]

@@ -16,6 +16,7 @@ sections (the 1/(t+1) family, the cot(t) family).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .algebroid import AlgebroidChart, SamplePlan, validate_chart
@@ -214,8 +215,8 @@ def rigid_body(i1: float, i2: float, i3: float) -> ModelBundle:
     equations dPi/dt = Pi x Omega with Omega_a = Pa/Ia.
     """
     inertia = (float(i1), float(i2), float(i3))
-    if any(v <= 0.0 for v in inertia):
-        raise ValueError("inertia moments must be positive")
+    if not all(0.0 < v < math.inf for v in inertia):
+        raise ValueError("inertia moments must be positive finite numbers")
     base = ["t"]
     fibers = ["P1", "P2", "P3"]
     CV = [[[_LEVI_CIVITA.get((a, b, g), 0.0) for g in range(3)] for b in range(3)] for a in range(3)]
@@ -307,7 +308,10 @@ def by_name(name: str) -> ModelBundle:
             inertia = [float(p) for p in parts]
         except ValueError:
             raise ModelNameError(f"'{name}': inertia values must be numbers") from None
-        return rigid_body(*inertia)
+        try:
+            return rigid_body(*inertia)
+        except ValueError as err:
+            raise ModelNameError(f"'{name}': {err}") from None
     raise ModelNameError(f"unknown model '{name}'; builtins: {BUILTIN_PATTERNS}")
 
 

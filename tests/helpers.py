@@ -5,12 +5,15 @@ arguments, positively offset log/sqrt arguments, guarded denominators) and
 points are rejection-sampled away from residual domain violations, so the
 finite-difference oracle is well conditioned wherever it is evaluated.
 Forward-mode dual arithmetic (``evaluate_with_partials``) is the oracle for
-the symbolic ``expr.diff``, and a least-squares solve (``reeb_solve``) the
-oracle for ``affgebroid.reeb``.
+the symbolic ``expr.diff``, a least-squares solve (``reeb_solve``) the
+oracle for ``affgebroid.reeb``, and loops over the whole basis
+(``dense_differential``, ``dense_pullback``) the oracles for the sparse
+``algebroid.differential`` and ``algebroid.pullback``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ import numpy as np
 
 from affmech import expr as ex
 from affmech.affgebroid import omega_h
+from affmech.algebroid import _PERMS, ExprCoeff, KSection, _sort_with_sign, is_zero_coeff
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 
 
@@ -172,6 +176,74 @@ def reeb_solve(h, env, omega=None):
             f"degenerate cosymplectic pair at {env}: rank {rank} of {r}, residual {residual:.3e}"
         )
     return ReebResult([float(v) for v in sol], residual, int(rank))
+
+
+# ------------------------------------------- dense differential and pullback
+
+
+def dense_differential(s):
+    """Exterior differential by visiting every (k+1)-subset of the basis.
+
+    Adds the terms of each output coefficient in the order the sparse
+    ``algebroid.differential`` must reproduce: anchor terms by position and
+    base variable, then bracket terms by position pair and bracket component.
+    """
+    if s.degree > 2:
+        raise ValueError("differential implemented for sections of degree <= 2")
+    chart = s.chart
+    k = s.degree
+    out = {}
+    for idx in itertools.combinations(range(chart.rank), k + 1):
+        node = ex.Lit(0.0)
+        for i, a in enumerate(idx):
+            coeff = s.coeffs.get(idx[:i] + idx[i + 1 :])
+            if coeff is None:
+                continue
+            for vi, rc in chart._anchor_nz[a]:
+                term = ex.mul(rc.node, ex.diff(coeff.node, chart.base_vars[vi]))
+                node = ex.add(node, ex.mul((-1.0) ** i, term))
+        for i in range(k + 1):
+            for j in range(i + 1, k + 1):
+                rest = tuple(idx[p] for p in range(k + 1) if p not in (i, j))
+                sign_ij = (-1.0) ** (i + j)
+                for c, c_coeff in chart.structure_nonzero(idx[i], idx[j]):
+                    key, sgn = _sort_with_sign((c,) + rest)
+                    if key is None:
+                        continue
+                    coeff = s.coeffs.get(key)
+                    if coeff is None:
+                        continue
+                    node = ex.add(node, ex.mul(sign_ij * sgn, ex.mul(c_coeff.node, coeff.node)))
+        if ex.literal_value(node) != 0.0:
+            out[idx] = ExprCoeff(node)
+    return KSection(chart, k + 1, out)
+
+
+def dense_pullback(morph, s):
+    """Pullback by visiting every source index tuple, destination key and permutation."""
+    if s.chart is not morph.dst:
+        raise ValueError("section must live on the destination chart of the morphism")
+    k = s.degree
+    mapping = {var: c.node for var, c in zip(morph.dst.base_vars, morph.base_map)}
+    pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
+    if k == 0:
+        return KSection(morph.src, 0, pulled)
+    out = {}
+    for idx in itertools.combinations(range(morph.src.rank), k):
+        node = ex.Lit(0.0)
+        for bkey, s_b in pulled.items():
+            det = ex.Lit(0.0)
+            for perm, sign in _PERMS[k]:
+                entries = [morph.fiber_map[bkey[perm[p]]][idx[p]] for p in range(k)]
+                if any(is_zero_coeff(e) for e in entries):
+                    continue
+                prod = sign
+                for e in entries:
+                    prod = ex.mul(prod, e.node)
+                det = ex.add(det, prod)
+            node = ex.add(node, ex.mul(det, s_b))
+        out[idx] = ExprCoeff(node)
+    return KSection(morph.src, k, out)
 
 
 # ------------------------------------------------------- structure oracles

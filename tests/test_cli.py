@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -5,7 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affmech import dynamics
 from affmech.algebroid import SamplePlan
 from affmech.cli import main
 from affmech.models import by_name
@@ -280,7 +285,7 @@ def test_verify_non_cocycle_exit_two(capsys):
 def test_show_defaults(capsys):
     assert main(["--show-defaults"]) == 0
     out = capsys.readouterr().out
-    for key in ("seed = 42", "samples = 100", "step = 0.001"):
+    for key in ("seed = 42", "samples = 100", "step = 0.001", "max_steps = 1000000"):
         assert key in out
 
 
@@ -392,6 +397,44 @@ def test_flow_non_finite_arguments_are_input_errors(free_file, capsys):
         assert main(base + extra) == 2, extra
         line, out = error_line(capsys)
         assert "finite" in line and out == ""
+
+
+@pytest.mark.parametrize("option, value, fragment", [
+    ("--step", "0", "step > 0"),
+    ("--step", "-1", "step > 0"),
+    ("--step", "nan", "finite"),
+    ("--horizon", "0", "horizon > 0"),
+    ("--horizon", "-1", "horizon > 0"),
+    ("--horizon", "nan", "finite"),
+    ("--horizon", "inf", "finite"),
+    ("--points", "-3", "--points must be at least 1"),
+])
+def test_verify_bad_arguments_are_input_errors(option, value, fragment, capsys):
+    assert main(["verify", "trivial:1", "--alpha", "w_free", f"{option}={value}"]) == 2
+    line, out = error_line(capsys)
+    assert fragment in line and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "oscillator", "--x0", "0,1", "--y0", "0", "--t-end", "1e9", "--step", "1"],
+    ["verify", "trivial:1", "--alpha", "w_free", "--horizon", "2", "--step", "1e-6"],
+])
+def test_runs_past_the_step_budget_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    line, out = error_line(capsys)
+    assert f"more than the step budget of {dynamics.MAX_STEPS}" in line and out == ""
+
+
+def test_the_step_budget_is_checked_before_integrating(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+    base = ["flow", "oscillator", "--x0", "0,1", "--y0", "0", "--t-end", "1"]
+    assert main(base + ["--step", "0.1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 12  # header and 11 states
+    assert main(base + ["--step", "0.09"]) == 2
+    line, _ = error_line(capsys)
+    assert "takes 11.1111 steps, more than the step budget of 10" in line
+    with pytest.raises(ValueError, match="step budget"):
+        dynamics.integrate_field(lambda y: y, [1.0], 0.0, 2.0, 0.1)
 
 
 def run_python(*args):
@@ -515,3 +558,88 @@ def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
     line, out = error_line(capsys)
     assert line == "error: internal error: RuntimeError: boom second line"
     assert out == ""
+
+
+# ------------------------------------------------------ generated argv
+
+# 0, negatives, NaN, infinities and huge values, drawn beside ordinary
+# values; every finite span over a step from this list is either under 25
+# steps or past the step budget
+HOSTILE = ["0", "-0", "-1", "-2.5", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
+           "1e-300", "1e308"]
+NUMBERS = ["0.25", "0.5", "1", "2", "3"] * 8 + HOSTILE
+TRIVIAL = ["w_free", "w_cubic", "w_sq", "zero"]
+MODELS = {  # base and fiber dimension, section names
+    "trivial:1": (2, 1, TRIVIAL), "trivial:2": (3, 2, TRIVIAL), "oscillator": (2, 1, ["w_osc"]),
+    "linear:tangent2": (2, 2, ["grad_sq", "const"]), "perturbed-so3": (1, 3, []),
+    "rigid:1,2,3": (1, 3, ["cocycle_t", "bad_constant", "zero"]),
+}
+BAD_MODELS = ["rigid:1,0,1", "rigid:1,nan,1", "trivial:0", "linear:tangent", "no-such-model"]
+ATOMS = ["q1", "q2", "t", "x1", "x2", "p1", "0", "2.5", "1e300", "nan"]
+
+numbers = st.sampled_from(NUMBERS)
+
+
+def counts(k):
+    """Mostly k, sometimes one off."""
+    return st.sampled_from([k] * 8 + [k + 1, max(k - 1, 0)])
+
+
+def csv_of(draw, k):
+    return ",".join(draw(st.lists(numbers, min_size=k, max_size=k)))
+
+
+expressions = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^"]), inner).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+    ),
+    max_leaves=6,
+)
+
+
+def alpha(draw, n, sections):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(sections * 3 + ["nope"]))
+    comps = [draw(expressions) for _ in range(draw(counts(n)))]
+    return f"alpha0={draw(expressions)};alphaV={','.join(comps)}"
+
+
+@st.composite
+def argvs(draw):
+    model = draw(st.sampled_from(list(MODELS) * 2 + BAD_MODELS))
+    m, n, sections = MODELS.get(model, (1, 1, []))
+    command = draw(st.sampled_from(["validate", "flow", "hj", "verify"]))
+    argv = [command, model]
+    if command == "flow":
+        argv += [f"--x0={csv_of(draw, draw(counts(m)))}", f"--y0={csv_of(draw, draw(counts(n)))}",
+                 f"--t0={draw(numbers)}", f"--t-end={draw(numbers)}", f"--step={draw(numbers)}",
+                 f"--thin={draw(st.sampled_from([1, 3, 10**12, 0, -1]))}"]
+    elif command == "hj":
+        argv.append(f"--alpha={alpha(draw, n, sections)}")
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            var = draw(st.sampled_from(["t", "q1", "x1", "p1", "zz"]))
+            argv.append(f"--box={var}={csv_of(draw, draw(counts(2)))}")
+        argv.append(f"--samples={draw(st.sampled_from([7, 7, 7, 1, 0, -5]))}")
+        argv.append(f"--seed={draw(st.sampled_from([0, -1, 42, 2**70]))}")
+    elif command == "verify":
+        argv.append(f"--alpha={alpha(draw, n, sections)}")
+        if draw(st.booleans()):
+            points = [csv_of(draw, draw(counts(m))) for _ in range(draw(st.integers(0, 2)))]
+            argv.append(f"--x0-set={';'.join(points)}")
+        else:
+            argv.append(f"--points={draw(st.sampled_from([1, 2, 2, 0, -3]))}")
+        argv += [f"--horizon={draw(numbers)}", f"--step={draw(numbers)}"]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argvs())
+def test_main_on_generated_argv_returns_an_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "internal error" not in err.getvalue(), (argv, err.getvalue())
