@@ -199,7 +199,9 @@ class CoSection:
     ``alpha_outputs`` caches alphaV and its base partials as expressions,
     ``compiled_alpha`` the same compiled into one function; the functions of
     the same names in ``dynamics`` fill them on their first call.
-    ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h.
+    ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h,
+    ``theorem_cache`` the work of ``hj.verify_theorem`` that does not depend on
+    the start point, for the last h and sample plan.
     """
 
     chart: AffgebroidChart
@@ -208,6 +210,7 @@ class CoSection:
     alpha_outputs: object = field(init=False, repr=False, compare=False, default=None)
     compiled_alpha: object = field(init=False, repr=False, compare=False, default=None)
     compiled_stage: object = field(init=False, repr=False, compare=False, default=None)
+    theorem_cache: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.alpha0 = as_coeff(self.alpha0)

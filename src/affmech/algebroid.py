@@ -43,6 +43,7 @@ __all__ = [
     "as_coeff",
     "is_zero_coeff",
     "SplitMix64",
+    "MAX_SAMPLES",
     "SamplePlan",
     "check_box_var",
     "AlgebroidChart",
@@ -131,6 +132,9 @@ class SplitMix64:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
 
 
+MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; each is a dict held at once
+
+
 @dataclass(frozen=True)
 class SamplePlan:
     """Axis-aligned sampling box: per-variable intervals, count and seed."""
@@ -144,6 +148,11 @@ class SamplePlan:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"sample count must be at least 1, got {self.count}")
+        if self.count > MAX_SAMPLES:
+            raise ValueError(
+                f"sample count must be at most the sample budget of {MAX_SAMPLES}, "
+                f"got {self.count}"
+            )
         for var, (lo, hi) in self.box.items():
             # lo == hi pins the variable: verify_theorem samples the range
             # of a trajectory, along which a coordinate may stay constant

@@ -19,7 +19,9 @@ calls one compiled stage (the field, or ``reduced_stage``) four times with no
 wrapper between, checks each output for finiteness and does
 ``integrate_field``'s float operations in its order.  Where it raises or
 returns None, that step is redone on the per-stage path, so every state,
-abort and message is the per-stage one.
+abort and message is the per-stage one.  ``integrate_reduced`` can hand each
+state's finite first stage to a hook: ``hj.verify_theorem`` measures the
+theorem's residuals there, in the same pass as the integration.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from typing import Callable, Sequence
 
 from . import expr as ex
 from .affgebroid import CoSection, HamiltonianSection, hamilton_field
-
-_rhs_exprs = hamilton_field  # earlier name, still imported by callers
 
 __all__ = [
     "DEFAULT_STEP",
@@ -198,13 +198,19 @@ def integrate_field(
     return Trajectory(t0, step, times, states)
 
 
-def _rk4_step(stage):
+def _rk4_step(stage, on_k1=None):
     """One RK4 step ``step(y, hs)`` over a compiled stage, or None without one.
 
     Does ``integrate_field``'s float operations in its order (0.5*hs*k as
     ``h2 * k``, ``h2 = 0.5 * hs``: the same products) on the first len(y)
     outputs of each stage.  None unless every stage output is finite (a sum
     that overflows reads as non-finite too, which only costs a per-stage step).
+
+    ``on_k1(y, k1)``, when given, is called with every output of the first
+    stage at y once they passed the finiteness check, before the later
+    stages: at most once per state, never for the last state of a
+    trajectory, and not for a state whose first stage raises or fails the
+    check.
     """
     if not stage:
         return None
@@ -214,6 +220,8 @@ def _rk4_step(stage):
         k1 = stage(y)
         if sum(k1) * 0.0 != 0.0:
             return None
+        if on_k1 is not None:
+            on_k1(y, k1)
         k2 = stage([a + h2 * b for a, b in zip(y, k1)])
         if sum(k2) * 0.0 != 0.0:
             return None
@@ -324,9 +332,15 @@ def integrate_reduced(
     t0: float,
     t_end: float,
     step: float = DEFAULT_STEP,
+    *,
+    on_k1=None,
 ) -> Trajectory:
-    """Integrate the reduced base-space field from a base point."""
+    """Integrate the reduced base-space field from a base point.
+
+    ``on_k1(y, k1)`` receives the outputs of ``reduced_stage`` at each state
+    the fused step starts from, as described in ``_rk4_step``.
+    """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    fused = _rk4_step(reduced_stage(alpha, h))
+    fused = _rk4_step(reduced_stage(alpha, h), on_k1)
     return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, fused)

@@ -6,6 +6,7 @@ reduced trajectories.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -19,7 +20,7 @@ from .algebroid import (
     section_max_abs,
     values_at,
 )
-from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
+from .affgebroid import CoSection, HamiltonianSection, hamilton_field
 from .dynamics import (
     DEFAULT_STEP,
     Trajectory,
@@ -107,8 +108,7 @@ def hj_residual(alpha: CoSection, h: HamiltonianSection, sample=None) -> HJRepor
     ``sample`` is as in ``cocycle_residual``.
     """
     envs = sample if sample is not None else SamplePlan()
-    df = differential(KSection.function(h.chart.vertical_chart(), f_of(h, alpha)))
-    worst, where, _ = section_max_abs(df, envs)
+    worst, where, _ = section_max_abs(_vertical_df(alpha, h), envs)
     return HJReport(worst, where[0] if where else -1, _count(envs))
 
 
@@ -169,32 +169,48 @@ def verify_theorem(
     where the reduced field cannot be evaluated raises the evaluation error,
     with x0 as its ``point``.
 
-    The base defect compares two independently compiled routes to the field
-    at (x, alphaV(x)): ``dynamics.reduced_stage`` and ``hamilton_rhs``.  A
-    state where the first fails is measured on the per-stage path, whose
-    evaluation errors record the state as their ``point``.
+    The residuals are measured in the integration pass, which hands each
+    state's first RK4 stage (``dynamics.reduced_stage``) to one compiled
+    check (``_theorem_check``); only running maxima are kept.  The check
+    computes the Hamilton field at (x, alphaV(x)) again, with the fiber
+    coordinates as inputs, so the base defect compares two independently
+    compiled routes at every state.  The last state is measured after the
+    pass.  If the pass missed a state, all states are measured again, on the
+    per-stage path where the stage or check fails; its evaluation errors
+    record the state as their ``point``.  The work that does not depend on
+    x0 is cached on alpha (``_x0_free``).
     """
     aff = h.chart
     m, n = aff.m, aff.n
     plan = sample if sample is not None else SamplePlan()
 
-    coc = cocycle_residual(alpha, plan)
+    cache = _x0_free(alpha, h, plan)
+    coc, check = cache["cocycle"], cache["check"]
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
 
-    traj = integrate_reduced(alpha, h, x0, 0.0, horizon, step)
+    worst = [0.0, 0.0]  # nan_max of the base defects, of the fiber residuals
+    measured = 0  # states the integration pass measured
+
+    def record(rows):
+        """Fold m signed base defects, then n signed fiber residuals, into ``worst``."""
+        worst[0] = nan_max((worst[0], *map(abs, rows[:m])))
+        worst[1] = nan_max((worst[1], *map(abs, rows[m : m + n])))
+
+    def on_k1(y, k1):
+        nonlocal measured
+        rows = ex.run_compiled(check, y + k1)
+        if rows is not None:
+            record(rows)
+            measured += 1
+
+    traj = integrate_reduced(alpha, h, x0, 0.0, horizon, step, on_k1=on_k1)
     field = reduced_field(alpha, h)
     if not traj.ok:
         # a start point outside the section's domain is an input error, not a
         # failed flow; evaluating there raises it with x0 as its point
         values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
         raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
-
-    def measure(xdot, rhs, dg):
-        """Base-equation defect and largest fiber residual; dg[a*m + i] = dalphaV[a]/dx^i."""
-        fiber = [abs(sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a])
-                 for a in range(n)]
-        return nan_max(abs(rhs[i] - xdot[i]) for i in range(m)), nan_max(fiber)
 
     def residuals(env):
         """The per-stage path: alphaV and its partials from ``compiled_alpha``,
@@ -206,20 +222,17 @@ def verify_theorem(
         xdot = field(state)
         dg = fast[n:] if fast is not None else [
             ex.evaluate(d, env) for d in _alpha_outputs(alpha)[n:]]
-        return measure(xdot, rhs, dg)
+        return [rhs[i] - xdot[i] for i in range(m)] + [
+            sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a] for a in range(n)]
 
     stage = reduced_stage(alpha, h)
-    w = 2 * (m + n) + 1  # where alphaV starts among the stage's outputs
-    per_state = []
-    for state in traj.states:
+    for state in traj.states[-1:] if measured == len(traj) - 1 else traj.states:
         out = ex.run_compiled(stage, state)
-        if out is None:
-            per_state += values_at(residuals, [dict(zip(aff.base_vars, state))])
-        else:
-            rhs = hamilton_rhs(h, state + out[w : w + n])
-            per_state.append(measure(out[:m], rhs, out[w + n :]))
-    base_defect = nan_max(d for d, _ in per_state)
-    traj_max = nan_max(r for _, r in per_state)
+        rows = None if out is None else ex.run_compiled(check, state + out)
+        if rows is None:
+            (rows,) = values_at(residuals, [dict(zip(aff.base_vars, state))])
+        record(rows)
+    base_defect, traj_max = worst
     if not base_defect <= 1e-12:
         raise IntegrationFailure(
             f"base equation failed to hold by construction: defect {base_defect:.3e}"
@@ -229,14 +242,67 @@ def verify_theorem(
     for i, var in enumerate(aff.base_vars):
         values = [s[i] for s in traj.states]
         box[var] = (min(values), max(values))
-    hj = hj_residual(alpha, h, SamplePlan(box=box, count=plan.count, seed=plan.seed))
+    if "df" not in cache:
+        cache["df"] = _vertical_df(alpha, h)
+    hj_max, _, _ = section_max_abs(
+        cache["df"], SamplePlan(box=box, count=plan.count, seed=plan.seed)
+    )
 
     return TheoremReport(
         x0=list(map(float, x0)),
         cocycle_max=coc.max_residual,
         trajectory_max=traj_max,
         base_defect_max=base_defect,
-        hj_max=hj.max_residual,
+        hj_max=hj_max,
         trajectory=traj,
         box=box,
     )
+
+
+def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
+    """The part of ``verify_theorem`` that x0 does not change, cached on alpha.
+
+    ``"cocycle"`` is the cocycle report on the plan and ``"check"`` the
+    compiled ``_theorem_check`` (None for a section that is not a cocycle);
+    ``verify_theorem`` adds ``"df"``, d^V f, where it first needs it.  Kept
+    for the last (h, plan), like ``CoSection.compiled_stage``.
+    """
+    cache = alpha.theorem_cache
+    if cache is None or cache["h"] is not h or cache["plan"] != plan:
+        coc = cocycle_residual(alpha, plan)
+        check = _theorem_check(h) if coc.is_cocycle else None
+        cache = alpha.theorem_cache = {"h": h, "plan": plan, "cocycle": coc, "check": check}
+    return cache
+
+
+def _theorem_check(h: HamiltonianSection):
+    """The per-state check of ``verify_theorem``, compiled; None where that fails.
+
+    Its input is a base point x followed by the outputs of
+    ``dynamics.reduced_stage`` at x: the reduced field X(x) comes first,
+    alphaV(x) from index W = 2(m+n)+1 and dalphaV[a]/dx^i at W + n + a*m + i.
+    Its outputs are the m signed base defects ``rhs_i - X_i`` and the n
+    signed fiber residuals ``sum_i dalphaV[a]/dx^i X_i - rhs_(m+a)``, where
+    rhs is ``hamilton_field`` with the fiber coordinates read as inputs (the
+    stage binds them to alphaV instead).  The sums run in the per-stage
+    path's order, as unfolded BinOps.  H and its partials follow, so the
+    check raises wherever the compiled field of ``hamilton_rhs`` does.
+    """
+    aff = h.chart
+    m, n = aff.m, aff.n
+    w = 2 * (m + n) + 1
+    slots = [f"k1[{j}]" for j in range(w + n + n * m)]  # names no parsed variable can have
+    slots[w : w + n] = aff.fiber_vars
+    xdot = [ex.Var(v) for v in slots[:m]]
+    rhs = hamilton_field(h)
+    rows = [ex.BinOp("-", rhs[i], xdot[i]) for i in range(m)]
+    for a in range(n):
+        terms = [ex.BinOp("*", ex.Var(slots[w + n + a * m + i]), xdot[i]) for i in range(m)]
+        total = functools.reduce(functools.partial(ex.BinOp, "+"), terms or [ex.Lit(0.0)])
+        rows.append(ex.BinOp("-", total, rhs[m + a]))
+    return ex.try_compile(rows + [h.H] + h.partials, aff.base_vars + slots)
+
+
+def _vertical_df(alpha: CoSection, h: HamiltonianSection) -> KSection:
+    """d^V f, whose coefficients rhoV[a]^i df/dx^i are the HJ residuals."""
+    return differential(KSection.function(h.chart.vertical_chart(), f_of(h, alpha)))

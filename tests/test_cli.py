@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmech import dynamics
-from affmech.algebroid import SamplePlan
+from affmech.algebroid import MAX_SAMPLES, SamplePlan
 from affmech.cli import main
 from affmech.models import by_name
 
@@ -272,6 +272,15 @@ def test_verify_seeded_default_points(capsys):
     assert out.count("point_") == 4
 
 
+def test_verify_draws_more_points_than_the_model_samples(capsys):
+    argv = ["verify", "trivial:1", "--alpha", "w_free", "--horizon", "0.01", "--step", "0.01"]
+    assert main(argv + ["--points", "150"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("point_") for line in lines) == 150
+    assert main(argv) == 0  # the default 10 points are the first 10 of them
+    assert capsys.readouterr().out.splitlines()[:10] == lines[:10]
+
+
 def test_verify_non_cocycle_exit_two(capsys):
     code = main(["verify", "rigid:1,2,3", "--alpha", "bad_constant"])
     captured = capsys.readouterr()
@@ -285,7 +294,8 @@ def test_verify_non_cocycle_exit_two(capsys):
 def test_show_defaults(capsys):
     assert main(["--show-defaults"]) == 0
     out = capsys.readouterr().out
-    for key in ("seed = 42", "samples = 100", "step = 0.001", "max_steps = 1000000"):
+    for key in ("seed = 42", "samples = 100", "step = 0.001", "max_steps = 1000000",
+                "max_samples = 1000000"):
         assert key in out
 
 
@@ -423,6 +433,19 @@ def test_runs_past_the_step_budget_are_input_errors(argv, capsys):
     assert main(argv) == 2
     line, out = error_line(capsys)
     assert f"more than the step budget of {dynamics.MAX_STEPS}" in line and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hj", "trivial:1", "--alpha", "w_free", "--samples", str(MAX_SAMPLES + 1)],
+    ["hj", "trivial:1", "--alpha", "w_free", "--samples", "30000000"],
+    ["verify", "trivial:1", "--alpha", "w_free", "--points", str(MAX_SAMPLES + 1)],
+])
+def test_sample_counts_past_the_budget_are_input_errors(argv, monkeypatch, capsys):
+    monkeypatch.setattr(SamplePlan, "points", lambda plan, variables: pytest.fail("drew points"))
+    assert main(argv) == 2
+    line, out = error_line(capsys)
+    assert f"at most the sample budget of {MAX_SAMPLES}, got {argv[-1]}" in line and out == ""
+    assert SamplePlan(count=MAX_SAMPLES).count == MAX_SAMPLES  # the budget itself is allowed
 
 
 def test_the_step_budget_is_checked_before_integrating(monkeypatch, capsys):

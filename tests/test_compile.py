@@ -6,10 +6,9 @@ import random
 import pytest
 
 from affmech import expr as ex
-from affmech.affgebroid import AffgebroidChart, HamiltonianSection
+from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
 from affmech.dynamics import (
     _interpreted_rhs,
-    _rhs_exprs,
     compiled_alpha,
     hamilton_rhs,
     integrate,
@@ -205,7 +204,7 @@ def test_compiled_rhs_matches_interpreter(name):
 
 
 def test_rigid_body_field_keeps_only_the_bracket_terms():
-    exprs = _rhs_exprs(by_name("rigid:1,2,3").hamiltonian)
+    exprs = hamilton_field(by_name("rigid:1,2,3").hamiltonian)
     assert exprs[0] == Lit(1.0)
 
     def products(e):

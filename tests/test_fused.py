@@ -1,4 +1,4 @@
-"""The fused RK4 step and the compiled per-state residual against the per-stage path.
+"""The fused RK4 step and the compiled per-state check against the per-stage path.
 
 The per-stage path is what ``integrate_field`` does with the field alone,
 and what ``verify_theorem`` does with ``reduced_stage`` unavailable: the
@@ -14,7 +14,7 @@ import pytest
 
 from affmech import dynamics, hj
 from affmech import expr as ex
-from affmech.affgebroid import AffgebroidChart, HamiltonianSection
+from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 from affmech.cli import main
 from affmech.dynamics import (
     hamilton_rhs,
@@ -33,10 +33,10 @@ SECTIONS = [(name, sec) for name in BUILTINS for sec in by_name(name).sections]
 
 @pytest.fixture
 def per_stage(monkeypatch):
-    """Switch the fused step and the compiled per-state residual off."""
+    """Switch the fused step and the compiled per-state check off."""
 
     def apply():
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda stage: None)
+        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: None)
         monkeypatch.setattr(dynamics, "reduced_stage", lambda alpha, h: False)
         monkeypatch.setattr(hj, "reduced_stage", lambda alpha, h: False)
 
@@ -162,6 +162,90 @@ def test_base_defect_compares_two_compiled_routes(monkeypatch):
     monkeypatch.setattr(hj, "reduced_stage", lambda a, hh: skewed)
     with pytest.raises(IntegrationFailure, match="base equation failed"):
         verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+
+
+def outcome(fn):
+    """A report, or the type, message and point of the evaluation error it raises."""
+    try:
+        return fn()
+    except ex.EvalError as err:
+        return type(err), str(err), err.point
+
+
+def inf_times_zero_case():
+    # x1*1e308 overflows for x1 > 1.8, where dH/dy = 0 multiplies it: from
+    # there on the stage is NaN and only the per-stage path gives a value
+    chart = AffgebroidChart(["x1"], ["y1"], [1.0], [["x1*1e308"]], [[0.0]], [[[0.0]]])
+    return CoSection(chart, "0", ["0"]), HamiltonianSection(chart, "y1^2/2"), [1.0], 2.0, 0.1
+
+
+def abs_t_case(horizon):
+    # t runs -0.5, -0.25, 0.0, ... exactly; d sqrt(t^2)/dt divides by 0 at t = 0,
+    # where alphaV and the reduced field are still defined
+    bundle = by_name("oscillator")
+    alpha = CoSection(bundle.chart, "q1*t/sqrt(t^2)", ["sqrt(t^2)"])
+    return alpha, bundle.hamiltonian, [-0.5, 0.3], horizon, 0.25
+
+
+@pytest.mark.parametrize("case, fails", [
+    (inf_times_zero_case, False),
+    (lambda: abs_t_case(1.0), True),  # the state t = 0 is in the middle
+    (lambda: abs_t_case(0.5), True),  # the state t = 0 is the last one
+], ids=["inf_times_zero", "abs_t_middle", "abs_t_last"])
+def test_leaving_the_stage_domain_partway_gives_the_per_stage_result(case, fails, per_stage):
+    fused = outcome(lambda: verify_theorem(*case()))
+    per_stage()
+    assert outcome(lambda: verify_theorem(*case())) == fused
+    if fails:  # with the state it happened at
+        assert fused[:1] == (ex.DomainError,) and fused[2]["t"] == 0.0
+    else:
+        assert isinstance(fused, hj.TheoremReport)
+
+
+def skew_check_at(monkeypatch, state):
+    """Make the check's route to the field off by 1e-9 on its first base row at one state."""
+    real, hits = hj._theorem_check, []
+
+    def make(h):
+        check = real(h)
+
+        def skewed(z):
+            rows = check(z)
+            if z[: len(state)] == state:
+                hits.append(1)
+                rows[0] += 1e-9
+            return rows
+
+        return skewed
+
+    monkeypatch.setattr(hj, "_theorem_check", make)
+    return hits
+
+
+@pytest.mark.parametrize("where", [0, 5, -1])
+def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch):
+    # state 0 and 5 are measured inside the integration pass, the last state after it
+    bundle = by_name("oscillator")
+    h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
+    state = integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2).states[where]
+    hits = skew_check_at(monkeypatch, state)
+    with pytest.raises(IntegrationFailure, match="base equation failed"):
+        verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+    assert hits == [1]
+
+
+def test_the_pass_measures_each_state_once(monkeypatch):
+    bundle = by_name("oscillator")
+    h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
+    calls, real = [], hj._theorem_check
+
+    def make(hh):
+        check = real(hh)
+        return lambda z: calls.append(z[:2]) or check(z)
+
+    monkeypatch.setattr(hj, "_theorem_check", make)
+    report = verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+    assert calls == report.trajectory.states
 
 
 def test_reduced_stage_is_compiled_once_per_pair_of_sections():

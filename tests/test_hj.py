@@ -3,6 +3,7 @@ import math
 import pytest
 
 from affmech import expr as ex
+from affmech import hj
 from affmech.expr import Lit, Var
 from affmech.algebroid import SamplePlan
 from affmech.affgebroid import CoSection, HamiltonianSection
@@ -183,6 +184,30 @@ def test_verify_free_particle_solution():
     # closed-form trajectory: q(t) = 1 + t
     t_end, q_end = report.trajectory.states[-1]
     assert abs(q_end - (1.0 + t_end)) <= 1e-8
+
+
+def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypatch):
+    counts = dict.fromkeys(["cocycle_residual", "_theorem_check", "_vertical_df"], 0)
+    for name in counts:
+
+        def counted(*args, real=getattr(hj, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(hj, name, counted)
+    bundle = trivial_fibration(3)
+    alpha, h = bundle.section("w_free"), bundle.hamiltonian
+    points = [[0.1, 0.2, -0.3, 0.4], [-0.2, 0.5, 0.1, 0.0], [0.3, -0.1, 0.0, 0.2]]
+    reports = [verify_theorem(alpha, h, x0, 0.1, 1e-2) for x0 in points]
+    assert counts == {"cocycle_residual": 1, "_theorem_check": 1, "_vertical_df": 1}
+    fresh = trivial_fibration(3)
+    assert reports == [
+        verify_theorem(fresh.section("w_free"), fresh.hamiltonian, x0, 0.1, 1e-2) for x0 in points
+    ]
+    # the fresh section did it once more; another plan, then another h, twice more
+    verify_theorem(alpha, h, points[0], 0.1, 1e-2, SamplePlan(seed=7))
+    verify_theorem(alpha, HamiltonianSection(h.chart, h.H), points[0], 0.1, 1e-2, SamplePlan(seed=7))
+    assert counts == {"cocycle_residual": 4, "_theorem_check": 4, "_vertical_df": 4}
 
 
 def test_verify_oscillator_solution():
