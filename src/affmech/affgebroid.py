@@ -165,14 +165,19 @@ class HamiltonianSection:
 
     ``partials`` holds the symbolic partials of H with respect to every
     chart variable, base variables first, built once at construction.
+    ``field_rows`` caches ``hamilton_field(self)``, built on its first call.
     ``compiled_rhs`` caches the compiled Hamilton field; ``dynamics.hamilton_rhs``
-    fills it on its first call (False when the field could not be compiled).
+    fills it on its first call.  ``compiled_rk4`` caches the RK4 kernel of
+    ``dynamics.integrate``, compiled on its first call.  Both are False
+    where compiling fails.
     """
 
     chart: AffgebroidChart
     H: Expr
     partials: list = field(init=False, repr=False, compare=False)
+    field_rows: object = field(init=False, repr=False, compare=False, default=None)
     compiled_rhs: object = field(init=False, repr=False, compare=False, default=None)
+    compiled_rk4: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.H = as_expr(self.H)
@@ -196,20 +201,16 @@ class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
     The components are expressions (``as_coeff``); a callable is a TypeError.
-    ``alpha_outputs`` caches alphaV and its base partials as expressions,
-    ``compiled_alpha`` the same compiled into one function; the functions of
-    the same names in ``dynamics`` fill them on their first call.
-    ``compiled_stage`` caches ``(h, dynamics.reduced_stage(self, h))`` for the last h,
-    ``theorem_cache`` the work of ``hj.verify_theorem`` that does not depend on
-    the start point, for the last h and sample plan.
+    ``compiled_rk4`` caches ``(h, kernel)``, the RK4 kernel of
+    ``dynamics.integrate_reduced`` for the last h.  ``theorem_cache`` caches
+    the work of ``hj.verify_theorem`` that does not depend on the start
+    point, its kernel included, for the last h and sample plan.
     """
 
     chart: AffgebroidChart
     alpha0: object
     alphaV: list
-    alpha_outputs: object = field(init=False, repr=False, compare=False, default=None)
-    compiled_alpha: object = field(init=False, repr=False, compare=False, default=None)
-    compiled_stage: object = field(init=False, repr=False, compare=False, default=None)
+    compiled_rk4: object = field(init=False, repr=False, compare=False, default=None)
     theorem_cache: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -331,8 +332,10 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
 
     Base components first, then fiber components, each summed in the order
     ``dynamics._interpreted_rhs`` sums it; terms whose data is a structural
-    zero fold away.
+    zero fold away.  Built once per section and cached in ``h.field_rows``.
     """
+    if h.field_rows is not None:
+        return h.field_rows
     aff = h.chart
     m, n = aff.m, aff.n
     hx, hy = h.partials[:m], h.partials[m:]
@@ -352,6 +355,7 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
                 coef = add(coef, mul(aff.CV[b][a][g], hy[b]))
             total = add(total, mul(Var(aff.fiber_vars[g]), coef))
         out.append(total)
+    h.field_rows = out
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from . import expr as ex
 from .expr import BinOp, Expr, Lit, Var, add, mul
@@ -58,6 +58,7 @@ __all__ = [
     "Prolongation",
     "prolong",
     "section_max_abs",
+    "compile_max_abs",
     "nan_max",
     "values_at",
     "section_max_diff",
@@ -499,6 +500,32 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
             err.point = env
             raise
     return worst, where, at
+
+
+def compile_max_abs(s: KSection) -> Callable[[object], tuple[float, tuple, dict]]:
+    """``section_max_abs(s, envs)`` as a function of ``envs``, every coefficient compiled once.
+
+    At a point where the compiled coefficients raise or one is not finite,
+    the interpreter evaluates the point, so the result, each evaluation
+    error and its ``point`` are those of ``section_max_abs``.
+    """
+    nodes, variables = {k: c.node for k, c in s.coeffs.items()}, s.chart.base_vars
+    fn = ex.try_compile(list(nodes.values()), variables)
+
+    def max_abs(envs) -> tuple[float, tuple, dict]:
+        left, envs = _unproved(nodes, envs, variables)
+        cols = [list(nodes).index(k) for k in left]
+        worst, where, at = 0.0, (), {}
+        for env in envs:
+            out = ex.run_compiled(fn, [env[v] for v in variables])
+            values = [out[c] for c in cols] if out else values_at(
+                lambda e: [s.coeffs[k].value(e) for k in left], [env])[0]
+            for idx, v in zip(left, map(abs, values)):
+                if v > worst or v != v:
+                    worst, where, at = v, idx, env
+        return worst, where, at
+
+    return max_abs
 
 
 def nan_max(values: Iterable[float]) -> float:

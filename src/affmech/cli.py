@@ -171,7 +171,10 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    return [float(p) for p in parts]
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} needs finite values, got {text.strip()!r}")
+    return values
 
 
 def cmd_flow(bundle: ModelBundle, args) -> int:

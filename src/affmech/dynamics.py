@@ -8,20 +8,15 @@ A Trajectory keeps every state, so an integration that would take more than
 ``MAX_STEPS`` steps is refused with a ValueError before the first step
 (``check_step_budget``).
 
-The Hamilton field of a section is built once as m+n expressions and
-compiled once (``expr.compile``) into straight-line code, so an RK4 stage
-walks no expression tree.  The interpreter stays the reference: it takes
-over at any state where the compiled field raises or gives a non-finite
-value, and every domain error and its message comes from it.
-
-``integrate`` and ``integrate_reduced`` also pass a fused RK4 step, which
-calls one compiled stage (the field, or ``reduced_stage``) four times with no
-wrapper between, checks each output for finiteness and does
-``integrate_field``'s float operations in its order.  Where it raises or
-returns None, that step is redone on the per-stage path, so every state,
-abort and message is the per-stage one.  ``integrate_reduced`` can hand each
-state's finite first stage to a hook: ``hj.verify_theorem`` measures the
-theorem's residuals there, in the same pass as the integration.
+``integrate`` and ``integrate_reduced`` run each integration as one
+generated RK4 loop (``expr.compile_rk4``) over a compiled stage: the
+Hamilton field, or ``reduced_stage``, as straight-line code built once per
+section.  The kernel walks no expression tree and calls no Python function
+per stage.  It hands any step where a stage raises or gives a value that is
+not finite to the per-stage path of ``integrate_field``, which evaluates
+the field with ``hamilton_rhs`` and alphaV with the interpreter.  That path
+stays the reference: every domain error and its message comes from it.
+``hj.verify_theorem`` compiles the same loop with its per-state check.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ __all__ = [
     "integrate",
     "integrate_field",
     "reduced_field",
-    "compiled_alpha",
     "reduced_stage",
     "integrate_reduced",
 ]
@@ -147,13 +141,15 @@ def integrate_field(
     t0: float,
     t_end: float,
     step: float,
-    fused: Callable[[list[float], float], list[float] | None] | None = None,
+    kernel: Callable[..., None] | None = None,
 ) -> Trajectory:
     """Fixed-step RK4 for an autonomous field; aborts on non-finite states.
 
-    ``fused(y, hs)``, when given, does one whole step as ``f`` would, bit
-    for bit, or returns None; where it returns None or raises
-    ArithmeticError or ValueError, the step is redone with ``f``.
+    ``kernel``, when given, is an ``expr.compile_rk4`` loop over a compiled
+    stage that computes ``f`` bit for bit.  It runs first and again after
+    every step that it left to ``f``, which is one where it met an error or
+    a value that is not finite.  So every state, abort and message is the
+    one ``f`` alone gives.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -162,81 +158,46 @@ def integrate_field(
     check_step_budget(t0, t_end, step)
     times = [t0]
     states = [list(map(float, y0))]
-    y = states[0]
-    i = 0
-    t = t0
-    while t < t_end:
+    while True:
+        if kernel:
+            kernel(times, states, t0, t_end, step)
+        t = times[-1]
+        if not t < t_end:
+            return Trajectory(t0, step, times, states)
+        y = states[-1]
         hs = min(step, t_end - t)
         try:
-            y_new = fused(y, hs) if fused else None
-        except (ArithmeticError, ValueError):
-            y_new = None
-        if y_new is None:
-            try:
-                k1 = f(y)
-                k2 = f([y[j] + 0.5 * hs * k1[j] for j in range(len(y))])
-                k3 = f([y[j] + 0.5 * hs * k2[j] for j in range(len(y))])
-                k4 = f([y[j] + hs * k3[j] for j in range(len(y))])
-            except ex.EvalError as err:
-                # a stage state left the domain of the coefficient expressions
-                return Trajectory(
-                    t0, step, times, states, ok=False, error=f"domain violation at t={t!r}: {err}"
-                )
-            y_new = [
-                y[j] + hs * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0
-                for j in range(len(y))
-            ]
-        y = y_new
-        i += 1
-        t = min(t0 + i * step, t_end)
+            k1 = f(y)
+            k2 = f([y[j] + 0.5 * hs * k1[j] for j in range(len(y))])
+            k3 = f([y[j] + 0.5 * hs * k2[j] for j in range(len(y))])
+            k4 = f([y[j] + hs * k3[j] for j in range(len(y))])
+        except ex.EvalError as err:
+            # a stage state left the domain of the coefficient expressions
+            return Trajectory(
+                t0, step, times, states, ok=False, error=f"domain violation at t={t!r}: {err}"
+            )
+        y = [
+            y[j] + hs * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0
+            for j in range(len(y))
+        ]
+        t = min(t0 + len(times) * step, t_end)
         if not all(map(math.isfinite, y)):
             return Trajectory(
                 t0, step, times, states, ok=False, error=f"non-finite state at t={t!r}"
             )
         times.append(t)
         states.append(y)
-    return Trajectory(t0, step, times, states)
 
 
-def _rk4_step(stage, on_k1=None):
-    """One RK4 step ``step(y, hs)`` over a compiled stage, or None without one.
+def _compile_kernel(exprs, variables, bound=None, check=(), slots=()):
+    """``expr.compile_rk4`` of a stage, or False where compiling it fails.
 
-    Does ``integrate_field``'s float operations in its order (0.5*hs*k as
-    ``h2 * k``, ``h2 = 0.5 * hs``: the same products) on the first len(y)
-    outputs of each stage.  None unless every stage output is finite (a sum
-    that overflows reads as non-finite too, which only costs a per-stage step).
-
-    ``on_k1(y, k1)``, when given, is called with every output of the first
-    stage at y once they passed the finiteness check, before the later
-    stages: at most once per state, never for the last state of a
-    trajectory, and not for a state whose first stage raises or fails the
-    check.
+    Without a kernel ``integrate_field`` takes every step with its field.
     """
-    if not stage:
-        return None
-
-    def step(y, hs):
-        h2 = 0.5 * hs
-        k1 = stage(y)
-        if sum(k1) * 0.0 != 0.0:
-            return None
-        if on_k1 is not None:
-            on_k1(y, k1)
-        k2 = stage([a + h2 * b for a, b in zip(y, k1)])
-        if sum(k2) * 0.0 != 0.0:
-            return None
-        k3 = stage([a + h2 * b for a, b in zip(y, k2)])
-        if sum(k3) * 0.0 != 0.0:
-            return None
-        k4 = stage([a + hs * b for a, b in zip(y, k3)])
-        if sum(k4) * 0.0 != 0.0:
-            return None
-        return [
-            a + hs * (b + 2.0 * c + 2.0 * d + e) / 6.0
-            for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-        ]
-
-    return step
+    try:
+        return ex.compile_rk4(exprs, variables, bound, check, slots)
+    except (RecursionError, ex.EvalError):
+        return False
 
 
 def integrate(
@@ -246,12 +207,19 @@ def integrate(
     t_end: float,
     step: float = DEFAULT_STEP,
 ) -> Trajectory:
-    """Integrate the Hamilton equations from a full (base, fiber) state."""
+    """Integrate the Hamilton equations from a full (base, fiber) state.
+
+    The kernel over ``hamilton_rhs``'s compiled outputs is compiled once per
+    section and cached in ``h.compiled_rk4``.
+    """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    fused = _rk4_step(_compiled_rhs(h))
-    return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, fused)
+    if h.compiled_rk4 is None:
+        h.compiled_rk4 = _compile_kernel(_field_outputs(h), aff.all_vars())
+    return integrate_field(
+        lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, h.compiled_rk4
+    )
 
 
 def reduced_field(alpha: CoSection, h: HamiltonianSection):
@@ -261,68 +229,30 @@ def reduced_field(alpha: CoSection, h: HamiltonianSection):
 
     Realized by evaluating the full right-hand side at y = alphaV(x), which
     makes the base equation of the restored flow hold by construction.
-    alphaV comes from ``compiled_alpha``, compiled on the first call of the
-    field, with the interpreter as the fallback, as in ``hamilton_rhs``.
+    The interpreter computes alphaV: this is the per-stage path, which runs
+    only where a kernel left a step to it.
     """
     aff = h.chart
-    m, n = aff.m, aff.n
+    m = aff.m
 
     def field(x_state: Sequence[float]) -> list[float]:
-        y = ex.run_compiled(compiled_alpha(alpha), x_state)
-        if y is None:
-            env = dict(zip(aff.base_vars, x_state))
-            y = [c.value(env) for c in alpha.alphaV]
-        return hamilton_rhs(h, list(x_state) + y[:n])[:m]
+        env = dict(zip(aff.base_vars, x_state))
+        return hamilton_rhs(h, list(x_state) + [c.value(env) for c in alpha.alphaV])[:m]
 
     return field
 
 
-def compiled_alpha(alpha: CoSection):
-    """alphaV and its base partials as one compiled function of the base point.
-
-    Outputs: the n components of alphaV, then dalphaV[a]/dx^i at index
-    n + a*m + i.  Compiled once per section, on the first call, and cached
-    on it; False for a section that cannot be compiled, which leaves its
-    callers on the interpreter.  Only the per-stage path reads it: the fused
-    step and ``verify_theorem`` read ``reduced_stage``.
-    """
-    if alpha.compiled_alpha is None:
-        fn = ex.try_compile(_alpha_outputs(alpha), alpha.chart.base_vars)
-        alpha.compiled_alpha = fn or False
-    return alpha.compiled_alpha
-
-
-def _alpha_outputs(alpha: CoSection) -> list[ex.Expr]:
-    """The n components of alphaV, then dalphaV[a]/dx^i at index n + a*m + i; cached."""
-    if alpha.alpha_outputs is None:
-        nodes = [c.node for c in alpha.alphaV]
-        alpha.alpha_outputs = nodes + [ex.diff(g, v) for g in nodes for v in alpha.chart.base_vars]
-    return alpha.alpha_outputs
-
-
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
-    """alphaV, the Hamilton field at (x, alphaV(x)) and dalphaV as one function of x.
+    """The reduced field's stage as ``compile_rk4``'s (exprs, variables, bound).
 
-    Outputs: the m+n rows of ``hamilton_field`` (the first m are the reduced
-    field X(x)), H and its m+n partials, alphaV from index W = 2(m+n)+1 and
-    dalphaV[a]/dx^i at W + n + a*m + i.  The fiber variables are ``bound`` to
-    the computed alphaV, so each value is the per-stage one.  Cached on alpha
-    for the last h; False where ``hamilton_rhs``'s compiled field is, or
-    where alphaV cannot be compiled over the base variables.
+    Values: the m+n rows of ``hamilton_field`` (the first m are the reduced
+    field X(x)), H and its m+n partials, then alphaV from index
+    W = 2(m+n)+1.  The fiber variables are ``bound`` to alphaV, so each
+    value is the per-stage one.
     """
-    cached = alpha.compiled_stage
-    if cached is None or cached[0] is not h:
-        fn = False
-        if _compiled_rhs(h):
-            aff = h.chart
-            alpha_exprs = _alpha_outputs(alpha)
-            bound = dict(zip(aff.fiber_vars, alpha_exprs))
-            try:
-                fn = ex.compile(_field_outputs(h) + alpha_exprs, aff.base_vars, bound)
-            except (RecursionError, ex.EvalError):
-                pass
-        alpha.compiled_stage = cached = (h, fn)
-    return cached[1]
+    aff = h.chart
+    alpha_v = [c.node for c in alpha.alphaV]
+    return _field_outputs(h) + alpha_v, aff.base_vars, dict(zip(aff.fiber_vars, alpha_v))
 
 
 def integrate_reduced(
@@ -332,15 +262,15 @@ def integrate_reduced(
     t0: float,
     t_end: float,
     step: float = DEFAULT_STEP,
-    *,
-    on_k1=None,
 ) -> Trajectory:
     """Integrate the reduced base-space field from a base point.
 
-    ``on_k1(y, k1)`` receives the outputs of ``reduced_stage`` at each state
-    the fused step starts from, as described in ``_rk4_step``.
+    The kernel over ``reduced_stage`` is cached on alpha for the last h, in
+    ``alpha.compiled_rk4``.
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    fused = _rk4_step(reduced_stage(alpha, h), on_k1)
-    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, fused)
+    cached = alpha.compiled_rk4
+    if cached is None or cached[0] is not h:
+        alpha.compiled_rk4 = cached = (h, _compile_kernel(*reduced_stage(alpha, h)))
+    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, cached[1])

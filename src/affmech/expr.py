@@ -12,6 +12,7 @@ operations of the interpreter, so its values equal ``evaluate`` bit for
 bit.  It builds no error messages: where it raises, or gives a value the
 caller does not trust, the caller re-runs the interpreter (``evaluate``),
 which stays the reference and the source of every ``DomainError``.
+``compile_rk4`` emits such code once inside a whole fixed-step RK4 loop.
 
 ``is_zero`` proves a polynomial 0 by exact expansion, or answers "not
 proved"; ``magnitude_below`` tells whether its evaluation could overflow.
@@ -55,6 +56,7 @@ __all__ = [
     "to_string",
     "evaluate",
     "compile",
+    "compile_rk4",
     "try_compile",
     "run_compiled",
     "substitute",
@@ -433,6 +435,8 @@ def evaluate(e: Expr, env: Env) -> float:
             return FUNCTIONS[e.fn](x)
         except OverflowError:
             raise DomainError(f"overflow in {e.fn}", e) from None
+        except ValueError:  # sin, cos or tan of an infinite value
+            raise DomainError(f"{e.fn} of infinite value", e) from None
     assert isinstance(e, BinOp)
     a = evaluate(e.lhs, env)
     if e.op == "^":
@@ -487,8 +491,33 @@ def compile(
     Raises UnboundVariableError for a variable missing from ``variables``
     and RecursionError for input too deep to walk.
     """
+    consts: dict[str, object] = {}
     names = {v: f"v{i}" for i, v in enumerate(variables)}
-    consts: dict[str, object] = {}  # literals with no exact source text
+    lines, outputs = _straight_line(exprs, names, bound, "t", consts)
+    body = "\n".join(f"        {line}" for line in lines)
+    return _build(
+        f"    def compiled(x):\n"
+        f"        ({''.join(f'v{i}, ' for i in range(len(variables)))}) = x\n"
+        f"{body}\n"
+        f"        return [{', '.join(outputs)}]\n"
+        f"    return compiled\n",
+        consts,
+    )
+
+
+def _straight_line(
+    exprs: Sequence[Expr],
+    names: Mapping[str, str],
+    bound: Mapping[str, Expr] | None,
+    prefix: str,
+    consts: dict[str, object],
+) -> tuple[list[str], list[str]]:
+    """The assignments computing ``exprs``, and each value's operand text.
+
+    ``names`` maps variables to locals; temporaries are ``prefix`` and a
+    number, and constants without exact source text go into ``consts``.
+    """
+    names = dict(names)
     # Sharing is keyed on the emitted right-hand side rather than on node
     # equality, which treats Lit(0.0) and Lit(-0.0) as equal.
     seen: dict[str, str] = {}  # right-hand side -> the temporary holding it
@@ -536,7 +565,7 @@ def compile(
         if text is None:
             text = seen.get(rhs)
             if text is None:
-                text = seen[rhs] = f"t{len(seen)}"
+                text = seen[rhs] = f"{prefix}{len(seen)}"
                 if guard:
                     lines.append(guard)
                 lines.append(f"{text} = {rhs}")
@@ -545,20 +574,108 @@ def compile(
 
     if bound:
         names.update({name: operand(e) for name, e in bound.items()})
-    outputs = [operand(e) for e in exprs]
-    params = ", ".join([*_COMPILED_NAMES, *consts])
-    body = "\n".join(f"        {line}" for line in lines)
-    src = (
-        f"def _build({params}):\n"
-        f"    def compiled(x):\n"
-        f"        ({''.join(f'v{i}, ' for i in range(len(variables)))}) = x\n"
-        f"{body}\n"
-        f"        return [{', '.join(outputs)}]\n"
-        f"    return compiled\n"
-    )
+    return lines, [operand(e) for e in exprs]
+
+
+def _build(inner: str, consts: Mapping[str, object]):
+    """The function a generated builder returns; its ``source`` is the generated text."""
+    src = f"def _build({', '.join([*_COMPILED_NAMES, *consts])}):\n{inner}"
     scope: dict = {}
     exec(builtins.compile(src, "<affmech.expr.compile>", "exec"), scope)
-    return scope["_build"](**_COMPILED_NAMES, **consts)
+    fn = scope["_build"](**_COMPILED_NAMES, **consts)
+    fn.source = src
+    return fn
+
+
+def compile_rk4(
+    exprs: Sequence[Expr],
+    variables: Sequence[str],
+    bound: Mapping[str, Expr] | None = None,
+    check: Sequence[Sequence[Expr]] = (),
+    slots: Sequence[str] = (),
+) -> Callable[..., None]:
+    """The fixed-step RK4 loop of ``dynamics.integrate_field`` as one generated function.
+
+    ``rk4(times, states, start, end, step)`` steps from ``states[-1]`` at
+    ``times[-1]`` with ``integrate_field``'s float operations, appending
+    each time and state.  Its stage, ``compile(exprs, variables, bound)``,
+    is emitted once, inside the loop over the four stages; its first
+    len(variables) values are the field.  It returns before a step where a
+    stage raises ArithmeticError or ValueError, or where a stage value or
+    the new state (or their sum) is not finite.
+
+    ``check`` lists groups of expressions over ``variables`` and ``slots``
+    (``slots[j]`` names the stage's j-th value), with their own
+    subexpression table.  ``rk4`` then takes ``acc``, the running max
+    |value| of each group and the count of states measured, and measures
+    the first stage of every state, the last one included.
+
+    Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
+    local is named so.
+    """
+    consts: dict[str, object] = {}
+    w = len(variables)
+    names = {v: f"v{j}" for j, v in enumerate(variables)}
+    stage, outs = _straight_line(exprs, names, bound, "t", consts)
+    measure: list[str] = []
+    if check:
+        names = {v: f"y{j}" for j, v in enumerate(variables)}
+        names.update(zip(slots, outs))
+        rows = [e for group in check for e in group]
+        measure, values = _straight_line(rows, names, None, "u", consts)
+        measure.append(_not_finite(values))
+        for g, group in enumerate(check):
+            values, mine = values[len(group) :], values[: len(group)]
+            if mine:
+                measure.append(f"m{g} = max(m{g}, {', '.join(f'abs({v})' for v in mine)})")
+        measure.append("n += 1")
+        measure.append("if not now < end: return")
+    maxima = "".join(f"m{g}, " for g in range(len(check)))
+
+    def vec(form: str) -> str:
+        return ", ".join(form.format(j=j, k=outs[j]) for j in range(w)) + ","
+
+    lines = [
+        *([f"{maxima}n = acc"] if check else []),
+        "now = times[-1]",
+        "i = len(times) - 1",
+        "try:",
+        f"    {vec('y{j}')} = states[-1]",
+        f"    while {'True' if check else 'now < end'}:",
+        "        hs = min(step, end - now)",
+        "        h2 = 0.5 * hs",
+        f"        {vec('v{j}')} = {vec('y{j}')}",
+        "        for s in (0, 1, 2, 3):",
+        *(f"            {line}" for line in stage),
+        f"            {_not_finite(outs)}",
+        "            if s == 0:",
+        *(f"                {line}" for line in measure),
+        f"                {vec('a{j}')} = {vec('{k}')}",
+        f"                {vec('v{j}')} = {vec('y{j} + h2 * {k}')}",
+        "            elif s == 1:",
+        f"                {vec('b{j}')} = {vec('{k}')}",
+        f"                {vec('v{j}')} = {vec('y{j} + h2 * {k}')}",
+        "            elif s == 2:",
+        f"                {vec('c{j}')} = {vec('{k}')}",
+        f"                {vec('v{j}')} = {vec('y{j} + hs * {k}')}",
+        f"        {vec('w{j}')} = {vec('y{j} + hs * (a{j} + 2.0 * b{j} + 2.0 * c{j} + {k}) / 6.0')}",
+        f"        {_not_finite([f'w{j}' for j in range(w)])}",
+        f"        {vec('y{j}')} = {vec('w{j}')}",
+        "        i += 1",
+        "        now = min(start + i * step, end)",
+        "        times.append(now)",
+        f"        states.append([{vec('y{j}')}])",
+        "except (ArithmeticError, ValueError):",
+        "    pass",
+        *(["finally:", f"    acc[:] = {maxima}n"] if check else []),
+    ]
+    params = "times, states, start, end, step" + (", acc" if check else "")
+    body = "\n".join(f"        {line}" for line in lines)
+    return _build(f"    def rk4({params}):\n{body}\n    return rk4\n", consts)
+
+
+def _not_finite(values: Sequence[str]) -> str:
+    return f"if ({' + '.join(values)}) * 0.0 != 0.0: raise ArithmeticError"
 
 
 def try_compile(exprs: Sequence[Expr], variables: Sequence[str]):

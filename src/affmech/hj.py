@@ -15,6 +15,7 @@ from .algebroid import (
     KSection,
     Report,
     SamplePlan,
+    compile_max_abs,
     differential,
     nan_max,
     section_max_abs,
@@ -24,10 +25,9 @@ from .affgebroid import CoSection, HamiltonianSection, hamilton_field
 from .dynamics import (
     DEFAULT_STEP,
     Trajectory,
-    _alpha_outputs,
-    compiled_alpha,
+    _compile_kernel,
     hamilton_rhs,
-    integrate_reduced,
+    integrate_field,
     reduced_field,
     reduced_stage,
 )
@@ -169,43 +169,33 @@ def verify_theorem(
     where the reduced field cannot be evaluated raises the evaluation error,
     with x0 as its ``point``.
 
-    The residuals are measured in the integration pass, which hands each
-    state's first RK4 stage (``dynamics.reduced_stage``) to one compiled
-    check (``_theorem_check``); only running maxima are kept.  The check
-    computes the Hamilton field at (x, alphaV(x)) again, with the fiber
-    coordinates as inputs, so the base defect compares two independently
-    compiled routes at every state.  The last state is measured after the
-    pass.  If the pass missed a state, all states are measured again, on the
-    per-stage path where the stage or check fails; its evaluation errors
-    record the state as their ``point``.  The work that does not depend on
-    x0 is cached on alpha (``_x0_free``).
+    The residuals are measured in the integration pass: the RK4 kernel of
+    ``dynamics.reduced_stage`` computes ``_theorem_check`` on the first stage
+    of every state, the last one included, keeping running maxima.  The
+    check computes the Hamilton field at (x, alphaV(x)) again, with the
+    fiber coordinates as inputs and its own subexpression table, so the base
+    defect compares two independently compiled routes.  If the kernel missed
+    a state, every state is measured again by the interpreter, whose errors
+    record the state as their ``point``.  The work that x0 does not change
+    is cached on alpha (``_x0_free``).
     """
     aff = h.chart
     m, n = aff.m, aff.n
+    if len(x0) != m:
+        raise ValueError("x0 must list every base coordinate")
     plan = sample if sample is not None else SamplePlan()
 
     cache = _x0_free(alpha, h, plan)
-    coc, check = cache["cocycle"], cache["check"]
+    coc = cache["cocycle"]
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
+    kernel = cache["kernel"]
 
-    worst = [0.0, 0.0]  # nan_max of the base defects, of the fiber residuals
-    measured = 0  # states the integration pass measured
-
-    def record(rows):
-        """Fold m signed base defects, then n signed fiber residuals, into ``worst``."""
-        worst[0] = nan_max((worst[0], *map(abs, rows[:m])))
-        worst[1] = nan_max((worst[1], *map(abs, rows[m : m + n])))
-
-    def on_k1(y, k1):
-        nonlocal measured
-        rows = ex.run_compiled(check, y + k1)
-        if rows is not None:
-            record(rows)
-            measured += 1
-
-    traj = integrate_reduced(alpha, h, x0, 0.0, horizon, step, on_k1=on_k1)
+    acc = [0.0, 0.0, 0]  # max |base defect|, max |fiber residual|, states measured
     field = reduced_field(alpha, h)
+    traj = integrate_field(
+        field, x0, 0.0, horizon, step, kernel and (lambda *args: kernel(*args, acc))
+    )
     if not traj.ok:
         # a start point outside the section's domain is an input error, not a
         # failed flow; evaluating there raises it with x0 as its point
@@ -213,26 +203,19 @@ def verify_theorem(
         raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
     def residuals(env):
-        """The per-stage path: alphaV and its partials from ``compiled_alpha``,
-        or the interpreter on the same expressions (values, then partials)."""
+        """The m signed base defects and n signed fiber residuals at a state, interpreted."""
         state = [env[v] for v in aff.base_vars]
-        fast = ex.run_compiled(compiled_alpha(alpha), state)
-        yv = fast[:n] if fast is not None else [c.value(env) for c in alpha.alphaV]
-        rhs = hamilton_rhs(h, state + yv)
+        rhs = hamilton_rhs(h, state + [c.value(env) for c in alpha.alphaV])
         xdot = field(state)
-        dg = fast[n:] if fast is not None else [
-            ex.evaluate(d, env) for d in _alpha_outputs(alpha)[n:]]
+        dg = [ex.evaluate(d, env) for d in cache["dalpha"]]
         return [rhs[i] - xdot[i] for i in range(m)] + [
             sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a] for a in range(n)]
 
-    stage = reduced_stage(alpha, h)
-    for state in traj.states[-1:] if measured == len(traj) - 1 else traj.states:
-        out = ex.run_compiled(stage, state)
-        rows = None if out is None else ex.run_compiled(check, state + out)
-        if rows is None:
-            (rows,) = values_at(residuals, [dict(zip(aff.base_vars, state))])
-        record(rows)
-    base_defect, traj_max = worst
+    base_defect, traj_max, measured = acc
+    if measured != len(traj):
+        rows = values_at(residuals, [dict(zip(aff.base_vars, s)) for s in traj.states])
+        base_defect = nan_max(abs(v) for r in rows for v in r[:m])
+        traj_max = nan_max(abs(v) for r in rows for v in r[m:])
     if not base_defect <= 1e-12:
         raise IntegrationFailure(
             f"base equation failed to hold by construction: defect {base_defect:.3e}"
@@ -242,11 +225,7 @@ def verify_theorem(
     for i, var in enumerate(aff.base_vars):
         values = [s[i] for s in traj.states]
         box[var] = (min(values), max(values))
-    if "df" not in cache:
-        cache["df"] = _vertical_df(alpha, h)
-    hj_max, _, _ = section_max_abs(
-        cache["df"], SamplePlan(box=box, count=plan.count, seed=plan.seed)
-    )
+    hj_max, _, _ = cache["df"](SamplePlan(box=box, count=plan.count, seed=plan.seed))
 
     return TheoremReport(
         x0=list(map(float, x0)),
@@ -262,45 +241,50 @@ def verify_theorem(
 def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
     """The part of ``verify_theorem`` that x0 does not change, cached on alpha.
 
-    ``"cocycle"`` is the cocycle report on the plan and ``"check"`` the
-    compiled ``_theorem_check`` (None for a section that is not a cocycle);
-    ``verify_theorem`` adds ``"df"``, d^V f, where it first needs it.  Kept
-    for the last (h, plan), like ``CoSection.compiled_stage``.
+    ``"cocycle"``: the cocycle report on the plan, from the compiled d alpha.
+    For a cocycle, ``"dalpha"``: dalphaV[a]/dx^i at a*m + i, ``"kernel"``:
+    the RK4 kernel with ``_theorem_check`` (False where compiling fails), and
+    ``"df"``: d^V f as a compiled sampled check (``algebroid.compile_max_abs``).
+    Kept for the last (h, plan).
     """
     cache = alpha.theorem_cache
     if cache is None or cache["h"] is not h or cache["plan"] != plan:
-        coc = cocycle_residual(alpha, plan)
-        check = _theorem_check(h) if coc.is_cocycle else None
-        cache = alpha.theorem_cache = {"h": h, "plan": plan, "cocycle": coc, "check": check}
+        worst, where, _ = compile_max_abs(differential(alpha.as_bidual_section()))(plan)
+        coc = CocycleReport(worst, where, plan.count)
+        cache = {"h": h, "plan": plan, "cocycle": coc}
+        if coc.is_cocycle:
+            dalpha = [ex.diff(c.node, v) for c in alpha.alphaV for v in h.chart.base_vars]
+            cache["dalpha"] = dalpha
+            cache["kernel"] = _compile_kernel(*reduced_stage(alpha, h), *_theorem_check(h, dalpha))
+            cache["df"] = compile_max_abs(_vertical_df(alpha, h))
+        alpha.theorem_cache = cache
     return cache
 
 
-def _theorem_check(h: HamiltonianSection):
-    """The per-state check of ``verify_theorem``, compiled; None where that fails.
+def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:
+    """The per-state check of ``verify_theorem``, as ``compile_rk4``'s (check, slots).
 
-    Its input is a base point x followed by the outputs of
-    ``dynamics.reduced_stage`` at x: the reduced field X(x) comes first,
-    alphaV(x) from index W = 2(m+n)+1 and dalphaV[a]/dx^i at W + n + a*m + i.
-    Its outputs are the m signed base defects ``rhs_i - X_i`` and the n
-    signed fiber residuals ``sum_i dalphaV[a]/dx^i X_i - rhs_(m+a)``, where
-    rhs is ``hamilton_field`` with the fiber coordinates read as inputs (the
-    stage binds them to alphaV instead).  The sums run in the per-stage
-    path's order, as unfolded BinOps.  H and its partials follow, so the
-    check raises wherever the compiled field of ``hamilton_rhs`` does.
+    Its inputs are a base point x and the values of ``dynamics.reduced_stage``
+    at x: ``slots`` names them, the reduced field X(x) first and alphaV(x)
+    from index W = 2(m+n)+1 under the fiber coordinates' names.  Its two
+    groups are the m signed base defects ``rhs_i - X_i`` and the n signed
+    fiber residuals ``sum_i dalpha[a*m + i] X_i - rhs_(m+a)``, where rhs is
+    ``hamilton_field`` with the fiber coordinates read as inputs (the stage
+    binds them to alphaV instead).  The sums run in the per-stage path's
+    order, as unfolded BinOps.
     """
     aff = h.chart
     m, n = aff.m, aff.n
     w = 2 * (m + n) + 1
-    slots = [f"k1[{j}]" for j in range(w + n + n * m)]  # names no parsed variable can have
-    slots[w : w + n] = aff.fiber_vars
+    slots = [f"k1[{j}]" for j in range(w)] + aff.fiber_vars  # names no parsed variable can have
     xdot = [ex.Var(v) for v in slots[:m]]
     rhs = hamilton_field(h)
-    rows = [ex.BinOp("-", rhs[i], xdot[i]) for i in range(m)]
+    fiber = []
     for a in range(n):
-        terms = [ex.BinOp("*", ex.Var(slots[w + n + a * m + i]), xdot[i]) for i in range(m)]
+        terms = [ex.BinOp("*", dalpha[a * m + i], xdot[i]) for i in range(m)]
         total = functools.reduce(functools.partial(ex.BinOp, "+"), terms or [ex.Lit(0.0)])
-        rows.append(ex.BinOp("-", total, rhs[m + a]))
-    return ex.try_compile(rows + [h.H] + h.partials, aff.base_vars + slots)
+        fiber.append(ex.BinOp("-", total, rhs[m + a]))
+    return [[ex.BinOp("-", rhs[i], xdot[i]) for i in range(m)], fiber], slots
 
 
 def _vertical_df(alpha: CoSection, h: HamiltonianSection) -> KSection:

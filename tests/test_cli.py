@@ -409,6 +409,25 @@ def test_flow_non_finite_arguments_are_input_errors(free_file, capsys):
         assert "finite" in line and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["flow", "oscillator", "--x0=nan,0.5", "--y0=0.3", "--t-end=0.1"],
+    ["flow", "oscillator", "--x0=0,0.5", "--y0=-inf", "--t-end=0.1"],
+    ["verify", "trivial:3", "--alpha", "w_free", "--x0-set=nan,0.3,0,0"],
+    ["verify", "oscillator", "--alpha", "w_osc", "--x0-set=0.5,0.3;inf,0.3"],
+])
+def test_non_finite_start_points_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    line, out = error_line(capsys)
+    assert "needs finite values" in line and out == ""
+
+
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+def test_trig_of_an_infinite_value_is_an_input_error_at_the_point(fn, capsys):
+    assert main(["hj", "trivial:1", f"--alpha=alpha0={fn}(q1*1e308*10)"]) == 2
+    line, out = error_line(capsys)
+    assert " of infinite value in '" in line and " at t=" in line and out == ""
+
+
 @pytest.mark.parametrize("option, value, fragment", [
     ("--step", "0", "step > 0"),
     ("--step", "-1", "step > 0"),

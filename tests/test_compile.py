@@ -7,9 +7,9 @@ import pytest
 
 from affmech import expr as ex
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
+from affmech.cli import main
 from affmech.dynamics import (
     _interpreted_rhs,
-    compiled_alpha,
     hamilton_rhs,
     integrate,
     integrate_field,
@@ -274,24 +274,24 @@ def test_field_raises_where_the_hamiltonian_is_undefined():
     assert compiled.states == interpreted.states
 
 
-def test_alpha_is_compiled_once_and_shared_by_verify(monkeypatch):
-    bundle = by_name("oscillator")
-    alpha = bundle.sections["w_osc"]
+def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, capsys):
     calls = []
-    real = ex.try_compile
-    monkeypatch.setattr(ex, "try_compile", lambda e, v: calls.append(list(v)) or real(e, v))
-    verify_theorem(alpha, bundle.hamiltonian, [0.1, 0.5], 0.5, 1e-2)
-    verify_theorem(alpha, bundle.hamiltonian, [0.2, 0.3], 0.5, 1e-2)
-    # verify reads the fused stage; compiled_alpha is compiled only where read
-    assert calls.count(bundle.chart.base_vars) <= 1
-    assert calls.count(bundle.chart.all_vars()) == 1
-    fn = compiled_alpha(alpha)
-    assert fn is compiled_alpha(alpha)
-    assert calls.count(bundle.chart.base_vars) <= 1
+    for name in ("compile", "compile_rk4"):
+        real = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", "5"]) == 0
+    assert capsys.readouterr().out.count("point_") == 5
+    # one kernel (stage and check); d alpha and d^V f each compiled once, and no field alone
+    assert sorted(calls) == ["compile", "compile", "compile_rk4"]
+    bundle = by_name("oscillator")
+    alpha, h = bundle.sections["w_osc"], bundle.hamiltonian
+    calls.clear()
+    verify_theorem(alpha, h, [0.1, 0.5], 0.5, 1e-2)
+    verify_theorem(alpha, h, [0.2, 0.3], 0.5, 1e-2)
+    assert sorted(calls) == ["compile", "compile", "compile_rk4"]
+    # the check's partials of alphaV against the dual-number oracle
     x = [0.3, 0.7]
     env = dict(zip(bundle.chart.base_vars, x))
     value, partials = evaluate_with_partials(alpha.alphaV[0].node, env, bundle.chart.base_vars)
-    assert fn(x) == [value, *partials]
-    assert reduced_field(alpha, bundle.hamiltonian)(x) == hamilton_rhs(
-        bundle.hamiltonian, x + [value]
-    )[:2]
+    assert [ex.evaluate(d, env) for d in alpha.theorem_cache["dalpha"]] == partials
+    assert reduced_field(alpha, h)(x) == hamilton_rhs(h, x + [value])[:2]

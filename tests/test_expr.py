@@ -98,6 +98,15 @@ def test_eval_domain_violations():
         ex.evaluate(ex.parse("x^-1"), {"x": 0.0})
 
 
+@pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_trig_of_an_infinite_value_is_a_domain_error(fn, x):
+    # math.sin(inf) raises ValueError, which is no evaluation error
+    with pytest.raises(ex.DomainError, match=f"{fn} of infinite value in '{fn}\\(x\\)'"):
+        ex.evaluate(ex.parse(f"1 + {fn}(x)"), {"x": x})
+    assert math.isnan(ex.evaluate(ex.parse(f"{fn}(x)"), {"x": math.nan}))
+
+
 def test_eval_domain_error_reports_subexpression():
     with pytest.raises(ex.DomainError) as err:
         ex.evaluate(ex.parse("1 + log(x)"), {"x": -2.0})

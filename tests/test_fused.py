@@ -1,8 +1,8 @@
-"""The fused RK4 step and the compiled per-state check against the per-stage path.
+"""The RK4 kernels and the in-pass theorem check against the per-stage path.
 
 The per-stage path is what ``integrate_field`` does with the field alone,
-and what ``verify_theorem`` does with ``reduced_stage`` unavailable: the
-fused code must give the same floats, aborts and messages.
+and what ``verify_theorem`` does with no kernel: the kernels must give the
+same floats, aborts and messages.
 """
 
 import contextlib
@@ -33,12 +33,16 @@ SECTIONS = [(name, sec) for name in BUILTINS for sec in by_name(name).sections]
 
 @pytest.fixture
 def per_stage(monkeypatch):
-    """Switch the fused step and the compiled per-state check off."""
+    """Switch the RK4 kernels off: every step and every state's residuals run per stage."""
 
     def apply():
-        monkeypatch.setattr(dynamics, "_rk4_step", lambda *args: None)
-        monkeypatch.setattr(dynamics, "reduced_stage", lambda alpha, h: False)
-        monkeypatch.setattr(hj, "reduced_stage", lambda alpha, h: False)
+        real = dynamics.integrate_field
+
+        def alone(f, y0, t0, t_end, step, kernel=None):
+            return real(f, y0, t0, t_end, step)
+
+        monkeypatch.setattr(dynamics, "integrate_field", alone)
+        monkeypatch.setattr(hj, "integrate_field", alone)
 
     return apply
 
@@ -123,7 +127,7 @@ def test_verify_leaving_the_domain_gives_the_per_stage_output(x0, code, per_stag
 
 
 @pytest.mark.parametrize("name,sec", SECTIONS)
-def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage, monkeypatch):
+def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage):
     bundle = by_name(name)
     h, alpha = bundle.hamiltonian, bundle.sections[sec]
     rng = random.Random(sec)
@@ -133,9 +137,6 @@ def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage, mon
     except hj.NotACocycleError:
         return
     per_stage()
-    assert verify_theorem(alpha, h, x0, 0.3, 1e-2) == fused
-    # and with alphaV and its diff partials from the interpreter
-    monkeypatch.setattr(hj, "compiled_alpha", lambda alpha: False)
     assert verify_theorem(alpha, h, x0, 0.3, 1e-2) == fused
 
 
@@ -152,14 +153,13 @@ def test_verify_cli_output_equals_the_per_stage_output(per_stage):
 def test_base_defect_compares_two_compiled_routes(monkeypatch):
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
-    real = reduced_stage(alpha, h)
 
-    def skewed(x):
-        out = real(x)
-        out[0] += 1e-9  # the reduced field's t row, off by 1e-9
-        return out
+    def skewed(a, hh):
+        exprs, variables, bound = reduced_stage(a, hh)
+        # the reduced field's t row, off by 1e-9
+        return [ex.BinOp("+", exprs[0], ex.Lit(1e-9))] + exprs[1:], variables, bound
 
-    monkeypatch.setattr(hj, "reduced_stage", lambda a, hh: skewed)
+    monkeypatch.setattr(hj, "reduced_stage", skewed)
     with pytest.raises(IntegrationFailure, match="base equation failed"):
         verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
 
@@ -203,65 +203,72 @@ def test_leaving_the_stage_domain_partway_gives_the_per_stage_result(case, fails
 
 
 def skew_check_at(monkeypatch, state):
-    """Make the check's route to the field off by 1e-9 on its first base row at one state."""
-    real, hits = hj._theorem_check, []
+    """Make the check's route to the field off by 1e-9 on its first base row at one state.
 
-    def make(h):
-        check = real(h)
+    The bump 1e-9*exp(-((t - t_k)*1e6)^2) is 1e-9 at t = t_k and exactly 0 at
+    every other state of the grid.
+    """
+    real = hj._theorem_check
 
-        def skewed(z):
-            rows = check(z)
-            if z[: len(state)] == state:
-                hits.append(1)
-                rows[0] += 1e-9
-            return rows
+    def skewed(*args):
+        (base, fiber), slots = real(*args)
+        bump = ex.parse(f"1e-9*exp(-((t - ({state[0]!r}))*1000000)^2)")
+        return [[ex.BinOp("+", base[0], bump)] + base[1:], fiber], slots
 
-        return skewed
-
-    monkeypatch.setattr(hj, "_theorem_check", make)
-    return hits
+    monkeypatch.setattr(hj, "_theorem_check", skewed)
 
 
 @pytest.mark.parametrize("where", [0, 5, -1])
 def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch):
-    # state 0 and 5 are measured inside the integration pass, the last state after it
+    # state 0 and 5 are measured inside the integration loop, the last state as it ends
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
     state = integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2).states[where]
-    hits = skew_check_at(monkeypatch, state)
-    with pytest.raises(IntegrationFailure, match="base equation failed"):
+    skew_check_at(monkeypatch, state)
+    monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
+    with pytest.raises(IntegrationFailure, match="base equation failed .* defect 1.000e-09"):
         verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
-    assert hits == [1]
 
 
 def test_the_pass_measures_each_state_once(monkeypatch):
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
-    calls, real = [], hj._theorem_check
+    counts, real = [], hj._compile_kernel
 
-    def make(hh):
-        check = real(hh)
-        return lambda z: calls.append(z[:2]) or check(z)
+    def spy(*args):
+        kernel = real(*args)
 
-    monkeypatch.setattr(hj, "_theorem_check", make)
+        def run(times, states, t0, t_end, step, acc):
+            kernel(times, states, t0, t_end, step, acc)
+            counts.append(acc[-1])
+
+        return run
+
+    monkeypatch.setattr(hj, "_compile_kernel", spy)
+    monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
     report = verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
-    assert calls == report.trajectory.states
+    assert counts == [len(report.trajectory.states)] == [11]
 
 
-def test_reduced_stage_is_compiled_once_per_pair_of_sections():
+def test_reduced_stage_is_compiled_once_per_pair_of_sections(monkeypatch):
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
-    fn = reduced_stage(alpha, h)
-    assert reduced_stage(alpha, h) is fn
-    other = HamiltonianSection(h.chart, h.H)
-    assert reduced_stage(alpha, other) is not fn
+    calls, real = [], ex.compile_rk4
+    monkeypatch.setattr(ex, "compile_rk4", lambda *args: calls.append(1) or real(*args))
+    integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2)
+    fn = alpha.compiled_rk4[1]
+    integrate_reduced(alpha, h, [0.2, 0.3], 0.0, 0.1, 1e-2)
+    assert alpha.compiled_rk4[1] is fn and len(calls) == 1
+    integrate_reduced(alpha, HamiltonianSection(h.chart, h.H), [0.2, 0.3], 0.0, 0.1, 1e-2)
+    assert alpha.compiled_rk4[1] is not fn and len(calls) == 2
+    # the stage's values are the per-stage ones
+    exprs, variables, bound = reduced_stage(alpha, h)
     x = [0.3, 0.7]
-    out = fn(x)
-    m, n = 2, 1
-    w = 2 * (m + n) + 1
-    y = out[w : w + n]
+    out = ex.compile(exprs, variables, bound)(x)
+    w = 2 * (2 + 1) + 1
+    y = out[w:]
     assert out[:w] == dynamics._compiled_rhs(h)(x + y)
-    assert y + out[w + n :] == dynamics.compiled_alpha(alpha)(x)
+    assert y == [c.value(dict(zip(variables, x))) for c in alpha.alphaV]
 
 
 def test_compile_with_bound_names_equals_evaluate():

@@ -187,7 +187,7 @@ def test_verify_free_particle_solution():
 
 
 def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypatch):
-    counts = dict.fromkeys(["cocycle_residual", "_theorem_check", "_vertical_df"], 0)
+    counts = dict.fromkeys(["compile_max_abs", "_theorem_check", "_vertical_df"], 0)
     for name in counts:
 
         def counted(*args, real=getattr(hj, name), name=name):
@@ -199,7 +199,8 @@ def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypat
     alpha, h = bundle.section("w_free"), bundle.hamiltonian
     points = [[0.1, 0.2, -0.3, 0.4], [-0.2, 0.5, 0.1, 0.0], [0.3, -0.1, 0.0, 0.2]]
     reports = [verify_theorem(alpha, h, x0, 0.1, 1e-2) for x0 in points]
-    assert counts == {"cocycle_residual": 1, "_theorem_check": 1, "_vertical_df": 1}
+    # compile_max_abs: once for d alpha, once for d^V f
+    assert counts == {"compile_max_abs": 2, "_theorem_check": 1, "_vertical_df": 1}
     fresh = trivial_fibration(3)
     assert reports == [
         verify_theorem(fresh.section("w_free"), fresh.hamiltonian, x0, 0.1, 1e-2) for x0 in points
@@ -207,7 +208,7 @@ def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypat
     # the fresh section did it once more; another plan, then another h, twice more
     verify_theorem(alpha, h, points[0], 0.1, 1e-2, SamplePlan(seed=7))
     verify_theorem(alpha, HamiltonianSection(h.chart, h.H), points[0], 0.1, 1e-2, SamplePlan(seed=7))
-    assert counts == {"cocycle_residual": 4, "_theorem_check": 4, "_vertical_df": 4}
+    assert counts == {"compile_max_abs": 8, "_theorem_check": 4, "_vertical_df": 4}
 
 
 def test_verify_oscillator_solution():
