@@ -166,17 +166,14 @@ class HamiltonianSection:
     ``partials`` holds the symbolic partials of H with respect to every
     chart variable, base variables first, built once at construction.
     ``field_rows`` caches ``hamilton_field(self)``, built on its first call.
-    ``compiled_rhs`` caches the compiled Hamilton field; ``dynamics.hamilton_rhs``
-    fills it on its first call.  ``compiled_rk4`` caches the RK4 kernel of
-    ``dynamics.integrate``, compiled on its first call.  Both are False
-    where compiling fails.
+    ``compiled_rk4`` caches the RK4 kernel of ``dynamics.integrate``,
+    compiled on its first call; it is False where compiling fails.
     """
 
     chart: AffgebroidChart
     H: Expr
     partials: list = field(init=False, repr=False, compare=False)
     field_rows: object = field(init=False, repr=False, compare=False, default=None)
-    compiled_rhs: object = field(init=False, repr=False, compare=False, default=None)
     compiled_rk4: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -331,8 +328,12 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
         dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
 
     Base components first, then fiber components, each summed in the order
-    ``dynamics._interpreted_rhs`` sums it; terms whose data is a structural
-    zero fold away.  Built once per section and cached in ``h.field_rows``.
+    ``dynamics.hamilton_rhs`` sums it; terms whose data is a structural
+    zero fold away.  The compiled stages of ``dynamics`` and ``hj`` compute
+    these rows; ``hamilton_rhs`` interprets them and also skips the terms
+    whose factor is 0 at the state, so where both give a value they differ
+    at most in the sign of a zero.  Built once per section and cached in
+    ``h.field_rows``.
     """
     if h.field_rows is not None:
         return h.field_rows

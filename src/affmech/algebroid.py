@@ -454,23 +454,52 @@ def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
 # --------------------------------------------------------------- comparisons
 
 
-def _unproved(nodes: Mapping, envs, variables: Sequence[str]) -> tuple[list, list]:
-    """The keys of ``nodes`` (key -> residual) not proved 0, and the points to sample.
+def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, fn=None):
+    """``section_max_abs``'s loop over ``nodes`` (key -> residual).
 
-    The points are ``envs`` itself, or those of a SamplePlan ``envs`` over
-    ``variables``, drawn only when a key is left.
+    ``proved`` holds the keys that ``expr.is_zero`` proved (``_proved``); such
+    a residual counts 0 when ``expr.magnitude_below`` bounds it over the
+    points.  ``fn``, when given, is ``expr.compile`` of every residual in
+    order; at a point where it raises or a sampled value is not finite, the
+    interpreter evaluates the point.
     """
-    left, bounds = [], None
-    for key, node in nodes.items():
-        if ex.is_zero(node):
-            if bounds is None:  # only a proved residual needs them
+    left, bounds = [], None  # (column, key, residual) of each residual to sample
+    for c, (key, node) in enumerate(nodes.items()):
+        if key in proved:
+            if bounds is None:
                 bounds = _bounds(envs, variables)
             if ex.magnitude_below(node, bounds):
                 continue
-        left.append(key)
+        left.append((c, key, node))
+    if not left:
+        return 0.0, (), {}
     if isinstance(envs, SamplePlan):
-        envs = envs.points(variables) if left else []
-    return left, envs
+        envs = envs.points(variables)
+    worst, where, at = 0.0, (), {}
+    try:
+        for env in envs:
+            values = None
+            if fn:
+                try:
+                    out = fn([env[v] for v in variables])
+                    values = [out[c] for c, _, _ in left]
+                except (ArithmeticError, ValueError):
+                    pass
+                if values and not all(map(math.isfinite, values)):
+                    values = None
+            for i, (_, key, node) in enumerate(left):
+                v = abs(ex.evaluate(node, env) if values is None else values[i])
+                if v > worst or v != v:
+                    worst, where, at = v, key, env
+    except ex.EvalError as err:
+        err.point = env
+        raise
+    return worst, where, at
+
+
+def _proved(nodes: Mapping) -> set:
+    """The keys of ``nodes`` whose residual ``expr.is_zero`` proves 0."""
+    return {key for key, node in nodes.items() if ex.is_zero(node)}
 
 
 def _bounds(envs, variables: Sequence[str]) -> dict[str, float]:
@@ -488,44 +517,21 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     the others are sampled.  A NaN coefficient is the largest.  An
     evaluation error records the point it happened at as ``point``.
     """
-    left, envs = _unproved({idx: c.node for idx, c in s.coeffs.items()}, envs, s.chart.base_vars)
-    worst, where, at = 0.0, (), {}
-    for env in envs:
-        try:
-            for idx in left:
-                v = abs(s.coeffs[idx].value(env))
-                if v > worst or v != v:
-                    worst, where, at = v, idx, env
-        except ex.EvalError as err:
-            err.point = env
-            raise
-    return worst, where, at
+    nodes = {idx: c.node for idx, c in s.coeffs.items()}
+    return _max_abs(nodes, _proved(nodes), s.chart.base_vars, envs)
 
 
 def compile_max_abs(s: KSection) -> Callable[[object], tuple[float, tuple, dict]]:
-    """``section_max_abs(s, envs)`` as a function of ``envs``, every coefficient compiled once.
+    """``section_max_abs(s, envs)`` as a function of ``envs``.
 
+    Every coefficient is compiled, and tried with ``expr.is_zero``, once.
     At a point where the compiled coefficients raise or one is not finite,
     the interpreter evaluates the point, so the result, each evaluation
     error and its ``point`` are those of ``section_max_abs``.
     """
-    nodes, variables = {k: c.node for k, c in s.coeffs.items()}, s.chart.base_vars
-    fn = ex.try_compile(list(nodes.values()), variables)
-
-    def max_abs(envs) -> tuple[float, tuple, dict]:
-        left, envs = _unproved(nodes, envs, variables)
-        cols = [list(nodes).index(k) for k in left]
-        worst, where, at = 0.0, (), {}
-        for env in envs:
-            out = ex.run_compiled(fn, [env[v] for v in variables])
-            values = [out[c] for c in cols] if out else values_at(
-                lambda e: [s.coeffs[k].value(e) for k in left], [env])[0]
-            for idx, v in zip(left, map(abs, values)):
-                if v > worst or v != v:
-                    worst, where, at = v, idx, env
-        return worst, where, at
-
-    return max_abs
+    nodes, variables = {idx: c.node for idx, c in s.coeffs.items()}, s.chart.base_vars
+    proved, fn = _proved(nodes), ex.try_compile(ex.compile, list(nodes.values()), variables)
+    return lambda envs: _max_abs(nodes, proved, variables, envs, fn)
 
 
 def nan_max(values: Iterable[float]) -> float:
@@ -654,8 +660,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
             for c in cols:
                 fwd, rev = chart.structure[a][b][c], chart.structure[b][a][c]
                 sums[(a, b, c)] = BinOp("+", fwd.node, rev.node)
-    left, envs = _unproved(sums, plan, chart.base_vars)
-    antisym = nan_max(abs(ex.evaluate(sums[key], env)) for key in left for env in envs)
+    antisym, _, _ = _max_abs(sums, _proved(sums), chart.base_vars, plan)
 
     def dd_max(s: KSection):
         return section_max_abs(differential(differential(s)), plan)

@@ -154,7 +154,10 @@ def cmd_validate(bundle: ModelBundle, args) -> int:
     }
     all_valid = True
     for label, chart in charts.items():
-        report = validate_chart(chart, bundle.sample)
+        try:
+            report = validate_chart(chart, bundle.sample)
+        except ex.EvalError as err:
+            return _evaluation_error(err)
         for line in report.lines():
             print(f"{label}_{line}")
         if not report.valid and report.worst_jacobi:
@@ -205,7 +208,11 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
     if args.out == "-":
         sys.stdout.write(payload)
     else:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as err:
+            print(f"error: cannot write '{args.out}': {err.strerror}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return EXIT_OK if traj.ok else EXIT_CHECK_FAILED
 
 
@@ -215,9 +222,14 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
 def _resolve_alpha(bundle: ModelBundle, text: str) -> CoSection:
     if "=" not in text:
         return bundle.section(text)
-    parts = dict(
-        item.split("=", 1) for item in (p.strip() for p in text.split(";")) if "=" in item
-    )
+    parts = {}
+    for item in filter(None, (p.strip() for p in text.split(";"))):
+        if "=" not in item:
+            raise ValueError(f"inline alpha item '{item}' is not field=expression")
+        key, value = item.split("=", 1)
+        if key in parts:
+            raise ValueError(f"inline alpha sets '{key}' twice")
+        parts[key] = value
     unknown = set(parts) - {"alpha0", "alphaV"}
     if unknown:
         raise ValueError(f"inline alpha has unknown fields {sorted(unknown)}")

@@ -8,14 +8,15 @@ A Trajectory keeps every state, so an integration that would take more than
 ``MAX_STEPS`` steps is refused with a ValueError before the first step
 (``check_step_budget``).
 
-``integrate`` and ``integrate_reduced`` run each integration as one
-generated RK4 loop (``expr.compile_rk4``) over a compiled stage: the
-Hamilton field, or ``reduced_stage``, as straight-line code built once per
-section.  The kernel walks no expression tree and calls no Python function
-per stage.  It hands any step where a stage raises or gives a value that is
-not finite to the per-stage path of ``integrate_field``, which evaluates
-the field with ``hamilton_rhs`` and alphaV with the interpreter.  That path
-stays the reference: every domain error and its message comes from it.
+The Hamilton field has two routes.  ``integrate`` and ``integrate_reduced``
+run each integration as one generated RK4 loop (``expr.compile_rk4``) over
+a compiled stage: the Hamilton field, or ``reduced_stage``, as
+straight-line code built once per section.  The kernel walks no
+expression tree and calls no Python function per stage.  It hands any
+step where a stage raises or gives a value that is not finite to the
+per-stage path of ``integrate_field``, which evaluates the field with the
+interpreter, ``hamilton_rhs``, and alphaV with ``expr.evaluate``.  That
+path is the reference: every domain error and its message comes from it.
 ``hj.verify_theorem`` compiles the same loop with its per-state check.
 """
 
@@ -71,40 +72,15 @@ class Trajectory:
 
 
 def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
-    """Right-hand side of the Hamilton equations at one state.
+    """Right-hand side of the Hamilton equations at one state, interpreted.
 
-    The m+n right-hand sides of ``affgebroid.hamilton_field`` are compiled
-    once per section, on the first call.  Where the compiled field raises or
-    returns a non-finite value, the interpreter computes this state instead:
-    it skips the terms whose factor dH/dy_b or y_g is 0 at the state, so it
-    can give a value where the compiled field meets a domain error or inf*0,
-    and it gives every error its message.
+    ``affgebroid.hamilton_field`` evaluated term by term, in its order.  H
+    and every partial are evaluated, so this raises wherever H is undefined.
+    A term whose factor dH/dy_b or y_g is 0 at the state is skipped, so this
+    gives a value where the compiled field meets a domain error or inf*0.
+    Every error raised here has its message; this is the reference that the
+    compiled stages are checked against.
     """
-    out = ex.run_compiled(_compiled_rhs(h), state)
-    return out[: len(state)] if out is not None else _interpreted_rhs(h, state)
-
-
-def _compiled_rhs(h: HamiltonianSection):
-    """The field, followed by H and every partial, as one compiled function.
-
-    The interpreter evaluates H and all its partials at every state; the
-    folded field drops some of them (dH/dt where rhoV[a][t] = 0), so they
-    are compiled as extra outputs.  The compiled function then raises
-    wherever the interpreter does.  Compiled on the first call and cached
-    in ``h.compiled_rhs``; False where compiling fails.
-    """
-    if h.compiled_rhs is None:
-        h.compiled_rhs = ex.try_compile(_field_outputs(h), h.chart.all_vars()) or False
-    return h.compiled_rhs
-
-
-def _field_outputs(h: HamiltonianSection) -> list[ex.Expr]:
-    """The m+n rows of ``hamilton_field``, then H and its m+n partials."""
-    return hamilton_field(h) + [h.H] + h.partials
-
-
-def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
-    """``hamilton_field`` evaluated term by term by the interpreter."""
     aff = h.chart
     m, n = aff.m, aff.n
     env = dict(zip(aff.all_vars(), state))
@@ -133,6 +109,17 @@ def _interpreted_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[floa
             total += yv[g] * coef
         out.append(total)
     return out
+
+
+def _field_outputs(h: HamiltonianSection) -> list[ex.Expr]:
+    """The m+n rows of ``hamilton_field``, then H and its m+n partials.
+
+    ``hamilton_rhs`` evaluates H and all its partials at every state; the
+    folded field drops some of them (dH/dt where rhoV[a][t] = 0), so a
+    compiled stage computes them as extra values and raises wherever
+    ``hamilton_rhs`` does.
+    """
+    return hamilton_field(h) + [h.H] + h.partials
 
 
 def integrate_field(
@@ -189,17 +176,6 @@ def integrate_field(
         states.append(y)
 
 
-def _compile_kernel(exprs, variables, bound=None, check=(), slots=()):
-    """``expr.compile_rk4`` of a stage, or False where compiling it fails.
-
-    Without a kernel ``integrate_field`` takes every step with its field.
-    """
-    try:
-        return ex.compile_rk4(exprs, variables, bound, check, slots)
-    except (RecursionError, ex.EvalError):
-        return False
-
-
 def integrate(
     h: HamiltonianSection,
     state0: Sequence[float],
@@ -209,14 +185,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Hamilton equations from a full (base, fiber) state.
 
-    The kernel over ``hamilton_rhs``'s compiled outputs is compiled once per
-    section and cached in ``h.compiled_rk4``.
+    The kernel over ``_field_outputs`` is compiled once per section and
+    cached in ``h.compiled_rk4`` (False where compiling fails).
     """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
     if h.compiled_rk4 is None:
-        h.compiled_rk4 = _compile_kernel(_field_outputs(h), aff.all_vars())
+        h.compiled_rk4 = ex.try_compile(ex.compile_rk4, _field_outputs(h), aff.all_vars()) or False
     return integrate_field(
         lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, h.compiled_rk4
     )
@@ -272,5 +248,5 @@ def integrate_reduced(
         raise ValueError("x0 must list every base coordinate")
     cached = alpha.compiled_rk4
     if cached is None or cached[0] is not h:
-        alpha.compiled_rk4 = cached = (h, _compile_kernel(*reduced_stage(alpha, h)))
+        alpha.compiled_rk4 = cached = (h, ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h)))
     return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, cached[1])

@@ -58,7 +58,6 @@ __all__ = [
     "compile",
     "compile_rk4",
     "try_compile",
-    "run_compiled",
     "substitute",
     "free_vars",
     "is_zero",
@@ -678,33 +677,16 @@ def _not_finite(values: Sequence[str]) -> str:
     return f"if ({' + '.join(values)}) * 0.0 != 0.0: raise ArithmeticError"
 
 
-def try_compile(exprs: Sequence[Expr], variables: Sequence[str]):
-    """``compile(exprs, variables)``, or None where that raises.
+def try_compile(build: Callable, *args):
+    """``build(*args)``, for ``compile`` or ``compile_rk4``, or None where compiling fails.
 
-    A caller that gets None keeps using the interpreter.
+    Compiling raises UnboundVariableError or RecursionError; a caller that
+    gets None keeps using the interpreter.
     """
     try:
-        return compile(exprs, variables)
+        return build(*args)
     except (RecursionError, EvalError):
         return None
-
-
-def run_compiled(fn, x: Sequence[float]) -> list[float] | None:
-    """``fn(x)`` when ``fn`` is a compiled function and every value is finite.
-
-    None where there is no function, where it raises, or where a value is
-    not finite: the caller then computes the values with the interpreter,
-    which decides between a value and an error.
-    """
-    if not fn:
-        return None
-    try:
-        out = fn(x)
-        if all(map(math.isfinite, out)):
-            return out
-    except (ArithmeticError, ValueError):
-        pass
-    return None
 
 
 # ------------------------------------------------------------ manipulation

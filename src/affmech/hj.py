@@ -25,7 +25,6 @@ from .affgebroid import CoSection, HamiltonianSection, hamilton_field
 from .dynamics import (
     DEFAULT_STEP,
     Trajectory,
-    _compile_kernel,
     hamilton_rhs,
     integrate_field,
     reduced_field,
@@ -243,7 +242,7 @@ def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
 
     ``"cocycle"``: the cocycle report on the plan, from the compiled d alpha.
     For a cocycle, ``"dalpha"``: dalphaV[a]/dx^i at a*m + i, ``"kernel"``:
-    the RK4 kernel with ``_theorem_check`` (False where compiling fails), and
+    the RK4 kernel with ``_theorem_check`` (None where compiling fails), and
     ``"df"``: d^V f as a compiled sampled check (``algebroid.compile_max_abs``).
     Kept for the last (h, plan).
     """
@@ -255,7 +254,8 @@ def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
         if coc.is_cocycle:
             dalpha = [ex.diff(c.node, v) for c in alpha.alphaV for v in h.chart.base_vars]
             cache["dalpha"] = dalpha
-            cache["kernel"] = _compile_kernel(*reduced_stage(alpha, h), *_theorem_check(h, dalpha))
+            cache["kernel"] = ex.try_compile(
+                ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))
             cache["df"] = compile_max_abs(_vertical_df(alpha, h))
         alpha.theorem_cache = cache
     return cache

@@ -84,13 +84,7 @@ def trivial_fibration(dim_q: int) -> ModelBundle:
     if dim_q < 1:
         raise ValueError("dim_q must be at least 1")
     n = dim_q
-    base = ["t"] + [f"q{i+1}" for i in range(n)]
-    fibers = [f"p{i+1}" for i in range(n)]
-    rho0 = [1.0] + [0.0] * n
-    rhoV = [[1.0 if i == 1 + a else 0.0 for i in range(1 + n)] for a in range(n)]
-    zero_n = [[0.0] * n for _ in range(n)]
-    chart = AffgebroidChart(base, fibers, rho0, rhoV, zero_n, [[list(r) for r in zero_n] for _ in range(n)])
-
+    chart = _time_chart(n)
     h = HamiltonianSection(chart, "+".join(f"p{i+1}^2/2" for i in range(n)))
     sections = {
         # generating function sum q_i^2 / (2(t+1)); solves the HJ equation
@@ -116,13 +110,22 @@ def trivial_fibration(dim_q: int) -> ModelBundle:
     )
 
 
+def _time_chart(n: int) -> AffgebroidChart:
+    """The chart of ``trivial_fibration(n)``, shared with ``harmonic_oscillator``."""
+    base = ["t"] + [f"q{i+1}" for i in range(n)]
+    fibers = [f"p{i+1}" for i in range(n)]
+    rho0 = [1.0] + [0.0] * n
+    rhoV = [[1.0 if i == 1 + a else 0.0 for i in range(1 + n)] for a in range(n)]
+    zero_n = [[0.0] * n for _ in range(n)]
+    return AffgebroidChart(base, fibers, rho0, rhoV, zero_n, [[list(r) for r in zero_n] for _ in range(n)])
+
+
 def harmonic_oscillator() -> ModelBundle:
     """One-dimensional oscillator on the trivial fibration.
 
     The shipped solution is the cot-generated one, valid between the zeros
     of sin; the sample box stays inside (0, pi)."""
-    bundle = trivial_fibration(1)
-    chart = bundle.chart
+    chart = _time_chart(1)
     h = HamiltonianSection(chart, "(p1^2+q1^2)/2")
     sections = {
         "w_osc": CoSection(chart, "-(q1^2/2)/sin(t)^2", ["q1*cos(t)/sin(t)"]),

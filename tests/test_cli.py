@@ -428,6 +428,62 @@ def test_trig_of_an_infinite_value_is_an_input_error_at_the_point(fn, capsys):
     assert " of infinite value in '" in line and " at t=" in line and out == ""
 
 
+SQRT_STRUCTURE = """
+[space]
+m = 2
+n = 2
+vars = t, q1, p1, p2
+
+[structure]
+1,2,1 = sqrt(t)
+
+[hamiltonian]
+H = p1^2/2
+"""
+
+
+def test_validate_chart_data_outside_its_domain_is_an_input_error_at_the_point(tmp_path, capsys):
+    # C^1_12 + C^1_21 = sqrt(t) - sqrt(t) is sampled, and the box holds t < 0
+    p = tmp_path / "sqrt.model"
+    p.write_text(SQRT_STRUCTURE)
+    assert main(["validate", str(p)]) == 2
+    line, out = error_line(capsys)
+    assert line.startswith("error: sqrt of negative value in 'sqrt(t)' at t=-")
+    point = dict(item.split("=") for item in line.split(" at ", 1)[1].split(", "))
+    assert set(point) == {"t", "q1"} and out == ""
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_path, capsys):
+    path = str(tmp_path / target)
+    argv = ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", "--t-end", "1", "--step", "0.5"]
+    assert main(argv + ["--out", path]) == 2
+    line, out = error_line(capsys)
+    assert line == f"error: cannot write '{path}': {reason}" and out == ""
+
+
+@pytest.mark.parametrize("alpha, fragment", [
+    ("w_free;alphaV=1", "inline alpha item 'w_free' is not field=expression"),
+    ("alphaV=q1;alpha0", "inline alpha item 'alpha0' is not field=expression"),
+    ("alphaV=q1;alpha0=t;alphaV=t", "inline alpha sets 'alphaV' twice"),
+    ("alpha0=t;alpha0=t", "inline alpha sets 'alpha0' twice"),
+])
+@pytest.mark.parametrize("command", ["hj", "verify"])
+def test_inline_alpha_with_a_bare_or_repeated_part_is_an_input_error(
+        command, alpha, fragment, capsys):
+    assert main([command, "trivial:1", "--alpha", alpha]) == 2
+    line, out = error_line(capsys)
+    assert line == f"error: {fragment}" and out == ""
+
+
+def test_inline_alpha_ignores_empty_parts(capsys):
+    assert main(["hj", "trivial:1", "--alpha", "alphaV=q1/(t+1);;alpha0=-(q1^2)/(2*(t+1)^2);"]) == 0
+    assert "hj_pass = True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("option, value, fragment", [
     ("--step", "0", "step > 0"),
     ("--step", "-1", "step > 0"),

@@ -7,9 +7,10 @@ import pytest
 
 from affmech import expr as ex
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
+from affmech.algebroid import KSection, compile_max_abs
 from affmech.cli import main
 from affmech.dynamics import (
-    _interpreted_rhs,
+    _field_outputs,
     hamilton_rhs,
     integrate,
     integrate_field,
@@ -129,16 +130,23 @@ def test_common_subexpressions_are_computed_once():
 def test_unbound_variable_is_reported_at_compile_time():
     with pytest.raises(ex.UnboundVariableError):
         ex.compile([ex.parse("x + w")], ["x"])
-    assert ex.try_compile([ex.parse("x + w")], ["x"]) is None
+    assert ex.try_compile(ex.compile, [ex.parse("x + w")], ["x"]) is None
+    assert ex.try_compile(ex.compile_rk4, [ex.parse("x + w")], ["x"]) is None
 
 
-def test_run_compiled_declines_errors_and_non_finite_values():
-    fn = ex.compile([ex.parse("log(x)"), ex.parse("x*1e308*10")], ["x"])
-    assert ex.run_compiled(fn, [0.01]) == [math.log(0.01), 0.01 * 1e308 * 10]
-    assert ex.run_compiled(fn, [-1.0]) is None  # log raises
-    assert ex.run_compiled(fn, [0.5]) is None  # inf
-    assert ex.run_compiled(fn, [1.0, 2.0]) is None  # wrong length
-    assert ex.run_compiled(None, [1.0]) is None
+def test_sampled_check_declines_compiled_errors_and_non_finite_values(monkeypatch):
+    chart = by_name("rigid:1,2,3").chart.bidual_chart()  # one base variable, t
+    s = KSection(chart, 1, {(0,): ex.parse("log(t)"), (1,): ex.parse("t*1e308*10")})
+    check = compile_max_abs(s)
+    evaluated, real = [], ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(env["t"]) or real(e, env))
+    assert check([{"t": 0.01}]) == (0.01 * 1e308 * 10, (1,), {"t": 0.01})
+    assert evaluated == []  # the compiled values served the point
+    assert check([{"t": 0.5}]) == (math.inf, (1,), {"t": 0.5})
+    assert set(evaluated) == {0.5}  # inf: the interpreter evaluated the point
+    with pytest.raises(ex.DomainError, match="log of non-positive value") as info:
+        check([{"t": 0.01}, {"t": -1.0}])  # log raises in the compiled code too
+    assert info.value.point == {"t": -1.0}
 
 
 def nested(depth):
@@ -158,23 +166,23 @@ def test_expression_too_deep_fails_as_the_interpreter_does():
     e = nested(5000)
     with pytest.raises(RecursionError):
         ex.evaluate(e, {"x": 0.3})
-    assert ex.try_compile([e], ["x"]) is None
+    assert ex.try_compile(ex.compile, [e], ["x"]) is None
     chart = AffgebroidChart(["x"], ["y"], [1.0], [[e]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y^2/2")
     with pytest.raises(RecursionError):
         hamilton_rhs(h, [0.3, 1.0])
+    assert ex.try_compile(ex.compile_rk4, _field_outputs(h), h.chart.all_vars()) is None
     shallow = AffgebroidChart(["x"], ["y"], [1.0], [[nested(300)]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(shallow, "y^2/2")
-    assert hamilton_rhs(h, [0.3, 1.0]) == _interpreted_rhs(h, [0.3, 1.0])
+    assert compiled_field(h)([0.3, 1.0])[:2] == hamilton_rhs(h, [0.3, 1.0])
 
 
 # ------------------------------------------------------------ hamilton_rhs
 
 
-def assert_close(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert abs(a - b) <= 1e-13 * abs(b) + 1e-300, (got, want)
+def compiled_field(h):
+    """The compiled stage of ``integrate``: the field, then H and its partials."""
+    return ex.compile(_field_outputs(h), h.chart.all_vars())
 
 
 def varying_chart():
@@ -191,16 +199,15 @@ def varying_chart():
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["varying"])
-def test_compiled_rhs_matches_interpreter(name):
+def test_compiled_field_matches_hamilton_rhs(name):
     h = varying_chart() if name == "varying" else by_name(name).hamiltonian
     rng = random.Random(hash(name) % 1000)
     width = len(h.chart.all_vars())
+    stage = compiled_field(h)
     for _ in range(50):
         state = [rng.uniform(-2.0, 2.0) for _ in range(width)]
-        got = hamilton_rhs(h, state)
-        assert h.compiled_rhs  # the compiled field served this call
-        assert ex.run_compiled(h.compiled_rhs, state)[:width] == got
-        assert_close(got, _interpreted_rhs(h, state))
+        # the same float operations in the same order; only a zero's sign may differ
+        assert stage(state)[:width] == hamilton_rhs(h, state)
 
 
 def test_rigid_body_field_keeps_only_the_bracket_terms():
@@ -225,24 +232,24 @@ def log_anchor_chart(rho0=1.0):
 def test_fallback_where_the_interpreter_skips_a_domain_error():
     h = log_anchor_chart()
     state = [-1.0, 0.0]  # dH/dy = 0, so the interpreter never evaluates log(x1)
-    assert hamilton_rhs(h, state) == [1.0, 0.0] == _interpreted_rhs(h, state)
+    assert hamilton_rhs(h, state) == [1.0, 0.0]
     with pytest.raises(ValueError):
-        h.compiled_rhs(state)
+        compiled_field(h)(state)
 
 
 def test_fallback_where_the_compiled_field_meets_inf_times_zero():
     chart = AffgebroidChart(["x1"], ["y1"], [1.0], [["x1*1e308"]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y1^2/2")
     state = [10.0, 0.0]  # rhoV = inf, dH/dy = 0
-    assert hamilton_rhs(h, state) == [1.0, 0.0] == _interpreted_rhs(h, state)
-    assert math.isnan(h.compiled_rhs(state)[0])
+    assert hamilton_rhs(h, state) == [1.0, 0.0]
+    assert math.isnan(compiled_field(h)(state)[0])
 
 
 def test_leaving_the_domain_reports_the_interpreters_error():
     h = log_anchor_chart(rho0=-1.0)
     state0 = [0.5, 0.1]
     compiled = integrate(h, state0, 0.0, 2.0, 1e-2)
-    interpreted = integrate_field(lambda s: _interpreted_rhs(h, s), state0, 0.0, 2.0, 1e-2)
+    interpreted = integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 2.0, 1e-2)
     assert not compiled.ok
     assert compiled.error == interpreted.error
     assert compiled.error.startswith("domain violation at t=")
@@ -253,11 +260,12 @@ def test_leaving_the_domain_reports_the_interpreters_error():
 def test_field_is_compiled_lazily_once_per_section():
     bundle = by_name("oscillator")
     h = bundle.hamiltonian
-    assert h.compiled_rhs is None
     hamilton_rhs(h, [0.0, 1.0, 0.0])
-    fn = h.compiled_rhs
-    hamilton_rhs(h, [0.1, 0.9, 0.2])
-    assert h.compiled_rhs is fn
+    assert h.compiled_rk4 is None  # the interpreter compiles nothing
+    integrate(h, [0.0, 1.0, 0.0], 0.0, 0.1, 1e-2)
+    fn = h.compiled_rk4
+    integrate(h, [0.1, 0.9, 0.2], 0.0, 0.1, 1e-2)
+    assert fn and h.compiled_rk4 is fn
 
 
 def test_field_raises_where_the_hamiltonian_is_undefined():
@@ -268,7 +276,7 @@ def test_field_raises_where_the_hamiltonian_is_undefined():
         hamilton_rhs(h, [0.0, -0.5, 1.0])
     state0 = [0.0, 0.5, -2.0]  # q1 falls through 0
     compiled = integrate(h, state0, 0.0, 1.0, 1e-2)
-    interpreted = integrate_field(lambda s: _interpreted_rhs(h, s), state0, 0.0, 1.0, 1e-2)
+    interpreted = integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 1.0, 1e-2)
     assert not compiled.ok and "log of non-positive value" in compiled.error
     assert compiled.error == interpreted.error
     assert compiled.states == interpreted.states

@@ -233,7 +233,7 @@ def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch):
 def test_the_pass_measures_each_state_once(monkeypatch):
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
-    counts, real = [], hj._compile_kernel
+    counts, real = [], ex.compile_rk4
 
     def spy(*args):
         kernel = real(*args)
@@ -244,7 +244,7 @@ def test_the_pass_measures_each_state_once(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(hj, "_compile_kernel", spy)
+    monkeypatch.setattr(ex, "compile_rk4", spy)
     monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
     report = verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
     assert counts == [len(report.trajectory.states)] == [11]
@@ -267,7 +267,7 @@ def test_reduced_stage_is_compiled_once_per_pair_of_sections(monkeypatch):
     out = ex.compile(exprs, variables, bound)(x)
     w = 2 * (2 + 1) + 1
     y = out[w:]
-    assert out[:w] == dynamics._compiled_rhs(h)(x + y)
+    assert out[:w] == ex.compile(dynamics._field_outputs(h), h.chart.all_vars())(x + y)
     assert y == [c.value(dict(zip(variables, x))) for c in alpha.alphaV]
 
 

@@ -18,6 +18,7 @@ from affmech import expr as ex
 from affmech import hj
 from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 from affmech.algebroid import KSection, SamplePlan, compile_max_abs, differential, section_max_abs
+from affmech.cli import main
 from affmech.dynamics import (
     _field_outputs,
     hamilton_rhs,
@@ -160,6 +161,26 @@ def test_the_compiled_check_samples_only_the_unproved_coefficients():
     plan = SamplePlan(count=5)
     assert compile_max_abs(s)(plan) == section_max_abs(s, plan)
     assert compile_max_abs(s)(plan)[1] == (2,)
+
+
+def test_the_compiled_check_proves_its_coefficients_once(monkeypatch):
+    calls, real = [], ex.is_zero
+    monkeypatch.setattr(ex, "is_zero", lambda e: calls.append(e) or real(e))
+    chart = by_name("rigid:1,2,3").chart.bidual_chart()
+    coeffs = {(0,): "t*t - t*t", (1,): "sin(t)", (2,): "t^2 - 1"}
+    s = KSection(chart, 1, {k: ex.parse(c) for k, c in coeffs.items()})
+    check = compile_max_abs(s)
+    assert len(calls) == 3
+    for plan in (SamplePlan(count=5), SamplePlan(box={"t": (2.0, 3.0)}, count=4, seed=9)):
+        assert check(plan) == section_max_abs(s, plan)
+    assert len(calls) == 3 + 2 * 3  # section_max_abs proves on every call; the check does not
+    # verify builds each check once per section, however many start points it draws
+    counts = []
+    for points in ("2", "4"):
+        calls.clear()
+        assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", points]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_generated_temporaries_cannot_overwrite_the_loop_locals():
