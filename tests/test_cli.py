@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmech import dynamics
+from affmech import cli, dynamics
 from affmech.algebroid import MAX_SAMPLES, SamplePlan
 from affmech.cli import main
 from affmech.models import by_name
@@ -457,9 +457,11 @@ def test_validate_chart_data_outside_its_domain_is_an_input_error_at_the_point(t
     ("missing/x.csv", "No such file or directory"),
     (".", "Is a directory"),
 ])
-def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_path, capsys):
+def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(cli, "integrate", lambda *a: pytest.fail("integrated before opening"))
     path = str(tmp_path / target)
-    argv = ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", "--t-end", "1", "--step", "0.5"]
+    argv = ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", "--t-end", "20", "--step", "0.001"]
     assert main(argv + ["--out", path]) == 2
     line, out = error_line(capsys)
     assert line == f"error: cannot write '{path}': {reason}" and out == ""
@@ -470,6 +472,7 @@ def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_pa
     ("alphaV=q1;alpha0", "inline alpha item 'alpha0' is not field=expression"),
     ("alphaV=q1;alpha0=t;alphaV=t", "inline alpha sets 'alphaV' twice"),
     ("alpha0=t;alpha0=t", "inline alpha sets 'alpha0' twice"),
+    ("alphaV=q1; alphaV =t", "inline alpha sets 'alphaV' twice"),
 ])
 @pytest.mark.parametrize("command", ["hj", "verify"])
 def test_inline_alpha_with_a_bare_or_repeated_part_is_an_input_error(
@@ -482,6 +485,25 @@ def test_inline_alpha_with_a_bare_or_repeated_part_is_an_input_error(
 def test_inline_alpha_ignores_empty_parts(capsys):
     assert main(["hj", "trivial:1", "--alpha", "alphaV=q1/(t+1);;alpha0=-(q1^2)/(2*(t+1)^2);"]) == 0
     assert "hj_pass = True" in capsys.readouterr().out
+
+
+def test_inline_alpha_allows_spaces_around_its_fields(capsys):
+    assert main(["hj", "trivial:1", "--alpha", " alphaV = q1/(t+1) ; alpha0 = -(q1^2)/(2*(t+1)^2)"]) == 0
+    assert "hj_pass = True" in capsys.readouterr().out
+
+
+def test_builtin_models_are_built_once_and_the_cache_is_bounded(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "by_name", lambda name, real=cli.by_name: built.append(name) or real(name))
+    names = [f"trivial:{d}" for d in range(1, cli.BUILTIN_CACHE_SIZE + 3)]
+    assert len(names) > cli.BUILTIN_CACHE_SIZE
+    for name in names:
+        assert main(["validate", name]) == 0
+        assert cli._builtin.cache_info().currsize <= cli.BUILTIN_CACHE_SIZE
+    assert cli._builtin.cache_info().currsize == cli.BUILTIN_CACHE_SIZE
+    assert main(["validate", names[-1]]) == 0  # the latest names are kept
+    assert built == names
+    assert by_name("oscillator") is not by_name("oscillator")  # the library builds afresh
 
 
 @pytest.mark.parametrize("option, value, fragment", [
