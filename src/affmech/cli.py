@@ -5,9 +5,7 @@ Hamilton equations to CSV), ``hj`` (cocycle and HJ residuals of a dual
 section), ``verify`` (two-way theorem check along reduced trajectories).
 Models are builtin names (``trivial:<dim>``, ``oscillator``,
 ``linear:tangent<dim>``, ``rigid:<I1>,<I2>,<I3>``, ``perturbed-so3``) or
-paths to model files; reports are ``KEY = value`` lines.  Builtin models are
-resolved once per process and reused with their compiled kernels; model files
-are read again on every call.
+paths to model files; reports are ``KEY = value`` lines.
 
 Exit codes: 0 pass, 1 check failed, 2 input error, 3 internal inconsistency.
 """
@@ -15,7 +13,6 @@ Exit codes: 0 pass, 1 check failed, 2 input error, 3 internal inconsistency.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import math
@@ -135,24 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BUILTIN_CACHE_SIZE = 8  # builtin bundles kept per process; ``structure`` uses 5 names
-
-
-@functools.lru_cache(maxsize=BUILTIN_CACHE_SIZE)
-def _builtin(name: str) -> ModelBundle:
-    return by_name(name)
-
-
 def _resolve_model(spec: str) -> ModelBundle:
-    """A model file, read on every call, or a builtin bundle, built once per process.
-
-    What a bundle's sections cache (RK4 kernels, ``CoSection.theorem_cache``)
-    depends on no call's x0, ``--horizon`` or ``--step``, so it is reused.
-    """
     if Path(spec).exists():
         return load_model(spec)
     try:
-        return _builtin(spec)
+        return by_name(spec)
     except ModelNameError:
         if any(ch in spec for ch in "/\\.") or spec.endswith(".model"):
             raise ModelFileError(f"model file '{spec}' does not exist") from None
@@ -210,23 +194,37 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
+    if args.out != "-":
+        try:  # a path that cannot be written costs no integration; mode "a" leaves a file as it is
+            open(args.out, "a").close()
+        except OSError as err:
+            return _cannot_write(args.out, err)
+    traj = integrate(bundle.hamiltonian, x0 + y0, args.t0, args.t_end, args.step)
     header = "t," + ",".join(
         [f"x{i+1}" for i in range(chart.m)] + [f"y{a+1}" for a in range(chart.n)]
     )
-    try:  # open the output first: a path that cannot be written costs no integration
-        with contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w") as out:
-            traj = integrate(bundle.hamiltonian, x0 + y0, args.t0, args.t_end, args.step)
-            rows = [header]
-            for k, (t, state) in enumerate(zip(traj.times, traj.states)):
-                if k % args.thin == 0 or k == len(traj.times) - 1:
-                    rows.append(",".join([repr(t)] + [repr(v) for v in state]))
-            if not traj.ok:
-                rows.append("# ABORTED")
-            out.write("\n".join(rows) + "\n")
-    except OSError as err:
-        print(f"error: cannot write '{args.out}': {err.strerror}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    last = len(traj.times) - 1
+    rows = [header] + [
+        ",".join(map(repr, (t, *state)))
+        for k, (t, state) in enumerate(zip(traj.times, traj.states))
+        if k % args.thin == 0 or k == last
+    ]
+    if not traj.ok:
+        rows.append("# ABORTED")
+    payload = "\n".join(rows) + "\n"
+    if args.out == "-":
+        sys.stdout.write(payload)
+    else:
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as err:
+            return _cannot_write(args.out, err)
     return EXIT_OK if traj.ok else EXIT_CHECK_FAILED
+
+
+def _cannot_write(path: str, err: OSError) -> int:
+    print(f"error: cannot write '{path}': {err.strerror}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 # ---------------------------------------------------------------------- hj

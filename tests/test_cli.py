@@ -467,6 +467,19 @@ def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_pa
     assert line == f"error: cannot write '{path}': {reason}" and out == ""
 
 
+def test_flow_that_fails_leaves_an_existing_output_file_as_it_was(tmp_path, monkeypatch, capsys):
+    def fail(*args):
+        raise RuntimeError("integration failed")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    path = tmp_path / "x.csv"
+    path.write_text("t,x1,x2,y1\n0.0,0.0,0.0,1.0\n")
+    argv = ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", "--t-end", "1", "--out", str(path)]
+    assert main(argv) == 3
+    assert error_line(capsys)[0] == "error: internal error: RuntimeError: integration failed"
+    assert path.read_text() == "t,x1,x2,y1\n0.0,0.0,0.0,1.0\n"
+
+
 @pytest.mark.parametrize("alpha, fragment", [
     ("w_free;alphaV=1", "inline alpha item 'w_free' is not field=expression"),
     ("alphaV=q1;alpha0", "inline alpha item 'alpha0' is not field=expression"),
@@ -490,20 +503,6 @@ def test_inline_alpha_ignores_empty_parts(capsys):
 def test_inline_alpha_allows_spaces_around_its_fields(capsys):
     assert main(["hj", "trivial:1", "--alpha", " alphaV = q1/(t+1) ; alpha0 = -(q1^2)/(2*(t+1)^2)"]) == 0
     assert "hj_pass = True" in capsys.readouterr().out
-
-
-def test_builtin_models_are_built_once_and_the_cache_is_bounded(monkeypatch, capsys):
-    built = []
-    monkeypatch.setattr(cli, "by_name", lambda name, real=cli.by_name: built.append(name) or real(name))
-    names = [f"trivial:{d}" for d in range(1, cli.BUILTIN_CACHE_SIZE + 3)]
-    assert len(names) > cli.BUILTIN_CACHE_SIZE
-    for name in names:
-        assert main(["validate", name]) == 0
-        assert cli._builtin.cache_info().currsize <= cli.BUILTIN_CACHE_SIZE
-    assert cli._builtin.cache_info().currsize == cli.BUILTIN_CACHE_SIZE
-    assert main(["validate", names[-1]]) == 0  # the latest names are kept
-    assert built == names
-    assert by_name("oscillator") is not by_name("oscillator")  # the library builds afresh
 
 
 @pytest.mark.parametrize("option, value, fragment", [

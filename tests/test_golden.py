@@ -134,11 +134,12 @@ def test_cli_output_equals_the_golden_output(argv, model_dir, golden):
     assert run(argv, model_dir) == golden[key(argv)]
 
 
-def test_warm_cli_output_equals_the_golden_output(model_dir, golden):
-    """The corpus forward, then reversed, in one process: builtin models stay cached.
+def test_cli_output_in_one_process_equals_the_golden_output(model_dir, golden):
+    """The corpus forward, then reversed, in one process.
 
-    The reversed pass meets every builtin bundle warm, after every error path of
-    the corpus ran once; no call may leave state that changes a later output.
+    The reversed pass runs after every error path of the corpus ran once, on
+    the parser the process keeps; no call may leave state that changes a
+    later output.
     """
     for argv in CORPUS + CORPUS[::-1]:
         assert run(argv, model_dir) == golden[key(argv)], key(argv)
