@@ -123,11 +123,18 @@ class SplitMix64:
         self.state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
+        return self.u64s(1)[0]
+
+    def u64s(self, k: int) -> list[int]:
+        """The next k outputs, in one loop."""
+        mask, state, out = self._MASK, self.state, []
+        for _ in range(k):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            out.append(z ^ (z >> 31))
+        self.state = state
+        return out
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
@@ -167,9 +174,13 @@ class SamplePlan:
         return self.box.get(var, self.DEFAULT_INTERVAL)
 
     def points(self, variables: Sequence[str]) -> list[dict[str, float]]:
-        rng = SplitMix64(self.seed)
+        """``count`` points, each drawn variable by variable with ``SplitMix64.uniform``."""
         spans = [(v, *self.interval(v)) for v in variables]
-        return [{v: rng.uniform(lo, hi) for v, lo, hi in spans} for _ in range(self.count)]
+        draws = iter(SplitMix64(self.seed).u64s(self.count * len(spans)))
+        return [
+            {v: lo + (hi - lo) * ((next(draws) >> 11) * 2.0**-53) for v, lo, hi in spans}
+            for _ in range(self.count)
+        ]
 
 
 def check_box_var(var: str, variables: Sequence[str]) -> None:

@@ -649,17 +649,16 @@ def compile_rk4(
         f"            {_not_finite(outs)}",
         "            if s == 0:",
         *(f"                {line}" for line in measure),
-        f"                {vec('a{j}')} = {vec('{k}')}",
-        f"                {vec('v{j}')} = {vec('y{j} + h2 * {k}')}",
-        "            elif s == 1:",
-        f"                {vec('b{j}')} = {vec('{k}')}",
-        f"                {vec('v{j}')} = {vec('y{j} + h2 * {k}')}",
-        "            elif s == 2:",
-        f"                {vec('c{j}')} = {vec('{k}')}",
-        f"                {vec('v{j}')} = {vec('y{j} + hs * {k}')}",
-        f"        {vec('w{j}')} = {vec('y{j} + hs * (a{j} + 2.0 * b{j} + 2.0 * c{j} + {k}) / 6.0')}",
-        f"        {_not_finite([f'w{j}' for j in range(w)])}",
-        f"        {vec('y{j}')} = {vec('w{j}')}",
+        f"                {vec('r{j}')} = {vec('{k}')}",
+        "            elif s < 3:",
+        f"                {vec('r{j}')} = {vec('r{j} + 2.0 * {k}')}",
+        "            else:",
+        "                break",
+        "            hv = hs if s == 2 else h2",
+        f"            {vec('v{j}')} = {vec('y{j} + hv * {k}')}",
+        # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in the per-stage path's order
+        f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
+        f"        {_not_finite([f'y{j}' for j in range(w)])}",
         "        i += 1",
         "        now = min(start + i * step, end)",
         "        times.append(now)",
@@ -674,7 +673,13 @@ def compile_rk4(
 
 
 def _not_finite(values: Sequence[str]) -> str:
-    return f"if ({' + '.join(values)}) * 0.0 != 0.0: raise ArithmeticError"
+    """A line raising ArithmeticError where the sum of ``values`` is not finite.
+
+    A finite literal (its text starts with a digit or '-') cannot make the
+    sum so and a repeated value adds nothing, so both are left out.
+    """
+    names = [v for v in dict.fromkeys(values) if not (v[0].isdigit() or v[0] == "-")]
+    return f"if ({' + '.join(names)}) * 0.0 != 0.0: raise ArithmeticError" if names else "pass"
 
 
 def try_compile(build: Callable, *args):
