@@ -203,9 +203,9 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
     header = "t," + ",".join(
         [f"x{i+1}" for i in range(chart.m)] + [f"y{a+1}" for a in range(chart.n)]
     )
-    last = len(traj.times) - 1
+    last, row = len(traj.times) - 1, ",".join(["%r"] * (1 + chart.m + chart.n))
     rows = [header] + [
-        ",".join(map(repr, (t, *state)))
+        row % (t, *state)
         for k, (t, state) in enumerate(zip(traj.times, traj.states))
         if k % args.thin == 0 or k == last
     ]

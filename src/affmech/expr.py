@@ -641,7 +641,8 @@ def compile_rk4(
         "try:",
         f"    {vec('y{j}')} = states[-1]",
         f"    while {'True' if check else 'now < end'}:",
-        "        hs = min(step, end - now)",
+        "        hs = end - now",  # min(step, end - now) without a call
+        "        if not hs < step: hs = step",
         "        h2 = 0.5 * hs",
         f"        {vec('v{j}')} = {vec('y{j}')}",
         "        for s in (0, 1, 2, 3):",
@@ -660,7 +661,8 @@ def compile_rk4(
         f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
         f"        {_not_finite([f'y{j}' for j in range(w)])}",
         "        i += 1",
-        "        now = min(start + i * step, end)",
+        "        now = start + i * step",
+        "        if end < now: now = end",
         "        times.append(now)",
         f"        states.append([{vec('y{j}')}])",
         "except (ArithmeticError, ValueError):",
