@@ -1015,8 +1015,13 @@ def diff(e: Expr, var: str) -> Expr:
         return _ONE if e.name == var else _ZERO
     if isinstance(e, Neg):
         return neg(diff(e.arg, var))
+    # Where the derivatives of the operands are literal zeros and the other
+    # factors are not literals, the rules below fold to 0: return it unbuilt.
     if isinstance(e, Call):
-        return mul(_CHAIN[e.fn](e), diff(e.arg, var))
+        da = diff(e.arg, var)
+        if literal_value(da) == 0.0 and literal_value(e.arg) is None:
+            return _ZERO
+        return mul(_CHAIN[e.fn](e), da)
     assert isinstance(e, BinOp)
     a, b = e.lhs, e.rhs
     da = diff(a, var)
@@ -1027,6 +1032,8 @@ def diff(e: Expr, var: str) -> Expr:
         if c == 1.0:
             return da
         if c is not None:
+            if literal_value(da) == 0.0 and literal_value(a) is None:
+                return _ZERO
             return mul(mul(c, power(a, c - 1.0)), da)
         return mul(e, add(mul(diff(b, var), call("log", a)), div(mul(b, da), a)))
     db = diff(b, var)
@@ -1034,6 +1041,9 @@ def diff(e: Expr, var: str) -> Expr:
         return add(da, db)
     if e.op == "-":
         return sub(da, db)
+    if (e.op == "*" or e.op == "/") and literal_value(da) == literal_value(db) == 0.0:
+        if literal_value(b) is None and (e.op == "/" or literal_value(a) is None):
+            return _ZERO
     if e.op == "*":
         return add(mul(da, b), mul(a, db))
     # quotient rule in the form (a' - (a/b) b') / b, which reuses the node a/b
