@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,60 @@ def test_diff_of_structural_zero_is_literal_zero():
     assert ex.diff(ex.parse("4.2"), "x") == Lit(0.0)
     assert ex.diff(ex.parse("sin(y)*exp(z)+y^3"), "x") == Lit(0.0)
     assert ex.diff(ex.parse("x*y"), "x") == Var("y")
+
+
+def _rule_diff(e, var):
+    """``ex.diff`` by its rules alone, every term built and folded: the reference."""
+    if isinstance(e, Lit):
+        return Lit(0.0)
+    if isinstance(e, Var):
+        return Lit(1.0 if e.name == var else 0.0)
+    if isinstance(e, Neg):
+        return ex.neg(_rule_diff(e.arg, var))
+    if isinstance(e, Call):
+        return ex.mul(ex._CHAIN[e.fn](e), _rule_diff(e.arg, var))
+    a, b = e.lhs, e.rhs
+    da = _rule_diff(a, var)
+    if e.op == "^":
+        c = ex.literal_value(b)
+        if c == 0.0:
+            return Lit(0.0)
+        if c == 1.0:
+            return da
+        if c is not None:
+            return ex.mul(ex.mul(c, ex.power(a, c - 1.0)), da)
+        log_term = ex.mul(_rule_diff(b, var), ex.call("log", a))
+        return ex.mul(e, ex.add(log_term, ex.div(ex.mul(b, da), a)))
+    db = _rule_diff(b, var)
+    if e.op in "+-":
+        return (ex.add if e.op == "+" else ex.sub)(da, db)
+    if e.op == "*":
+        return ex.add(ex.mul(da, b), ex.mul(a, db))
+    return ex.div(ex.sub(da, ex.mul(e, db)), b)
+
+
+def test_diff_equals_its_rules_where_it_skips_zero_terms():
+    # literal operands (zeros of both signs, negatives, a literal divisor of 0) and
+    # subtrees free of the variable reach every place where diff returns 0 unbuilt
+    rng = random.Random(11)
+    atoms = ["x", "y", "2", "0", "3.5", "-1", "-0", "(1/0)"]
+
+    def gen(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(atoms)
+        pick = rng.random()
+        if pick < 0.5:
+            return f"({gen(depth - 1)}{rng.choice('+-*/^')}{gen(depth - 1)})"
+        if pick < 0.65:
+            return f"-{gen(depth - 1)}"
+        if pick < 0.85:
+            return f"{rng.choice(sorted(ex.FUNCTIONS))}({gen(depth - 1)})"
+        return f"({gen(depth - 1)})^{rng.choice(['2', '3', '0', '1', '-1', '0.5'])}"
+
+    exprs = expression_corpus() + [ex.parse(gen(4)) for _ in range(3000)]
+    for e in exprs:
+        for v in ("x", "y", "w"):
+            assert repr(ex.diff(e, v)) == repr(_rule_diff(e, v)), (ex.to_string(e), v)
 
 
 def test_diff_matches_dual_arithmetic_on_corpus():
