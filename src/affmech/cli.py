@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -195,8 +196,11 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
         return EXIT_INPUT_ERROR
 
     if args.out != "-":
-        try:  # a path that cannot be written costs no integration; mode "a" leaves a file as it is
+        try:  # a path that cannot be written costs no integration; the probe changes no file
+            fresh = not os.path.lexists(args.out)
             open(args.out, "a").close()
+            if fresh:
+                os.remove(args.out)
         except OSError as err:
             return _cannot_write(args.out, err)
     traj = integrate(bundle.hamiltonian, x0 + y0, args.t0, args.t_end, args.step)

@@ -467,17 +467,19 @@ def test_flow_to_a_path_it_cannot_write_is_an_input_error(target, reason, tmp_pa
     assert line == f"error: cannot write '{path}': {reason}" and out == ""
 
 
-def test_flow_that_fails_leaves_an_existing_output_file_as_it_was(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("before", [None, "t,x1,x2,y1\n0.0,0.0,0.0,1.0\n"])
+def test_flow_that_fails_leaves_the_output_path_as_it_was(before, tmp_path, monkeypatch, capsys):
     def fail(*args):
         raise RuntimeError("integration failed")
 
     monkeypatch.setattr(cli, "integrate", fail)
     path = tmp_path / "x.csv"
-    path.write_text("t,x1,x2,y1\n0.0,0.0,0.0,1.0\n")
+    if before is not None:
+        path.write_text(before)
     argv = ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", "--t-end", "1", "--out", str(path)]
     assert main(argv) == 3
     assert error_line(capsys)[0] == "error: internal error: RuntimeError: integration failed"
-    assert path.read_text() == "t,x1,x2,y1\n0.0,0.0,0.0,1.0\n"
+    assert (path.read_text() if path.exists() else None) == before
 
 
 @pytest.mark.parametrize("alpha, fragment", [
