@@ -31,7 +31,6 @@ from .algebroid import (
     Prolongation,
     Report,
     SamplePlan,
-    as_coeff,
     as_expr,
     differential,
     prolong,
@@ -197,7 +196,7 @@ class HamiltonianSection:
 class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
-    The components are expressions (``as_coeff``); a callable is a TypeError.
+    The components are expressions (``as_expr``); a callable is a TypeError.
     ``compiled_rk4`` caches ``(h, kernel)``, the RK4 kernel of
     ``dynamics.integrate_reduced`` for the last h.  ``theorem_cache`` caches
     the work of ``hj.verify_theorem`` that does not depend on the start
@@ -211,8 +210,8 @@ class CoSection:
     theorem_cache: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.alpha0 = as_coeff(self.alpha0)
-        self.alphaV = [as_coeff(c) for c in self.alphaV]
+        self.alpha0 = as_expr(self.alpha0)
+        self.alphaV = [as_expr(c) for c in self.alphaV]
         if len(self.alphaV) != self.chart.n:
             raise ValueError("alphaV needs one component per fiber coordinate")
 

@@ -7,8 +7,10 @@ morphisms, numeric chart validation (antisymmetry, anchor compatibility and
 Jacobi via d.d = 0 at sampled points), and the prolongation of a chart over
 a fibration together with its Liouville and canonical symplectic sections.
 
-Chart data, morphism data and section coefficients are expressions
-(``as_expr``; anything else is a TypeError).  The differential, pullbacks
+Chart data and morphism data are stored as the expressions ``as_expr``
+returns (anything else is a TypeError).  A KSection stores each coefficient
+as an ExprCoeff, the expression with its ``value`` at a point; that is the
+only place an expression is wrapped.  The differential, pullbacks
 and linear combinations are built symbolically with the folding
 constructors of ``expr``: every derived coefficient is one exact
 expression, built once, and a coefficient that folds to zero is dropped.
@@ -40,8 +42,6 @@ __all__ = [
     "VALIDATION_TOL",
     "ExprCoeff",
     "as_expr",
-    "as_coeff",
-    "is_zero_coeff",
     "SplitMix64",
     "MAX_SAMPLES",
     "SamplePlan",
@@ -72,7 +72,7 @@ VALIDATION_TOL = 1e-8
 
 
 class ExprCoeff:
-    """Coefficient backed by an expression."""
+    """Coefficient of a KSection: its expression ``node`` and its ``value`` at a point."""
 
     __slots__ = ("node",)
 
@@ -90,25 +90,21 @@ _ZERO = Lit(0.0)
 
 
 def as_expr(obj) -> Expr:
-    """Coerce a string, number, expression or ExprCoeff to an expression."""
+    """Coerce a string, number, expression or KSection coefficient to an expression."""
+    if isinstance(obj, ex._Node):
+        return obj
     if isinstance(obj, str):
         return ex.parse(obj)
     if isinstance(obj, (int, float)):
         return Lit(float(obj))
-    if isinstance(obj, ex._Node):
-        return obj
     if isinstance(obj, ExprCoeff):
         return obj.node
     raise TypeError(f"coefficients must be expressions, got {obj!r}")
 
 
-def as_coeff(obj) -> ExprCoeff:
-    """Coerce a string, number, expression or ExprCoeff to an ExprCoeff."""
-    return obj if isinstance(obj, ExprCoeff) else ExprCoeff(as_expr(obj))
-
-
-def is_zero_coeff(c: ExprCoeff) -> bool:
-    return ex.literal_value(c.node) == 0.0
+def _nonzero(entries: Sequence[Expr]) -> list[tuple[int, Expr]]:
+    """(position, entry) of each entry that is not a literal zero."""
+    return [(i, e) for i, e in enumerate(entries) if ex.literal_value(e) != 0.0]
 
 
 # ------------------------------------------------------------------ sampling
@@ -204,10 +200,8 @@ class AlgebroidChart:
 
     def __init__(self, base_vars, anchor, structure, labels=None):
         self.base_vars = list(base_vars)
-        self.anchor = [[ExprCoeff(as_expr(c)) for c in row] for row in anchor]
-        self.structure = [
-            [[ExprCoeff(as_expr(c)) for c in col] for col in mat] for mat in structure
-        ]
+        self.anchor = [[as_expr(c) for c in row] for row in anchor]
+        self.structure = [[[as_expr(c) for c in col] for col in mat] for mat in structure]
         r = len(self.anchor)
         m = len(self.base_vars)
         if any(len(row) != m for row in self.anchor):
@@ -219,15 +213,12 @@ class AlgebroidChart:
         self.labels = list(labels) if labels is not None else [f"e{a+1}" for a in range(r)]
         if len(self.labels) != r:
             raise ValueError("one label per basis section")
-        self._anchor_nz = [
-            [(i, c) for i, c in enumerate(row) if not is_zero_coeff(c)]
-            for row in self.anchor
-        ]
+        self._anchor_nz = [_nonzero(row) for row in self.anchor]
         self._struct_nz = {}
         self._struct_by_c = {}  # c -> [(a, b, C^c_ab)] for a < b
         for a in range(r):
             for b in range(r):
-                nz = [(c, co) for c, co in enumerate(self.structure[a][b]) if not is_zero_coeff(co)]
+                nz = _nonzero(self.structure[a][b])
                 if nz:
                     self._struct_nz[(a, b)] = nz
                 if a < b:
@@ -255,7 +246,11 @@ MAX_DEGREE = 3
 
 
 class KSection:
-    """Alternating degree-k section, coefficients keyed by increasing tuples."""
+    """Alternating degree-k section, coefficients keyed by increasing tuples.
+
+    Each coefficient is coerced with ``as_expr`` and kept as an ExprCoeff
+    unless it is a literal zero.
+    """
 
     def __init__(self, chart: AlgebroidChart, degree: int, coeffs: Mapping[tuple, object]):
         if not 0 <= degree <= MAX_DEGREE:
@@ -269,9 +264,9 @@ class KSection:
                 raise ValueError(f"index tuple {idx} must be strictly increasing of length {degree}")
             if any(not 0 <= a < chart.rank for a in idx):
                 raise ValueError(f"index tuple {idx} out of range for rank {chart.rank}")
-            cc = as_coeff(c)
-            if not is_zero_coeff(cc):
-                self.coeffs[idx] = cc
+            node = as_expr(c)
+            if ex.literal_value(node) != 0.0:
+                self.coeffs[idx] = ExprCoeff(node)
 
     # ---- constructors
 
@@ -337,7 +332,8 @@ def differential(s: KSection) -> KSection:
     The terms of each output coefficient are summed, as one folded
     expression, in the order of a walk over the basis: anchor terms by the
     position of a and the base variable, then bracket terms by the
-    positions of a and b and by c.  An output that folds to zero is dropped.
+    positions of a and b and by c.  An output that folds to zero is dropped
+    (by ``KSection``).
     """
     if s.degree > 2:
         raise ValueError("differential implemented for sections of degree <= 2")
@@ -353,7 +349,7 @@ def differential(s: KSection) -> KSection:
             for vi, rc in anchor:
                 if vi not in partials:
                     partials[vi] = ex.diff(coeff.node, chart.base_vars[vi])
-                term = mul((-1.0) ** i, mul(rc.node, partials[vi]))
+                term = mul((-1.0) ** i, mul(rc, partials[vi]))
                 terms.setdefault(idx, []).append(((0, i, vi), term))
         for p, c in enumerate(key):
             rest = key[:p] + key[p + 1 :]
@@ -362,15 +358,14 @@ def differential(s: KSection) -> KSection:
                     continue
                 idx = tuple(sorted(rest + (a, b)))
                 i, j = idx.index(a), idx.index(b)
-                term = mul((-1.0) ** (i + j + p), mul(cc.node, coeff.node))
+                term = mul((-1.0) ** (i + j + p), mul(cc, coeff.node))
                 terms.setdefault(idx, []).append(((1, i, j, c), term))
-    out: dict[tuple, ExprCoeff] = {}
+    out: dict[tuple, Expr] = {}
     for idx in sorted(terms):
         node = _ZERO
         for _, term in sorted(terms[idx]):  # the orders are distinct: terms are never compared
             node = add(node, term)
-        if ex.literal_value(node) != 0.0:
-            out[idx] = ExprCoeff(node)
+        out[idx] = node
     return KSection(chart, s.degree + 1, out)
 
 
@@ -392,18 +387,15 @@ class Morphism:
     fiber_map: list
 
     def __post_init__(self):
-        self.base_map = [ExprCoeff(as_expr(c)) for c in self.base_map]
-        self.fiber_map = [[ExprCoeff(as_expr(c)) for c in row] for row in self.fiber_map]
+        self.base_map = [as_expr(c) for c in self.base_map]
+        self.fiber_map = [[as_expr(c) for c in row] for row in self.fiber_map]
         if len(self.base_map) != self.dst.dim:
             raise ValueError("base map must produce every destination coordinate")
         if len(self.fiber_map) != self.dst.rank or any(
             len(row) != self.src.rank for row in self.fiber_map
         ):
             raise ValueError("fiber map must be dst.rank x src.rank")
-        self._fiber_nz = [
-            [(a, c.node) for a, c in enumerate(row) if not is_zero_coeff(c)]
-            for row in self.fiber_map
-        ]
+        self._fiber_nz = [_nonzero(row) for row in self.fiber_map]
 
 
 _PERMS = {
@@ -434,7 +426,7 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
     if s.chart is not morph.dst:
         raise ValueError("section must live on the destination chart of the morphism")
     k = s.degree
-    mapping = {var: c.node for var, c in zip(morph.dst.base_vars, morph.base_map)}
+    mapping = dict(zip(morph.dst.base_vars, morph.base_map))
     pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
     if k == 0:
         return KSection(morph.src, 0, pulled)
@@ -535,13 +527,15 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
 def compile_max_abs(s: KSection) -> Callable[[object], tuple[float, tuple, dict]]:
     """``section_max_abs(s, envs)`` as a function of ``envs``.
 
-    Every coefficient is compiled, and tried with ``expr.is_zero``, once.
-    At a point where the compiled coefficients raise or one is not finite,
-    the interpreter evaluates the point, so the result, each evaluation
-    error and its ``point`` are those of ``section_max_abs``.
+    Every coefficient is compiled, and tried with ``expr.is_zero``, once; a
+    section with no coefficients compiles nothing.  At a point where the
+    compiled coefficients raise or one is not finite, the interpreter
+    evaluates the point, so the result, each evaluation error and its
+    ``point`` are those of ``section_max_abs``.
     """
     nodes, variables = {idx: c.node for idx, c in s.coeffs.items()}, s.chart.base_vars
-    proved, fn = _proved(nodes), ex.try_compile(ex.compile, list(nodes.values()), variables)
+    fn = ex.try_compile(ex.compile, list(nodes.values()), variables) if nodes else None
+    proved = _proved(nodes)
     return lambda envs: _max_abs(nodes, proved, variables, envs, fn)
 
 
@@ -595,14 +589,14 @@ def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
         raise ValueError("sections must share chart and degree")
     ns = {idx: c.node for idx, c in s.coeffs.items()}
     nt = {idx: c.node for idx, c in t.coeffs.items()}
-    out: dict[tuple, ExprCoeff] = {}
+    out: dict[tuple, Expr] = {}
     for idx in set(ns) | set(nt):
         node = _ZERO
         if idx in ns:
             node = add(node, mul(a, ns[idx]))
         if idx in nt:
             node = add(node, mul(b, nt[idx]))
-        out[idx] = ExprCoeff(node)
+        out[idx] = node
     return KSection(s.chart, s.degree, out)
 
 
@@ -670,7 +664,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
             cols |= {c for c, _ in chart.structure_nonzero(b, a)}
             for c in cols:
                 fwd, rev = chart.structure[a][b][c], chart.structure[b][a][c]
-                sums[(a, b, c)] = BinOp("+", fwd.node, rev.node)
+                sums[(a, b, c)] = BinOp("+", fwd, rev)
     antisym, _, _ = _max_abs(sums, _proved(sums), chart.base_vars, plan)
 
     def dd_max(s: KSection):
@@ -729,7 +723,7 @@ class Prolongation:
             for b in range(a + 1, r):
                 node = _ZERO
                 for c, coeff in self.parent.structure_nonzero(a, b):
-                    node = add(node, mul(coeff.node, Var(self.fiber_vars[c])))
+                    node = add(node, mul(coeff, Var(self.fiber_vars[c])))
                 comps[(a, b)] = node
         return KSection(self.chart, 2, comps)
 

@@ -134,11 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_model(spec: str) -> ModelBundle:
-    if Path(spec).exists():
+    """A regular file at ``spec``, else a builtin; a directory does not shadow a builtin."""
+    if Path(spec).is_file():
         return load_model(spec)
     try:
         return by_name(spec)
     except ModelNameError:
+        if Path(spec).exists():  # not a regular file: load_model says why it cannot be read
+            return load_model(spec)
         if any(ch in spec for ch in "/\\.") or spec.endswith(".model"):
             raise ModelFileError(f"model file '{spec}' does not exist") from None
         raise
@@ -236,7 +239,10 @@ def _cannot_write(path: str, err: OSError) -> int:
 
 def _resolve_alpha(bundle: ModelBundle, text: str) -> CoSection:
     if "=" not in text:
-        return bundle.section(text)
+        try:
+            return bundle.section(text)
+        except KeyError as err:  # str() of a KeyError quotes its message
+            raise ValueError(*err.args) from None
     parts = {}
     for item in filter(None, (p.strip() for p in text.split(";"))):
         if "=" not in item:
@@ -278,7 +284,7 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
     try:
         alpha = _resolve_alpha(bundle, args.alpha)
         plan = _plan_from_args(bundle, args)
-    except (KeyError, ValueError, ex.ParseError) as err:
+    except (ValueError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -286,7 +292,7 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
         envs = plan.points(bundle.chart.base_vars)  # f is always sampled: draw once, share
         coc = cocycle_residual(alpha, envs)
         f = f_of(bundle.hamiltonian, alpha)
-        values = values_at(f.value, envs)
+        values = values_at(functools.partial(ex.evaluate, f), envs)
         hj = hj_residual(alpha, bundle.hamiltonian, envs)
     except ex.EvalError as err:
         return _evaluation_error(err)
@@ -337,7 +343,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
             points = [[env[v] for v in chart.base_vars] for env in plan.points(chart.base_vars)]
         if not points:
             raise ValueError("no initial points given")
-    except (KeyError, ValueError, ex.ParseError) as err:
+    except (ValueError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -213,7 +213,7 @@ def reduced_field(alpha: CoSection, h: HamiltonianSection):
 
     def field(x_state: Sequence[float]) -> list[float]:
         env = dict(zip(aff.base_vars, x_state))
-        return hamilton_rhs(h, list(x_state) + [c.value(env) for c in alpha.alphaV])[:m]
+        return hamilton_rhs(h, list(x_state) + [ex.evaluate(c, env) for c in alpha.alphaV])[:m]
 
     return field
 
@@ -227,8 +227,7 @@ def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     value is the per-stage one.
     """
     aff = h.chart
-    alpha_v = [c.node for c in alpha.alphaV]
-    return _field_outputs(h) + alpha_v, aff.base_vars, dict(zip(aff.fiber_vars, alpha_v))
+    return _field_outputs(h) + alpha.alphaV, aff.base_vars, dict(zip(aff.fiber_vars, alpha.alphaV))
 
 
 def integrate_reduced(

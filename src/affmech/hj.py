@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from . import expr as ex
 from .algebroid import (
-    ExprCoeff,
     KSection,
     Report,
     SamplePlan,
@@ -55,8 +54,7 @@ def f_of(h: HamiltonianSection, alpha: CoSection):
     In dual coordinates: alpha0(x) + H(x, alphaV(x)), as one expression.
     """
     aff = h.chart
-    sub = {aff.fiber_vars[a]: alpha.alphaV[a].node for a in range(aff.n)}
-    return ExprCoeff(ex.add(alpha.alpha0.node, ex.substitute(h.H, sub)))
+    return ex.add(alpha.alpha0, ex.substitute(h.H, dict(zip(aff.fiber_vars, alpha.alphaV))))
 
 
 @dataclass
@@ -204,7 +202,7 @@ def verify_theorem(
     def residuals(env):
         """The m signed base defects and n signed fiber residuals at a state, interpreted."""
         state = [env[v] for v in aff.base_vars]
-        rhs = hamilton_rhs(h, state + [c.value(env) for c in alpha.alphaV])
+        rhs = hamilton_rhs(h, state + [ex.evaluate(c, env) for c in alpha.alphaV])
         xdot = field(state)
         dg = [ex.evaluate(d, env) for d in cache["dalpha"]]
         return [rhs[i] - xdot[i] for i in range(m)] + [
@@ -252,7 +250,7 @@ def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
         coc = CocycleReport(worst, where, plan.count)
         cache = {"h": h, "plan": plan, "cocycle": coc}
         if coc.is_cocycle:
-            dalpha = [ex.diff(c.node, v) for c in alpha.alphaV for v in h.chart.base_vars]
+            dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
             cache["dalpha"] = dalpha
             cache["kernel"] = ex.try_compile(
                 ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))

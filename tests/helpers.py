@@ -22,7 +22,7 @@ import numpy as np
 
 from affmech import expr as ex
 from affmech.affgebroid import omega_h
-from affmech.algebroid import _PERMS, ExprCoeff, KSection, _sort_with_sign, is_zero_coeff
+from affmech.algebroid import _PERMS, KSection, _sort_with_sign
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 
 
@@ -200,7 +200,7 @@ def dense_differential(s):
             if coeff is None:
                 continue
             for vi, rc in chart._anchor_nz[a]:
-                term = ex.mul(rc.node, ex.diff(coeff.node, chart.base_vars[vi]))
+                term = ex.mul(rc, ex.diff(coeff.node, chart.base_vars[vi]))
                 node = ex.add(node, ex.mul((-1.0) ** i, term))
         for i in range(k + 1):
             for j in range(i + 1, k + 1):
@@ -213,9 +213,8 @@ def dense_differential(s):
                     coeff = s.coeffs.get(key)
                     if coeff is None:
                         continue
-                    node = ex.add(node, ex.mul(sign_ij * sgn, ex.mul(c_coeff.node, coeff.node)))
-        if ex.literal_value(node) != 0.0:
-            out[idx] = ExprCoeff(node)
+                    node = ex.add(node, ex.mul(sign_ij * sgn, ex.mul(c_coeff, coeff.node)))
+        out[idx] = node
     return KSection(chart, k + 1, out)
 
 
@@ -224,7 +223,7 @@ def dense_pullback(morph, s):
     if s.chart is not morph.dst:
         raise ValueError("section must live on the destination chart of the morphism")
     k = s.degree
-    mapping = {var: c.node for var, c in zip(morph.dst.base_vars, morph.base_map)}
+    mapping = dict(zip(morph.dst.base_vars, morph.base_map))
     pulled = {key: ex.substitute(c.node, mapping) for key, c in s.coeffs.items()}
     if k == 0:
         return KSection(morph.src, 0, pulled)
@@ -235,14 +234,14 @@ def dense_pullback(morph, s):
             det = ex.Lit(0.0)
             for perm, sign in _PERMS[k]:
                 entries = [morph.fiber_map[bkey[perm[p]]][idx[p]] for p in range(k)]
-                if any(is_zero_coeff(e) for e in entries):
+                if any(ex.literal_value(e) == 0.0 for e in entries):
                     continue
                 prod = sign
                 for e in entries:
-                    prod = ex.mul(prod, e.node)
+                    prod = ex.mul(prod, e)
                 det = ex.add(det, prod)
             node = ex.add(node, ex.mul(det, s_b))
-        out[idx] = ExprCoeff(node)
+        out[idx] = node
     return KSection(morph.src, k, out)
 
 

@@ -31,8 +31,11 @@ from affmech.affgebroid import (
     omega_h_from_pullback,
     pullback_identities,
     reeb,
+    vertical_inclusion_morphism,
     vertical_restriction_check,
 )
+from affmech.hj import f_of
+from affmech.modelfile import parse_model_text
 from affmech.models import (
     by_name,
     harmonic_oscillator,
@@ -88,10 +91,10 @@ def test_bidual_trivial_fibration_matches_tangent_structure():
     aff = trivial_fibration(1).chart
     bid = aff.bidual_chart()
     env = {"t": 0.4, "q1": -0.2}
-    assert [c.value(env) for c in bid.anchor[0]] == [1.0, 0.0]
-    assert [c.value(env) for c in bid.anchor[1]] == [0.0, 1.0]
+    assert [ex.evaluate(c, env) for c in bid.anchor[0]] == [1.0, 0.0]
+    assert [ex.evaluate(c, env) for c in bid.anchor[1]] == [0.0, 1.0]
     assert all(
-        bid.structure[a][b][c].value(env) == 0.0
+        ex.evaluate(bid.structure[a][b][c], env) == 0.0
         for a in range(2)
         for b in range(2)
         for c in range(2)
@@ -115,7 +118,7 @@ def test_vertical_chart_trivial_picks_configuration_directions():
     aff = trivial_fibration(1).chart
     vert = aff.vertical_chart()
     env = {"t": 0.1, "q1": 0.9}
-    assert [c.value(env) for c in vert.anchor[0]] == [0.0, 1.0]
+    assert [ex.evaluate(c, env) for c in vert.anchor[0]] == [0.0, 1.0]
 
 
 def test_vertical_chart_rigid_body():
@@ -123,10 +126,10 @@ def test_vertical_chart_rigid_body():
     vert = aff.vertical_chart()
     env = {"t": 0.0}
     for a in range(3):
-        assert [c.value(env) for c in vert.anchor[a]] == [0.0]
+        assert [ex.evaluate(c, env) for c in vert.anchor[a]] == [0.0]
         for b in range(3):
             for g in range(3):
-                assert vert.structure[a][b][g].value(env) == ex.evaluate(aff.CV[a][b][g], env)
+                assert ex.evaluate(vert.structure[a][b][g], env) == ex.evaluate(aff.CV[a][b][g], env)
 
 
 def test_vertical_charts_validate():
@@ -440,11 +443,51 @@ def test_derived_coefficients_are_expressions_on_every_builtin():
             pullback(g_morph, omega_h(h)),
         ]
         coeffs = [c for s in sections for c in s.coeffs.values()]
-        for morph in (h_morph, g_morph):
-            coeffs += morph.base_map + [c for row in morph.fiber_map for c in row]
         assert all(isinstance(c, ExprCoeff) for c in coeffs), name
-        seen += len(coeffs)
+        data = [c for morph in (h_morph, g_morph) for c in morph.base_map]
+        data += [c for morph in (h_morph, g_morph) for row in morph.fiber_map for c in row]
+        assert all(isinstance(c, ex.Expr) for c in data), name
+        seen += len(coeffs) + len(data)
     assert seen > 100
+
+
+SO3_MODEL_TEXT = """[space]
+m = 1
+n = 3
+vars = s, y1, y2, y3
+
+[structure]
+1,2,3 = 1.5
+2,3,1 = 2.0
+3,1,2 = 0.5
+{extra}
+
+[hamiltonian]
+H = y1^2/2+y2^2/2+y3^2/2
+
+[sections]
+w.alpha0 = s^2
+w.alphaV = s, 0, -s
+"""
+
+
+def test_model_data_is_plain_expressions_on_builtins_and_so3_model_files():
+    bundles = [by_name(name) for name in BUILTIN_NAMES]
+    # the Jacobi-holding and the Jacobi-breaking so(3) bracket table
+    bundles += [parse_model_text(SO3_MODEL_TEXT.format(extra=e)) for e in ("", "1,2,2 = 0.25")]
+    for bundle in bundles:
+        aff, h = bundle.chart, bundle.hamiltonian
+        charts = [aff.bidual_chart(), aff.vertical_chart(), aff.prolongation().chart]
+        data = [c for chart in charts for row in chart.anchor for c in row]
+        data += [c for chart in charts for mat in chart.structure for col in mat for c in col]
+        gamma = VStarSection(aff, [ex.Var(aff.base_vars[0])] * aff.n)
+        morphs = [hamiltonian_morphism(h), covector_morphism(gamma), vertical_inclusion_morphism(aff)]
+        for morph in morphs:
+            data += morph.base_map + [c for row in morph.fiber_map for c in row]
+        inline = CoSection(aff, "1", [ex.Var(aff.base_vars[0])] * aff.n)
+        for alpha in [inline, *bundle.sections.values()]:
+            data += [alpha.alpha0, *alpha.alphaV, f_of(h, alpha)]
+        assert all(isinstance(c, ex.Expr) for c in data), bundle.name
 
 
 def test_dd_has_no_coefficients_on_constant_builtin_charts():

@@ -130,7 +130,7 @@ def test_validate_perturbed_so3_fails_jacobi():
     # independent oracle: brute-force cyclic sums on the constant table
     env = {"t": 0.0}
     table = [
-        [[chart.structure[a][b][c].value(env) for c in range(3)] for b in range(3)]
+        [[ex.evaluate(chart.structure[a][b][c], env) for c in range(3)] for b in range(3)]
         for a in range(3)
     ]
     brute = jacobi_cyclic_residual(table)

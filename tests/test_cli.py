@@ -116,6 +116,23 @@ def test_unknown_model_name_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_a_directory_does_not_shadow_a_builtin_model(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "oscillator").mkdir()
+    assert main(["validate", "oscillator"]) == 0
+    assert "model_valid = True" in capsys.readouterr().out
+    # an existing file still takes precedence over the builtin of its name
+    (tmp_path / "trivial:1").write_text(PERTURBED_SO3)
+    assert main(["validate", "trivial:1"]) == 1
+    assert "model_valid = False" in capsys.readouterr().out
+    # a directory that names no builtin is an input error on one line
+    (tmp_path / "nomodel").mkdir()
+    assert main(["validate", "nomodel"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read 'nomodel': Is a directory\n"
+
+
 def test_show_defaults_has_no_finite_difference_step(capsys):
     assert main(["--show-defaults"]) == 0
     assert "fd_step" not in capsys.readouterr().out
@@ -235,6 +252,17 @@ def test_hj_inline_alpha_and_zero_case(capsys):
 def test_hj_unknown_alpha(capsys):
     assert main(["hj", "trivial:1", "--alpha", "nope"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hj", "verify"])
+def test_unknown_section_name_is_an_unquoted_input_error(command, capsys):
+    assert main([command, "trivial:1", "--alpha", "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: model 'trivial:1' has no section 'nosuch'; "
+        "available: ['w_cubic', 'w_free', 'w_sq', 'zero']\n"
+    )
 
 
 def test_hj_box_override(capsys):

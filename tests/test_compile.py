@@ -291,6 +291,11 @@ def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, cap
     assert capsys.readouterr().out.count("point_") == 5
     # one kernel (stage and check); d alpha and d^V f each compiled once, and no field alone
     assert sorted(calls) == ["compile", "compile", "compile_rk4"]
+    # d alpha and d^V f of a constant section have no coefficients to compile
+    calls.clear()
+    assert main(["verify", "linear:tangent3", "--alpha", "const", "--points", "1"]) == 0
+    assert calls == ["compile_rk4"]
+    capsys.readouterr()
     bundle = by_name("oscillator")
     alpha, h = bundle.sections["w_osc"], bundle.hamiltonian
     calls.clear()
@@ -300,6 +305,6 @@ def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, cap
     # the check's partials of alphaV against the dual-number oracle
     x = [0.3, 0.7]
     env = dict(zip(bundle.chart.base_vars, x))
-    value, partials = evaluate_with_partials(alpha.alphaV[0].node, env, bundle.chart.base_vars)
+    value, partials = evaluate_with_partials(alpha.alphaV[0], env, bundle.chart.base_vars)
     assert [ex.evaluate(d, env) for d in alpha.theorem_cache["dalpha"]] == partials
     assert reduced_field(alpha, h)(x) == hamilton_rhs(h, x + [value])[:2]

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from affmech.affgebroid import HamiltonianSection
+from affmech.expr import evaluate
 from affmech.dynamics import (
     hamilton_rhs,
     integrate,
@@ -169,7 +170,7 @@ def test_full_and_reduced_flows_agree_on_solutions():
     alpha = bundle.section("w_free")
     x0 = [0.0, 1.3]
     env0 = dict(zip(bundle.chart.base_vars, x0))
-    y0 = [c.value(env0) for c in alpha.alphaV]
+    y0 = [evaluate(c, env0) for c in alpha.alphaV]
     full = integrate(bundle.hamiltonian, x0 + y0, 0.0, 1.0, 1e-3)
     reduced = integrate_reduced(alpha, bundle.hamiltonian, x0, 0.0, 1.0, 1e-3)
     worst = max(

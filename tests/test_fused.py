@@ -268,7 +268,7 @@ def test_reduced_stage_is_compiled_once_per_pair_of_sections(monkeypatch):
     w = 2 * (2 + 1) + 1
     y = out[w:]
     assert out[:w] == ex.compile(dynamics._field_outputs(h), h.chart.all_vars())(x + y)
-    assert y == [c.value(dict(zip(variables, x))) for c in alpha.alphaV]
+    assert y == [ex.evaluate(c, dict(zip(variables, x))) for c in alpha.alphaV]
 
 
 def test_compile_with_bound_names_equals_evaluate():

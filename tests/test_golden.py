@@ -92,6 +92,8 @@ CORPUS = (
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", DIR],
         ["verify", "trivial:1", "--alpha", "w_free;alphaV=1"],
         ["hj", "trivial:1", "--alpha", "alphaV=q1;alpha0=t;alphaV=t"],
+        ["hj", "trivial:1", "--alpha", "nosuch"],
+        ["verify", "trivial:1", "--alpha", "nosuch"],
     ]
 )
 

@@ -52,8 +52,8 @@ def test_f_linear_mode_is_hamiltonian_after_insertion():
     for env in SamplePlan(count=50, seed=5).points(bundle.chart.base_vars):
         inserted = dict(env)
         for a, v in enumerate(bundle.chart.fiber_vars):
-            inserted[v] = alpha.alphaV[a].value(env)
-        assert abs(f.value(env) - bundle.hamiltonian.value(inserted)) <= 1e-12
+            inserted[v] = ex.evaluate(alpha.alphaV[a], env)
+        assert abs(ex.evaluate(f, env) - bundle.hamiltonian.value(inserted)) <= 1e-12
 
 
 def test_f_trivial_fibration_generating_function_formula():
@@ -64,7 +64,7 @@ def test_f_trivial_fibration_generating_function_formula():
         t, q = env["t"], env["q1"]
         w_t = -q * q / (2.0 * (t + 1.0) ** 2)
         w_q = q / (t + 1.0)
-        assert abs(f.value(env) - (w_t + 0.5 * w_q * w_q)) <= 1e-14
+        assert abs(ex.evaluate(f, env) - (w_t + 0.5 * w_q * w_q)) <= 1e-14
 
 
 def test_f_zero_hamiltonian_returns_alpha0():
@@ -73,7 +73,7 @@ def test_f_zero_hamiltonian_returns_alpha0():
     alpha = CoSection(bundle.chart, "sin(t)", ["q1"])
     f = f_of(h0, alpha)
     env = {"t": 0.6, "q1": -0.4}
-    assert f.value(env) == pytest.approx(math.sin(0.6))
+    assert ex.evaluate(f, env) == pytest.approx(math.sin(0.6))
 
 
 def test_callable_section_components_are_type_errors():

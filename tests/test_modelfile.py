@@ -1,8 +1,13 @@
+import contextlib
+import io
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmech import expr as ex
+from affmech.cli import main
 from affmech.algebroid import validate_chart
 from affmech.hj import hj_residual, cocycle_residual
 from affmech.modelfile import ModelFileError, load_model, parse_model_text
@@ -181,3 +186,79 @@ def test_sampling_entries_are_checked_on_their_line():
         assert err.value.line == lines.index(old) + 1, new
     pinned = parse_model_text(FREE_PARTICLE.replace("box.t = -0.5, 1", "box.t = 0.5, 0.5"))
     assert {p["t"] for p in pinned.sample.points(["t", "q1"])} == {0.5}
+
+
+# ------------------------------------------------- generated model-file text
+
+# per [section]: lines that fit m = 2, n = 2 (vars t, q1, y1, y2), then broken ones
+LINES = {
+    "space": (
+        ["m = 2", "n = 2", "vars = t, q1, y1, y2"],
+        ["m = 0", "m = two", "n = 3", "vars = t, q1, y1", "vars = t, t, y1, y2", "vars t q1"],
+    ),
+    "anchor": (
+        ["rho0 = 1, 0", "rho0 = 1, q1", "rhoV = 0, 1; 0, t", "rhoV = 0, 1; 0, 0"],
+        ["rho0 = 1", "rhoV = 0, 1", "rhoV = 0, 1; 0", "rho0 = 1, (", "rho0 = 1, log(q1)",
+         "rhoV = 0, zz; 0, 1"],
+    ),
+    "structure": (
+        ["C0 = 0, 0; 0, 0", "C0 = 0, 1; -1, 0", "1,2,1 = 1", "1,2,2 = q1", "2,1,1 = 0.5*t"],
+        ["1,1,2 = 1", "1,2 = 1", "1,2,3 = 1", "a,b,c = 1", "C0 = 0", "1,2,1 = 1/(t-t)"],
+    ),
+    "hamiltonian": (
+        ["H = y1^2/2 + y2^2/2", "H = y1*y2 + q1^2", "H = sin(y1) + t*y2"],
+        ["H = y1^", "H = zz", "H = log(q1) + y1", "H = sqrt(y1)", "H = 1e308*1e308*y1"],
+    ),
+    "sections": (
+        ["w.alpha0 = 0.5", "w.alphaV = q1, 0", "v.alpha0 = 1", "v.alphaV = 0, 0"],
+        ["w.alphaV = q1", "w.beta = 1", "walpha0 = 1", "w.alpha0 = (", "w.alphaV = sqrt(q1), 1"],
+    ),
+    "sampling": (
+        ["count = 7", "seed = 3", "box.t = -0.5, 1", "box.q1 = 0, 0.5"],
+        ["count = 0", "count = x", "count = 2000000", "box.zz = 0, 1", "box.t = 1, 0",
+         "box.t = 0", "box.t = a, b", "box.t = nan, 1", "size = 3"],
+    ),
+}
+STRAY = ["no equals sign", "[unknown]", "[anchor", "= 1"]
+
+
+def _key(line):
+    return line.split("=", 1)[0].strip()
+
+
+@st.composite
+def model_texts(draw):
+    """Model text of every [section], valid lines with a few broken ones among them."""
+    sections = draw(st.permutations(sorted(LINES)))
+    body = {}
+    for section in sections:
+        valid = LINES[section][0]
+        unique = st.lists(st.sampled_from(valid), max_size=3, unique_by=_key)
+        body[section] = list(valid) if section == "space" else draw(unique)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        section = draw(st.sampled_from(sections))
+        line = draw(st.sampled_from(LINES[section][1] + STRAY))
+        body[section].insert(draw(st.integers(0, len(body[section]))), line)
+    return "\n".join(line for section in sections for line in [f"[{section}]", *body[section], ""])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(model_texts(), st.sampled_from(["w", "v", "v", "alpha0=q1;alphaV=t,q1"]))
+def test_generated_model_text_loads_or_names_its_error(tmp_path_factory, text, alpha):
+    try:
+        parse_model_text(text)
+    except ModelFileError:
+        pass
+    path = tmp_path_factory.getbasetemp() / "generated.model"
+    path.write_text(text)
+    model = str(path)
+    for argv in (
+        ["validate", model],
+        ["hj", model, "--alpha", alpha, "--samples", "5"],
+        ["verify", model, "--alpha", alpha, "--points", "1", "--horizon", "0.1"],
+        ["flow", model, "--x0=0.1,0.2", "--y0=0.3,-0.2", "--t-end=0.1", "--step=0.02"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, text, err.getvalue())
+        assert "internal error" not in err.getvalue(), (argv, text, err.getvalue())
