@@ -25,7 +25,9 @@ every node stays below ``expr.SAFE_MAGNITUDE`` over the points, so that its
 evaluation cannot overflow to a NaN (``expr.magnitude_below``).  Every other
 residual (calls, non-constant divisors, nonzero or too large polynomials,
 possible overflow) is sampled at every point; a check given a SamplePlan
-draws its points only then.
+draws its points only then.  Sampled residuals are evaluated together, one
+``expr.evaluate_many`` walk per chunk of ``CHUNK`` points (``columns``),
+with the interpreter's values, errors and error points.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from . import expr as ex
 from .expr import BinOp, Expr, Lit, Var, add, mul
@@ -58,7 +60,9 @@ __all__ = [
     "Prolongation",
     "prolong",
     "section_max_abs",
-    "compile_max_abs",
+    "max_abs_check",
+    "CHUNK",
+    "columns",
     "nan_max",
     "values_at",
     "section_max_diff",
@@ -119,21 +123,24 @@ class SplitMix64:
         self.state = seed & self._MASK
 
     def next_u64(self) -> int:
-        return self.u64s(1)[0]
+        (z,) = self._outputs(1)
+        return z
 
-    def u64s(self, k: int) -> list[int]:
-        """The next k outputs, in one loop."""
-        mask, state, out = self._MASK, self.state, []
+    def units(self, k: int) -> list[float]:
+        """The next k outputs as floats in [0, 1): the top 53 bits of each, times 2^-53."""
+        return [(z >> 11) * 2.0**-53 for z in self._outputs(k)]
+
+    def _outputs(self, k: int) -> Iterator[int]:
+        mask, state = self._MASK, self.state
         for _ in range(k):
             state = (state + 0x9E3779B97F4A7C15) & mask
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            out.append(z ^ (z >> 31))
+            yield z ^ (z >> 31)
         self.state = state
-        return out
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+        return lo + (hi - lo) * self.units(1)[0]
 
 
 MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; each is a dict held at once
@@ -169,14 +176,19 @@ class SamplePlan:
     def interval(self, var: str) -> tuple[float, float]:
         return self.box.get(var, self.DEFAULT_INTERVAL)
 
-    def points(self, variables: Sequence[str]) -> list[dict[str, float]]:
-        """``count`` points, each drawn variable by variable with ``SplitMix64.uniform``."""
+    def units(self, k: int) -> list[float]:
+        """The unit draws of ``points`` over k variables: ``count * k`` of them."""
+        return SplitMix64(self.seed).units(self.count * k)
+
+    def points(self, variables: Sequence[str], units=None) -> list[dict[str, float]]:
+        """``count`` points, each drawn variable by variable with ``SplitMix64.uniform``.
+
+        ``units``, when given, is ``self.units(len(variables))`` or the same
+        draws of a plan with this seed and count over another box, reused.
+        """
         spans = [(v, *self.interval(v)) for v in variables]
-        draws = iter(SplitMix64(self.seed).u64s(self.count * len(spans)))
-        return [
-            {v: lo + (hi - lo) * ((next(draws) >> 11) * 2.0**-53) for v, lo, hi in spans}
-            for _ in range(self.count)
-        ]
+        draws = iter(self.units(len(spans)) if units is None else units)
+        return [{v: lo + (hi - lo) * next(draws) for v, lo, hi in spans} for _ in range(self.count)]
 
 
 def check_box_var(var: str, variables: Sequence[str]) -> None:
@@ -457,46 +469,63 @@ def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
 # --------------------------------------------------------------- comparisons
 
 
-def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, fn=None):
+CHUNK = 256  # points per expr.evaluate_many call, which holds a value of every node at each
+
+
+def columns(exprs: Sequence[Expr], envs) -> Iterator[tuple[list, list[list[float]]]]:
+    """(points, values) for each chunk of at most ``CHUNK`` points of ``envs``, in order.
+
+    ``values[i][p]`` is ``exprs[i]`` at ``points[p]``, from one
+    ``expr.evaluate_many`` walk per chunk.  From the first chunk that
+    ``evaluate_many`` declines on, ``expr.evaluate`` evaluates every point,
+    point by point, so each value, each evaluation error and the ``point``
+    it records are those of a loop of ``evaluate`` over the points.
+    """
+    batched = True
+    for start in range(0, len(envs), CHUNK):
+        chunk = envs[start : start + CHUNK]
+        values = ex.evaluate_many(exprs, chunk) if batched else None
+        if values is None:
+            batched = False
+            values = [[] for _ in exprs]
+            for env in chunk:
+                try:
+                    for column, e in zip(values, exprs):
+                        column.append(ex.evaluate(e, env))
+                except ex.EvalError as err:
+                    err.point = env
+                    raise
+        yield chunk, values
+
+
+def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, units=None):
     """``section_max_abs``'s loop over ``nodes`` (key -> residual).
 
     ``proved`` holds the keys that ``expr.is_zero`` proved (``_proved``); such
     a residual counts 0 when ``expr.magnitude_below`` bounds it over the
-    points.  ``fn``, when given, is ``expr.compile`` of every residual in
-    order; at a point where it raises or a sampled value is not finite, the
-    interpreter evaluates the point.
+    points.  The others are evaluated by ``columns``, a chunk of points at a
+    time, and measured point by point in order.  ``units``, for a SamplePlan,
+    returns the plan's unit draws to reuse (see ``SamplePlan.points``).
     """
-    left, bounds = [], None  # (column, key, residual) of each residual to sample
-    for c, (key, node) in enumerate(nodes.items()):
+    left, bounds = {}, None  # key -> residual, for each residual to sample
+    for key, node in nodes.items():
         if key in proved:
             if bounds is None:
                 bounds = _bounds(envs, variables)
             if ex.magnitude_below(node, bounds):
                 continue
-        left.append((c, key, node))
+        left[key] = node
     if not left:
         return 0.0, (), {}
     if isinstance(envs, SamplePlan):
-        envs = envs.points(variables)
-    worst, where, at = 0.0, (), {}
-    try:
-        for env in envs:
-            values = None
-            if fn:
-                try:
-                    out = fn([env[v] for v in variables])
-                    values = [out[c] for c, _, _ in left]
-                except (ArithmeticError, ValueError):
-                    pass
-                if values and not all(map(math.isfinite, values)):
-                    values = None
-            for i, (_, key, node) in enumerate(left):
-                v = abs(ex.evaluate(node, env) if values is None else values[i])
+        envs = envs.points(variables, units()) if units else envs.points(variables)
+    worst, where, at, keys = 0.0, (), {}, list(left)
+    for chunk, values in columns(list(left.values()), envs):
+        for env, row in zip(chunk, zip(*values)):
+            for key, v in zip(keys, row):
+                v = abs(v)
                 if v > worst or v != v:
                     worst, where, at = v, key, env
-    except ex.EvalError as err:
-        err.point = env
-        raise
     return worst, where, at
 
 
@@ -524,19 +553,15 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     return _max_abs(nodes, _proved(nodes), s.chart.base_vars, envs)
 
 
-def compile_max_abs(s: KSection) -> Callable[[object], tuple[float, tuple, dict]]:
-    """``section_max_abs(s, envs)`` as a function of ``envs``.
+def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple, dict]]:
+    """``section_max_abs(s, envs)`` as a function of ``envs``, for one section checked often.
 
-    Every coefficient is compiled, and tried with ``expr.is_zero``, once; a
-    section with no coefficients compiles nothing.  At a point where the
-    compiled coefficients raise or one is not finite, the interpreter
-    evaluates the point, so the result, each evaluation error and its
-    ``point`` are those of ``section_max_abs``.
+    Each coefficient is tried with ``expr.is_zero`` once, here, rather than
+    on every call.  The function takes ``units`` as ``_max_abs`` does.
     """
-    nodes, variables = {idx: c.node for idx, c in s.coeffs.items()}, s.chart.base_vars
-    fn = ex.try_compile(ex.compile, list(nodes.values()), variables) if nodes else None
+    nodes = {idx: c.node for idx, c in s.coeffs.items()}
     proved = _proved(nodes)
-    return lambda envs: _max_abs(nodes, proved, variables, envs, fn)
+    return lambda envs, units=None: _max_abs(nodes, proved, s.chart.base_vars, envs, units)
 
 
 def nan_max(values: Iterable[float]) -> float:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import expr as ex
 from .algebroid import (
-    MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, nan_max, validate_chart, values_at,
+    MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, columns, nan_max, validate_chart,
 )
 from .affgebroid import CoSection
 from .dynamics import DEFAULT_STEP, MAX_STEPS, check_step_budget, integrate
@@ -292,7 +292,7 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
         envs = plan.points(bundle.chart.base_vars)  # f is always sampled: draw once, share
         coc = cocycle_residual(alpha, envs)
         f = f_of(bundle.hamiltonian, alpha)
-        values = values_at(functools.partial(ex.evaluate, f), envs)
+        values = [v for _, (column,) in columns([f], envs) for v in column]
         hj = hj_residual(alpha, bundle.hamiltonian, envs)
     except ex.EvalError as err:
         return _evaluation_error(err)

@@ -5,6 +5,10 @@ functions, Hamiltonians, section components) is one of these expressions.
 The module provides parsing, printing, evaluation, and symbolic partial
 derivatives (``diff``) built from constant-folding constructors.
 
+``evaluate_many`` evaluates expressions at many points in one walk over
+their nodes, with the interpreter's float operations; where a point would
+raise, it declines, and the caller runs ``evaluate`` for the error.
+
 ``compile`` turns a list of expressions that is evaluated many times into
 one Python function of straight-line code: one assignment per distinct
 node, with common subexpressions computed once.  It does exactly the float
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -55,6 +60,7 @@ __all__ = [
     "parse",
     "to_string",
     "evaluate",
+    "evaluate_many",
     "compile",
     "compile_rk4",
     "try_compile",
@@ -393,7 +399,8 @@ def literal_value(e: Expr) -> float | None:
 def _checked_pow(base: float, c: float, node: Expr | None = None) -> float:
     """base^c for a literal exponent c.
 
-    Compiled code calls it, with no node, only for a non-integer c.
+    Compiled code and ``evaluate_many`` call it, with no node, only for a
+    non-integer c.
     """
     if base == 0.0:
         if c < 0.0:
@@ -459,6 +466,60 @@ def evaluate(e: Expr, env: Env) -> float:
     if b == 0.0:
         raise DomainError("division by zero", e)
     return a / b
+
+
+_BATCHED = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def evaluate_many(exprs: Sequence[Expr], envs: Sequence[Env]) -> list[list[float]] | None:
+    """``[[evaluate(e, env) for env in envs] for e in exprs]``, or None.
+
+    Walks each distinct node once, computing its value at every point with
+    the interpreter's float operations on the interpreter's operands, so
+    each value equals ``evaluate``'s bit for bit.  ``evaluate`` evaluates
+    every node of a tree, so where it would raise at some point, some node
+    here fails at that point too: then this returns None and builds no
+    error; the caller runs ``evaluate`` for the error and its message.
+    """
+    memo: dict[int, list] = {}  # id(node) -> its values
+    try:
+        return [_values(e, envs, memo) for e in exprs]
+    except (ArithmeticError, ValueError, KeyError, RecursionError):
+        return None
+
+
+def _values(e: Expr, envs: Sequence[Env], memo: dict) -> list:
+    """``evaluate_many``'s walk: the values of ``e`` at ``envs``."""
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    if isinstance(e, Lit):
+        out = [e.value] * len(envs)
+    elif isinstance(e, Var):
+        name = e.name
+        out = [env[name] for env in envs]
+    elif isinstance(e, Neg):
+        out = list(map(operator.neg, _values(e.arg, envs, memo)))
+    elif isinstance(e, Call):
+        # math's log and sqrt raise ValueError exactly where evaluate's checks raise
+        out = list(map(FUNCTIONS[e.fn], _values(e.arg, envs, memo)))
+    elif e.op != "^":  # a float divided by 0.0 raises ZeroDivisionError, as evaluate raises
+        out = list(map(_BATCHED[e.op], _values(e.lhs, envs, memo), _values(e.rhs, envs, memo)))
+    else:
+        xs, c = _values(e.lhs, envs, memo), literal_value(e.rhs)
+        if c is None:
+            ys = _values(e.rhs, envs, memo)
+            if any(a <= 0.0 for a in xs):
+                raise ArithmeticError
+            out = list(map(math.pow, xs, ys))
+        elif not float(c).is_integer():
+            out = [_checked_pow(a, c) for a in xs]
+        elif c > 0.0:  # as in compile: math.pow gives -0.0 for (-0.0)^odd
+            out = [0.0 if a == 0.0 else math.pow(a, c) for a in xs]
+        else:  # math.pow raises where _checked_pow does
+            out = [math.pow(a, c) for a in xs]
+    memo[id(e)] = out
+    return out
 
 
 # ------------------------------------------------------------- compilation

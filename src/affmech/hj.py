@@ -14,8 +14,8 @@ from .algebroid import (
     KSection,
     Report,
     SamplePlan,
-    compile_max_abs,
     differential,
+    max_abs_check,
     nan_max,
     section_max_abs,
     values_at,
@@ -222,7 +222,8 @@ def verify_theorem(
     for i, var in enumerate(aff.base_vars):
         values = [s[i] for s in traj.states]
         box[var] = (min(values), max(values))
-    hj_max, _, _ = cache["df"](SamplePlan(box=box, count=plan.count, seed=plan.seed))
+    box_plan = SamplePlan(box=box, count=plan.count, seed=plan.seed)
+    hj_max, _, _ = cache["df"](box_plan, cache["units"])
 
     return TheoremReport(
         x0=list(map(float, x0)),
@@ -238,23 +239,26 @@ def verify_theorem(
 def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
     """The part of ``verify_theorem`` that x0 does not change, cached on alpha.
 
-    ``"cocycle"``: the cocycle report on the plan, from the compiled d alpha.
-    For a cocycle, ``"dalpha"``: dalphaV[a]/dx^i at a*m + i, ``"kernel"``:
-    the RK4 kernel with ``_theorem_check`` (None where compiling fails), and
-    ``"df"``: d^V f as a compiled sampled check (``algebroid.compile_max_abs``).
-    Kept for the last (h, plan).
+    ``"units"``: the plan's unit draws over the base variables, drawn on
+    first use; every box plan of ``verify_theorem`` has the plan's seed and
+    count, so its points reuse them.  ``"cocycle"``: the cocycle report on
+    the plan.  For a cocycle, ``"dalpha"``: dalphaV[a]/dx^i at a*m + i,
+    ``"kernel"``: the RK4 kernel with ``_theorem_check`` (None where
+    compiling fails), and ``"df"``: d^V f as a sampled check
+    (``algebroid.max_abs_check``).  Kept for the last (h, plan).
     """
     cache = alpha.theorem_cache
     if cache is None or cache["h"] is not h or cache["plan"] != plan:
-        worst, where, _ = compile_max_abs(differential(alpha.as_bidual_section()))(plan)
+        units = functools.cache(lambda: plan.units(h.chart.m))
+        worst, where, _ = max_abs_check(differential(alpha.as_bidual_section()))(plan, units)
         coc = CocycleReport(worst, where, plan.count)
-        cache = {"h": h, "plan": plan, "cocycle": coc}
+        cache = {"h": h, "plan": plan, "units": units, "cocycle": coc}
         if coc.is_cocycle:
             dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
             cache["dalpha"] = dalpha
             cache["kernel"] = ex.try_compile(
                 ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))
-            cache["df"] = compile_max_abs(_vertical_df(alpha, h))
+            cache["df"] = max_abs_check(_vertical_df(alpha, h))
         alpha.theorem_cache = cache
     return cache
 

@@ -17,6 +17,7 @@ sections (the 1/(t+1) family, the cot(t) family).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .algebroid import AlgebroidChart, SamplePlan, validate_chart
@@ -52,7 +53,7 @@ class ModelBundle:
     name: str
     chart: AffgebroidChart
     hamiltonian: HamiltonianSection
-    sections: dict[str, CoSection] = field(default_factory=dict)
+    sections: Mapping[str, CoSection] = field(default_factory=dict)
     sample: SamplePlan = field(default_factory=SamplePlan)
     description: str = ""
 
@@ -68,6 +69,32 @@ class ModelBundle:
 
 class ModelNameError(ValueError):
     pass
+
+
+class _Sections(Mapping):
+    """The shipped sections of a builtin bundle, by name.
+
+    A section is built from its (alpha0, alphaV) sources on its first
+    lookup and then kept by the bundle, so a call that uses an inline
+    section parses none of them.
+    """
+
+    def __init__(self, chart: AffgebroidChart, sources: dict[str, tuple[object, list]]):
+        self._chart = chart
+        self._sources = sources
+        self._built: dict[str, CoSection] = {}
+
+    def __getitem__(self, name: str) -> CoSection:
+        section = self._built.get(name)
+        if section is None:
+            section = self._built[name] = CoSection(self._chart, *self._sources[name])
+        return section
+
+    def __iter__(self):
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
 
 
 # ------------------------------------------------------- trivial fibration
@@ -86,19 +113,18 @@ def trivial_fibration(dim_q: int) -> ModelBundle:
     n = dim_q
     chart = _time_chart(n)
     h = HamiltonianSection(chart, "+".join(f"p{i+1}^2/2" for i in range(n)))
-    sections = {
+    sections = _Sections(chart, {
         # generating function sum q_i^2 / (2(t+1)); solves the HJ equation
-        "w_free": CoSection(
-            chart,
+        "w_free": (
             "-(" + "+".join(f"q{i+1}^2" for i in range(n)) + ")/(2*(t+1)^2)",
             [f"q{i+1}/(t+1)" for i in range(n)],
         ),
         # generating function sum q_i^3 / 3; closed but not a solution
-        "w_cubic": CoSection(chart, 0.0, [f"q{i+1}^2" for i in range(n)]),
+        "w_cubic": (0.0, [f"q{i+1}^2" for i in range(n)]),
         # generating function sum q_i^2 / 2; closed but not a solution
-        "w_sq": CoSection(chart, 0.0, [f"q{i+1}" for i in range(n)]),
-        "zero": CoSection(chart, 0.0, [0.0] * n),
-    }
+        "w_sq": (0.0, [f"q{i+1}" for i in range(n)]),
+        "zero": (0.0, [0.0] * n),
+    })
     sample = SamplePlan(box={"t": (-0.5, 1.0)})
     return ModelBundle(
         name=f"trivial:{n}",
@@ -127,10 +153,10 @@ def harmonic_oscillator() -> ModelBundle:
     of sin; the sample box stays inside (0, pi)."""
     chart = _time_chart(1)
     h = HamiltonianSection(chart, "(p1^2+q1^2)/2")
-    sections = {
-        "w_osc": CoSection(chart, "-(q1^2/2)/sin(t)^2", ["q1*cos(t)/sin(t)"]),
-        "zero": CoSection(chart, 0.0, [0.0]),
-    }
+    sections = _Sections(chart, {
+        "w_osc": ("-(q1^2/2)/sin(t)^2", ["q1*cos(t)/sin(t)"]),
+        "zero": (0.0, [0.0]),
+    })
     sample = SamplePlan(box={"t": (0.2, 2.9)})
     return ModelBundle(
         name="oscillator",
@@ -196,13 +222,13 @@ def linear_tangent_model(dim: int) -> ModelBundle:
     aff = _central(tangent_algebroid(dim))
     h = HamiltonianSection(aff, "+".join(f"y{a+1}^2/2" for a in range(dim)))
     const = [0.7, -0.3, 0.5, -0.1, 0.9]
-    sections = {
+    sections = _Sections(aff, {
         # constant section: closed, and an HJ solution (f is constant)
-        "const": CoSection(aff, 0.0, [const[a % len(const)] for a in range(dim)]),
+        "const": (0.0, [const[a % len(const)] for a in range(dim)]),
         # gradient of sum x_i^2/2: closed, not a solution
-        "grad_sq": CoSection(aff, 0.0, [f"x{a+1}" for a in range(dim)]),
-        "zero": CoSection(aff, 0.0, [0.0] * dim),
-    }
+        "grad_sq": (0.0, [f"x{a+1}" for a in range(dim)]),
+        "zero": (0.0, [0.0] * dim),
+    })
     return ModelBundle(
         name=f"linear:tangent{dim}",
         chart=aff,
@@ -241,12 +267,12 @@ def rigid_body(i1: float, i2: float, i3: float) -> ModelBundle:
         chart,
         "+".join(f"P{a+1}^2/(2*{inertia[a]!r})" for a in range(3)),
     )
-    sections = {
+    sections = _Sections(chart, {
         # the only cocycles of this chart have vanishing fiber part
-        "cocycle_t": CoSection(chart, "t", [0.0, 0.0, 0.0]),
-        "bad_constant": CoSection(chart, 0.0, [0.0, 0.0, 1.0]),
-        "zero": CoSection(chart, 0.0, [0.0, 0.0, 0.0]),
-    }
+        "cocycle_t": ("t", [0.0, 0.0, 0.0]),
+        "bad_constant": (0.0, [0.0, 0.0, 1.0]),
+        "zero": (0.0, [0.0, 0.0, 0.0]),
+    })
     return ModelBundle(
         name=f"rigid:{inertia[0]:g},{inertia[1]:g},{inertia[2]:g}",
         chart=chart,

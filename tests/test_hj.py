@@ -5,8 +5,9 @@ import pytest
 from affmech import expr as ex
 from affmech import hj
 from affmech.expr import Lit, Var
-from affmech.algebroid import SamplePlan
+from affmech.algebroid import SamplePlan, SplitMix64
 from affmech.affgebroid import CoSection, HamiltonianSection
+from affmech.cli import main
 from affmech.hj import (
     NotACocycleError,
     cocycle_residual,
@@ -187,7 +188,7 @@ def test_verify_free_particle_solution():
 
 
 def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypatch):
-    counts = dict.fromkeys(["compile_max_abs", "_theorem_check", "_vertical_df"], 0)
+    counts = dict.fromkeys(["max_abs_check", "_theorem_check", "_vertical_df"], 0)
     for name in counts:
 
         def counted(*args, real=getattr(hj, name), name=name):
@@ -199,8 +200,8 @@ def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypat
     alpha, h = bundle.section("w_free"), bundle.hamiltonian
     points = [[0.1, 0.2, -0.3, 0.4], [-0.2, 0.5, 0.1, 0.0], [0.3, -0.1, 0.0, 0.2]]
     reports = [verify_theorem(alpha, h, x0, 0.1, 1e-2) for x0 in points]
-    # compile_max_abs: once for d alpha, once for d^V f
-    assert counts == {"compile_max_abs": 2, "_theorem_check": 1, "_vertical_df": 1}
+    # max_abs_check: once for d alpha, once for d^V f
+    assert counts == {"max_abs_check": 2, "_theorem_check": 1, "_vertical_df": 1}
     fresh = trivial_fibration(3)
     assert reports == [
         verify_theorem(fresh.section("w_free"), fresh.hamiltonian, x0, 0.1, 1e-2) for x0 in points
@@ -208,7 +209,16 @@ def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypat
     # the fresh section did it once more; another plan, then another h, twice more
     verify_theorem(alpha, h, points[0], 0.1, 1e-2, SamplePlan(seed=7))
     verify_theorem(alpha, HamiltonianSection(h.chart, h.H), points[0], 0.1, 1e-2, SamplePlan(seed=7))
-    assert counts == {"compile_max_abs": 8, "_theorem_check": 4, "_vertical_df": 4}
+    assert counts == {"max_abs_check": 8, "_theorem_check": 4, "_vertical_df": 4}
+
+
+def test_verify_draws_its_sample_stream_once_per_call(monkeypatch, capsys):
+    draws, real = [], SplitMix64.units
+    monkeypatch.setattr(SplitMix64, "units", lambda self, k: draws.append(k) or real(self, k))
+    assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", "5"]) == 0
+    assert capsys.readouterr().out.count("point_") == 5
+    # the 5 start points, then 100 points of 4 variables for the cocycle check and every box
+    assert draws == [5 * 4, 100 * 4]
 
 
 def test_verify_oscillator_solution():

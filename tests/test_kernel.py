@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from affmech import expr as ex
 from affmech import hj
 from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
-from affmech.algebroid import KSection, SamplePlan, compile_max_abs, differential, section_max_abs
-from affmech.cli import main
+from affmech.algebroid import SamplePlan, differential, max_abs_check, section_max_abs
 from affmech.dynamics import (
     _field_outputs,
     hamilton_rhs,
@@ -142,45 +141,25 @@ SECTIONS = [(name, sec) for name in ("trivial:3", "oscillator", "linear:tangent3
     ("oscillator", "alphaV=log(q1)"),  # a domain error at a sampled point
     ("oscillator", "alphaV=q1*1e308*10"),  # inf and inf*0 values
 ])
-def test_compiled_sampled_checks_equal_the_interpreted_ones(name, sec):
+def test_compiled_sampled_checks_equal_the_interpreted_ones(name, sec, monkeypatch):
+    """The sampled checks of ``verify`` and ``hj``, batched, against the per-point interpreter."""
     bundle = by_name(name)
     h = bundle.hamiltonian
     alpha = bundle.sections.get(sec) or CoSection(bundle.chart, "0", [sec.split("=")[1]])
     box = {v: (-0.3, 0.2) for v in bundle.chart.base_vars}
-    for s in (differential(alpha.as_bidual_section()), hj._vertical_df(alpha, h)):
-        compiled = compile_max_abs(s)
-        for plan in (bundle.sample, SamplePlan(box=box, count=7, seed=3)):
-            assert outcome(lambda: compiled(plan)) == outcome(lambda: section_max_abs(s, plan))
-
-
-def test_the_compiled_check_samples_only_the_unproved_coefficients():
-    # (0,) is proved 0 and skipped; the compiled values of (1,) and (2,) are read
-    chart = by_name("rigid:1,2,3").chart.bidual_chart()
-    coeffs = {(0,): "t*t - t*t", (1,): "sin(t)", (2,): "cos(t)"}
-    s = KSection(chart, 1, {k: ex.parse(c) for k, c in coeffs.items()})
-    plan = SamplePlan(count=5)
-    assert compile_max_abs(s)(plan) == section_max_abs(s, plan)
-    assert compile_max_abs(s)(plan)[1] == (2,)
-
-
-def test_the_compiled_check_proves_its_coefficients_once(monkeypatch):
-    calls, real = [], ex.is_zero
-    monkeypatch.setattr(ex, "is_zero", lambda e: calls.append(e) or real(e))
-    chart = by_name("rigid:1,2,3").chart.bidual_chart()
-    coeffs = {(0,): "t*t - t*t", (1,): "sin(t)", (2,): "t^2 - 1"}
-    s = KSection(chart, 1, {k: ex.parse(c) for k, c in coeffs.items()})
-    check = compile_max_abs(s)
-    assert len(calls) == 3
-    for plan in (SamplePlan(count=5), SamplePlan(box={"t": (2.0, 3.0)}, count=4, seed=9)):
-        assert check(plan) == section_max_abs(s, plan)
-    assert len(calls) == 3 + 2 * 3  # section_max_abs proves on every call; the check does not
-    # verify builds each check once per section, however many start points it draws
-    counts = []
-    for points in ("2", "4"):
-        calls.clear()
-        assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", points]) == 0
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    plans = (bundle.sample, SamplePlan(box=box, count=7, seed=3))
+    sections = (differential(alpha.as_bidual_section()), hj._vertical_df(alpha, h))
+    got = []
+    for s in sections:
+        check = max_abs_check(s)
+        for plan in plans:
+            got += [outcome(lambda: check(plan)), outcome(lambda: section_max_abs(s, plan))]
+    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, envs: None)
+    want = []
+    for s in sections:
+        for plan in plans:
+            want += [outcome(lambda: section_max_abs(s, plan))] * 2
+    assert got == want
 
 
 def test_generated_temporaries_cannot_overwrite_the_loop_locals():

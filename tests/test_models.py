@@ -161,3 +161,19 @@ def test_section_lookup_error_lists_alternatives():
     with pytest.raises(KeyError) as err:
         bundle.section("missing")
     assert "w_free" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["trivial:2", "oscillator", "linear:tangent3", "rigid:1,2,3"])
+def test_builtin_sections_are_built_when_looked_up(name, monkeypatch):
+    import affmech.models as models
+
+    built, real = [], models.CoSection
+    monkeypatch.setattr(models, "CoSection", lambda *args: built.append(args) or real(*args))
+    bundle = by_name(name)
+    assert built == []  # an inline section needs none of them
+    names = list(bundle.sections)
+    first = bundle.section(names[0])
+    assert bundle.sections[names[0]] is first and len(built) == 1  # built once, then kept
+    assert [bundle.sections[n] for n in names] == list(bundle.sections.values())
+    assert len(built) == len(names) == len(bundle.sections)
+    assert by_name(name).sections[names[0]] is not first  # nothing is kept across bundles
