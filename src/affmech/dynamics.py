@@ -17,7 +17,9 @@ step where a stage raises or gives a value that is not finite to the
 per-stage path of ``integrate_field``, which evaluates the field with the
 interpreter, ``hamilton_rhs``, and alphaV with ``expr.evaluate``.  That
 path is the reference: every domain error and its message comes from it.
-``hj.verify_theorem`` compiles the same loop with its per-state check.
+The values that only ``hamilton_rhs`` uses (H, its partials) are
+``compile_rk4``'s extras: a guard on the state replaces the polynomial
+ones.  ``hj.verify_theorem`` compiles the same loop with its check.
 """
 
 from __future__ import annotations
@@ -111,17 +113,6 @@ def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
     return out
 
 
-def _field_outputs(h: HamiltonianSection) -> list[ex.Expr]:
-    """The m+n rows of ``hamilton_field``, then H and its m+n partials.
-
-    ``hamilton_rhs`` evaluates H and all its partials at every state; the
-    folded field drops some of them (dH/dt where rhoV[a][t] = 0), so a
-    compiled stage computes them as extra values and raises wherever
-    ``hamilton_rhs`` does.
-    """
-    return hamilton_field(h) + [h.H] + h.partials
-
-
 def integrate_field(
     f: Callable[[Sequence[float]], list[float]],
     y0: Sequence[float],
@@ -185,14 +176,18 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Hamilton equations from a full (base, fiber) state.
 
-    The kernel over ``_field_outputs`` is compiled once per section and
-    cached in ``h.compiled_rk4`` (False where compiling fails).
+    The kernel's stage is the m+n rows of ``hamilton_field``, with H and
+    its m+n partials as extras: past ``compile_rk4``'s B, ``hamilton_rhs``
+    takes the step.
+    It is compiled once per section and cached in ``h.compiled_rk4``
+    (False where compiling fails).
     """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
     if h.compiled_rk4 is None:
-        h.compiled_rk4 = ex.try_compile(ex.compile_rk4, _field_outputs(h), aff.all_vars()) or False
+        stage = hamilton_field(h), aff.all_vars(), None, [h.H, *h.partials]
+        h.compiled_rk4 = ex.try_compile(ex.compile_rk4, *stage) or False
     return integrate_field(
         lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, h.compiled_rk4
     )
@@ -219,15 +214,17 @@ def reduced_field(alpha: CoSection, h: HamiltonianSection):
 
 
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
-    """The reduced field's stage as ``compile_rk4``'s (exprs, variables, bound).
+    """The reduced field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
 
-    Values: the m+n rows of ``hamilton_field`` (the first m are the reduced
-    field X(x)), H and its m+n partials, then alphaV from index
-    W = 2(m+n)+1.  The fiber variables are ``bound`` to alphaV, so each
-    value is the per-stage one.
+    Values: the first m rows of ``hamilton_field``, the reduced field X(x),
+    then alphaV from index m.  The fiber variables are ``bound`` to alphaV,
+    so each value is the per-stage one.  The extras are what the per-stage
+    path evaluates and the kernel does not use: the n fiber rows, H and its
+    m+n partials.  A guard on a fiber variable tests its alphaV value.
     """
     aff = h.chart
-    return _field_outputs(h) + alpha.alphaV, aff.base_vars, dict(zip(aff.fiber_vars, alpha.alphaV))
+    rows, bound = hamilton_field(h), dict(zip(aff.fiber_vars, alpha.alphaV))
+    return rows[: aff.m] + alpha.alphaV, aff.base_vars, bound, rows[aff.m :] + [h.H, *h.partials]
 
 
 def integrate_reduced(

@@ -9,14 +9,13 @@ derivatives (``diff``) built from constant-folding constructors.
 their nodes, with the interpreter's float operations; where a point would
 raise, it declines, and the caller runs ``evaluate`` for the error.
 
-``compile`` turns a list of expressions that is evaluated many times into
-one Python function of straight-line code: one assignment per distinct
+``compile_rk4`` turns a stage that an RK4 loop evaluates many times into
+straight-line Python code inside that loop: one assignment per distinct
 node, with common subexpressions computed once.  It does exactly the float
 operations of the interpreter, so its values equal ``evaluate`` bit for
 bit.  It builds no error messages: where it raises, or gives a value the
 caller does not trust, the caller re-runs the interpreter (``evaluate``),
 which stays the reference and the source of every ``DomainError``.
-``compile_rk4`` emits such code once inside a whole fixed-step RK4 loop.
 
 ``is_zero`` proves a polynomial 0 by exact expansion, or answers "not
 proved"; ``magnitude_below`` tells whether its evaluation could overflow.
@@ -61,7 +60,6 @@ __all__ = [
     "to_string",
     "evaluate",
     "evaluate_many",
-    "compile",
     "compile_rk4",
     "try_compile",
     "substitute",
@@ -514,7 +512,7 @@ def _values(e: Expr, envs: Sequence[Env], memo: dict) -> list:
             out = list(map(math.pow, xs, ys))
         elif not float(c).is_integer():
             out = [_checked_pow(a, c) for a in xs]
-        elif c > 0.0:  # as in compile: math.pow gives -0.0 for (-0.0)^odd
+        elif c > 0.0:  # as in compiled code: math.pow gives -0.0 for (-0.0)^odd
             out = [0.0 if a == 0.0 else math.pow(a, c) for a in xs]
         else:  # math.pow raises where _checked_pow does
             out = [math.pow(a, c) for a in xs]
@@ -526,43 +524,6 @@ def _values(e: Expr, envs: Sequence[Env], memo: dict) -> list:
 
 _COMPILED_NAMES = {f"_{name}": fn for name, fn in FUNCTIONS.items()}
 _COMPILED_NAMES.update(_pow=math.pow, _checked_pow=_checked_pow)
-
-
-def compile(
-    exprs: Sequence[Expr],
-    variables: Sequence[str],
-    bound: Mapping[str, Expr] | None = None,
-) -> Callable[[Sequence[float]], list[float]]:
-    """One function ``x -> [value of each expression]`` of straight-line code.
-
-    ``x`` lists the values of ``variables`` in order.  Every distinct node
-    is one assignment, and nodes with the same operation on the same
-    operands share it, so each common subexpression is computed once.  The
-    code does the interpreter's float operations on the interpreter's
-    operands, so each value equals ``evaluate`` bit for bit.  Where
-    ``evaluate`` raises, the function raises ArithmeticError or ValueError
-    instead (it builds no DomainError); the caller re-runs the interpreter
-    for the error and its message.
-
-    ``bound`` maps further names to expressions in ``variables``, computed
-    first; in ``exprs`` such a name reads that value.  No tree is
-    substituted, so no float operation changes.
-
-    Raises UnboundVariableError for a variable missing from ``variables``
-    and RecursionError for input too deep to walk.
-    """
-    consts: dict[str, object] = {}
-    names = {v: f"v{i}" for i, v in enumerate(variables)}
-    lines, outputs = _straight_line(exprs, names, bound, "t", consts)
-    body = "\n".join(f"        {line}" for line in lines)
-    return _build(
-        f"    def compiled(x):\n"
-        f"        ({''.join(f'v{i}, ' for i in range(len(variables)))}) = x\n"
-        f"{body}\n"
-        f"        return [{', '.join(outputs)}]\n"
-        f"    return compiled\n",
-        consts,
-    )
 
 
 def _straight_line(
@@ -647,10 +608,14 @@ def _build(inner: str, consts: Mapping[str, object]):
     return fn
 
 
+GUARD_BOUNDS = (2.0**64, 2.0**16, 2.0**4)  # compile_rk4's candidates for B, largest first
+
+
 def compile_rk4(
     exprs: Sequence[Expr],
     variables: Sequence[str],
     bound: Mapping[str, Expr] | None = None,
+    extras: Sequence[Expr] = (),
     check: Sequence[Sequence[Expr]] = (),
     slots: Sequence[str] = (),
 ) -> Callable[..., None]:
@@ -658,25 +623,45 @@ def compile_rk4(
 
     ``rk4(times, states, start, end, step)`` steps from ``states[-1]`` at
     ``times[-1]`` with ``integrate_field``'s float operations, appending
-    each time and state.  Its stage, ``compile(exprs, variables, bound)``,
-    is emitted once, inside the loop over the four stages; its first
-    len(variables) values are the field.  It returns before a step where a
-    stage raises ArithmeticError or ValueError, or where a stage value or
-    the new state (or their sum) is not finite.
+    each time and state.  Its stage, emitted once inside the loop over the
+    four stages, computes ``exprs`` over ``variables`` as straight-line
+    code: one assignment per distinct node, with the interpreter's float
+    operations, so each value equals ``evaluate`` bit for bit.  Its first
+    len(variables) values are the field.  ``bound`` maps further names to
+    expressions in ``variables``, computed first; in ``exprs`` such a name
+    reads that value.  ``rk4`` returns before a step where a stage raises
+    ArithmeticError or ValueError, or where a stage value or the new state
+    (or their sum) is not finite.
+
+    ``extras`` are values the stage computes only so that it raises where
+    ``evaluate`` does.  It drops those that ``magnitude_below`` bounds while
+    each name they read stays below the last of ``GUARD_BOUNDS``: they are
+    polynomials that cannot raise there.  B is the first bound under which
+    they all stay bounded, and each stage raises ArithmeticError unless
+    -B < v < B for every name they read (a bound name holds its value); a
+    NaN fails too.  The other extras are computed and must be finite.
 
     ``check`` lists groups of expressions over ``variables`` and ``slots``
-    (``slots[j]`` names the stage's j-th value), with their own
+    (``slots[j]`` names the value of ``exprs[j]``), with their own
     subexpression table.  ``rk4`` then takes ``acc``, the running max
     |value| of each group and the count of states measured, and measures
     the first stage of every state, the last one included.
 
     Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
-    local is named so.
+    local is named so.  Raises UnboundVariableError for a name missing from
+    ``variables``, and RecursionError for input too deep to walk.
     """
     consts: dict[str, object] = {}
     w = len(variables)
     names = {v: f"v{j}" for j, v in enumerate(variables)}
-    stage, outs = _straight_line(exprs, names, bound, "t", consts)
+    b, kept, reads = _guarded_extras(extras, [*variables, *(bound or ())])
+    rows = [*exprs, *kept, *map(Var, reads)]  # a Var's operand is the local holding its value
+    stage, outs = _straight_line(rows, names, bound, "t", consts)
+    if reads:
+        tests = (f"{-b!r} < {v} < {b!r}" for v in dict.fromkeys(outs[len(outs) - len(reads) :]))
+        stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
+    outs = outs[: len(exprs) + len(kept)]
+    stage.append(_not_finite(outs))
     measure: list[str] = []
     if check:
         names = {v: f"y{j}" for j, v in enumerate(variables)}
@@ -708,7 +693,6 @@ def compile_rk4(
         f"        {vec('v{j}')} = {vec('y{j}')}",
         "        for s in (0, 1, 2, 3):",
         *(f"            {line}" for line in stage),
-        f"            {_not_finite(outs)}",
         "            if s == 0:",
         *(f"                {line}" for line in measure),
         f"                {vec('r{j}')} = {vec('{k}')}",
@@ -735,6 +719,19 @@ def compile_rk4(
     return _build(f"    def rk4({params}):\n{body}\n    return rk4\n", consts)
 
 
+def _guarded_extras(extras: Sequence[Expr], names: Sequence[str]) -> tuple:
+    """``compile_rk4``'s B, the extras it keeps, and the names the dropped ones read."""
+    least = dict.fromkeys(names, GUARD_BOUNDS[-1])
+    for b in GUARD_BOUNDS:  # the first that drops every extra the last one drops
+        bounds = dict.fromkeys(names, b)
+        kept = [e for e in extras if not magnitude_below(e, bounds)]
+        if not any(magnitude_below(e, least) for e in kept):
+            break
+    gone = {id(e) for e in kept}
+    reads = set().union(*(free_vars(e) for e in extras if id(e) not in gone))
+    return b, kept, [v for v in names if v in reads]
+
+
 def _not_finite(values: Sequence[str]) -> str:
     """A line raising ArithmeticError where the sum of ``values`` is not finite.
 
@@ -746,7 +743,7 @@ def _not_finite(values: Sequence[str]) -> str:
 
 
 def try_compile(build: Callable, *args):
-    """``build(*args)``, for ``compile`` or ``compile_rk4``, or None where compiling fails.
+    """``build(*args)``, for ``compile_rk4``, or None where compiling fails.
 
     Compiling raises UnboundVariableError or RecursionError; a caller that
     gets None keeps using the interpreter.
@@ -913,7 +910,9 @@ def magnitude_below(e: Expr, bounds: Mapping[str, float]) -> bool:
 
     ``bounds[v]`` bounds |v| (a missing variable is unbounded).  Uses |a+-b|
     <= |a|+|b|, |ab| <= |a||b|, |a^k| <= |a|^k and |a/c| <= |a|/|c| with c
-    the divisor's float value, which must be nonzero.
+    the divisor's float value, which must be nonzero.  A function call or a
+    '^' whose exponent is not a literal integer >= 0 gives False ("not
+    proved"), so where this holds ``evaluate`` cannot raise.
     """
     try:
         _bound(e, bounds, {})
@@ -932,10 +931,15 @@ def _bound(e: Expr, bounds: Mapping[str, float], memo: dict) -> float:
         b = bounds.get(e.name, math.inf)
     elif isinstance(e, Neg):
         b = _bound(e.arg, bounds, memo)
+    elif isinstance(e, Call):
+        raise _NotProved
     else:
         x, y = _bound(e.lhs, bounds, memo), _bound(e.rhs, bounds, memo)
         if e.op == "^":
-            b = x ** int(literal_value(e.rhs))
+            k = literal_value(e.rhs)
+            if k is None or k < 0 or not float(k).is_integer():
+                raise _NotProved
+            b = x ** int(k)
         elif e.op == "/":
             b = x / abs(evaluate(e.rhs, {}))
         else:

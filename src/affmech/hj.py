@@ -267,8 +267,8 @@ def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:
     """The per-state check of ``verify_theorem``, as ``compile_rk4``'s (check, slots).
 
     Its inputs are a base point x and the values of ``dynamics.reduced_stage``
-    at x: ``slots`` names them, the reduced field X(x) first and alphaV(x)
-    from index W = 2(m+n)+1 under the fiber coordinates' names.  Its two
+    at x: ``slots`` names them, the reduced field X(x) first and then
+    alphaV(x) from index m under the fiber coordinates' names.  Its two
     groups are the m signed base defects ``rhs_i - X_i`` and the n signed
     fiber residuals ``sum_i dalpha[a*m + i] X_i - rhs_(m+a)``, where rhs is
     ``hamilton_field`` with the fiber coordinates read as inputs (the stage
@@ -277,8 +277,7 @@ def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:
     """
     aff = h.chart
     m, n = aff.m, aff.n
-    w = 2 * (m + n) + 1
-    slots = [f"k1[{j}]" for j in range(w)] + aff.fiber_vars  # names no parsed variable can have
+    slots = [f"k1[{i}]" for i in range(m)] + aff.fiber_vars  # names no parsed variable can have
     xdot = [ex.Var(v) for v in slots[:m]]
     rhs = hamilton_field(h)
     fiber = []

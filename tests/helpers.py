@@ -8,7 +8,9 @@ Forward-mode dual arithmetic (``evaluate_with_partials``) is the oracle for
 the symbolic ``expr.diff``, a least-squares solve (``reeb_solve``) the
 oracle for ``affgebroid.reeb``, and loops over the whole basis
 (``dense_differential``, ``dense_pullback``) the oracles for the sparse
-``algebroid.differential`` and ``algebroid.pullback``.
+``algebroid.differential`` and ``algebroid.pullback``.  ``compile_exprs``
+builds the straight-line code of ``expr.compile_rk4``'s stage as a function
+of its own, so that the tests can check it against the interpreter.
 """
 
 from __future__ import annotations
@@ -341,3 +343,32 @@ def corpus_points(e, count=100, seed=99, box=(-2.0, 2.0), fd_step=1e-6):
             continue
         points.append(env)
     return points
+
+
+# ------------------------------------------------- straight-line functions
+
+
+def compile_exprs(exprs, variables, bound=None):
+    """One function ``x -> [value of each expression]`` of straight-line code.
+
+    ``x`` lists the values of ``variables`` in order.  This is the stage of
+    ``expr.compile_rk4`` on its own: every distinct node is one assignment,
+    common subexpressions are computed once, and each value equals
+    ``evaluate`` bit for bit.  Where ``evaluate`` raises, the function raises
+    ArithmeticError or ValueError instead (it builds no DomainError).
+    ``bound`` maps further names to expressions in ``variables``, computed
+    first.  Raises UnboundVariableError for a variable missing from
+    ``variables`` and RecursionError for input too deep to walk.
+    """
+    consts = {}
+    names = {v: f"v{i}" for i, v in enumerate(variables)}
+    lines, outputs = ex._straight_line(exprs, names, bound, "t", consts)
+    body = "\n".join(f"        {line}" for line in lines)
+    return ex._build(
+        f"    def compiled(x):\n"
+        f"        ({''.join(f'v{i}, ' for i in range(len(variables)))}) = x\n"
+        f"{body}\n"
+        f"        return [{', '.join(outputs)}]\n"
+        f"    return compiled\n",
+        consts,
+    )

@@ -9,7 +9,6 @@ from affmech import expr as ex
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
 from affmech.cli import main
 from affmech.dynamics import (
-    _field_outputs,
     hamilton_rhs,
     integrate,
     integrate_field,
@@ -19,7 +18,13 @@ from affmech.hj import verify_theorem
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
-from helpers import CORPUS_VARS, corpus_points, evaluate_with_partials, expression_corpus
+from helpers import (
+    CORPUS_VARS,
+    compile_exprs,
+    corpus_points,
+    evaluate_with_partials,
+    expression_corpus,
+)
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
 
@@ -41,14 +46,14 @@ RAISES = object()
 def test_compiled_corpus_equals_evaluate_bit_for_bit():
     for e in expression_corpus():
         variables = sorted(ex.free_vars(e)) or ["x"]
-        fn = ex.compile([e], variables)
+        fn = compile_exprs([e], variables)
         for env in corpus_points(e):
             assert fn([env[v] for v in variables]) == [ex.evaluate(e, env)]
 
 
 def test_one_function_for_the_whole_corpus():
     corpus = expression_corpus(count=60)
-    fn = ex.compile(corpus, CORPUS_VARS)
+    fn = compile_exprs(corpus, CORPUS_VARS)
     rng = random.Random(5)
     for _ in range(20):
         env = {v: rng.uniform(-2.0, 2.0) for v in CORPUS_VARS}
@@ -74,7 +79,7 @@ def test_compiled_raises_where_evaluate_raises():
     points += [{v: rng.uniform(-6.0, 6.0) for v in CORPUS_VARS} for _ in range(30)]
     raised = 0
     for e in cases:
-        fn = ex.compile([e], CORPUS_VARS)
+        fn = compile_exprs([e], CORPUS_VARS)
         for env in points:
             want = outcome(ex.evaluate, e, env)
             got = outcome(fn, [env[v] for v in CORPUS_VARS])
@@ -92,7 +97,7 @@ def test_compiled_raises_where_evaluate_raises():
 def test_compiled_literals_keep_sign_of_zero_and_non_finite_values():
     x = Var("x")
     exprs = [x + Lit(0.0), x + Lit(-0.0), x * Lit(math.inf), Neg(Lit(-0.0)), Lit(2)]
-    fn = ex.compile(exprs, ["x"])
+    fn = compile_exprs(exprs, ["x"])
     for value in (-0.0, 0.0, 1.5):
         got = fn([value])
         want = [ex.evaluate(e, {"x": value}) for e in exprs]
@@ -106,7 +111,7 @@ def test_literal_powers_match_the_interpreter_at_their_edges():
     bases = [-0.0, 0.0, -2.0, -0.5, 0.5, 2.0, 1e200, -1e200, math.inf, -math.inf, math.nan]
     for c in exponents:
         e = BinOp("^", Var("x"), Lit(c))
-        fn = ex.compile([e], ["x"])
+        fn = compile_exprs([e], ["x"])
         for x in bases:
             want = outcome(ex.evaluate, e, {"x": x})
             got = outcome(fn, [x])
@@ -120,16 +125,16 @@ def test_literal_powers_match_the_interpreter_at_their_edges():
 
 def test_common_subexpressions_are_computed_once():
     src = "sin(x*y)*cos(x*y) + (x*y)^2"
-    one = ex.compile([ex.parse(src)], ["x", "y"])
-    two = ex.compile([ex.parse(src), ex.parse(src)], ["x", "y"])
+    one = compile_exprs([ex.parse(src)], ["x", "y"])
+    two = compile_exprs([ex.parse(src), ex.parse(src)], ["x", "y"])
     assert two.__code__.co_nlocals == one.__code__.co_nlocals
     assert two([0.3, 0.7]) == one([0.3, 0.7]) * 2
 
 
 def test_unbound_variable_is_reported_at_compile_time():
     with pytest.raises(ex.UnboundVariableError):
-        ex.compile([ex.parse("x + w")], ["x"])
-    assert ex.try_compile(ex.compile, [ex.parse("x + w")], ["x"]) is None
+        compile_exprs([ex.parse("x + w")], ["x"])
+    assert ex.try_compile(compile_exprs, [ex.parse("x + w")], ["x"]) is None
     assert ex.try_compile(ex.compile_rk4, [ex.parse("x + w")], ["x"]) is None
 
 
@@ -142,7 +147,7 @@ def nested(depth):
 
 def test_expression_300_deep_compiles_and_matches():
     e = nested(300)
-    fn = ex.compile([e], ["x"])
+    fn = compile_exprs([e], ["x"])
     assert fn([0.3]) == [ex.evaluate(e, {"x": 0.3})]
 
 
@@ -150,12 +155,13 @@ def test_expression_too_deep_fails_as_the_interpreter_does():
     e = nested(5000)
     with pytest.raises(RecursionError):
         ex.evaluate(e, {"x": 0.3})
-    assert ex.try_compile(ex.compile, [e], ["x"]) is None
+    assert ex.try_compile(compile_exprs, [e], ["x"]) is None
     chart = AffgebroidChart(["x"], ["y"], [1.0], [[e]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y^2/2")
     with pytest.raises(RecursionError):
         hamilton_rhs(h, [0.3, 1.0])
-    assert ex.try_compile(ex.compile_rk4, _field_outputs(h), h.chart.all_vars()) is None
+    stage = hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
+    assert ex.try_compile(ex.compile_rk4, *stage) is None
     shallow = AffgebroidChart(["x"], ["y"], [1.0], [[nested(300)]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(shallow, "y^2/2")
     assert compiled_field(h)([0.3, 1.0])[:2] == hamilton_rhs(h, [0.3, 1.0])
@@ -165,8 +171,8 @@ def test_expression_too_deep_fails_as_the_interpreter_does():
 
 
 def compiled_field(h):
-    """The compiled stage of ``integrate``: the field, then H and its partials."""
-    return ex.compile(_field_outputs(h), h.chart.all_vars())
+    """The field, then H and its partials, as one straight-line function."""
+    return compile_exprs(hamilton_field(h) + [h.H, *h.partials], h.chart.all_vars())
 
 
 def varying_chart():
@@ -268,23 +274,23 @@ def test_field_raises_where_the_hamiltonian_is_undefined():
 
 def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, capsys):
     calls = []
-    for name in ("compile", "compile_rk4"):
+    for name in ("_build", "compile_rk4"):  # every generated function goes through _build
         real = getattr(ex, name)
         monkeypatch.setattr(ex, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", "5"]) == 0
     assert capsys.readouterr().out.count("point_") == 5
     # one kernel (stage and check); no sampled check and no field alone is compiled
-    assert calls == ["compile_rk4"]
+    assert calls == ["compile_rk4", "_build"]
     calls.clear()
     assert main(["verify", "linear:tangent3", "--alpha", "const", "--points", "1"]) == 0
-    assert calls == ["compile_rk4"]
+    assert calls == ["compile_rk4", "_build"]
     capsys.readouterr()
     bundle = by_name("oscillator")
     alpha, h = bundle.sections["w_osc"], bundle.hamiltonian
     calls.clear()
     verify_theorem(alpha, h, [0.1, 0.5], 0.5, 1e-2)
     verify_theorem(alpha, h, [0.2, 0.3], 0.5, 1e-2)
-    assert calls == ["compile_rk4"]
+    assert calls == ["compile_rk4", "_build"]
     # the check's partials of alphaV against the dual-number oracle
     x = [0.3, 0.7]
     env = dict(zip(bundle.chart.base_vars, x))

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from affmech import expr as ex
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 
-from helpers import corpus_points, evaluate_with_partials, expression_corpus, fd_partials
+from helpers import (
+    compile_exprs,
+    corpus_points,
+    evaluate_with_partials,
+    expression_corpus,
+    fd_partials,
+)
 
 
 # ------------------------------------------------------------------ parsing
@@ -407,7 +413,7 @@ def test_non_literal_exponents_diff_dual_and_compile_agree():
         e = ex.parse(src)
         variables = sorted(ex.free_vars(e))
         derivs = [ex.diff(e, v) for v in variables]
-        fn = ex.compile([e], variables)
+        fn = compile_exprs([e], variables)
         points = corpus_points(e, count=20, seed=3000 + k, box=(0.1, 2.0))
         assert len(points) == 20
         for env in points:
@@ -433,7 +439,7 @@ def test_non_literal_exponents_diff_matches_sympy():
 
 def test_non_literal_exponent_of_non_positive_base_raises():
     e = ex.parse("x^y")
-    fn = ex.compile([e], ["x", "y"])
+    fn = compile_exprs([e], ["x", "y"])
     for x in (0.0, -0.0, -1.5):
         env = {"x": x, "y": 2.0}
         with pytest.raises(ex.DomainError):

@@ -5,16 +5,18 @@ and what ``verify_theorem`` does with no kernel: the kernels must give the
 same floats, aborts and messages.
 """
 
+import ast
 import contextlib
 import io
 import math
 import random
+import re
 
 import pytest
 
 from affmech import dynamics, hj
 from affmech import expr as ex
-from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
+from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, hamilton_field
 from affmech.cli import main
 from affmech.dynamics import (
     hamilton_rhs,
@@ -25,7 +27,11 @@ from affmech.dynamics import (
     reduced_stage,
 )
 from affmech.hj import IntegrationFailure, verify_theorem
+from affmech.modelfile import parse_model_text
 from affmech.models import by_name
+
+from helpers import compile_exprs
+from test_golden import MODEL_FILES
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
 SECTIONS = [(name, sec) for name in BUILTINS for sec in by_name(name).sections]
@@ -155,9 +161,9 @@ def test_base_defect_compares_two_compiled_routes(monkeypatch):
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
 
     def skewed(a, hh):
-        exprs, variables, bound = reduced_stage(a, hh)
+        exprs, variables, bound, extras = reduced_stage(a, hh)
         # the reduced field's t row, off by 1e-9
-        return [ex.BinOp("+", exprs[0], ex.Lit(1e-9))] + exprs[1:], variables, bound
+        return [ex.BinOp("+", exprs[0], ex.Lit(1e-9))] + exprs[1:], variables, bound, extras
 
     monkeypatch.setattr(hj, "reduced_stage", skewed)
     with pytest.raises(IntegrationFailure, match="base equation failed"):
@@ -262,12 +268,14 @@ def test_reduced_stage_is_compiled_once_per_pair_of_sections(monkeypatch):
     integrate_reduced(alpha, HamiltonianSection(h.chart, h.H), [0.2, 0.3], 0.0, 0.1, 1e-2)
     assert alpha.compiled_rk4[1] is not fn and len(calls) == 2
     # the stage's values are the per-stage ones
-    exprs, variables, bound = reduced_stage(alpha, h)
+    exprs, variables, bound, extras = reduced_stage(alpha, h)
     x = [0.3, 0.7]
-    out = ex.compile(exprs, variables, bound)(x)
-    w = 2 * (2 + 1) + 1
+    out = compile_exprs(exprs, variables, bound)(x)
+    w = len(exprs) - len(alpha.alphaV)
     y = out[w:]
-    assert out[:w] == ex.compile(dynamics._field_outputs(h), h.chart.all_vars())(x + y)
+    rows = hamilton_field(h)
+    assert out[:w] == compile_exprs(rows, h.chart.all_vars())(x + y)[:w]
+    assert extras == rows[w:] + [h.H, *h.partials]
     assert y == [ex.evaluate(c, dict(zip(variables, x))) for c in alpha.alphaV]
 
 
@@ -278,7 +286,7 @@ def test_compile_with_bound_names_equals_evaluate():
         {"p": ex.Lit(-1.0), "q": ex.Neg(ex.Lit(-0.0))},
         {"p": ex.Lit(-0.0), "q": ex.Lit(math.inf)},
     ):
-        fn = ex.compile(exprs, ["x"], bound)
+        fn = compile_exprs(exprs, ["x"], bound)
         for x in (-0.5, 0.0, -0.0, 0.25, 3.0):
             env = {"x": x}
             env.update({name: ex.evaluate(e, {"x": x}) for name, e in bound.items()})
@@ -296,4 +304,120 @@ def test_compile_with_bound_names_equals_evaluate():
 
 def test_bound_expressions_see_only_the_variables():
     with pytest.raises(ex.UnboundVariableError):
-        ex.compile([ex.parse("q")], ["x"], {"p": ex.parse("x"), "q": ex.parse("p")})
+        compile_exprs([ex.parse("q")], ["x"], {"p": ex.parse("x"), "q": ex.parse("p")})
+
+
+# ------------------------------------- the guard in place of H and its partials
+
+B = ex.GUARD_BOUNDS[0]  # the bound of every builtin's kernels
+
+
+def flow_argv(y0, t_end="0.05"):
+    return ["flow", "trivial:1", "--x0", "0,0", f"--y0={y0}", "--t-end", t_end, "--step", "0.01"]
+
+
+def test_a_state_past_every_bound_aborts_as_the_interpreter_does():
+    # p1^2 overflows in the interpreter's math.pow at the first stage
+    assert run(flow_argv("1e200", "1")) == (1, "t,x1,x2,y1\n0.0,0.0,0.0,1e+200\n# ABORTED\n", "")
+    h = by_name("trivial:1").hamiltonian
+    fused = integrate(h, [0.0, 0.0, 1e200], 0.0, 1.0, 1e-2)
+    same(fused, integrate_field(lambda s: hamilton_rhs(h, s), [0.0, 0.0, 1e200], 0.0, 1.0, 1e-2))
+    assert fused.error == "domain violation at t=0.0: overflow in power in 'p1^2'"
+
+
+@pytest.mark.parametrize("y0", [
+    math.nextafter(B, 0.0), B, math.nextafter(B, math.inf), -B,
+    1e149, 1e150, 1e151, 1e152, 1e153, 1e154, 1.34e154, 1.35e154,
+])
+def test_flows_around_the_bound_give_the_per_stage_output(y0, per_stage):
+    fused = run(flow_argv(repr(y0)))
+    per_stage()
+    assert run(flow_argv(repr(y0))) == fused
+
+
+@pytest.mark.parametrize("y0, per_stage_steps", [(math.nextafter(B, 0.0), 0), (B, 5), (-B, 5)])
+def test_the_guard_leaves_exactly_the_states_past_the_bound(y0, per_stage_steps, count_rhs):
+    h = by_name("trivial:1").hamiltonian
+    integrate(h, [0.0, 0.0, y0], 0.0, 0.05, 1e-2)
+    assert len(count_rhs) == 4 * per_stage_steps
+
+
+def test_a_hamiltonian_of_high_degree_gets_a_smaller_bound(count_rhs):
+    # p1^20 stays below SAFE_MAGNITUDE for |p1| < 2^16 but not for |p1| < 2^64
+    h = HamiltonianSection(by_name("trivial:1").chart, "p1^20/2")
+    integrate(h, [0.0, 0.0, 1.0], 0.0, 0.05, 1e-2)
+    assert "-65536.0 < v2 < 65536.0" in h.compiled_rk4.source
+    assert not count_rhs
+    integrate(h, [0.0, 0.0, 65536.0], 0.0, 0.05, 1e-2)
+    assert len(count_rhs) == 4 * 5
+
+
+@pytest.mark.parametrize("alpha_v, ok", [("1e18*t", True), ("1e160*t", False)])
+def test_a_reduced_flow_past_the_bound_equals_the_per_stage_flow(alpha_v, ok, count_rhs):
+    # alphaV passes B at t = 18.4 (and p1^2 overflows from t = 1.4e-6 on the second)
+    bundle = by_name("trivial:1")
+    h, alpha = bundle.hamiltonian, CoSection(bundle.chart, "0", [alpha_v])
+    fused = integrate_reduced(alpha, h, [0.0, 0.5], 0.0, 30.0, 1.0)
+    assert count_rhs  # the kernel left the steps past B to the per-stage path
+    same(fused, integrate_field(reduced_field(alpha, h), [0.0, 0.5], 0.0, 30.0, 1.0))
+    assert fused.ok is ok and len(fused) == (31 if ok else 1)
+    if not ok:
+        assert "overflow in power in 'p1^2'" in fused.error
+    count_rhs.clear()
+    integrate_reduced(alpha, h, [0.0, 0.5], 0.0, 18.0, 1.0)
+    assert bool(count_rhs) is not ok  # below B, the kernel takes every step
+
+
+def test_a_hamiltonian_that_is_no_polynomial_stays_in_the_stage():
+    h = parse_model_text(MODEL_FILES["log_h.model"]).hamiltonian
+    integrate(h, [0.0, 0.5, -2.0], 0.0, 0.01, 1e-2)
+    assert "_log(v1)" in h.compiled_rk4.source
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["trivial:1"])
+def test_no_builtin_flow_stage_computes_a_power(name):
+    # every builtin H is a polynomial, and its p^2 terms are the only powers
+    h = by_name(name).hamiltonian
+    integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.01, 1e-2)
+    assert "_pow" not in h.compiled_rk4.source.split("def rk4")[1]
+
+
+def dead_temporaries(source):
+    """The ``t``/``u`` temporaries of a kernel that only a raise-only ``if`` reads.
+
+    Such an ``if`` (the non-finite checks and the guard) decides whether the
+    kernel gives the step up; a value that nothing else reads feeds neither
+    the next state nor a check's maxima.
+    """
+    tree = ast.parse(source)
+    tests = {
+        id(name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)
+        for name in ast.walk(node.test)
+    }
+    temps = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and re.fullmatch(r"[tu]\d+", n.id)]
+    stored = {n.id for n in temps if isinstance(n.ctx, ast.Store)}
+    return stored - {n.id for n in temps if isinstance(n.ctx, ast.Load) and id(n) not in tests}
+
+
+def builtin_kernels():
+    for name in BUILTINS + ["trivial:1"]:
+        bundle = by_name(name)
+        h = bundle.hamiltonian
+        integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.01, 1e-2)
+        yield f"flow {name}", h.compiled_rk4
+        for sec, alpha in bundle.sections.items():
+            dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
+            check = hj._theorem_check(h, dalpha)
+            yield f"verify {name} {sec}", ex.compile_rk4(*reduced_stage(alpha, h), *check)
+
+
+def test_every_temporary_of_a_builtin_kernel_is_used():
+    kernels = dict(builtin_kernels())
+    assert len(kernels) == 22  # 6 flows and 16 sections
+    for what, kernel in kernels.items():
+        assert not dead_temporaries(kernel.source), (what, kernel.source)
+    # a value computed only for the non-finite check is dead
+    extra = ex.compile_rk4([ex.parse("x")], ["x"], None, [ex.parse("log(2 + x^2)")])
+    assert dead_temporaries(extra.source) == {"t2"}  # the log; x^2 and 2 + x^2 feed it

@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from affmech import expr as ex
 from affmech import hj
-from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection
+from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, hamilton_field
 from affmech.algebroid import SamplePlan, differential, max_abs_check, section_max_abs
 from affmech.dynamics import (
-    _field_outputs,
     hamilton_rhs,
     integrate,
     integrate_field,
@@ -27,6 +26,8 @@ from affmech.dynamics import (
     reduced_field,
 )
 from affmech.models import by_name
+
+from helpers import compile_exprs
 
 CHARTS = {name: by_name(name).chart for name in ("oscillator", "rigid:1,2,3", "linear:tangent3")}
 
@@ -177,16 +178,16 @@ def test_generated_temporaries_cannot_overwrite_the_loop_locals():
     # and the loop does the per-stage float operations
     times, states, acc = [0.0], [[0.05 * j for j in range(12)]], [0.0, 0]
     kernel(times, states, 0.0, 0.1, 0.01, acc)
-    want = integrate_field(ex.compile(stage, names), states[0], 0.0, 0.1, 0.01)
+    want = integrate_field(compile_exprs(stage, names), states[0], 0.0, 0.1, 0.01)
     assert (times, states) == (want.times, want.states)
     assert acc[1] == len(times) and 0.0 < acc[0] < math.inf
 
 
 def test_the_stage_body_appears_once_in_the_kernel_source():
     h = by_name("rigid:1,2,3").hamiltonian
-    stage, variables = _field_outputs(h), h.chart.all_vars()
-    kernel = ex.compile_rk4(stage, variables)
-    assignments = ex.compile(stage, variables).source.splitlines()[3:-2]
+    stage, variables = hamilton_field(h), h.chart.all_vars()
+    kernel = ex.compile_rk4(stage, variables, None, [h.H, *h.partials])
+    assignments = compile_exprs(stage, variables).source.splitlines()[3:-2]
     body = [line.strip() for line in kernel.source.splitlines()]
     assert len(assignments) > 5
     assert all(body.count(line.strip()) == 1 for line in assignments), kernel.source

@@ -172,6 +172,18 @@ def test_division_by_an_underflowing_constant_is_sampled():
     assert not ex.magnitude_below(e, {"x": 1.0})
 
 
+@pytest.mark.parametrize("src", ["sin(x)", "x^y", "x^-1", "x^-2", "x^0.5", "1 + exp(x)"])
+def test_magnitude_below_proves_nothing_outside_the_polynomials(src):
+    # |x| <= 1 and |y| <= 1 bound every value, but x^-1, x^-2 and x^0.5 raise at x = 0
+    # (x^0.5 also at x < 0), and a call or a non-literal exponent is no polynomial
+    assert not ex.magnitude_below(ex.parse(src), {"x": 1.0, "y": 1.0})
+
+
+def test_magnitude_below_keeps_literal_integer_exponents():
+    assert ex.magnitude_below(ex.parse("x^0 + x^3 - 2*y^2"), {"x": 1.0, "y": 1.0})
+    assert not ex.magnitude_below(ex.parse("x^3"), {"x": 1e101})
+
+
 def test_fully_proved_checks_draw_no_points(monkeypatch):
     draws = []
     real = SamplePlan.points
