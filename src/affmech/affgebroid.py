@@ -165,15 +165,13 @@ class HamiltonianSection:
     ``partials`` holds the symbolic partials of H with respect to every
     chart variable, base variables first, built once at construction.
     ``field_rows`` caches ``hamilton_field(self)``, built on its first call.
-    ``compiled_rk4`` caches the RK4 kernel of ``dynamics.integrate``,
-    compiled on its first call; it is False where compiling fails.
+    Both are expressions; no compiled code or check result is kept here.
     """
 
     chart: AffgebroidChart
     H: Expr
     partials: list = field(init=False, repr=False, compare=False)
     field_rows: object = field(init=False, repr=False, compare=False, default=None)
-    compiled_rk4: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.H = as_expr(self.H)
@@ -197,17 +195,11 @@ class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
     The components are expressions (``as_expr``); a callable is a TypeError.
-    ``compiled_rk4`` caches ``(h, kernel)``, the RK4 kernel of
-    ``dynamics.integrate_reduced`` for the last h.  ``theorem_cache`` caches
-    the work of ``hj.verify_theorem`` that does not depend on the start
-    point, its kernel included, for the last h and sample plan.
     """
 
     chart: AffgebroidChart
     alpha0: object
     alphaV: list
-    compiled_rk4: object = field(init=False, repr=False, compare=False, default=None)
-    theorem_cache: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.alpha0 = as_expr(self.alpha0)

@@ -349,29 +349,29 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
 
     traj_max = hj_max = 0.0  # nan_max over the points, so a NaN residual is reported
     holds_i = holds_ii = True
-    for k, x0 in enumerate(points):
-        try:
-            report = verify_theorem(
-                alpha, bundle.hamiltonian, x0, args.horizon, args.step, bundle.sample
-            )
-        except NotACocycleError as err:
-            print(f"error: {err}", file=sys.stderr)
-            print(f"cocycle_residual = {err.report.max_residual:.3e}")
-            return EXIT_INPUT_ERROR
-        except IntegrationFailure as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        except ex.EvalError as err:
-            return _evaluation_error(err)
-        coords = ",".join(f"{v:.6g}" for v in x0)
-        print(
-            f"point_{k} = ({coords}) max_r = {report.trajectory_max:.3e} "
-            f"hj = {report.hj_max:.3e}"
+    try:
+        reports = verify_theorem(
+            alpha, bundle.hamiltonian, points, args.horizon, args.step, bundle.sample
         )
-        traj_max = nan_max((traj_max, report.trajectory_max))
-        hj_max = nan_max((hj_max, report.hj_max))
-        holds_i = holds_i and report.holds_along_trajectory
-        holds_ii = holds_ii and report.holds_pointwise
+        for k, report in enumerate(reports):
+            coords = ",".join(f"{v:.6g}" for v in report.x0)
+            print(
+                f"point_{k} = ({coords}) max_r = {report.trajectory_max:.3e} "
+                f"hj = {report.hj_max:.3e}"
+            )
+            traj_max = nan_max((traj_max, report.trajectory_max))
+            hj_max = nan_max((hj_max, report.hj_max))
+            holds_i = holds_i and report.holds_along_trajectory
+            holds_ii = holds_ii and report.holds_pointwise
+    except NotACocycleError as err:
+        print(f"error: {err}", file=sys.stderr)
+        print(f"cocycle_residual = {err.report.max_residual:.3e}")
+        return EXIT_INPUT_ERROR
+    except IntegrationFailure as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except ex.EvalError as err:
+        return _evaluation_error(err)
 
     print(f"trajectory_residual_max = {traj_max:.3e}")
     print(f"hj_residual_max = {hj_max:.3e}")

@@ -10,16 +10,15 @@ A Trajectory keeps every state, so an integration that would take more than
 
 The Hamilton field has two routes.  ``integrate`` and ``integrate_reduced``
 run each integration as one generated RK4 loop (``expr.compile_rk4``) over
-a compiled stage: the Hamilton field, or ``reduced_stage``, as
-straight-line code built once per section.  The kernel walks no
-expression tree and calls no Python function per stage.  It hands any
-step where a stage raises or gives a value that is not finite to the
-per-stage path of ``integrate_field``, which evaluates the field with the
-interpreter, ``hamilton_rhs``, and alphaV with ``expr.evaluate``.  That
-path is the reference: every domain error and its message comes from it.
-The values that only ``hamilton_rhs`` uses (H, its partials) are
-``compile_rk4``'s extras: a guard on the state replaces the polynomial
-ones.  ``hj.verify_theorem`` compiles the same loop with its check.
+a stage, ``hamilton_stage`` or ``reduced_stage``, compiled on each call to
+straight-line code that walks no expression tree and calls no Python
+function.  It hands any step where a stage raises or gives a value that is
+not finite to the per-stage path of ``integrate_field``, which evaluates the
+field with the interpreter, ``hamilton_rhs``, and alphaV with
+``expr.evaluate``.  That path is the reference: every domain error and its
+message comes from it.  The values that only ``hamilton_rhs`` uses (H, its
+partials) are ``compile_rk4``'s extras: a guard on the state replaces the
+polynomial ones.  ``hj.verify_theorem`` compiles the same loop with its check.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ __all__ = [
     "hamilton_rhs",
     "integrate",
     "integrate_field",
+    "hamilton_stage",
     "reduced_field",
     "reduced_stage",
     "integrate_reduced",
@@ -167,6 +167,16 @@ def integrate_field(
         states.append(y)
 
 
+def hamilton_stage(h: HamiltonianSection):
+    """The Hamilton field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
+
+    The m+n rows of ``hamilton_field`` over every chart variable; H and its
+    m+n partials are the extras, so past ``compile_rk4``'s B ``hamilton_rhs``
+    takes the step.
+    """
+    return hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
+
+
 def integrate(
     h: HamiltonianSection,
     state0: Sequence[float],
@@ -176,21 +186,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Hamilton equations from a full (base, fiber) state.
 
-    The kernel's stage is the m+n rows of ``hamilton_field``, with H and
-    its m+n partials as extras: past ``compile_rk4``'s B, ``hamilton_rhs``
-    takes the step.
-    It is compiled once per section and cached in ``h.compiled_rk4``
-    (False where compiling fails).
+    Each call compiles the kernel over ``hamilton_stage`` (none where
+    compiling fails, and then every step runs per stage).
     """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    if h.compiled_rk4 is None:
-        stage = hamilton_field(h), aff.all_vars(), None, [h.H, *h.partials]
-        h.compiled_rk4 = ex.try_compile(ex.compile_rk4, *stage) or False
-    return integrate_field(
-        lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, h.compiled_rk4
-    )
+    kernel = ex.try_compile(ex.compile_rk4, *hamilton_stage(h))
+    return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, kernel)
 
 
 def reduced_field(alpha: CoSection, h: HamiltonianSection):
@@ -237,12 +240,9 @@ def integrate_reduced(
 ) -> Trajectory:
     """Integrate the reduced base-space field from a base point.
 
-    The kernel over ``reduced_stage`` is cached on alpha for the last h, in
-    ``alpha.compiled_rk4``.
+    Each call compiles the kernel over ``reduced_stage``.
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    cached = alpha.compiled_rk4
-    if cached is None or cached[0] is not h:
-        alpha.compiled_rk4 = cached = (h, ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h)))
-    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, cached[1])
+    kernel = ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h))
+    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, kernel)

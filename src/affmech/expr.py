@@ -941,7 +941,8 @@ def _bound(e: Expr, bounds: Mapping[str, float], memo: dict) -> float:
                 raise _NotProved
             b = x ** int(k)
         elif e.op == "/":
-            b = x / abs(evaluate(e.rhs, {}))
+            c = literal_value(e.rhs)
+            b = x / abs(evaluate(e.rhs, {}) if c is None else c)
         else:
             b = x * y if e.op == "*" else x + y
     if not b < SAFE_MAGNITUDE:  # NaN too

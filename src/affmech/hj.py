@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from . import expr as ex
 from .algebroid import (
@@ -150,21 +151,26 @@ class TheoremReport:
 def verify_theorem(
     alpha: CoSection,
     h: HamiltonianSection,
-    x0,
+    points: Sequence[Sequence[float]],
     horizon: float,
     step: float = DEFAULT_STEP,
     sample: SamplePlan | None = None,
-) -> TheoremReport:
-    """Check both directions of the equivalence from one initial point.
+) -> Iterator[TheoremReport]:
+    """Check both directions of the equivalence from each start point.
 
-    Integrates the reduced field, restores the curve on the dual through
-    alpha, and measures how far it is from solving the Hamilton equations:
-    the base equation is an identity of the construction (asserted to
-    1e-12), the fiber residual uses exact partials of alpha along the
-    curve.  The pointwise HJ residual is evaluated on the bounding box of
-    the computed trajectory.  Requires alpha to be a cocycle.  A start point
-    where the reduced field cannot be evaluated raises the evaluation error,
-    with x0 as its ``point``.
+    The call checks every point's length (ValueError) and that alpha is a
+    cocycle (NotACocycleError), then builds what no point changes: the
+    partials of alphaV, one RK4 kernel, the d^V f check and the plan's unit
+    draws (drawn on first use; every box plan reuses them).  It returns an
+    iterator that checks one point per report, as the report is taken.
+
+    Each check integrates the reduced field, restores the curve on the dual
+    through alpha, and measures how far it is from solving the Hamilton
+    equations: the base equation is an identity of the construction
+    (asserted to 1e-12), the fiber residual uses exact partials of alpha
+    along the curve.  The pointwise HJ residual is evaluated on the bounding
+    box of the computed trajectory.  A start point where the reduced field
+    cannot be evaluated raises the evaluation error, with x0 as its ``point``.
 
     The residuals are measured in the integration pass: the RK4 kernel of
     ``dynamics.reduced_stage`` computes ``_theorem_check`` on the first stage
@@ -173,94 +179,67 @@ def verify_theorem(
     fiber coordinates as inputs and its own subexpression table, so the base
     defect compares two independently compiled routes.  If the kernel missed
     a state, every state is measured again by the interpreter, whose errors
-    record the state as their ``point``.  The work that x0 does not change
-    is cached on alpha (``_x0_free``).
+    record the state as their ``point``.
     """
     aff = h.chart
     m, n = aff.m, aff.n
-    if len(x0) != m:
+    if any(len(x0) != m for x0 in points):
         raise ValueError("x0 must list every base coordinate")
     plan = sample if sample is not None else SamplePlan()
-
-    cache = _x0_free(alpha, h, plan)
-    coc = cache["cocycle"]
+    units = functools.cache(lambda: plan.units(m))
+    worst, where, _ = max_abs_check(differential(alpha.as_bidual_section()))(plan, units)
+    coc = CocycleReport(worst, where, plan.count)
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
-    kernel = cache["kernel"]
-
-    acc = [0.0, 0.0, 0]  # max |base defect|, max |fiber residual|, states measured
+    dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in aff.base_vars]  # at a*m + i
+    kernel = ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))
+    df = max_abs_check(_vertical_df(alpha, h))
     field = reduced_field(alpha, h)
-    traj = integrate_field(
-        field, x0, 0.0, horizon, step, kernel and (lambda *args: kernel(*args, acc))
-    )
-    if not traj.ok:
-        # a start point outside the section's domain is an input error, not a
-        # failed flow; evaluating there raises it with x0 as its point
-        values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
-        raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
     def residuals(env):
         """The m signed base defects and n signed fiber residuals at a state, interpreted."""
         state = [env[v] for v in aff.base_vars]
         rhs = hamilton_rhs(h, state + [ex.evaluate(c, env) for c in alpha.alphaV])
         xdot = field(state)
-        dg = [ex.evaluate(d, env) for d in cache["dalpha"]]
+        dg = [ex.evaluate(d, env) for d in dalpha]
         return [rhs[i] - xdot[i] for i in range(m)] + [
             sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a] for a in range(n)]
 
-    base_defect, traj_max, measured = acc
-    if measured != len(traj):
-        rows = values_at(residuals, [dict(zip(aff.base_vars, s)) for s in traj.states])
-        base_defect = nan_max(abs(v) for r in rows for v in r[:m])
-        traj_max = nan_max(abs(v) for r in rows for v in r[m:])
-    if not base_defect <= 1e-12:
-        raise IntegrationFailure(
-            f"base equation failed to hold by construction: defect {base_defect:.3e}"
+    def check(x0) -> TheoremReport:
+        acc = [0.0, 0.0, 0]  # max |base defect|, max |fiber residual|, states measured
+        traj = integrate_field(
+            field, x0, 0.0, horizon, step, kernel and (lambda *args: kernel(*args, acc))
+        )
+        if not traj.ok:
+            # a start point outside the section's domain is an input error, not a
+            # failed flow; evaluating there raises it with x0 as its point
+            values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
+            raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
+
+        base_defect, traj_max, measured = acc
+        if measured != len(traj):
+            rows = values_at(residuals, [dict(zip(aff.base_vars, s)) for s in traj.states])
+            base_defect = nan_max(abs(v) for r in rows for v in r[:m])
+            traj_max = nan_max(abs(v) for r in rows for v in r[m:])
+        if not base_defect <= 1e-12:
+            raise IntegrationFailure(
+                f"base equation failed to hold by construction: defect {base_defect:.3e}"
+            )
+
+        box = {var: (min(col), max(col)) for var, col in zip(aff.base_vars, zip(*traj.states))}
+        hj_max, _, _ = df(SamplePlan(box=box, count=plan.count, seed=plan.seed), units)
+
+        return TheoremReport(
+            x0=list(map(float, x0)),
+            cocycle_max=coc.max_residual,
+            trajectory_max=traj_max,
+            base_defect_max=base_defect,
+            hj_max=hj_max,
+            trajectory=traj,
+            box=box,
         )
 
-    box = {}
-    for i, var in enumerate(aff.base_vars):
-        values = [s[i] for s in traj.states]
-        box[var] = (min(values), max(values))
-    box_plan = SamplePlan(box=box, count=plan.count, seed=plan.seed)
-    hj_max, _, _ = cache["df"](box_plan, cache["units"])
-
-    return TheoremReport(
-        x0=list(map(float, x0)),
-        cocycle_max=coc.max_residual,
-        trajectory_max=traj_max,
-        base_defect_max=base_defect,
-        hj_max=hj_max,
-        trajectory=traj,
-        box=box,
-    )
-
-
-def _x0_free(alpha: CoSection, h: HamiltonianSection, plan: SamplePlan) -> dict:
-    """The part of ``verify_theorem`` that x0 does not change, cached on alpha.
-
-    ``"units"``: the plan's unit draws over the base variables, drawn on
-    first use; every box plan of ``verify_theorem`` has the plan's seed and
-    count, so its points reuse them.  ``"cocycle"``: the cocycle report on
-    the plan.  For a cocycle, ``"dalpha"``: dalphaV[a]/dx^i at a*m + i,
-    ``"kernel"``: the RK4 kernel with ``_theorem_check`` (None where
-    compiling fails), and ``"df"``: d^V f as a sampled check
-    (``algebroid.max_abs_check``).  Kept for the last (h, plan).
-    """
-    cache = alpha.theorem_cache
-    if cache is None or cache["h"] is not h or cache["plan"] != plan:
-        units = functools.cache(lambda: plan.units(h.chart.m))
-        worst, where, _ = max_abs_check(differential(alpha.as_bidual_section()))(plan, units)
-        coc = CocycleReport(worst, where, plan.count)
-        cache = {"h": h, "plan": plan, "units": units, "cocycle": coc}
-        if coc.is_cocycle:
-            dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
-            cache["dalpha"] = dalpha
-            cache["kernel"] = ex.try_compile(
-                ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))
-            cache["df"] = max_abs_check(_vertical_df(alpha, h))
-        alpha.theorem_cache = cache
-    return cache
+    return map(check, points)
 
 
 def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:

@@ -100,7 +100,6 @@ def parse_model_text(text: str, name: str = "model") -> ModelBundle:
         hamiltonian=hamiltonian,
         sections=sections,
         sample=sample,
-        description=f"loaded from model file '{name}'",
     )
 
 

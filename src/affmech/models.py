@@ -55,7 +55,6 @@ class ModelBundle:
     hamiltonian: HamiltonianSection
     sections: Mapping[str, CoSection] = field(default_factory=dict)
     sample: SamplePlan = field(default_factory=SamplePlan)
-    description: str = ""
 
     def section(self, name: str) -> CoSection:
         try:
@@ -132,7 +131,6 @@ def trivial_fibration(dim_q: int) -> ModelBundle:
         hamiltonian=h,
         sections=sections,
         sample=sample,
-        description="trivial fibration over time, free particle",
     )
 
 
@@ -164,7 +162,6 @@ def harmonic_oscillator() -> ModelBundle:
         hamiltonian=h,
         sections=sections,
         sample=sample,
-        description="harmonic oscillator on the trivial fibration",
     )
 
 
@@ -235,7 +232,6 @@ def linear_tangent_model(dim: int) -> ModelBundle:
         hamiltonian=h,
         sections=sections,
         sample=SamplePlan(),
-        description="tangent algebroid as an affgebroid, flat geodesic flow",
     )
 
 
@@ -279,7 +275,6 @@ def rigid_body(i1: float, i2: float, i3: float) -> ModelBundle:
         hamiltonian=h,
         sections=sections,
         sample=SamplePlan(),
-        description="time-extended rigid body (Euler equations)",
     )
 
 
@@ -329,7 +324,6 @@ def by_name(name: str) -> ModelBundle:
             name="perturbed-so3",
             chart=chart,
             hamiltonian=HamiltonianSection(chart, 0.0),
-            description="invalid structure constants (Jacobi violation)",
         )
     if name.startswith("trivial:"):
         return trivial_fibration(_positive_int(name, name.split(":", 1)[1]))

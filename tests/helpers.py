@@ -26,6 +26,7 @@ from affmech import expr as ex
 from affmech.affgebroid import omega_h
 from affmech.algebroid import _PERMS, KSection, _sort_with_sign
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
+from affmech.hj import verify_theorem
 
 
 def fd_partials(e, env, wrt, h=1e-6):
@@ -372,3 +373,9 @@ def compile_exprs(exprs, variables, bound=None):
         f"    return compiled\n",
         consts,
     )
+
+
+def verify_one(alpha, h, x0, *args, **kwargs):
+    """The one report of ``hj.verify_theorem`` from the start point x0."""
+    (report,) = verify_theorem(alpha, h, [x0], *args, **kwargs)
+    return report

@@ -610,6 +610,25 @@ def test_importing_the_package_does_not_load_numpy():
     assert result.stdout.strip() == "[False, False, False]"
 
 
+# what dataclasses imports; a module not listed here adds import time to every process
+IMPORT_ALLOWED = {
+    "__future__", "_ast", "_opcode", "ast", "copy", "dataclasses", "dis", "importlib.machinery",
+    "inspect", "linecache", "opcode", "token", "tokenize",
+}
+
+
+def test_importing_the_package_and_the_model_files_loads_only_allowed_modules():
+    # the imports of a fresh process that builds models (perfbench/setup_probe.py)
+    code = (
+        "import sys; before = set(sys.modules); import affmech, affmech.modelfile; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    new = {m for m in result.stdout.split() if m != "affmech" and not m.startswith("affmech.")}
+    assert new <= IMPORT_ALLOWED, sorted(new - IMPORT_ALLOWED)
+
+
 # ------------------------------------------------------------- one parser
 
 

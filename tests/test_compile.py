@@ -6,6 +6,7 @@ import random
 import pytest
 
 from affmech import expr as ex
+from affmech import hj
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
 from affmech.cli import main
 from affmech.dynamics import (
@@ -247,15 +248,12 @@ def test_leaving_the_domain_reports_the_interpreters_error():
     assert compiled.states == interpreted.states
 
 
-def test_field_is_compiled_lazily_once_per_section():
-    bundle = by_name("oscillator")
-    h = bundle.hamiltonian
-    hamilton_rhs(h, [0.0, 1.0, 0.0])
-    assert h.compiled_rk4 is None  # the interpreter compiles nothing
-    integrate(h, [0.0, 1.0, 0.0], 0.0, 0.1, 1e-2)
-    fn = h.compiled_rk4
-    integrate(h, [0.1, 0.9, 0.2], 0.0, 0.1, 1e-2)
-    assert fn and h.compiled_rk4 is fn
+def test_the_interpreter_compiles_nothing(monkeypatch):
+    h, calls = by_name("oscillator").hamiltonian, []
+    for name in ("_build", "compile_rk4"):  # every generated function goes through _build
+        monkeypatch.setattr(ex, name, lambda *a, name=name: calls.append(name))
+    assert hamilton_rhs(h, [0.0, 1.0, 0.0]) == [1.0, 0.0, -1.0]
+    assert calls == []
 
 
 def test_field_raises_where_the_hamiltonian_is_undefined():
@@ -288,12 +286,14 @@ def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, cap
     bundle = by_name("oscillator")
     alpha, h = bundle.sections["w_osc"], bundle.hamiltonian
     calls.clear()
-    verify_theorem(alpha, h, [0.1, 0.5], 0.5, 1e-2)
-    verify_theorem(alpha, h, [0.2, 0.3], 0.5, 1e-2)
+    checks, real = [], hj._theorem_check
+    monkeypatch.setattr(hj, "_theorem_check", lambda *args: checks.append(args[1]) or real(*args))
+    assert len(list(verify_theorem(alpha, h, [[0.1, 0.5], [0.2, 0.3]], 0.5, 1e-2))) == 2
     assert calls == ["compile_rk4", "_build"]
     # the check's partials of alphaV against the dual-number oracle
     x = [0.3, 0.7]
     env = dict(zip(bundle.chart.base_vars, x))
     value, partials = evaluate_with_partials(alpha.alphaV[0], env, bundle.chart.base_vars)
-    assert [ex.evaluate(d, env) for d in alpha.theorem_cache["dalpha"]] == partials
+    (dalpha,) = checks
+    assert [ex.evaluate(d, env) for d in dalpha] == partials
     assert reduced_field(alpha, h)(x) == hamilton_rhs(h, x + [value])[:2]

@@ -20,17 +20,18 @@ from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, h
 from affmech.cli import main
 from affmech.dynamics import (
     hamilton_rhs,
+    hamilton_stage,
     integrate,
     integrate_field,
     integrate_reduced,
     reduced_field,
     reduced_stage,
 )
-from affmech.hj import IntegrationFailure, verify_theorem
+from affmech.hj import IntegrationFailure
 from affmech.modelfile import parse_model_text
 from affmech.models import by_name
 
-from helpers import compile_exprs
+from helpers import compile_exprs, verify_one
 from test_golden import MODEL_FILES
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
@@ -139,11 +140,11 @@ def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage):
     rng = random.Random(sec)
     x0 = [rng.uniform(-0.5, 0.5) for _ in h.chart.base_vars]
     try:
-        fused = verify_theorem(alpha, h, x0, 0.3, 1e-2)
+        fused = verify_one(alpha, h, x0, 0.3, 1e-2)
     except hj.NotACocycleError:
         return
     per_stage()
-    assert verify_theorem(alpha, h, x0, 0.3, 1e-2) == fused
+    assert verify_one(alpha, h, x0, 0.3, 1e-2) == fused
 
 
 def test_verify_cli_output_equals_the_per_stage_output(per_stage):
@@ -167,7 +168,7 @@ def test_base_defect_compares_two_compiled_routes(monkeypatch):
 
     monkeypatch.setattr(hj, "reduced_stage", skewed)
     with pytest.raises(IntegrationFailure, match="base equation failed"):
-        verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+        verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
 
 
 def outcome(fn):
@@ -199,9 +200,9 @@ def abs_t_case(horizon):
     (lambda: abs_t_case(0.5), True),  # the state t = 0 is the last one
 ], ids=["inf_times_zero", "abs_t_middle", "abs_t_last"])
 def test_leaving_the_stage_domain_partway_gives_the_per_stage_result(case, fails, per_stage):
-    fused = outcome(lambda: verify_theorem(*case()))
+    fused = outcome(lambda: verify_one(*case()))
     per_stage()
-    assert outcome(lambda: verify_theorem(*case())) == fused
+    assert outcome(lambda: verify_one(*case())) == fused
     if fails:  # with the state it happened at
         assert fused[:1] == (ex.DomainError,) and fused[2]["t"] == 0.0
     else:
@@ -233,7 +234,7 @@ def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch):
     skew_check_at(monkeypatch, state)
     monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
     with pytest.raises(IntegrationFailure, match="base equation failed .* defect 1.000e-09"):
-        verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+        verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
 
 
 def test_the_pass_measures_each_state_once(monkeypatch):
@@ -252,22 +253,13 @@ def test_the_pass_measures_each_state_once(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_rk4", spy)
     monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
-    report = verify_theorem(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+    report = verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
     assert counts == [len(report.trajectory.states)] == [11]
 
 
-def test_reduced_stage_is_compiled_once_per_pair_of_sections(monkeypatch):
+def test_the_reduced_stage_gives_the_per_stage_values():
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
-    calls, real = [], ex.compile_rk4
-    monkeypatch.setattr(ex, "compile_rk4", lambda *args: calls.append(1) or real(*args))
-    integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2)
-    fn = alpha.compiled_rk4[1]
-    integrate_reduced(alpha, h, [0.2, 0.3], 0.0, 0.1, 1e-2)
-    assert alpha.compiled_rk4[1] is fn and len(calls) == 1
-    integrate_reduced(alpha, HamiltonianSection(h.chart, h.H), [0.2, 0.3], 0.0, 0.1, 1e-2)
-    assert alpha.compiled_rk4[1] is not fn and len(calls) == 2
-    # the stage's values are the per-stage ones
     exprs, variables, bound, extras = reduced_stage(alpha, h)
     x = [0.3, 0.7]
     out = compile_exprs(exprs, variables, bound)(x)
@@ -346,7 +338,7 @@ def test_a_hamiltonian_of_high_degree_gets_a_smaller_bound(count_rhs):
     # p1^20 stays below SAFE_MAGNITUDE for |p1| < 2^16 but not for |p1| < 2^64
     h = HamiltonianSection(by_name("trivial:1").chart, "p1^20/2")
     integrate(h, [0.0, 0.0, 1.0], 0.0, 0.05, 1e-2)
-    assert "-65536.0 < v2 < 65536.0" in h.compiled_rk4.source
+    assert "-65536.0 < v2 < 65536.0" in ex.compile_rk4(*hamilton_stage(h)).source
     assert not count_rhs
     integrate(h, [0.0, 0.0, 65536.0], 0.0, 0.05, 1e-2)
     assert len(count_rhs) == 4 * 5
@@ -370,16 +362,14 @@ def test_a_reduced_flow_past_the_bound_equals_the_per_stage_flow(alpha_v, ok, co
 
 def test_a_hamiltonian_that_is_no_polynomial_stays_in_the_stage():
     h = parse_model_text(MODEL_FILES["log_h.model"]).hamiltonian
-    integrate(h, [0.0, 0.5, -2.0], 0.0, 0.01, 1e-2)
-    assert "_log(v1)" in h.compiled_rk4.source
+    assert "_log(v1)" in ex.compile_rk4(*hamilton_stage(h)).source
 
 
 @pytest.mark.parametrize("name", BUILTINS + ["trivial:1"])
 def test_no_builtin_flow_stage_computes_a_power(name):
     # every builtin H is a polynomial, and its p^2 terms are the only powers
     h = by_name(name).hamiltonian
-    integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.01, 1e-2)
-    assert "_pow" not in h.compiled_rk4.source.split("def rk4")[1]
+    assert "_pow" not in ex.compile_rk4(*hamilton_stage(h)).source.split("def rk4")[1]
 
 
 def dead_temporaries(source):
@@ -405,8 +395,7 @@ def builtin_kernels():
     for name in BUILTINS + ["trivial:1"]:
         bundle = by_name(name)
         h = bundle.hamiltonian
-        integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.01, 1e-2)
-        yield f"flow {name}", h.compiled_rk4
+        yield f"flow {name}", ex.compile_rk4(*hamilton_stage(h))
         for sec, alpha in bundle.sections.items():
             dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
             check = hj._theorem_check(h, dalpha)

@@ -84,6 +84,9 @@ CORPUS = (
         # per-stage steps: the start point inside, then outside, the domain of alphaV
         ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,0.5"],
         ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,-0.3"],
+        # an error at the second point follows the first point's line
+        ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,2;0.5,-0.3"],
+        ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,2;0.5,0.5"],
         ["flow", f"{DIR}/log_h.model", "--x0", "0,0.5", "--y0", "-2", "--t-end", "1", "--step", "0.01"],
         ["flow", f"{DIR}/inf_anchor.model", "--x0", "1.5", "--y0", "0", "--t-end", "0.5", "--step", "0.05"],
         # sampled checks: errors at a sampled point, and a run over several chunks of points

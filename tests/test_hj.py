@@ -6,8 +6,9 @@ from affmech import expr as ex
 from affmech import hj
 from affmech.expr import Lit, Var
 from affmech.algebroid import SamplePlan, SplitMix64
-from affmech.affgebroid import CoSection, HamiltonianSection
+from affmech.affgebroid import CoSection, HamiltonianSection, hamilton_field
 from affmech.cli import main
+from affmech.dynamics import integrate, integrate_reduced
 from affmech.hj import (
     NotACocycleError,
     cocycle_residual,
@@ -17,7 +18,7 @@ from affmech.hj import (
 )
 from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
-from helpers import evaluate_with_partials
+from helpers import evaluate_with_partials, verify_one
 
 
 def coboundary(chart_aff, s_node, ds_nodes):
@@ -178,7 +179,7 @@ def test_hj_residual_rigid_vertical_anchor_vanishes():
 
 def test_verify_free_particle_solution():
     bundle = trivial_fibration(1)
-    report = verify_theorem(bundle.section("w_free"), bundle.hamiltonian, [0.0, 1.0], 1.0)
+    report = verify_one(bundle.section("w_free"), bundle.hamiltonian, [0.0, 1.0], 1.0)
     assert report.trajectory_max <= 1e-8
     assert report.hj_max <= 1e-10
     assert report.holds_along_trajectory and report.holds_pointwise and report.agree
@@ -187,29 +188,38 @@ def test_verify_free_particle_solution():
     assert abs(q_end - (1.0 + t_end)) <= 1e-8
 
 
-def test_verify_does_the_work_without_x0_once_per_hamiltonian_and_plan(monkeypatch):
-    counts = dict.fromkeys(["max_abs_check", "_theorem_check", "_vertical_df"], 0)
-    for name in counts:
+def test_verify_shares_its_work_within_one_call_and_keeps_none_after_it(monkeypatch):
+    counts = dict.fromkeys(["max_abs_check", "_theorem_check", "_vertical_df", "compile_rk4"], 0)
+    for owner, name in [(hj, "max_abs_check"), (hj, "_theorem_check"), (hj, "_vertical_df"),
+                        (ex, "compile_rk4")]:
 
-        def counted(*args, real=getattr(hj, name), name=name):
+        def counted(*args, real=getattr(owner, name), name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(hj, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     bundle = trivial_fibration(3)
     alpha, h = bundle.section("w_free"), bundle.hamiltonian
+    hamilton_field(h)  # h's rows are expressions it keeps; what the calls below add is checked
+    fields = {"h": dict(vars(h)), "alpha": dict(vars(alpha))}
     points = [[0.1, 0.2, -0.3, 0.4], [-0.2, 0.5, 0.1, 0.0], [0.3, -0.1, 0.0, 0.2]]
-    reports = [verify_theorem(alpha, h, x0, 0.1, 1e-2) for x0 in points]
+    # every point's length is checked before any work is done
+    with pytest.raises(ValueError, match="every base coordinate"):
+        verify_theorem(alpha, h, points + [[0.0]], 0.1, 1e-2)
+    assert not any(counts.values())
+    reports = list(verify_theorem(alpha, h, points, 0.1, 1e-2))
     # max_abs_check: once for d alpha, once for d^V f
-    assert counts == {"max_abs_check": 2, "_theorem_check": 1, "_vertical_df": 1}
-    fresh = trivial_fibration(3)
-    assert reports == [
-        verify_theorem(fresh.section("w_free"), fresh.hamiltonian, x0, 0.1, 1e-2) for x0 in points
-    ]
-    # the fresh section did it once more; another plan, then another h, twice more
-    verify_theorem(alpha, h, points[0], 0.1, 1e-2, SamplePlan(seed=7))
-    verify_theorem(alpha, HamiltonianSection(h.chart, h.H), points[0], 0.1, 1e-2, SamplePlan(seed=7))
-    assert counts == {"max_abs_check": 8, "_theorem_check": 4, "_vertical_df": 4}
+    once = {"max_abs_check": 2, "_theorem_check": 1, "_vertical_df": 1, "compile_rk4": 1}
+    assert counts == once
+    # a second call does all of it again, with the same results
+    assert list(verify_theorem(alpha, h, points, 0.1, 1e-2)) == reports
+    assert counts == {name: 2 * k for name, k in once.items()}
+    # no section keeps a kernel or a check result
+    integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.1, 1e-2)
+    integrate_reduced(alpha, h, points[0], 0.0, 0.1, 1e-2)
+    for what, obj in [("h", h), ("alpha", alpha)]:
+        assert vars(obj).keys() == fields[what].keys(), what
+        assert not any(map(callable, vars(obj).values())), what
 
 
 def test_verify_draws_its_sample_stream_once_per_call(monkeypatch, capsys):
@@ -223,7 +233,7 @@ def test_verify_draws_its_sample_stream_once_per_call(monkeypatch, capsys):
 
 def test_verify_oscillator_solution():
     bundle = harmonic_oscillator()
-    report = verify_theorem(
+    report = verify_one(
         bundle.section("w_osc"), bundle.hamiltonian, [0.3, 0.9], 1.0, sample=bundle.sample
     )
     assert report.trajectory_max <= 1e-6
@@ -233,7 +243,7 @@ def test_verify_oscillator_solution():
 
 def test_verify_cubic_nonsolution_fails_both_ways():
     bundle = trivial_fibration(1)
-    report = verify_theorem(bundle.section("w_cubic"), bundle.hamiltonian, [0.0, 0.6], 1.0)
+    report = verify_one(bundle.section("w_cubic"), bundle.hamiltonian, [0.0, 0.6], 1.0)
     assert report.trajectory_max > 1e-3
     assert report.hj_max > 0.1
     assert not report.holds_along_trajectory and not report.holds_pointwise
@@ -242,7 +252,7 @@ def test_verify_cubic_nonsolution_fails_both_ways():
 
 def test_verify_rigid_body_time_cocycle():
     bundle = rigid_body(1.0, 2.0, 3.0)
-    report = verify_theorem(bundle.section("cocycle_t"), bundle.hamiltonian, [0.2], 1.0)
+    report = verify_one(bundle.section("cocycle_t"), bundle.hamiltonian, [0.2], 1.0)
     assert report.trajectory_max == 0.0
     assert report.hj_max == 0.0
     assert report.agree
@@ -251,7 +261,7 @@ def test_verify_rigid_body_time_cocycle():
 def test_verify_rejects_non_cocycles():
     bundle = rigid_body(1.0, 2.0, 3.0)
     with pytest.raises(NotACocycleError):
-        verify_theorem(bundle.section("bad_constant"), bundle.hamiltonian, [0.0], 1.0)
+        verify_theorem(bundle.section("bad_constant"), bundle.hamiltonian, [[0.0]], 1.0)
 
 
 def test_direction_solution_implies_trajectory_residual():
@@ -264,11 +274,11 @@ def test_direction_solution_implies_trajectory_residual():
     ]
     for bundle, name in cases:
         starts = bundle.sample.points(bundle.chart.base_vars)[:10]
-        for env in starts:
-            x0 = [env[v] for v in bundle.chart.base_vars]
-            report = verify_theorem(
-                bundle.section(name), bundle.hamiltonian, x0, 1.0, sample=bundle.sample
-            )
+        x0s = [[env[v] for v in bundle.chart.base_vars] for env in starts]
+        reports = verify_theorem(
+            bundle.section(name), bundle.hamiltonian, x0s, 1.0, sample=bundle.sample
+        )
+        for x0, report in zip(x0s, reports, strict=True):
             assert report.trajectory_max <= 1e-6, (bundle.name, name, x0)
             assert report.agree
 
@@ -306,7 +316,7 @@ def test_direction_failed_hj_has_trajectory_witness():
         found = False
         for env in witnesses:
             x0 = [env[v] for v in bundle.chart.base_vars]
-            report = verify_theorem(alpha, bundle.hamiltonian, x0, 1.0, sample=plan)
+            report = verify_one(alpha, bundle.hamiltonian, x0, 1.0, sample=plan)
             if report.trajectory_max >= 1e-3:
                 found = True
                 break

@@ -24,6 +24,7 @@ from affmech.algebroid import (
     validate_chart,
 )
 from affmech.affgebroid import VStarSection, pullback_identities, vertical_restriction_check
+from affmech.dynamics import hamilton_stage
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
@@ -182,6 +183,22 @@ def test_magnitude_below_proves_nothing_outside_the_polynomials(src):
 def test_magnitude_below_keeps_literal_integer_exponents():
     assert ex.magnitude_below(ex.parse("x^0 + x^3 - 2*y^2"), {"x": 1.0, "y": 1.0})
     assert not ex.magnitude_below(ex.parse("x^3"), {"x": 1e101})
+
+
+def test_magnitude_below_divides_by_a_literal_without_the_interpreter(monkeypatch):
+    # every divisor of these Hamiltonians and their partials is a literal 2
+    hamiltonians = [by_name(name).hamiltonian for name in ("trivial:3", "oscillator")]
+    calls, real = [], ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda e, env: calls.append(ex.to_string(e)) or real(e, env))
+    assert ex.magnitude_below(ex.parse("x/2"), {"x": 1.0})
+    assert ex.magnitude_below(ex.parse("x/(-4)"), {"x": 1.0})
+    for h in hamiltonians:
+        ex.compile_rk4(*hamilton_stage(h))
+    assert calls == []
+    # a zero divisor proves nothing, whether literal or a constant the interpreter evaluates
+    for src in ("x/0", "x/(-0)", "x/(2*0)"):
+        assert not ex.magnitude_below(ex.parse(src), {"x": 1.0}), src
+    assert calls[0] == "2*0"
 
 
 def test_fully_proved_checks_draw_no_points(monkeypatch):
