@@ -321,9 +321,9 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
     Base components first, then fiber components, each summed in the order
     ``dynamics.hamilton_rhs`` sums it; terms whose data is a structural
     zero fold away.  The compiled stages of ``dynamics`` and ``hj`` compute
-    these rows; ``hamilton_rhs`` interprets them and also skips the terms
-    whose factor is 0 at the state, so where both give a value they differ
-    at most in the sign of a zero.  Built once per section and cached in
+    these rows; ``hamilton_rhs`` re-derives the same sums term by term and
+    skips the terms whose factor is 0 at the state, so where both give a
+    value they differ at most in the sign of a zero.  Built once per section and cached in
     ``h.field_rows``.
     """
     if h.field_rows is not None:

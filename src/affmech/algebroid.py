@@ -139,9 +139,6 @@ class SplitMix64:
             yield z ^ (z >> 31)
         self.state = state
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.units(1)[0]
-
 
 MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; each is a dict held at once
 
@@ -181,7 +178,7 @@ class SamplePlan:
         return SplitMix64(self.seed).units(self.count * k)
 
     def points(self, variables: Sequence[str], units=None) -> list[dict[str, float]]:
-        """``count`` points, each drawn variable by variable with ``SplitMix64.uniform``.
+        """``count`` points; each coordinate is ``lo + (hi - lo) * u``, variable by variable.
 
         ``units``, when given, is ``self.units(len(variables))`` or the same
         draws of a plan with this seed and count over another box, reused.

@@ -8,24 +8,25 @@ A Trajectory keeps every state, so an integration that would take more than
 ``MAX_STEPS`` steps is refused with a ValueError before the first step
 (``check_step_budget``).
 
-The Hamilton field has two routes.  ``integrate`` and ``integrate_reduced``
-run each integration as one generated RK4 loop (``expr.compile_rk4``) over
-a stage, ``hamilton_stage`` or ``reduced_stage``, compiled on each call to
-straight-line code that walks no expression tree and calls no Python
-function.  It hands any step where a stage raises or gives a value that is
-not finite to the per-stage path of ``integrate_field``, which evaluates the
-field with the interpreter, ``hamilton_rhs``, and alphaV with
-``expr.evaluate``.  That path is the reference: every domain error and its
-message comes from it.  The values that only ``hamilton_rhs`` uses (H, its
-partials) are ``compile_rk4``'s extras: a guard on the state replaces the
-polynomial ones.  ``hj.verify_theorem`` compiles the same loop with its check.
+This module holds both encodings of RK4.  ``integrate_field`` is the
+reference: it steps any field, here the interpreter ``hamilton_rhs`` (which
+evaluates H and each partial) or ``reduced_field``, and every domain error
+and its message come from it.  ``compile_rk4`` generates the same loop,
+with the same float operations, over a stage (``hamilton_stage`` or
+``reduced_stage``) emitted as straight-line code that walks no expression
+tree and calls no Python function.  ``integrate``, ``integrate_reduced``
+and ``hj.verify_theorem`` compile their kernel on each call, or none where
+compiling fails; a kernel hands any step where a stage raises or gives a
+value that is not finite back to ``integrate_field``.  H and the partials
+are the stage's extras: one guard, |v| < ``GUARD_BOUND`` on each variable
+they read, replaces the polynomial ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import expr as ex
 from .affgebroid import CoSection, HamiltonianSection, hamilton_field
@@ -33,11 +34,13 @@ from .affgebroid import CoSection, HamiltonianSection, hamilton_field
 __all__ = [
     "DEFAULT_STEP",
     "MAX_STEPS",
+    "GUARD_BOUND",
     "check_step_budget",
     "Trajectory",
     "hamilton_rhs",
     "integrate",
     "integrate_field",
+    "compile_rk4",
     "hamilton_stage",
     "reduced_field",
     "reduced_stage",
@@ -46,6 +49,7 @@ __all__ = [
 
 DEFAULT_STEP = 1e-3
 MAX_STEPS = 1_000_000  # RK4 steps one integration may take
+GUARD_BOUND = 2.0**64  # compile_rk4's bound on the variables of the extras it drops
 
 
 def check_step_budget(t0: float, t_end: float, step: float) -> None:
@@ -62,8 +66,6 @@ def check_step_budget(t0: float, t_end: float, step: float) -> None:
 class Trajectory:
     """Sampled integral curve on a uniform grid (last step possibly short)."""
 
-    t0: float
-    step: float
     times: list[float]
     states: list[list[float]]
     ok: bool = True
@@ -76,8 +78,9 @@ class Trajectory:
 def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
     """Right-hand side of the Hamilton equations at one state, interpreted.
 
-    ``affgebroid.hamilton_field`` evaluated term by term, in its order.  H
-    and every partial are evaluated, so this raises wherever H is undefined.
+    The sums of ``affgebroid.hamilton_field``, re-derived term by term from
+    the chart data in its order.  H and every partial are evaluated, so this
+    raises wherever H is undefined.
     A term whose factor dH/dy_b or y_g is 0 at the state is skipped, so this
     gives a value where the compiled field meets a domain error or inf*0.
     Every error raised here has its message; this is the reference that the
@@ -123,11 +126,11 @@ def integrate_field(
 ) -> Trajectory:
     """Fixed-step RK4 for an autonomous field; aborts on non-finite states.
 
-    ``kernel``, when given, is an ``expr.compile_rk4`` loop over a compiled
-    stage that computes ``f`` bit for bit.  It runs first and again after
-    every step that it left to ``f``, which is one where it met an error or
-    a value that is not finite.  So every state, abort and message is the
-    one ``f`` alone gives.
+    ``kernel``, when given, is a ``compile_rk4`` loop over a stage that
+    computes ``f`` bit for bit.  It runs first and again after every step
+    that it left to ``f``, which is one where it met an error, a value that
+    is not finite or a state past ``GUARD_BOUND``.  So every state, abort
+    and message is the one ``f`` alone gives.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -141,7 +144,7 @@ def integrate_field(
             kernel(times, states, t0, t_end, step)
         t = times[-1]
         if not t < t_end:
-            return Trajectory(t0, step, times, states)
+            return Trajectory(times, states)
         y = states[-1]
         hs = min(step, t_end - t)
         try:
@@ -151,27 +154,155 @@ def integrate_field(
             k4 = f([y[j] + hs * k3[j] for j in range(len(y))])
         except ex.EvalError as err:
             # a stage state left the domain of the coefficient expressions
-            return Trajectory(
-                t0, step, times, states, ok=False, error=f"domain violation at t={t!r}: {err}"
-            )
+            error = f"domain violation at t={t!r}: {err}"
+            return Trajectory(times, states, ok=False, error=error)
         y = [
             y[j] + hs * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]) / 6.0
             for j in range(len(y))
         ]
         t = min(t0 + len(times) * step, t_end)
         if not all(map(math.isfinite, y)):
-            return Trajectory(
-                t0, step, times, states, ok=False, error=f"non-finite state at t={t!r}"
-            )
+            return Trajectory(times, states, ok=False, error=f"non-finite state at t={t!r}")
         times.append(t)
         states.append(y)
+
+
+def compile_rk4(
+    exprs: Sequence[ex.Expr],
+    variables: Sequence[str],
+    bound: Mapping[str, ex.Expr] | None = None,
+    extras: Sequence[ex.Expr] = (),
+    check: Sequence[Sequence[ex.Expr]] = (),
+    slots: Sequence[str] = (),
+) -> Callable[..., None]:
+    """The fixed-step RK4 loop of ``integrate_field`` as one generated function.
+
+    ``rk4(times, states, start, end, step)`` steps from ``states[-1]`` at
+    ``times[-1]`` with ``integrate_field``'s float operations, appending
+    each time and state.  Its stage, emitted once inside the loop over the
+    four stages, computes ``exprs`` over ``variables`` as straight-line
+    code: one assignment per distinct node, with the interpreter's float
+    operations, so each value equals ``evaluate`` bit for bit.  Its first
+    len(variables) values are the field.  ``bound`` maps further names to
+    expressions in ``variables``, computed first; in ``exprs`` such a name
+    reads that value.  ``rk4`` returns before a step where a stage raises
+    ArithmeticError or ValueError, or where a stage value or the new state
+    (or their sum) is not finite.
+
+    ``extras`` are values the stage computes only so that it raises where
+    ``evaluate`` does.  It drops those that ``magnitude_below`` bounds while
+    each name they read stays below B = ``GUARD_BOUND``: they are
+    polynomials that cannot raise there.  Each stage then raises
+    ArithmeticError unless -B < v < B for every name they read (a bound
+    name holds its value); a NaN fails too.  The other extras are computed
+    and must be finite.
+
+    ``check`` lists groups of expressions over ``variables`` and ``slots``
+    (``slots[j]`` names the value of ``exprs[j]``), with their own
+    subexpression table.  ``rk4`` then takes ``acc``, the running max
+    |value| of each group and the count of states measured, and measures
+    the first stage of every state, the last one included.
+
+    Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
+    local is named so.  Raises UnboundVariableError for a name missing from
+    ``variables``, and RecursionError for input too deep to walk.
+    """
+    consts: dict[str, object] = {}
+    w = len(variables)
+    names = {v: f"v{j}" for j, v in enumerate(variables)}
+    bounds = dict.fromkeys([*variables, *(bound or ())], GUARD_BOUND)
+    dropped = [ex.magnitude_below(e, bounds) for e in extras]  # the guard stands in for these
+    kept = [e for e, drop in zip(extras, dropped) if not drop]
+    read = set().union(*(ex.free_vars(e) for e, drop in zip(extras, dropped) if drop))
+    reads = [v for v in bounds if v in read]
+    rows = [*exprs, *kept, *map(ex.Var, reads)]  # a Var's operand is the local holding its value
+    stage, outs = ex._straight_line(rows, names, bound, "t", consts)
+    if reads:
+        guarded = dict.fromkeys(outs[-len(reads) :])
+        tests = (f"{-GUARD_BOUND!r} < {v} < {GUARD_BOUND!r}" for v in guarded)
+        stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
+    outs = outs[: len(exprs) + len(kept)]
+    stage.append(_not_finite(outs))
+    measure: list[str] = []
+    if check:
+        names = {v: f"y{j}" for j, v in enumerate(variables)}
+        names.update(zip(slots, outs))
+        rows = [e for group in check for e in group]
+        measure, values = ex._straight_line(rows, names, None, "u", consts)
+        measure.append(_not_finite(values))
+        for g, group in enumerate(check):
+            values, mine = values[len(group) :], values[: len(group)]
+            if mine:
+                measure.append(f"m{g} = max(m{g}, {', '.join(f'abs({v})' for v in mine)})")
+        measure.append("n += 1")
+        measure.append("if not now < end: return")
+    maxima = "".join(f"m{g}, " for g in range(len(check)))
+
+    def vec(form: str) -> str:
+        return ", ".join(form.format(j=j, k=outs[j]) for j in range(w)) + ","
+
+    lines = [
+        *([f"{maxima}n = acc"] if check else []),
+        "now = times[-1]",
+        "i = len(times) - 1",
+        "try:",
+        f"    {vec('y{j}')} = states[-1]",
+        f"    while {'True' if check else 'now < end'}:",
+        "        hs = end - now",  # min(step, end - now) without a call
+        "        if not hs < step: hs = step",
+        "        h2 = 0.5 * hs",
+        f"        {vec('v{j}')} = {vec('y{j}')}",
+        "        for s in (0, 1, 2, 3):",
+        *(f"            {line}" for line in stage),
+        "            if s == 0:",
+        *(f"                {line}" for line in measure),
+        f"                {vec('r{j}')} = {vec('{k}')}",
+        "            elif s < 3:",
+        f"                {vec('r{j}')} = {vec('r{j} + 2.0 * {k}')}",
+        "            else:",
+        "                break",
+        "            hv = hs if s == 2 else h2",
+        f"            {vec('v{j}')} = {vec('y{j} + hv * {k}')}",
+        # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in the per-stage path's order
+        f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
+        f"        {_not_finite([f'y{j}' for j in range(w)])}",
+        "        i += 1",
+        "        now = start + i * step",
+        "        if end < now: now = end",
+        "        times.append(now)",
+        f"        states.append([{vec('y{j}')}])",
+        "except (ArithmeticError, ValueError):",
+        "    pass",
+        *(["finally:", f"    acc[:] = {maxima}n"] if check else []),
+    ]
+    params = "times, states, start, end, step" + (", acc" if check else "")
+    body = "\n".join(f"        {line}" for line in lines)
+    return ex._build(f"    def rk4({params}):\n{body}\n    return rk4\n", consts)
+
+
+def _not_finite(values: Sequence[str]) -> str:
+    """A line raising ArithmeticError where the sum of ``values`` is not finite.
+
+    A finite literal (its text starts with a digit or '-') cannot make the
+    sum so and a repeated value adds nothing, so both are left out.
+    """
+    names = [v for v in dict.fromkeys(values) if not (v[0].isdigit() or v[0] == "-")]
+    return f"if ({' + '.join(names)}) * 0.0 != 0.0: raise ArithmeticError" if names else "pass"
+
+
+def _kernel(*stage) -> Callable[..., None] | None:
+    """``compile_rk4(*stage)``, or None where a name is unbound or the input too deep to walk."""
+    try:
+        return compile_rk4(*stage)
+    except (RecursionError, ex.EvalError):
+        return None
 
 
 def hamilton_stage(h: HamiltonianSection):
     """The Hamilton field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
 
     The m+n rows of ``hamilton_field`` over every chart variable; H and its
-    m+n partials are the extras, so past ``compile_rk4``'s B ``hamilton_rhs``
+    m+n partials are the extras, so past ``GUARD_BOUND`` ``hamilton_rhs``
     takes the step.
     """
     return hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
@@ -192,7 +323,7 @@ def integrate(
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    kernel = ex.try_compile(ex.compile_rk4, *hamilton_stage(h))
+    kernel = _kernel(*hamilton_stage(h))
     return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, kernel)
 
 
@@ -244,5 +375,5 @@ def integrate_reduced(
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    kernel = ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h))
+    kernel = _kernel(*reduced_stage(alpha, h))
     return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, kernel)

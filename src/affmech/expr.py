@@ -9,13 +9,13 @@ derivatives (``diff``) built from constant-folding constructors.
 their nodes, with the interpreter's float operations; where a point would
 raise, it declines, and the caller runs ``evaluate`` for the error.
 
-``compile_rk4`` turns a stage that an RK4 loop evaluates many times into
-straight-line Python code inside that loop: one assignment per distinct
-node, with common subexpressions computed once.  It does exactly the float
-operations of the interpreter, so its values equal ``evaluate`` bit for
-bit.  It builds no error messages: where it raises, or gives a value the
-caller does not trust, the caller re-runs the interpreter (``evaluate``),
-which stays the reference and the source of every ``DomainError``.
+``_straight_line`` emits expressions as straight-line Python code, one
+assignment per distinct node with common subexpressions computed once, and
+``_build`` compiles generated text; ``dynamics.compile_rk4`` builds its RK4
+loop from them.  The code does exactly the float operations of the
+interpreter, so its values equal ``evaluate`` bit for bit.  It builds no
+error messages: where it raises, the caller re-runs the interpreter, which
+stays the reference and the source of every ``DomainError``.
 
 ``is_zero`` proves a polynomial 0 by exact expansion, or answers "not
 proved"; ``magnitude_below`` tells whether its evaluation could overflow.
@@ -60,8 +60,6 @@ __all__ = [
     "to_string",
     "evaluate",
     "evaluate_many",
-    "compile_rk4",
-    "try_compile",
     "substitute",
     "free_vars",
     "is_zero",
@@ -606,152 +604,6 @@ def _build(inner: str, consts: Mapping[str, object]):
     fn = scope["_build"](**_COMPILED_NAMES, **consts)
     fn.source = src
     return fn
-
-
-GUARD_BOUNDS = (2.0**64, 2.0**16, 2.0**4)  # compile_rk4's candidates for B, largest first
-
-
-def compile_rk4(
-    exprs: Sequence[Expr],
-    variables: Sequence[str],
-    bound: Mapping[str, Expr] | None = None,
-    extras: Sequence[Expr] = (),
-    check: Sequence[Sequence[Expr]] = (),
-    slots: Sequence[str] = (),
-) -> Callable[..., None]:
-    """The fixed-step RK4 loop of ``dynamics.integrate_field`` as one generated function.
-
-    ``rk4(times, states, start, end, step)`` steps from ``states[-1]`` at
-    ``times[-1]`` with ``integrate_field``'s float operations, appending
-    each time and state.  Its stage, emitted once inside the loop over the
-    four stages, computes ``exprs`` over ``variables`` as straight-line
-    code: one assignment per distinct node, with the interpreter's float
-    operations, so each value equals ``evaluate`` bit for bit.  Its first
-    len(variables) values are the field.  ``bound`` maps further names to
-    expressions in ``variables``, computed first; in ``exprs`` such a name
-    reads that value.  ``rk4`` returns before a step where a stage raises
-    ArithmeticError or ValueError, or where a stage value or the new state
-    (or their sum) is not finite.
-
-    ``extras`` are values the stage computes only so that it raises where
-    ``evaluate`` does.  It drops those that ``magnitude_below`` bounds while
-    each name they read stays below the last of ``GUARD_BOUNDS``: they are
-    polynomials that cannot raise there.  B is the first bound under which
-    they all stay bounded, and each stage raises ArithmeticError unless
-    -B < v < B for every name they read (a bound name holds its value); a
-    NaN fails too.  The other extras are computed and must be finite.
-
-    ``check`` lists groups of expressions over ``variables`` and ``slots``
-    (``slots[j]`` names the value of ``exprs[j]``), with their own
-    subexpression table.  ``rk4`` then takes ``acc``, the running max
-    |value| of each group and the count of states measured, and measures
-    the first stage of every state, the last one included.
-
-    Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
-    local is named so.  Raises UnboundVariableError for a name missing from
-    ``variables``, and RecursionError for input too deep to walk.
-    """
-    consts: dict[str, object] = {}
-    w = len(variables)
-    names = {v: f"v{j}" for j, v in enumerate(variables)}
-    b, kept, reads = _guarded_extras(extras, [*variables, *(bound or ())])
-    rows = [*exprs, *kept, *map(Var, reads)]  # a Var's operand is the local holding its value
-    stage, outs = _straight_line(rows, names, bound, "t", consts)
-    if reads:
-        tests = (f"{-b!r} < {v} < {b!r}" for v in dict.fromkeys(outs[len(outs) - len(reads) :]))
-        stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
-    outs = outs[: len(exprs) + len(kept)]
-    stage.append(_not_finite(outs))
-    measure: list[str] = []
-    if check:
-        names = {v: f"y{j}" for j, v in enumerate(variables)}
-        names.update(zip(slots, outs))
-        rows = [e for group in check for e in group]
-        measure, values = _straight_line(rows, names, None, "u", consts)
-        measure.append(_not_finite(values))
-        for g, group in enumerate(check):
-            values, mine = values[len(group) :], values[: len(group)]
-            if mine:
-                measure.append(f"m{g} = max(m{g}, {', '.join(f'abs({v})' for v in mine)})")
-        measure.append("n += 1")
-        measure.append("if not now < end: return")
-    maxima = "".join(f"m{g}, " for g in range(len(check)))
-
-    def vec(form: str) -> str:
-        return ", ".join(form.format(j=j, k=outs[j]) for j in range(w)) + ","
-
-    lines = [
-        *([f"{maxima}n = acc"] if check else []),
-        "now = times[-1]",
-        "i = len(times) - 1",
-        "try:",
-        f"    {vec('y{j}')} = states[-1]",
-        f"    while {'True' if check else 'now < end'}:",
-        "        hs = end - now",  # min(step, end - now) without a call
-        "        if not hs < step: hs = step",
-        "        h2 = 0.5 * hs",
-        f"        {vec('v{j}')} = {vec('y{j}')}",
-        "        for s in (0, 1, 2, 3):",
-        *(f"            {line}" for line in stage),
-        "            if s == 0:",
-        *(f"                {line}" for line in measure),
-        f"                {vec('r{j}')} = {vec('{k}')}",
-        "            elif s < 3:",
-        f"                {vec('r{j}')} = {vec('r{j} + 2.0 * {k}')}",
-        "            else:",
-        "                break",
-        "            hv = hs if s == 2 else h2",
-        f"            {vec('v{j}')} = {vec('y{j} + hv * {k}')}",
-        # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in the per-stage path's order
-        f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
-        f"        {_not_finite([f'y{j}' for j in range(w)])}",
-        "        i += 1",
-        "        now = start + i * step",
-        "        if end < now: now = end",
-        "        times.append(now)",
-        f"        states.append([{vec('y{j}')}])",
-        "except (ArithmeticError, ValueError):",
-        "    pass",
-        *(["finally:", f"    acc[:] = {maxima}n"] if check else []),
-    ]
-    params = "times, states, start, end, step" + (", acc" if check else "")
-    body = "\n".join(f"        {line}" for line in lines)
-    return _build(f"    def rk4({params}):\n{body}\n    return rk4\n", consts)
-
-
-def _guarded_extras(extras: Sequence[Expr], names: Sequence[str]) -> tuple:
-    """``compile_rk4``'s B, the extras it keeps, and the names the dropped ones read."""
-    least = dict.fromkeys(names, GUARD_BOUNDS[-1])
-    for b in GUARD_BOUNDS:  # the first that drops every extra the last one drops
-        bounds = dict.fromkeys(names, b)
-        kept = [e for e in extras if not magnitude_below(e, bounds)]
-        if not any(magnitude_below(e, least) for e in kept):
-            break
-    gone = {id(e) for e in kept}
-    reads = set().union(*(free_vars(e) for e in extras if id(e) not in gone))
-    return b, kept, [v for v in names if v in reads]
-
-
-def _not_finite(values: Sequence[str]) -> str:
-    """A line raising ArithmeticError where the sum of ``values`` is not finite.
-
-    A finite literal (its text starts with a digit or '-') cannot make the
-    sum so and a repeated value adds nothing, so both are left out.
-    """
-    names = [v for v in dict.fromkeys(values) if not (v[0].isdigit() or v[0] == "-")]
-    return f"if ({' + '.join(names)}) * 0.0 != 0.0: raise ArithmeticError" if names else "pass"
-
-
-def try_compile(build: Callable, *args):
-    """``build(*args)``, for ``compile_rk4``, or None where compiling fails.
-
-    Compiling raises UnboundVariableError or RecursionError; a caller that
-    gets None keeps using the interpreter.
-    """
-    try:
-        return build(*args)
-    except (RecursionError, EvalError):
-        return None
 
 
 # ------------------------------------------------------------ manipulation

@@ -25,6 +25,7 @@ from .affgebroid import CoSection, HamiltonianSection, hamilton_field
 from .dynamics import (
     DEFAULT_STEP,
     Trajectory,
+    _kernel,
     hamilton_rhs,
     integrate_field,
     reduced_field,
@@ -192,7 +193,7 @@ def verify_theorem(
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
     dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in aff.base_vars]  # at a*m + i
-    kernel = ex.try_compile(ex.compile_rk4, *reduced_stage(alpha, h), *_theorem_check(h, dalpha))
+    kernel = _kernel(*reduced_stage(alpha, h), *_theorem_check(h, dalpha))
     df = max_abs_check(_vertical_df(alpha, h))
     field = reduced_field(alpha, h)
 

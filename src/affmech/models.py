@@ -259,10 +259,9 @@ def rigid_body(i1: float, i2: float, i3: float) -> ModelBundle:
         [[0.0] * 3 for _ in range(3)],
         CV,
     )
-    h = HamiltonianSection(
-        chart,
-        "+".join(f"P{a+1}^2/(2*{inertia[a]!r})" for a in range(3)),
-    )
+    # each divisor 2*I is one literal (doubling is exact), but inf would parse as a variable
+    divisors = [repr(2.0 * v) if 2.0 * v < math.inf else f"(2*{v!r})" for v in inertia]
+    h = HamiltonianSection(chart, "+".join(f"P{a+1}^2/{d}" for a, d in enumerate(divisors)))
     sections = _Sections(chart, {
         # the only cocycles of this chart have vanishing fiber part
         "cocycle_t": ("t", [0.0, 0.0, 0.0]),
@@ -319,7 +318,7 @@ def by_name(name: str) -> ModelBundle:
     if name == "oscillator":
         return harmonic_oscillator()
     if name == "perturbed-so3":
-        chart = _perturbed_so3_aff()
+        chart = _central(perturbed_so3_chart())  # no validation: this chart is the invalid one
         return ModelBundle(
             name="perturbed-so3",
             chart=chart,
@@ -353,14 +352,3 @@ def _positive_int(name: str, text: str) -> int:
         raise ModelNameError(f"'{name}': dimension must be positive")
     return value
 
-
-def _perturbed_so3_aff() -> AffgebroidChart:
-    """Affgebroid wrapper around the invalid chart, bypassing the guard."""
-    return AffgebroidChart(
-        ["t"],
-        ["y1", "y2", "y3"],
-        [0.0],
-        [[0.0], [0.0], [0.0]],
-        [[0.0] * 3 for _ in range(3)],
-        perturbed_so3_chart().structure,
-    )

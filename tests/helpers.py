@@ -9,7 +9,7 @@ the symbolic ``expr.diff``, a least-squares solve (``reeb_solve``) the
 oracle for ``affgebroid.reeb``, and loops over the whole basis
 (``dense_differential``, ``dense_pullback``) the oracles for the sparse
 ``algebroid.differential`` and ``algebroid.pullback``.  ``compile_exprs``
-builds the straight-line code of ``expr.compile_rk4``'s stage as a function
+builds the straight-line code of ``dynamics.compile_rk4``'s stage as a function
 of its own, so that the tests can check it against the interpreter.
 """
 
@@ -248,6 +248,14 @@ def dense_pullback(morph, s):
     return KSection(morph.src, k, out)
 
 
+# ---------------------------------------------------------- seeded draws
+
+
+def uniform(rng, lo, hi):
+    """The next draw of the SplitMix64 ``rng`` in [lo, hi), as ``SamplePlan.points`` makes it."""
+    return lo + (hi - lo) * rng.units(1)[0]
+
+
 # ------------------------------------------------------- structure oracles
 
 
@@ -353,7 +361,7 @@ def compile_exprs(exprs, variables, bound=None):
     """One function ``x -> [value of each expression]`` of straight-line code.
 
     ``x`` lists the values of ``variables`` in order.  This is the stage of
-    ``expr.compile_rk4`` on its own: every distinct node is one assignment,
+    ``dynamics.compile_rk4`` on its own: every distinct node is one assignment,
     common subexpressions are computed once, and each value equals
     ``evaluate`` bit for bit.  Where ``evaluate`` raises, the function raises
     ArithmeticError or ValueError instead (it builds no DomainError).

@@ -44,7 +44,7 @@ from affmech.models import (
     trivial_fibration,
 )
 
-from helpers import DegenerateStructureError, evaluate_with_partials, reeb_solve
+from helpers import DegenerateStructureError, evaluate_with_partials, reeb_solve, uniform
 
 
 def all_models():
@@ -75,10 +75,10 @@ def seeded_polynomial_gammas(aff, count=5, seed=31):
     for _ in range(count):
         comps = []
         for _ in range(aff.n):
-            node = Lit(round(rng.uniform(-1, 1), 3))
+            node = Lit(round(uniform(rng, -1, 1), 3))
             for v in aff.base_vars:
-                node = node + Lit(round(rng.uniform(-1, 1), 3)) * ex.Var(v)
-                node = node + Lit(round(rng.uniform(-0.5, 0.5), 3)) * ex.Var(v) * ex.Var(v)
+                node = node + Lit(round(uniform(rng, -1, 1), 3)) * ex.Var(v)
+                node = node + Lit(round(uniform(rng, -0.5, 0.5), 3)) * ex.Var(v) * ex.Var(v)
             comps.append(node)
         out.append(VStarSection(aff, comps))
     return out

@@ -19,7 +19,7 @@ from affmech.algebroid import (
 )
 from affmech.models import perturbed_so3_chart, so3_chart, tangent_algebroid
 
-from helpers import jacobi_cyclic_residual
+from helpers import jacobi_cyclic_residual, uniform
 
 
 def envs_for(chart, count=40, seed=11, box=None):
@@ -80,7 +80,7 @@ def test_differential_linearity():
     rng = SplitMix64(7)
     s = KSection.one_section(chart, [ex.parse("t^2"), ex.parse("sin(t)"), Lit(1.0)])
     t = KSection.one_section(chart, [ex.parse("t"), Lit(0.5), ex.parse("cos(t)")])
-    a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+    a, b = uniform(rng, -2, 2), uniform(rng, -2, 2)
     lhs = differential(section_combine(a, s, b, t))
     rhs = section_combine(a, differential(s), b, differential(t))
     assert section_max_diff(lhs, rhs, envs_for(chart)) <= 1e-12
@@ -295,7 +295,7 @@ def test_sample_points_are_the_splitmix_uniform_draws_bit_for_bit():
                     plan = SamplePlan(box=box, count=count, seed=seed)
                     rng = SplitMix64(seed)
                     want = [
-                        {v: rng.uniform(*plan.interval(v)) for v in variables}
+                        {v: uniform(rng, *plan.interval(v)) for v in variables}
                         for _ in range(count)
                     ]
                     got = plan.points(variables)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from affmech import expr as ex
-from affmech import hj
+from affmech import dynamics, hj
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
 from affmech.cli import main
 from affmech.dynamics import (
@@ -135,8 +135,9 @@ def test_common_subexpressions_are_computed_once():
 def test_unbound_variable_is_reported_at_compile_time():
     with pytest.raises(ex.UnboundVariableError):
         compile_exprs([ex.parse("x + w")], ["x"])
-    assert ex.try_compile(compile_exprs, [ex.parse("x + w")], ["x"]) is None
-    assert ex.try_compile(ex.compile_rk4, [ex.parse("x + w")], ["x"]) is None
+    with pytest.raises(ex.UnboundVariableError):
+        dynamics.compile_rk4([ex.parse("x + w")], ["x"])
+    assert dynamics._kernel([ex.parse("x + w")], ["x"]) is None
 
 
 def nested(depth):
@@ -156,13 +157,16 @@ def test_expression_too_deep_fails_as_the_interpreter_does():
     e = nested(5000)
     with pytest.raises(RecursionError):
         ex.evaluate(e, {"x": 0.3})
-    assert ex.try_compile(compile_exprs, [e], ["x"]) is None
+    with pytest.raises(RecursionError):
+        compile_exprs([e], ["x"])
     chart = AffgebroidChart(["x"], ["y"], [1.0], [[e]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y^2/2")
     with pytest.raises(RecursionError):
         hamilton_rhs(h, [0.3, 1.0])
     stage = hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
-    assert ex.try_compile(ex.compile_rk4, *stage) is None
+    with pytest.raises(RecursionError):
+        dynamics.compile_rk4(*stage)
+    assert dynamics._kernel(*stage) is None
     shallow = AffgebroidChart(["x"], ["y"], [1.0], [[nested(300)]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(shallow, "y^2/2")
     assert compiled_field(h)([0.3, 1.0])[:2] == hamilton_rhs(h, [0.3, 1.0])
@@ -250,8 +254,9 @@ def test_leaving_the_domain_reports_the_interpreters_error():
 
 def test_the_interpreter_compiles_nothing(monkeypatch):
     h, calls = by_name("oscillator").hamiltonian, []
-    for name in ("_build", "compile_rk4"):  # every generated function goes through _build
-        monkeypatch.setattr(ex, name, lambda *a, name=name: calls.append(name))
+    # every generated function goes through _build
+    for owner, name in ((ex, "_build"), (dynamics, "compile_rk4")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
     assert hamilton_rhs(h, [0.0, 1.0, 0.0]) == [1.0, 0.0, -1.0]
     assert calls == []
 
@@ -272,9 +277,10 @@ def test_field_raises_where_the_hamiltonian_is_undefined():
 
 def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, capsys):
     calls = []
-    for name in ("_build", "compile_rk4"):  # every generated function goes through _build
-        real = getattr(ex, name)
-        monkeypatch.setattr(ex, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    # every generated function goes through _build
+    for owner, name in ((ex, "_build"), (dynamics, "compile_rk4")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
     assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", "5"]) == 0
     assert capsys.readouterr().out.count("point_") == 5
     # one kernel (stage and check); no sampled check and no field alone is compiled

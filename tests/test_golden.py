@@ -89,6 +89,8 @@ CORPUS = (
         ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,2;0.5,0.5"],
         ["flow", f"{DIR}/log_h.model", "--x0", "0,0.5", "--y0", "-2", "--t-end", "1", "--step", "0.01"],
         ["flow", f"{DIR}/inf_anchor.model", "--x0", "1.5", "--y0", "0", "--t-end", "0.5", "--step", "0.05"],
+        # the divisor 2*I1 of H overflows to inf
+        ["flow", "rigid:1e308,1,1", "--x0", "0", "--y0", "1,0.5,-0.25", "--t-end", "0.1", "--step", "0.05"],
         # sampled checks: errors at a sampled point, and a run over several chunks of points
         ["hj", "oscillator", "--alpha", "alphaV=log(q1)"],
         ["hj", "trivial:1", "--alpha", "alpha0=t;alphaV=exp(1000*q1)"],

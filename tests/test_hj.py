@@ -2,8 +2,8 @@ import math
 
 import pytest
 
+from affmech import dynamics, hj
 from affmech import expr as ex
-from affmech import hj
 from affmech.expr import Lit, Var
 from affmech.algebroid import SamplePlan, SplitMix64
 from affmech.affgebroid import CoSection, HamiltonianSection, hamilton_field
@@ -191,7 +191,7 @@ def test_verify_free_particle_solution():
 def test_verify_shares_its_work_within_one_call_and_keeps_none_after_it(monkeypatch):
     counts = dict.fromkeys(["max_abs_check", "_theorem_check", "_vertical_df", "compile_rk4"], 0)
     for owner, name in [(hj, "max_abs_check"), (hj, "_theorem_check"), (hj, "_vertical_df"),
-                        (ex, "compile_rk4")]:
+                        (dynamics, "compile_rk4")]:
 
         def counted(*args, real=getattr(owner, name), name=name):
             counts[name] += 1

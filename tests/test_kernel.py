@@ -1,10 +1,14 @@
-"""The generated RK4 kernel (``expr.compile_rk4``) against the per-stage path.
+"""The generated RK4 kernel (``dynamics.compile_rk4``) against the per-stage path.
 
-On generated polynomial and trigonometric Hamiltonians and sections, the
-kernel must give the Trajectory (times, states, ok, error) that
-``integrate_field`` gives with the field alone: with a short last step, a
+``dynamics`` holds both encodings of RK4, and ``integrate_field`` with the
+field alone is the reference.  On generated polynomial and trigonometric
+Hamiltonians and sections, the kernel must give the Trajectory (times,
+states, ok, error) that the reference gives: with a short last step, a
 start time other than 0, a step larger than the span, and a flow that
-leaves the domain or stops being finite partway.
+leaves the domain or stops being finite partway.  The batched sampled
+checks of ``verify`` and ``hj`` must equal the per-point interpreter, and
+the generated source keeps its loop locals apart from its temporaries and
+holds one copy of the stage.
 """
 
 import math
@@ -19,6 +23,7 @@ from affmech import hj
 from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, hamilton_field
 from affmech.algebroid import SamplePlan, differential, max_abs_check, section_max_abs
 from affmech.dynamics import (
+    compile_rk4,
     hamilton_rhs,
     hamilton_stage,
     integrate,
@@ -86,7 +91,7 @@ def test_the_kernel_flow_equals_the_per_stage_flow(run):
     name, H, _, state0, t0, t_end, step = run
     h = HamiltonianSection(CHARTS[name], H)
     got = integrate(h, state0, t0, t_end, step)
-    kernel = ex.compile_rk4(*hamilton_stage(h))  # raises where the kernel does not compile
+    kernel = compile_rk4(*hamilton_stage(h))  # raises where the kernel does not compile
     same(got, integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step), kernel)
 
 
@@ -101,7 +106,7 @@ def test_the_kernel_reduced_flow_equals_the_per_stage_flow(run):
     chart = CHARTS[name]
     h, alpha = HamiltonianSection(chart, H), CoSection(chart, "0", alpha_v)
     got = integrate_reduced(alpha, h, x0, t0, t_end, step)
-    kernel = ex.compile_rk4(*reduced_stage(alpha, h))  # raises where the kernel does not compile
+    kernel = compile_rk4(*reduced_stage(alpha, h))  # raises where the kernel does not compile
     same(got, integrate_field(reduced_field(alpha, h), x0, t0, t_end, step), kernel)
 
 
@@ -124,7 +129,7 @@ def test_a_state_whose_finite_stages_sum_past_the_float_range_aborts_per_stage()
     h = HamiltonianSection(chart, "y1^2/2")
     got = integrate(h, [0.0, 0.0], 0.0, 30.0, 1.0)
     assert not got.ok and got.error == "non-finite state at t=18.0" and len(got) == 18
-    kernel = ex.compile_rk4(*hamilton_stage(h))
+    kernel = compile_rk4(*hamilton_stage(h))
     same(got, integrate_field(lambda s: hamilton_rhs(h, s), [0.0, 0.0], 0.0, 30.0, 1.0), kernel)
 
 
@@ -171,9 +176,9 @@ def test_generated_temporaries_cannot_overwrite_the_loop_locals():
     pairs = zip(names, names[1:] + names[:1])
     stage = [ex.parse(f"sin({a}*{b}) + {a}^2*cos({b})") for a, b in pairs]
     check = [[ex.parse(f"k0*{a} - {a}^3") for a in names]]
-    kernel = ex.compile_rk4(stage, names, check=check, slots=["k0"])
+    kernel = compile_rk4(stage, names, check=check, slots=["k0"])
     # literal values need no temporary: these locals are the loop's own
-    bare = ex.compile_rk4([ex.Lit(1.0)] * 12, names, check=[[ex.Lit(0.0)]], slots=["k0"])
+    bare = compile_rk4([ex.Lit(1.0)] * 12, names, check=[[ex.Lit(0.0)]], slots=["k0"])
     temporaries = {v for v in kernel.__code__.co_varnames if re.fullmatch(r"[tu]\d+", v)}
     assert len(temporaries) > 36
     assert set(kernel.__code__.co_varnames) - temporaries == set(bare.__code__.co_varnames)
@@ -188,7 +193,7 @@ def test_generated_temporaries_cannot_overwrite_the_loop_locals():
 def test_the_stage_body_appears_once_in_the_kernel_source():
     h = by_name("rigid:1,2,3").hamiltonian
     stage, variables = hamilton_field(h), h.chart.all_vars()
-    kernel = ex.compile_rk4(stage, variables, None, [h.H, *h.partials])
+    kernel = compile_rk4(stage, variables, None, [h.H, *h.partials])
     assignments = compile_exprs(stage, variables).source.splitlines()[3:-2]
     body = [line.strip() for line in kernel.source.splitlines()]
     assert len(assignments) > 5

@@ -1,0 +1,31 @@
+"""The package's public names and the place of ``expr`` at the bottom of its imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import affmech
+from affmech import expr as ex
+
+# __main__ runs the command line when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(affmech.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_in_all_resolves(name):
+    module = importlib.import_module(f"affmech.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_expr_imports_no_other_affmech_module():
+    tree = ast.parse(Path(ex.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("affmech")):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.startswith("affmech")]
+    assert found == []

@@ -24,7 +24,7 @@ from affmech.algebroid import (
     validate_chart,
 )
 from affmech.affgebroid import VStarSection, pullback_identities, vertical_restriction_check
-from affmech.dynamics import hamilton_stage
+from affmech.dynamics import compile_rk4, hamilton_stage
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
@@ -186,14 +186,14 @@ def test_magnitude_below_keeps_literal_integer_exponents():
 
 
 def test_magnitude_below_divides_by_a_literal_without_the_interpreter(monkeypatch):
-    # every divisor of these Hamiltonians and their partials is a literal 2
-    hamiltonians = [by_name(name).hamiltonian for name in ("trivial:3", "oscillator")]
+    # every divisor of these Hamiltonians and their partials is a literal
+    hamiltonians = [by_name(name).hamiltonian for name in ("trivial:3", "oscillator", "rigid:1,2,3")]
     calls, real = [], ex.evaluate
     monkeypatch.setattr(ex, "evaluate", lambda e, env: calls.append(ex.to_string(e)) or real(e, env))
     assert ex.magnitude_below(ex.parse("x/2"), {"x": 1.0})
     assert ex.magnitude_below(ex.parse("x/(-4)"), {"x": 1.0})
     for h in hamiltonians:
-        ex.compile_rk4(*hamilton_stage(h))
+        compile_rk4(*hamilton_stage(h))
     assert calls == []
     # a zero divisor proves nothing, whether literal or a constant the interpreter evaluates
     for src in ("x/0", "x/(-0)", "x/(2*0)"):
