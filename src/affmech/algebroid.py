@@ -341,8 +341,11 @@ def differential(s: KSection) -> KSection:
     The terms of each output coefficient are summed, as one folded
     expression, in the order of a walk over the basis: anchor terms by the
     position of a and the base variable, then bracket terms by the
-    positions of a and b and by c.  An output that folds to zero is dropped
-    (by ``KSection``).
+    positions of a and b and by c.  An anchor term whose partial is a
+    literal zero is not built: unless the anchor entry is a non-finite
+    literal, it folds to a zero literal, which changes neither the running
+    sum (it starts at +0.0) nor its sign of zero.  An output that folds to
+    zero is dropped (by ``KSection``).
     """
     if s.degree > 2:
         raise ValueError("differential implemented for sections of degree <= 2")
@@ -358,7 +361,10 @@ def differential(s: KSection) -> KSection:
             for vi, rc in anchor:
                 if vi not in partials:
                     partials[vi] = ex.diff(coeff.node, chart.base_vars[vi])
-                term = mul((-1.0) ** i, mul(rc, partials[vi]))
+                partial = partials[vi]
+                if ex.literal_value(partial) == 0.0 and math.isfinite(ex.literal_value(rc) or 0):
+                    continue  # the term would fold to a zero literal, which add drops
+                term = mul((-1.0) ** i, mul(rc, partial))
                 terms.setdefault(idx, []).append(((0, i, vi), term))
         for p, c in enumerate(key):
             rest = key[:p] + key[p + 1 :]

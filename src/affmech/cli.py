@@ -330,7 +330,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
             raise ValueError("need step > 0 and horizon > 0")
         check_step_budget(0.0, args.horizon, args.step)
         alpha = _resolve_alpha(bundle, args.alpha)
-        if args.x0_set:
+        if args.x0_set is not None:
             points = [
                 _parse_floats(p, chart.m, "initial point")
                 for p in args.x0_set.split(";")

@@ -807,9 +807,11 @@ def _bound(e: Expr, bounds: Mapping[str, float], memo: dict) -> float:
 #
 # These build the same nodes as the operator sugar, but treat literals and
 # negated literals as numbers: they drop +0, *1 and ^1 and turn *0 and 0/x
-# into 0.  A node made only of literals is folded into one literal only when
-# evaluating it succeeds with a finite value, so '1/0' or 'log(-1)' stays in
-# the tree and still raises DomainError when evaluated.
+# into 0.  An operation on literals computes its value first, with the
+# interpreter's float operation (``evaluate`` itself for '^' and calls), and
+# builds the node only where that value is not finite or the operation
+# would raise, so '1/0' or 'log(-1)' stays in the tree and still raises
+# DomainError when evaluated.
 
 _ZERO = Lit(0.0)
 _ONE = Lit(1.0)
@@ -820,19 +822,19 @@ def _fold(node: Expr) -> Expr:
         v = evaluate(node, {})
     except (EvalError, ValueError):
         return node
-    return _literal(v, node)
-
-
-def _literal(v: float, node: Expr) -> Expr:
-    """The folded value of an all-literal node, or the node if v is not finite."""
     return _lift(v) if math.isfinite(v) else node
+
+
+def _literal(v: float, op: str, a: Expr, b: Expr) -> Expr:
+    """The folded value v of the literals ``a op b``, or their node if v is not finite."""
+    return _lift(v) if math.isfinite(v) else BinOp(op, a, b)
 
 
 def add(a, b) -> Expr:
     a, b = _lift(a), _lift(b)
     x, y = literal_value(a), literal_value(b)
     if x is not None and y is not None:
-        return _literal(x + y, BinOp("+", a, b))
+        return _literal(x + y, "+", a, b)
     if x == 0.0:
         return b
     if y == 0.0:
@@ -844,7 +846,7 @@ def sub(a, b) -> Expr:
     a, b = _lift(a), _lift(b)
     x, y = literal_value(a), literal_value(b)
     if x is not None and y is not None:
-        return _literal(x - y, BinOp("-", a, b))
+        return _literal(x - y, "-", a, b)
     if x == 0.0:
         return neg(b)
     if y == 0.0:
@@ -856,7 +858,7 @@ def mul(a, b) -> Expr:
     a, b = _lift(a), _lift(b)
     x, y = literal_value(a), literal_value(b)
     if x is not None and y is not None:
-        return _literal(x * y, BinOp("*", a, b))
+        return _literal(x * y, "*", a, b)
     if x == 0.0 or y == 0.0:
         return _ZERO
     if x == 1.0:
@@ -874,7 +876,7 @@ def div(a, b) -> Expr:
     a, b = _lift(a), _lift(b)
     x, y = literal_value(a), literal_value(b)
     if x is not None and y is not None:
-        return _fold(BinOp("/", a, b))
+        return _literal(x / y, "/", a, b) if y else BinOp("/", a, b)  # x/0 raises
     if x == 0.0:
         return _ZERO
     if y == 1.0:

@@ -11,6 +11,9 @@ oracle for ``affgebroid.reeb``, and loops over the whole basis
 ``algebroid.differential`` and ``algebroid.pullback``.  ``compile_exprs``
 builds the straight-line code of ``dynamics.compile_rk4``'s stage as a function
 of its own, so that the tests can check it against the interpreter.
+``fold_add``, ``fold_sub``, ``fold_mul`` and ``fold_div`` are the oracles for
+the folding constructors of ``expr``: each builds the node of a literal
+operation and folds it through ``expr.evaluate``.
 """
 
 from __future__ import annotations
@@ -387,3 +390,69 @@ def verify_one(alpha, h, x0, *args, **kwargs):
     """The one report of ``hj.verify_theorem`` from the start point x0."""
     (report,) = verify_theorem(alpha, h, [x0], *args, **kwargs)
     return report
+
+
+# ------------------------------------------------- reference folding constructors
+
+
+def _fold(node):
+    """The node's value as a literal, or the node where evaluating raises or is not finite."""
+    try:
+        v = ex.evaluate(node, {})
+    except (ex.EvalError, ValueError):
+        return node
+    return ex._lift(v) if math.isfinite(v) else node
+
+
+def fold_add(a, b):
+    a, b = ex._lift(a), ex._lift(b)
+    x, y = ex.literal_value(a), ex.literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("+", a, b))
+    if x == 0.0:
+        return b
+    if y == 0.0:
+        return a
+    return BinOp("+", a, b)
+
+
+def fold_sub(a, b):
+    a, b = ex._lift(a), ex._lift(b)
+    x, y = ex.literal_value(a), ex.literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("-", a, b))
+    if x == 0.0:
+        return ex.neg(b)
+    if y == 0.0:
+        return a
+    return BinOp("-", a, b)
+
+
+def fold_mul(a, b):
+    a, b = ex._lift(a), ex._lift(b)
+    x, y = ex.literal_value(a), ex.literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("*", a, b))
+    if x == 0.0 or y == 0.0:
+        return Lit(0.0)
+    if x == 1.0:
+        return b
+    if y == 1.0:
+        return a
+    if x == -1.0:
+        return ex.neg(b)
+    if y == -1.0:
+        return ex.neg(a)
+    return BinOp("*", a, b)
+
+
+def fold_div(a, b):
+    a, b = ex._lift(a), ex._lift(b)
+    x, y = ex.literal_value(a), ex.literal_value(b)
+    if x is not None and y is not None:
+        return _fold(BinOp("/", a, b))
+    if x == 0.0:
+        return Lit(0.0)
+    if y == 1.0:
+        return a
+    return BinOp("/", a, b)

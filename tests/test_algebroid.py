@@ -17,9 +17,9 @@ from affmech.algebroid import (
     section_max_diff,
     validate_chart,
 )
-from affmech.models import perturbed_so3_chart, so3_chart, tangent_algebroid
+from affmech.models import by_name, perturbed_so3_chart, so3_chart, tangent_algebroid
 
-from helpers import jacobi_cyclic_residual, uniform
+from helpers import dense_differential, jacobi_cyclic_residual, uniform
 
 
 def envs_for(chart, count=40, seed=11, box=None):
@@ -86,6 +86,15 @@ def test_differential_linearity():
     assert section_max_diff(lhs, rhs, envs_for(chart)) <= 1e-12
 
 
+def test_differential_keeps_the_zero_partial_term_of_an_infinite_anchor_entry():
+    # inf * 0 is NaN, so this term does not fold away: it is built as the dense walk builds it
+    chart = AlgebroidChart(["x", "y"], [[ex.parse("1e999"), Lit(1.0)]], [[[Lit(0.0)]]])
+    s = KSection.function(chart, Var("y"))
+    (coeff,) = differential(s).coeffs.values()
+    assert coeff.node == dense_differential(s).coeffs[(0,)].node
+    assert math.isnan(coeff.value({"x": 0.0, "y": 0.0}))
+
+
 def test_differential_degree_cap():
     chart = so3_chart()
     three = KSection(chart, 3, {(0, 1, 2): Lit(1.0)})
@@ -114,6 +123,25 @@ def test_validate_tangent_chart_exactly_zero():
     assert report.anchor_max == 0.0
     assert report.jacobi_max == 0.0
     assert report.valid
+
+
+@pytest.mark.parametrize("name, sums", [
+    ("trivial:3", 0), ("linear:tangent3", 0), ("oscillator", 0), ("rigid:1,2,3", 9),
+])
+def test_validate_chart_builds_no_node_for_a_term_that_folds_away(name, sums, monkeypatch):
+    aff = by_name(name).chart
+    charts = [aff.bidual_chart(), aff.vertical_chart(), aff.prolongation().chart]
+    ops = []
+    init = ex.BinOp.__init__
+
+    def spy(node, op, lhs, rhs):
+        ops.append(op)
+        init(node, op, lhs, rhs)
+
+    monkeypatch.setattr(ex.BinOp, "__init__", spy)
+    for chart in charts:
+        validate_chart(chart)
+    assert ops == ["+"] * sums  # the antisymmetry residuals C^c_ab + C^c_ba
 
 
 def test_validate_so3():

@@ -544,6 +544,8 @@ def test_inline_alpha_allows_spaces_around_its_fields(capsys):
     ("--horizon", "nan", "finite"),
     ("--horizon", "inf", "finite"),
     ("--points", "-3", "--points must be at least 1"),
+    ("--x0-set", "", "no initial points given"),
+    ("--x0-set", " ", "no initial points given"),
 ])
 def test_verify_bad_arguments_are_input_errors(option, value, fragment, capsys):
     assert main(["verify", "trivial:1", "--alpha", "w_free", f"{option}={value}"]) == 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affmech import expr as ex
+from affmech import models
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 
 from helpers import (
@@ -14,6 +15,10 @@ from helpers import (
     evaluate_with_partials,
     expression_corpus,
     fd_partials,
+    fold_add,
+    fold_div,
+    fold_mul,
+    fold_sub,
 )
 
 
@@ -287,6 +292,43 @@ def test_folding_keeps_literal_domain_errors():
         ex.evaluate(ex.call("log", Neg(Lit(1.0))), {})
     with pytest.raises(ex.DomainError):
         ex.evaluate(ex.power(Lit(0.0), Neg(Lit(1.0))), {})
+
+
+FOLD_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e-308, 1e308, ex.parse("1e999").value]
+FOLD_OPERANDS = (
+    [Lit(v) for v in FOLD_VALUES]
+    + [Neg(Lit(v)) for v in FOLD_VALUES]
+    + [Var("x"), Neg(Var("x"))]
+)
+
+
+@pytest.mark.parametrize("build, reference", [
+    (ex.add, fold_add), (ex.sub, fold_sub), (ex.mul, fold_mul), (ex.div, fold_div),
+])
+def test_folding_constructors_equal_their_reference_fold(build, reference):
+    # every pair of signed zeros, tiny, huge and infinite literals, negated or not:
+    # sums and products that overflow, inf - inf, inf * 0 and x/0 keep their nodes
+    assert FOLD_VALUES[-1] == math.inf
+    for a in FOLD_OPERANDS:
+        for b in FOLD_OPERANDS:
+            assert repr(build(a, b)) == repr(reference(a, b)), (a, b)
+
+
+def test_literal_quotients_fold_keeping_the_sign_of_zero():
+    assert repr(ex.div(Lit(0.0), Lit(-2.0))) == "Lit(value=-0.0)"
+    assert ex.div(Lit(1e308), Lit(0.5)) == BinOp("/", Lit(1e308), Lit(0.5))
+    for zero in (Lit(0.0), Lit(-0.0), Neg(Lit(0.0))):
+        for num in (Lit(0.0), Lit(1.0)):
+            with pytest.raises(ex.DomainError, match="division by zero"):
+                ex.evaluate(ex.div(num, zero), {})
+
+
+def test_building_a_model_folds_its_literal_quotients_without_the_interpreter(monkeypatch):
+    calls = []
+    evaluate = ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda *args: calls.append(args) or evaluate(*args))
+    models.by_name("rigid:1,2,3")  # its divisors 2, 4 and 6 meet zero numerators
+    assert calls == []
 
 
 def test_diff_of_structural_zero_is_literal_zero():
