@@ -41,7 +41,7 @@ from .affgebroid import (
     reeb,
     vertical_restriction_check,
 )
-from .dynamics import Trajectory, hamilton_rhs, integrate, integrate_reduced, reduced_field
+from .dynamics import Trajectory, integrate, integrate_reduced
 from .hj import (
     NotACocycleError,
     TheoremReport,

@@ -180,15 +180,6 @@ class HamiltonianSection:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
         self.partials = [diff(self.H, v) for v in self.chart.all_vars()]
 
-    def value(self, env) -> float:
-        return ex.evaluate(self.H, env)
-
-    def gradients(self, env) -> tuple[float, list[float], list[float]]:
-        """Value, base partials, fiber partials at one point."""
-        m = self.chart.m
-        parts = [ex.evaluate(p, env) for p in self.partials]
-        return ex.evaluate(self.H, env), parts[:m], parts[m:]
-
 
 @dataclass
 class CoSection:
@@ -319,12 +310,11 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
         dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
 
     Base components first, then fiber components, each summed in the order
-    ``dynamics.hamilton_rhs`` sums it; terms whose data is a structural
-    zero fold away.  The compiled stages of ``dynamics`` and ``hj`` compute
-    these rows; ``hamilton_rhs`` re-derives the same sums term by term and
-    skips the terms whose factor is 0 at the state, so where both give a
-    value they differ at most in the sign of a zero.  Built once per section and cached in
-    ``h.field_rows``.
+    written above; terms whose data is a structural zero fold away.
+    This is the one formula of the Hamilton equations: the stages of
+    ``dynamics`` and the check of ``hj`` carry these rows, and both the
+    kernels of ``dynamics.compile_rk4`` and ``dynamics.interpret`` compute
+    them.  Built once per section and cached in ``h.field_rows``.
     """
     if h.field_rows is not None:
         return h.field_rows

@@ -8,18 +8,20 @@ A Trajectory keeps every state, so an integration that would take more than
 ``MAX_STEPS`` steps is refused with a ValueError before the first step
 (``check_step_budget``).
 
-This module holds both encodings of RK4.  ``integrate_field`` is the
-reference: it steps any field, here the interpreter ``hamilton_rhs`` (which
-evaluates H and each partial) or ``reduced_field``, and every domain error
-and its message come from it.  ``compile_rk4`` generates the same loop,
-with the same float operations, over a stage (``hamilton_stage`` or
-``reduced_stage``) emitted as straight-line code that walks no expression
-tree and calls no Python function.  ``integrate``, ``integrate_reduced``
-and ``hj.verify_theorem`` compile their kernel on each call, or none where
-compiling fails; a kernel hands any step where a stage raises or gives a
-value that is not finite back to ``integrate_field``.  H and the partials
-are the stage's extras: one guard, |v| < ``GUARD_BOUND`` on each variable
-they read, replaces the polynomial ones.
+A field is given once, as a stage: ``compile_rk4``'s (exprs, variables,
+bound, extras), which ``hamilton_stage`` and ``reduced_stage`` build from
+``affgebroid.hamilton_field``.  This module holds both processors of a
+stage.  ``interpret`` evaluates it with ``expr.evaluate``, and
+``integrate_field`` steps that field: this is the reference, and every
+domain error and its message come from it.  ``compile_rk4`` generates the
+same loop, with the same float operations, over the stage emitted as
+straight-line code that walks no expression tree and calls no Python
+function.  ``integrate``, ``integrate_reduced`` and ``hj.verify_theorem``
+compile their kernel on each call, or none where compiling fails; a kernel
+hands any step where a stage raises or gives a value that is not finite
+back to ``integrate_field``.  H and the partials are the stage's extras:
+one guard, |v| < ``GUARD_BOUND`` on each variable they read, replaces the
+polynomial ones.
 """
 
 from __future__ import annotations
@@ -37,12 +39,11 @@ __all__ = [
     "GUARD_BOUND",
     "check_step_budget",
     "Trajectory",
-    "hamilton_rhs",
     "integrate",
     "integrate_field",
     "compile_rk4",
+    "interpret",
     "hamilton_stage",
-    "reduced_field",
     "reduced_stage",
     "integrate_reduced",
 ]
@@ -75,47 +76,6 @@ class Trajectory:
         return len(self.times)
 
 
-def hamilton_rhs(h: HamiltonianSection, state: Sequence[float]) -> list[float]:
-    """Right-hand side of the Hamilton equations at one state, interpreted.
-
-    The sums of ``affgebroid.hamilton_field``, re-derived term by term from
-    the chart data in its order.  H and every partial are evaluated, so this
-    raises wherever H is undefined.
-    A term whose factor dH/dy_b or y_g is 0 at the state is skipped, so this
-    gives a value where the compiled field meets a domain error or inf*0.
-    Every error raised here has its message; this is the reference that the
-    compiled stages are checked against.
-    """
-    aff = h.chart
-    m, n = aff.m, aff.n
-    env = dict(zip(aff.all_vars(), state))
-    _, hx, hy = h.gradients(env)
-    yv = state[m:]
-
-    out = []
-    for i in range(m):
-        total = ex.evaluate(aff.rho0[i], env)
-        for a in range(n):
-            if hy[a] != 0.0:
-                total += hy[a] * ex.evaluate(aff.rhoV[a][i], env)
-        out.append(total)
-    for a in range(n):
-        total = 0.0
-        for i in range(m):
-            if hx[i] != 0.0:
-                total -= ex.evaluate(aff.rhoV[a][i], env) * hx[i]
-        for g in range(n):
-            if yv[g] == 0.0:
-                continue
-            coef = ex.evaluate(aff.C0[a][g], env)
-            for b in range(n):
-                if hy[b] != 0.0:
-                    coef += ex.evaluate(aff.CV[b][a][g], env) * hy[b]
-            total += yv[g] * coef
-        out.append(total)
-    return out
-
-
 def integrate_field(
     f: Callable[[Sequence[float]], list[float]],
     y0: Sequence[float],
@@ -126,11 +86,13 @@ def integrate_field(
 ) -> Trajectory:
     """Fixed-step RK4 for an autonomous field; aborts on non-finite states.
 
-    ``kernel``, when given, is a ``compile_rk4`` loop over a stage that
-    computes ``f`` bit for bit.  It runs first and again after every step
-    that it left to ``f``, which is one where it met an error, a value that
-    is not finite or a state past ``GUARD_BOUND``.  So every state, abort
-    and message is the one ``f`` alone gives.
+    ``f`` maps a state to a list whose first len(y0) values are the field;
+    it may list more, as ``interpret`` does for a stage's further values.
+    ``kernel``, when given, is the ``compile_rk4`` loop over the stage that
+    ``f`` interprets.  It runs first and again after every step that it
+    left to ``f``, which is one where it met an error, a value that is not
+    finite or a state past ``GUARD_BOUND``.  So every state, abort and
+    message is the one ``f`` alone gives.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -165,6 +127,32 @@ def integrate_field(
             return Trajectory(times, states, ok=False, error=f"non-finite state at t={t!r}")
         times.append(t)
         states.append(y)
+
+
+def interpret(
+    exprs: Sequence[ex.Expr],
+    variables: Sequence[str],
+    bound: Mapping[str, ex.Expr] | None = None,
+    extras: Sequence[ex.Expr] = (),
+) -> Callable[[Sequence[float]], list[float]]:
+    """The stage that ``compile_rk4`` compiles, as a field that ``expr.evaluate`` computes.
+
+    At a state, which lists the values of ``variables``, the field computes
+    each ``bound`` expression over ``variables``, then evaluates ``extras``
+    (only so that it raises where one does), and returns the values of
+    ``exprs``, each equal to the kernel's bit for bit.  A state is in the
+    field's domain exactly where all of them evaluate.
+    """
+    bound = list((bound or {}).items())
+
+    def field(state: Sequence[float]) -> list[float]:
+        point = dict(zip(variables, state))
+        env = {**point, **{name: ex.evaluate(e, point) for name, e in bound}}
+        for e in extras:
+            ex.evaluate(e, env)
+        return [ex.evaluate(e, env) for e in exprs]
+
+    return field
 
 
 def compile_rk4(
@@ -263,7 +251,7 @@ def compile_rk4(
         "                break",
         "            hv = hs if s == 2 else h2",
         f"            {vec('v{j}')} = {vec('y{j} + hv * {k}')}",
-        # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in the per-stage path's order
+        # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in integrate_field's order
         f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
         f"        {_not_finite([f'y{j}' for j in range(w)])}",
         "        i += 1",
@@ -302,8 +290,8 @@ def hamilton_stage(h: HamiltonianSection):
     """The Hamilton field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
 
     The m+n rows of ``hamilton_field`` over every chart variable; H and its
-    m+n partials are the extras, so past ``GUARD_BOUND`` ``hamilton_rhs``
-    takes the step.
+    m+n partials are the extras, so past ``GUARD_BOUND`` the kernel leaves
+    the step to ``interpret``, which evaluates them.
     """
     return hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
 
@@ -323,38 +311,21 @@ def integrate(
     aff = h.chart
     if len(state0) != aff.m + aff.n:
         raise ValueError("state must list every base and fiber coordinate")
-    kernel = _kernel(*hamilton_stage(h))
-    return integrate_field(lambda s: hamilton_rhs(h, s), state0, t0, t_end, step, kernel)
-
-
-def reduced_field(alpha: CoSection, h: HamiltonianSection):
-    """Base-space field of the theorem: insert alpha, keep base components.
-
-        X^i(x) = rho0^i(x) + dH/dy_a(x, alphaV(x)) rhoV[a]^i(x)
-
-    Realized by evaluating the full right-hand side at y = alphaV(x), which
-    makes the base equation of the restored flow hold by construction.
-    The interpreter computes alphaV: this is the per-stage path, which runs
-    only where a kernel left a step to it.
-    """
-    aff = h.chart
-    m = aff.m
-
-    def field(x_state: Sequence[float]) -> list[float]:
-        env = dict(zip(aff.base_vars, x_state))
-        return hamilton_rhs(h, list(x_state) + [ex.evaluate(c, env) for c in alpha.alphaV])[:m]
-
-    return field
+    stage = hamilton_stage(h)
+    return integrate_field(interpret(*stage), state0, t0, t_end, step, _kernel(*stage))
 
 
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     """The reduced field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
 
-    Values: the first m rows of ``hamilton_field``, the reduced field X(x),
-    then alphaV from index m.  The fiber variables are ``bound`` to alphaV,
-    so each value is the per-stage one.  The extras are what the per-stage
-    path evaluates and the kernel does not use: the n fiber rows, H and its
-    m+n partials.  A guard on a fiber variable tests its alphaV value.
+    Values: the first m rows of ``hamilton_field`` with the fiber variables
+    ``bound`` to alphaV, which is the reduced field of the theorem,
+
+        X^i(x) = rho0^i(x) + dH/dy_a(x, alphaV(x)) rhoV[a]^i(x),
+
+    then alphaV from index m.  The extras are the n fiber rows, H and its
+    m+n partials: no value reads them, but the field is undefined where one
+    is.  A guard on a fiber variable tests its alphaV value.
     """
     aff = h.chart
     rows, bound = hamilton_field(h), dict(zip(aff.fiber_vars, alpha.alphaV))
@@ -375,5 +346,5 @@ def integrate_reduced(
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")
-    kernel = _kernel(*reduced_stage(alpha, h))
-    return integrate_field(reduced_field(alpha, h), x0, t0, t_end, step, kernel)
+    stage = reduced_stage(alpha, h)
+    return integrate_field(interpret(*stage), x0, t0, t_end, step, _kernel(*stage))

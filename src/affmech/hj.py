@@ -22,15 +22,7 @@ from .algebroid import (
     values_at,
 )
 from .affgebroid import CoSection, HamiltonianSection, hamilton_field
-from .dynamics import (
-    DEFAULT_STEP,
-    Trajectory,
-    _kernel,
-    hamilton_rhs,
-    integrate_field,
-    reduced_field,
-    reduced_stage,
-)
+from .dynamics import DEFAULT_STEP, Trajectory, _kernel, integrate_field, interpret, reduced_stage
 
 __all__ = [
     "POINT_TOL",
@@ -179,11 +171,11 @@ def verify_theorem(
     check computes the Hamilton field at (x, alphaV(x)) again, with the
     fiber coordinates as inputs and its own subexpression table, so the base
     defect compares two independently compiled routes.  If the kernel missed
-    a state, every state is measured again by the interpreter, whose errors
-    record the state as their ``point``.
+    a state, ``dynamics.interpret`` measures every state again over the same
+    stage and check, and its errors record the state as their ``point``.
     """
     aff = h.chart
-    m, n = aff.m, aff.n
+    m = aff.m
     if any(len(x0) != m for x0 in points):
         raise ValueError("x0 must list every base coordinate")
     plan = sample if sample is not None else SamplePlan()
@@ -193,18 +185,12 @@ def verify_theorem(
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
     dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in aff.base_vars]  # at a*m + i
-    kernel = _kernel(*reduced_stage(alpha, h), *_theorem_check(h, dalpha))
+    stage, (groups, slots) = reduced_stage(alpha, h), _theorem_check(h, dalpha)
+    kernel = _kernel(*stage, groups, slots)
     df = max_abs_check(_vertical_df(alpha, h))
-    field = reduced_field(alpha, h)
-
-    def residuals(env):
-        """The m signed base defects and n signed fiber residuals at a state, interpreted."""
-        state = [env[v] for v in aff.base_vars]
-        rhs = hamilton_rhs(h, state + [ex.evaluate(c, env) for c in alpha.alphaV])
-        xdot = field(state)
-        dg = [ex.evaluate(d, env) for d in dalpha]
-        return [rhs[i] - xdot[i] for i in range(m)] + [
-            sum(dg[a * m + i] * xdot[i] for i in range(m)) - rhs[m + a] for a in range(n)]
+    field = interpret(*stage)
+    # the m signed base defects, then the n signed fiber residuals, at (x, field(x))
+    measure = interpret([e for group in groups for e in group], aff.base_vars + slots)
 
     def check(x0) -> TheoremReport:
         acc = [0.0, 0.0, 0]  # max |base defect|, max |fiber residual|, states measured
@@ -219,7 +205,8 @@ def verify_theorem(
 
         base_defect, traj_max, measured = acc
         if measured != len(traj):
-            rows = values_at(residuals, [dict(zip(aff.base_vars, s)) for s in traj.states])
+            envs = [dict(zip(aff.base_vars, s)) for s in traj.states]
+            rows = values_at(lambda env: measure([*env.values(), *field(env.values())]), envs)
             base_defect = nan_max(abs(v) for r in rows for v in r[:m])
             traj_max = nan_max(abs(v) for r in rows for v in r[m:])
         if not base_defect <= 1e-12:
@@ -252,8 +239,8 @@ def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:
     groups are the m signed base defects ``rhs_i - X_i`` and the n signed
     fiber residuals ``sum_i dalpha[a*m + i] X_i - rhs_(m+a)``, where rhs is
     ``hamilton_field`` with the fiber coordinates read as inputs (the stage
-    binds them to alphaV instead).  The sums run in the per-stage path's
-    order, as unfolded BinOps.
+    binds them to alphaV instead).  The sums over i are unfolded BinOps, so a
+    zero factor still meets an infinite or NaN X_i.
     """
     aff = h.chart
     m, n = aff.m, aff.n

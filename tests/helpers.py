@@ -13,7 +13,9 @@ builds the straight-line code of ``dynamics.compile_rk4``'s stage as a function
 of its own, so that the tests can check it against the interpreter.
 ``fold_add``, ``fold_sub``, ``fold_mul`` and ``fold_div`` are the oracles for
 the folding constructors of ``expr``: each builds the node of a literal
-operation and folds it through ``expr.evaluate``.
+operation and folds it through ``expr.evaluate``.  ``hamilton_rhs`` sums the
+Hamilton equations term by term from the chart data: the oracle for
+``affgebroid.hamilton_field``.
 """
 
 from __future__ import annotations
@@ -128,6 +130,45 @@ def _dual(e, env, slot, n):
         raise DomainError("division by zero", e)
     v = a / b
     return v, [(da[k] - v * db[k]) / b for k in range(n)]
+
+
+# ------------------------------------------- term-by-term Hamilton oracle
+
+
+def hamilton_rhs(h, state):
+    """The Hamilton equations of h at one state, summed term by term from the chart data.
+
+        dx^i/dt = rho0^i + dH/dy_a rhoV[a]^i
+        dy_a/dt = -rhoV[a]^i dH/dx^i + y_g (C0[a][g] + CV[b][a][g] dH/dy_b)
+
+    Every term is evaluated and added in ``hamilton_field``'s order, also
+    where its data is a structural zero that ``hamilton_field`` folds away,
+    so at a state where every term is finite the two give equal values.
+    """
+    aff = h.chart
+    m, n = aff.m, aff.n
+    env = dict(zip(aff.all_vars(), state))
+    parts = [ex.evaluate(p, env) for p in h.partials]
+    hx, hy = parts[:m], parts[m:]
+    yv = state[m:]
+
+    out = []
+    for i in range(m):
+        total = ex.evaluate(aff.rho0[i], env)
+        for a in range(n):
+            total += hy[a] * ex.evaluate(aff.rhoV[a][i], env)
+        out.append(total)
+    for a in range(n):
+        total = 0.0
+        for i in range(m):
+            total -= ex.evaluate(aff.rhoV[a][i], env) * hx[i]
+        for g in range(n):
+            coef = ex.evaluate(aff.C0[a][g], env)
+            for b in range(n):
+                coef += ex.evaluate(aff.CV[b][a][g], env) * hy[b]
+            total += yv[g] * coef
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------- least-squares Reeb oracle

@@ -10,10 +10,11 @@ from affmech import dynamics, hj
 from affmech.affgebroid import AffgebroidChart, HamiltonianSection, hamilton_field
 from affmech.cli import main
 from affmech.dynamics import (
-    hamilton_rhs,
+    hamilton_stage,
     integrate,
     integrate_field,
-    reduced_field,
+    interpret,
+    reduced_stage,
 )
 from affmech.hj import verify_theorem
 from affmech.expr import BinOp, Call, Lit, Neg, Var
@@ -25,6 +26,7 @@ from helpers import (
     corpus_points,
     evaluate_with_partials,
     expression_corpus,
+    hamilton_rhs,
 )
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
@@ -161,18 +163,18 @@ def test_expression_too_deep_fails_as_the_interpreter_does():
         compile_exprs([e], ["x"])
     chart = AffgebroidChart(["x"], ["y"], [1.0], [[e]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y^2/2")
+    stage = hamilton_stage(h)
     with pytest.raises(RecursionError):
-        hamilton_rhs(h, [0.3, 1.0])
-    stage = hamilton_field(h), h.chart.all_vars(), None, [h.H, *h.partials]
+        interpret(*stage)([0.3, 1.0])
     with pytest.raises(RecursionError):
         dynamics.compile_rk4(*stage)
     assert dynamics._kernel(*stage) is None
     shallow = AffgebroidChart(["x"], ["y"], [1.0], [[nested(300)]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(shallow, "y^2/2")
-    assert compiled_field(h)([0.3, 1.0])[:2] == hamilton_rhs(h, [0.3, 1.0])
+    assert compiled_field(h)([0.3, 1.0])[:2] == interpret(*hamilton_stage(h))([0.3, 1.0])
 
 
-# ------------------------------------------------------------ hamilton_rhs
+# ------------------------------------------------- hamilton_field and its oracle
 
 
 def compiled_field(h):
@@ -193,16 +195,33 @@ def varying_chart():
     return HamiltonianSection(chart, "y1^2/2 + y2^2/(2+q^2) + t*q*y1 + sin(q)")
 
 
-@pytest.mark.parametrize("name", BUILTINS + ["varying"])
-def test_compiled_field_matches_hamilton_rhs(name):
-    h = varying_chart() if name == "varying" else by_name(name).hamiltonian
-    rng = random.Random(name)  # str seeds are not salted per process
+def assert_field_matches_the_oracle(h, seed):
+    """``hamilton_field``, compiled, equals the term-by-term sums at 50 seeded states."""
+    rng = random.Random(seed)  # str seeds are not salted per process
     width = len(h.chart.all_vars())
     stage = compiled_field(h)
     for _ in range(50):
         state = [rng.uniform(-2.0, 2.0) for _ in range(width)]
-        # the same float operations in the same order; only a zero's sign may differ
-        assert stage(state)[:width] == hamilton_rhs(h, state)
+        # the same float operations in the same order, but for the terms that
+        # fold away in hamilton_field: adding them may change only a zero's sign
+        assert stage(state)[:width] == hamilton_rhs(h, state), state
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["varying"])
+def test_compiled_field_matches_hamilton_rhs(name):
+    h = varying_chart() if name == "varying" else by_name(name).hamiltonian
+    assert_field_matches_the_oracle(h, name)
+
+
+def test_the_oracle_catches_a_sign_flipped_in_one_row_of_the_field(monkeypatch):
+    rows = hamilton_field(varying_chart())
+    for k in range(len(rows)):
+        h = varying_chart()
+        # hamilton_field returns the rows cached on the section
+        monkeypatch.setattr(h, "field_rows", rows[:k] + [ex.neg(rows[k])] + rows[k + 1 :])
+        assert hamilton_field(h)[k] != rows[k]
+        with pytest.raises(AssertionError):
+            assert_field_matches_the_oracle(h, "varying")
 
 
 def test_rigid_body_field_keeps_only_the_bracket_terms():
@@ -225,18 +244,26 @@ def log_anchor_chart(rho0=1.0):
 
 
 def test_fallback_where_the_interpreter_skips_a_domain_error():
+    # dH/dy = 0 multiplies log(x1): the factor does not take the term out of
+    # the field's domain, so both fields raise, and both flows end on the
+    # interpreter's DomainError
     h = log_anchor_chart()
-    state = [-1.0, 0.0]  # dH/dy = 0, so the interpreter never evaluates log(x1)
-    assert hamilton_rhs(h, state) == [1.0, 0.0]
+    state = [-1.0, 0.0]
+    with pytest.raises(ex.DomainError, match="log of non-positive value in 'log\\(x1\\)'"):
+        interpret(*hamilton_stage(h))(state)
     with pytest.raises(ValueError):
         compiled_field(h)(state)
+    compiled = integrate(h, state, 0.0, 0.1, 1e-2)
+    interpreted = integrate_field(interpret(*hamilton_stage(h)), state, 0.0, 0.1, 1e-2)
+    assert compiled.error == interpreted.error
+    assert compiled.error == "domain violation at t=0.0: log of non-positive value in 'log(x1)'"
 
 
 def test_fallback_where_the_compiled_field_meets_inf_times_zero():
     chart = AffgebroidChart(["x1"], ["y1"], [1.0], [["x1*1e308"]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y1^2/2")
-    state = [10.0, 0.0]  # rhoV = inf, dH/dy = 0
-    assert hamilton_rhs(h, state) == [1.0, 0.0]
+    state = [10.0, 0.0]  # rhoV = inf, dH/dy = 0: both fields compute inf*0
+    assert math.isnan(interpret(*hamilton_stage(h))(state)[0])
     assert math.isnan(compiled_field(h)(state)[0])
 
 
@@ -244,7 +271,7 @@ def test_leaving_the_domain_reports_the_interpreters_error():
     h = log_anchor_chart(rho0=-1.0)
     state0 = [0.5, 0.1]
     compiled = integrate(h, state0, 0.0, 2.0, 1e-2)
-    interpreted = integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 2.0, 1e-2)
+    interpreted = integrate_field(interpret(*hamilton_stage(h)), state0, 0.0, 2.0, 1e-2)
     assert not compiled.ok
     assert compiled.error == interpreted.error
     assert compiled.error.startswith("domain violation at t=")
@@ -257,7 +284,8 @@ def test_the_interpreter_compiles_nothing(monkeypatch):
     # every generated function goes through _build
     for owner, name in ((ex, "_build"), (dynamics, "compile_rk4")):
         monkeypatch.setattr(owner, name, lambda *a, name=name: calls.append(name))
-    assert hamilton_rhs(h, [0.0, 1.0, 0.0]) == [1.0, 0.0, -1.0]
+    field = interpret(*hamilton_stage(h))
+    assert field([0.0, 1.0, 0.0]) == [1.0, 0.0, -1.0]
     assert calls == []
 
 
@@ -266,10 +294,10 @@ def test_field_raises_where_the_hamiltonian_is_undefined():
     # the interpreter evaluates H at every state, so the compiled field must too
     h = HamiltonianSection(by_name("oscillator").chart, "p1^2/2 + log(q1)")
     with pytest.raises(ex.DomainError, match="log of non-positive value in 'log\\(q1\\)'"):
-        hamilton_rhs(h, [0.0, -0.5, 1.0])
+        interpret(*hamilton_stage(h))([0.0, -0.5, 1.0])
     state0 = [0.0, 0.5, -2.0]  # q1 falls through 0
     compiled = integrate(h, state0, 0.0, 1.0, 1e-2)
-    interpreted = integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 1.0, 1e-2)
+    interpreted = integrate_field(interpret(*hamilton_stage(h)), state0, 0.0, 1.0, 1e-2)
     assert not compiled.ok and "log of non-positive value" in compiled.error
     assert compiled.error == interpreted.error
     assert compiled.states == interpreted.states
@@ -302,4 +330,4 @@ def test_verify_compiles_one_kernel_and_each_sampled_check_once(monkeypatch, cap
     value, partials = evaluate_with_partials(alpha.alphaV[0], env, bundle.chart.base_vars)
     (dalpha,) = checks
     assert [ex.evaluate(d, env) for d in dalpha] == partials
-    assert reduced_field(alpha, h)(x) == hamilton_rhs(h, x + [value])[:2]
+    assert interpret(*reduced_stage(alpha, h))(x)[:2] == hamilton_rhs(h, x + [value])[:2]

@@ -5,11 +5,12 @@ import pytest
 from affmech.affgebroid import HamiltonianSection
 from affmech.expr import evaluate
 from affmech.dynamics import (
-    hamilton_rhs,
+    hamilton_stage,
     integrate,
     integrate_field,
     integrate_reduced,
-    reduced_field,
+    interpret,
+    reduced_stage,
 )
 from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
@@ -17,14 +18,25 @@ from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body
 # --------------------------------------------------------------- right side
 
 
+def field_at(h, state):
+    """The Hamilton field of h at one state, interpreted."""
+    return interpret(*hamilton_stage(h))(state)
+
+
+def reduced_field_of(alpha, h):
+    """The reduced field X(x) of the theorem, interpreted (``integrate_field`` reads it so)."""
+    field = interpret(*reduced_stage(alpha, h))
+    return lambda x: field(x)[: h.chart.m]
+
+
 def test_rhs_free_particle():
     bundle = trivial_fibration(1)
-    assert hamilton_rhs(bundle.hamiltonian, [0.0, 0.0, 1.0]) == [1.0, 1.0, 0.0]
+    assert field_at(bundle.hamiltonian, [0.0, 0.0, 1.0]) == [1.0, 1.0, 0.0]
 
 
 def test_rhs_rigid_body_principal_axis_equilibrium():
     bundle = rigid_body(1.0, 2.0, 3.0)
-    rhs = hamilton_rhs(bundle.hamiltonian, [0.0, 0.0, 0.0, 1.0])
+    rhs = field_at(bundle.hamiltonian, [0.0, 0.0, 0.0, 1.0])
     assert rhs[0] == 1.0
     assert rhs[1:] == [0.0, 0.0, 0.0]
 
@@ -39,14 +51,14 @@ def test_rhs_rigid_body_is_cross_product():
         P[2] * omega[0] - P[0] * omega[2],
         P[0] * omega[1] - P[1] * omega[0],
     ]
-    rhs = hamilton_rhs(bundle.hamiltonian, [0.0] + P)
+    rhs = field_at(bundle.hamiltonian, [0.0] + P)
     assert rhs[1:] == pytest.approx(expected, abs=1e-14)
 
 
 def test_rhs_zero_hamiltonian_follows_reference_anchor():
     bundle = trivial_fibration(2)
     h0 = HamiltonianSection(bundle.chart, 0.0)
-    rhs = hamilton_rhs(h0, [0.3, 0.1, -0.2, 0.5, 0.7])
+    rhs = field_at(h0, [0.3, 0.1, -0.2, 0.5, 0.7])
     assert rhs == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
@@ -117,7 +129,7 @@ def test_time_reversal_round_trip():
         start = [0.0, 0.8, -0.3] if bundle.chart.n == 1 else [0.0, 0.8, -0.3, 0.5]
         forward = integrate(h, start, 0.0, 1.0, 1e-3)
         backward = integrate_field(
-            lambda s: [-v for v in hamilton_rhs(h, s)],
+            lambda s: [-v for v in field_at(h, s)],
             forward.states[-1],
             0.0,
             1.0,
@@ -132,7 +144,7 @@ def test_time_reversal_round_trip():
 
 def test_reduced_field_free_particle_spreading_solution():
     bundle = trivial_fibration(1)
-    field = reduced_field(bundle.section("w_free"), bundle.hamiltonian)
+    field = reduced_field_of(bundle.section("w_free"), bundle.hamiltonian)
     for t, q in [(0.0, 1.0), (0.5, -0.4), (1.0, 2.0)]:
         x = field([t, q])
         assert x[0] == pytest.approx(1.0, abs=1e-15)
@@ -142,14 +154,14 @@ def test_reduced_field_free_particle_spreading_solution():
 def test_reduced_field_zero_hamiltonian_is_reference_anchor():
     bundle = trivial_fibration(2)
     h0 = HamiltonianSection(bundle.chart, 0.0)
-    field = reduced_field(bundle.section("zero"), h0)
+    field = reduced_field_of(bundle.section("zero"), h0)
     assert field([0.1, 0.2, 0.3]) == [1.0, 0.0, 0.0]
 
 
 def test_reduced_field_linear_mode_contracts_anchor_with_gradient():
     bundle = linear_tangent_model(2)
     alpha = bundle.section("grad_sq")  # alphaV = (x1, x2)
-    field = reduced_field(alpha, bundle.hamiltonian)
+    field = reduced_field_of(alpha, bundle.hamiltonian)
     assert field([0.4, -0.7]) == pytest.approx([0.4, -0.7], abs=1e-15)
 
 

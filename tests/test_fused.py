@@ -20,12 +20,11 @@ from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, h
 from affmech.cli import main
 from affmech.dynamics import (
     compile_rk4,
-    hamilton_rhs,
     hamilton_stage,
     integrate,
     integrate_field,
     integrate_reduced,
-    reduced_field,
+    interpret,
     reduced_stage,
 )
 from affmech.hj import IntegrationFailure
@@ -57,15 +56,36 @@ def per_stage(monkeypatch):
 
 @pytest.fixture
 def count_rhs(monkeypatch):
-    """Count the calls of the per-stage field, ``hamilton_rhs``."""
+    """Count the calls of the per-stage fields, the ones ``dynamics.interpret`` returns.
+
+    Both ``dynamics`` and ``hj`` (the reduced field and the per-state check of
+    ``verify_theorem``) get them through the spy.
+    """
     calls = []
-    real = dynamics.hamilton_rhs
-    monkeypatch.setattr(dynamics, "hamilton_rhs", lambda h, s: calls.append(1) or real(h, s))
+    real = dynamics.interpret
+
+    def spy(*stage):
+        field = real(*stage)
+        return lambda s: calls.append(1) or field(s)
+
+    monkeypatch.setattr(dynamics, "interpret", spy)
+    monkeypatch.setattr(hj, "interpret", spy)
     return calls
 
 
 def same(a, b):
-    assert (a.times, a.states, a.ok, a.error) == (b.times, b.states, b.ok, b.error)
+    """Equal trajectories; the routes evaluate the same expressions, so in ``repr`` too."""
+    assert repr((a.times, a.states, a.ok, a.error)) == repr((b.times, b.states, b.ok, b.error))
+
+
+def flow(h, state0, t_end, step):
+    """The per-stage flow of h: ``integrate_field`` with the interpreted field alone."""
+    return integrate_field(interpret(*hamilton_stage(h)), state0, 0.0, t_end, step)
+
+
+def reduced_flow(alpha, h, x0, t_end, step):
+    """The per-stage reduced flow: ``integrate_field`` with the interpreted field alone."""
+    return integrate_field(interpret(*reduced_stage(alpha, h)), x0, 0.0, t_end, step)
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -76,7 +96,7 @@ def test_fused_flow_equals_the_per_stage_flow(name, count_rhs):
         state0 = [rng.uniform(-1.0, 1.0) for _ in h.chart.all_vars()]
         fused = integrate(h, state0, 0.0, 0.5, 1e-2)
         assert not count_rhs  # every step was fused
-        same(fused, integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 0.5, 1e-2))
+        same(fused, flow(h, state0, 0.5, 1e-2))
         count_rhs.clear()
 
 
@@ -88,7 +108,7 @@ def test_fused_reduced_flow_equals_the_per_stage_flow(name, sec, count_rhs):
     x0 = [rng.uniform(-0.5, 0.5) for _ in h.chart.base_vars]
     fused = integrate_reduced(alpha, h, x0, 0.0, 0.5, 1e-2)
     assert not count_rhs
-    same(fused, integrate_field(reduced_field(alpha, h), x0, 0.0, 0.5, 1e-2))
+    same(fused, reduced_flow(alpha, h, x0, 0.5, 1e-2))
 
 
 def test_fallback_steps_equal_the_per_stage_flow():
@@ -99,13 +119,13 @@ def test_fallback_steps_equal_the_per_stage_flow():
     for state0 in ([-1.0, 0.0, 1.0], [0.5, 0.0, 1.0], [-0.004, 0.0, 1.0]):
         for t_end in (1.0, 0.003):
             got = integrate(h, state0, 0.0, t_end, 1e-2)
-            same(got, integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, t_end, 1e-2))
-    # inf*0 in the compiled field at every state: every step falls back
+            same(got, flow(h, state0, t_end, 1e-2))
+    # inf*0 in both fields at the first state: both routes abort at the first step
     chart = AffgebroidChart(["x1"], ["y1"], [1.0], [["x1*1e308"]], [[0.0]], [[[0.0]]])
     h = HamiltonianSection(chart, "y1^2/2")
     got = integrate(h, [10.0, 0.0], 0.0, 0.1, 1e-2)
-    assert got.ok
-    same(got, integrate_field(lambda s: hamilton_rhs(h, s), [10.0, 0.0], 0.0, 0.1, 1e-2))
+    assert (got.ok, got.error, got.states) == (False, "non-finite state at t=0.01", [[10.0, 0.0]])
+    same(got, flow(h, [10.0, 0.0], 0.1, 1e-2))
 
 
 def test_a_non_finite_state_aborts_as_on_the_per_stage_path():
@@ -115,7 +135,7 @@ def test_a_non_finite_state_aborts_as_on_the_per_stage_path():
     state0 = [1e100, 0.0]
     got = integrate(h, state0, 0.0, 1.0, 0.1)
     assert not got.ok and got.error.startswith("non-finite state at t=")
-    same(got, integrate_field(lambda s: hamilton_rhs(h, s), state0, 0.0, 1.0, 0.1))
+    same(got, flow(h, state0, 1.0, 0.1))
 
 
 def run(argv):
@@ -173,16 +193,18 @@ def test_base_defect_compares_two_compiled_routes(monkeypatch):
 
 
 def outcome(fn):
-    """A report, or the type, message and point of the evaluation error it raises."""
+    """A report, or the type, message and point of the error it raises (None for a failed flow)."""
     try:
         return fn()
     except ex.EvalError as err:
         return type(err), str(err), err.point
+    except IntegrationFailure as err:
+        return type(err), str(err), None
 
 
 def inf_times_zero_case():
     # x1*1e308 overflows for x1 > 1.8, where dH/dy = 0 multiplies it: from
-    # there on the stage is NaN and only the per-stage path gives a value
+    # there on the stage is NaN on both routes, and the flow aborts
     chart = AffgebroidChart(["x1"], ["y1"], [1.0], [["x1*1e308"]], [[0.0]], [[[0.0]]])
     return CoSection(chart, "0", ["0"]), HamiltonianSection(chart, "y1^2/2"), [1.0], 2.0, 0.1
 
@@ -195,19 +217,20 @@ def abs_t_case(horizon):
     return alpha, bundle.hamiltonian, [-0.5, 0.3], horizon, 0.25
 
 
-@pytest.mark.parametrize("case, fails", [
-    (inf_times_zero_case, False),
-    (lambda: abs_t_case(1.0), True),  # the state t = 0 is in the middle
-    (lambda: abs_t_case(0.5), True),  # the state t = 0 is the last one
+@pytest.mark.parametrize("case, error", [
+    (inf_times_zero_case, IntegrationFailure),
+    (lambda: abs_t_case(1.0), ex.DomainError),  # the state t = 0 is in the middle
+    (lambda: abs_t_case(0.5), ex.DomainError),  # the state t = 0 is the last one
 ], ids=["inf_times_zero", "abs_t_middle", "abs_t_last"])
-def test_leaving_the_stage_domain_partway_gives_the_per_stage_result(case, fails, per_stage):
+def test_leaving_the_stage_domain_partway_gives_the_per_stage_result(case, error, per_stage):
     fused = outcome(lambda: verify_one(*case()))
     per_stage()
     assert outcome(lambda: verify_one(*case())) == fused
-    if fails:  # with the state it happened at
-        assert fused[:1] == (ex.DomainError,) and fused[2]["t"] == 0.0
+    assert fused[:1] == (error,)
+    if error is ex.DomainError:  # with the state it happened at
+        assert fused[2]["t"] == 0.0
     else:
-        assert isinstance(fused, hj.TheoremReport)
+        assert fused[1:] == ("reduced flow aborted: non-finite state at t=0.8", None)
 
 
 def skew_check_at(monkeypatch, state):
@@ -227,18 +250,18 @@ def skew_check_at(monkeypatch, state):
 
 
 @pytest.mark.parametrize("where", [0, 5, -1])
-def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch):
+def test_the_check_compares_the_two_routes_at_every_state(where, monkeypatch, count_rhs):
     # state 0 and 5 are measured inside the integration loop, the last state as it ends
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
     state = integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2).states[where]
     skew_check_at(monkeypatch, state)
-    monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
     with pytest.raises(IntegrationFailure, match="base equation failed .* defect 1.000e-09"):
         verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+    assert not count_rhs  # no state was measured per stage
 
 
-def test_the_pass_measures_each_state_once(monkeypatch):
+def test_the_pass_measures_each_state_once(monkeypatch, count_rhs):
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
     counts, real = [], dynamics.compile_rk4
@@ -253,9 +276,9 @@ def test_the_pass_measures_each_state_once(monkeypatch):
         return run
 
     monkeypatch.setattr(dynamics, "compile_rk4", spy)
-    monkeypatch.setattr(hj, "hamilton_rhs", None)  # no state is measured per stage
     report = verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
     assert counts == [len(report.trajectory.states)] == [11]
+    assert not count_rhs  # no state was measured per stage
 
 
 def test_the_reduced_stage_gives_the_per_stage_values():
@@ -314,7 +337,7 @@ def test_a_state_past_every_bound_aborts_as_the_interpreter_does():
     assert run(flow_argv("1e200", "1")) == (1, "t,x1,x2,y1\n0.0,0.0,0.0,1e+200\n# ABORTED\n", "")
     h = by_name("trivial:1").hamiltonian
     fused = integrate(h, [0.0, 0.0, 1e200], 0.0, 1.0, 1e-2)
-    same(fused, integrate_field(lambda s: hamilton_rhs(h, s), [0.0, 0.0, 1e200], 0.0, 1.0, 1e-2))
+    same(fused, flow(h, [0.0, 0.0, 1e200], 1.0, 1e-2))
     assert fused.error == "domain violation at t=0.0: overflow in power in 'p1^2'"
 
 
@@ -344,7 +367,7 @@ def test_a_hamiltonian_of_high_degree_stays_in_the_stage(count_rhs):
     for p1 in (1.0, 65536.0):
         fused = integrate(h, [0.0, 0.0, p1], 0.0, 0.05, 1e-2)
         assert not count_rhs  # the kernel took every step
-        same(fused, integrate_field(lambda s: hamilton_rhs(h, s), [0.0, 0.0, p1], 0.0, 0.05, 1e-2))
+        same(fused, flow(h, [0.0, 0.0, p1], 0.05, 1e-2))
 
 
 @pytest.mark.parametrize("alpha_v, ok", [("1e18*t", True), ("1e160*t", False)])
@@ -354,7 +377,7 @@ def test_a_reduced_flow_past_the_bound_equals_the_per_stage_flow(alpha_v, ok, co
     h, alpha = bundle.hamiltonian, CoSection(bundle.chart, "0", [alpha_v])
     fused = integrate_reduced(alpha, h, [0.0, 0.5], 0.0, 30.0, 1.0)
     assert count_rhs  # the kernel left the steps past B to the per-stage path
-    same(fused, integrate_field(reduced_field(alpha, h), [0.0, 0.5], 0.0, 30.0, 1.0))
+    same(fused, reduced_flow(alpha, h, [0.0, 0.5], 30.0, 1.0))
     assert fused.ok is ok and len(fused) == (31 if ok else 1)
     if not ok:
         assert "overflow in power in 'p1^2'" in fused.error

@@ -36,7 +36,8 @@ rhoV = 0, 1
 [hamiltonian]
 H = p1^2/2 + log(q1)
 """,
-    # rhoV overflows for x1 > 1.8, where dH/dy1 = 0 multiplies it
+    # rhoV overflows for x1 > 1.8, where dH/dy1 = 0 multiplies it: inf*0 is
+    # NaN, so the flow from x1 = 1.5 aborts after t = 0.25 (the next step reads x1 = 1.8)
     "inf_anchor.model": """
 [space]
 m = 1

@@ -55,7 +55,7 @@ def test_f_linear_mode_is_hamiltonian_after_insertion():
         inserted = dict(env)
         for a, v in enumerate(bundle.chart.fiber_vars):
             inserted[v] = ex.evaluate(alpha.alphaV[a], env)
-        assert abs(ex.evaluate(f, env) - bundle.hamiltonian.value(inserted)) <= 1e-12
+        assert abs(ex.evaluate(f, env) - ex.evaluate(bundle.hamiltonian.H, inserted)) <= 1e-12
 
 
 def test_f_trivial_fibration_generating_function_formula():

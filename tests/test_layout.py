@@ -1,4 +1,5 @@
-"""The package's public names and the place of ``expr`` at the bottom of its imports."""
+"""The package's public names, the place of ``expr`` at the bottom of its
+imports, and the one home of the Hamilton formula."""
 
 import ast
 import importlib
@@ -29,3 +30,16 @@ def test_expr_imports_no_other_affmech_module():
         elif isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.startswith("affmech")]
     assert found == []
+
+
+def test_only_affgebroid_reads_the_chart_data():
+    # the Hamilton equations are written once, in affgebroid.hamilton_field;
+    # a module that reads rho0, rhoV, C0 or CV elsewhere would be writing them again
+    package = Path(affmech.__file__).parent
+    reads = sorted(
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"rho0", "rhoV", "C0", "CV"}
+    )
+    assert reads and all(r.startswith("affgebroid.py:") for r in reads), reads

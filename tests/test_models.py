@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from affmech import expr as ex
 from affmech.algebroid import SamplePlan, validate_chart
-from affmech.dynamics import hamilton_rhs, integrate
+from affmech.dynamics import hamilton_stage, integrate, interpret
 from affmech.hj import cocycle_residual, hj_residual
 from affmech.affgebroid import reeb
 from affmech.models import (
@@ -65,10 +66,10 @@ def test_trivial_fibration_reeb_is_classical():
     r = reeb(h)
     for env in SamplePlan(count=20, seed=3).points(["t", "q1", "p1"]):
         coeffs = r(env)
-        _, hx, hy = h.gradients(env)
+        _, dq, dp = [ex.evaluate(d, env) for d in h.partials]  # dH/dt, dH/dq, dH/dp
         assert coeffs[0] == 1.0
-        assert coeffs[1] == pytest.approx(hy[0], abs=1e-15)  # dq/dt = dH/dp
-        assert coeffs[2] == pytest.approx(-hx[1], abs=1e-15)  # dp/dt = -dH/dq
+        assert coeffs[1] == pytest.approx(dp, abs=1e-15)  # dq/dt = dH/dp
+        assert coeffs[2] == pytest.approx(-dq, abs=1e-15)  # dp/dt = -dH/dq
 
 
 def test_trivial_fibration_rejects_dimension_zero():
@@ -90,10 +91,10 @@ def test_rigid_body_euler_dynamics_conserves_invariants():
     assert traj.ok
     c0 = sum(v * v for v in start[1:])
     env0 = dict(zip(bundle.chart.all_vars(), start))
-    e0 = bundle.hamiltonian.value(env0)
+    e0 = ex.evaluate(bundle.hamiltonian.H, env0)
     casimir_drift = max(abs(sum(v * v for v in s[1:]) - c0) for s in traj.states)
     energy_drift = max(
-        abs(bundle.hamiltonian.value(dict(zip(bundle.chart.all_vars(), s))) - e0)
+        abs(ex.evaluate(bundle.hamiltonian.H, dict(zip(bundle.chart.all_vars(), s))) - e0)
         for s in traj.states[::50]
     )
     assert casimir_drift <= 1e-8
@@ -102,7 +103,7 @@ def test_rigid_body_euler_dynamics_conserves_invariants():
 
 def test_rigid_body_principal_axis_equilibrium():
     bundle = rigid_body(1.0, 2.0, 3.0)
-    rhs = hamilton_rhs(bundle.hamiltonian, [0.0, 0.0, 0.0, 1.0])
+    rhs = interpret(*hamilton_stage(bundle.hamiltonian))([0.0, 0.0, 0.0, 1.0])
     assert rhs[1:] == [0.0, 0.0, 0.0]
 
 
@@ -116,15 +117,13 @@ def test_linear_algebroid_embedding_structure():
     env = {"x1": 0.2, "x2": -0.8}
     assert [c for c in aff.base_vars] == ["x1", "x2"]
     assert aff.fiber_vars == ["y1", "y2"]
-    import affmech.expr as ex
-
     assert [ex.evaluate(c, env) for c in aff.rho0] == [0.0, 0.0]
     assert all(ex.evaluate(aff.C0[a][g], env) == 0.0 for a in range(2) for g in range(2))
 
 
 def test_linear_tangent_geodesic_flow():
     bundle = linear_tangent_model(2)
-    rhs = hamilton_rhs(bundle.hamiltonian, [0.0, 0.0, 0.7, -0.2])
+    rhs = interpret(*hamilton_stage(bundle.hamiltonian))([0.0, 0.0, 0.7, -0.2])
     assert rhs == pytest.approx([0.7, -0.2, 0.0, 0.0], abs=1e-15)
     traj = integrate(bundle.hamiltonian, [0.0, 0.0, 0.7, -0.2], 0.0, 2.0, 1e-2)
     assert traj.states[-1][:2] == pytest.approx([1.4, -0.4], abs=1e-12)
