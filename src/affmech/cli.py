@@ -218,6 +218,7 @@ def cmd_flow(bundle: ModelBundle, args) -> int:
     ]
     if not traj.ok:
         rows.append("# ABORTED")
+        print(f"error: flow aborted: {traj.error}", file=sys.stderr)
     payload = "\n".join(rows) + "\n"
     if args.out == "-":
         sys.stdout.write(payload)
@@ -299,8 +300,9 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
 
     for line in coc.lines():
         print(line)
-    print(f"f_min = {min(values):.6e}")
-    print(f"f_max = {max(values):.6e}")
+    nan = any(v != v for v in values)  # min and max would keep a NaN only if they met it first
+    print(f"f_min = {math.nan if nan else min(values):.6e}")
+    print(f"f_max = {math.nan if nan else max(values):.6e}")
     print(f"f_mean = {sum(values)/len(values):.6e}")
     for line in hj.lines():
         print(line)

@@ -5,6 +5,16 @@ functions, Hamiltonians, section components) is one of these expressions.
 The module provides parsing, printing, evaluation, and symbolic partial
 derivatives (``diff``) built from constant-folding constructors.
 
+The nodes ``Lit``, ``Var``, ``Neg``, ``BinOp`` and ``Call`` are slotted
+classes, immutable by convention: nothing assigns to a node after its
+``__init__``.  ``==`` and ``hash`` go by structure, as a frozen dataclass's
+do: same class, then the fields compared as a tuple, so ``Lit(0.0) ==
+Lit(-0.0)``, and a NaN literal equals only a literal holding the same float
+object; ``repr`` prints ``Lit(value=-0.0)``.  Each node carries ``lit``, the
+value of a literal or a negated literal and None for any other node,
+computed once when the node is built; ``literal_value(e)`` returns it.  The
+tree walkers dispatch on ``e.__class__``.
+
 ``evaluate_many`` evaluates expressions at many points in one walk over
 their nodes, with the interpreter's float operations; where a point would
 raise, it declines, and the caller runs ``evaluate`` for the error.
@@ -39,7 +49,6 @@ import builtins
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -125,9 +134,27 @@ class DomainError(EvalError):
 
 
 class _Node:
-    """Shared operator sugar so ASTs can be assembled programmatically."""
+    """Operator sugar so ASTs can be assembled programmatically, and the
+    ``==``, ``hash`` and ``repr`` a frozen dataclass over ``_fields`` has."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    lit: float | None = None  # the value of a literal or a negated literal
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __add__(self, other):
         return BinOp("+", self, _lift(other))
@@ -160,32 +187,42 @@ class _Node:
         return Neg(self)
 
 
-@dataclass(frozen=True)
 class Lit(_Node):
-    value: float
+    __slots__ = ("value", "lit")
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        self.value = self.lit = value
 
 
-@dataclass(frozen=True)
 class Var(_Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    arg: "Expr"
+    __slots__ = ("arg", "lit")
+    _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
+        self.lit = -arg.value if arg.__class__ is Lit else None
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    lhs: "Expr"
-    rhs: "Expr"
+    __slots__ = _fields = ("op", "lhs", "rhs")  # op is one of + - * / ^
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    fn: str
-    arg: "Expr"
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: Expr):
+        self.fn, self.arg = fn, arg
 
 
 Expr = Union[Lit, Var, Neg, BinOp, Call]
@@ -201,12 +238,15 @@ FUNCTIONS = {
 }
 
 
+_KINDS = frozenset({Lit, Var, Neg, BinOp, Call})
+
+
 def _lift(obj) -> Expr:
-    if isinstance(obj, _Node):
-        return obj  # type: ignore[return-value]
     if isinstance(obj, (int, float)):
         v = float(obj)
         return Neg(Lit(-v)) if v < 0 else Lit(v)
+    if obj.__class__ in _KINDS:
+        return obj
     raise TypeError(f"cannot use {obj!r} as an expression")
 
 
@@ -353,18 +393,19 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _fmt(e: Expr, ctx: int) -> str:
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         v = float(e.value)
         s = repr(int(v)) if v.is_integer() and abs(v) < 1e16 else repr(v)
         return f"({s})" if v < 0 else s
-    if isinstance(e, Var):
+    if cls is Var:
         return e.name
-    if isinstance(e, Call):
+    if cls is Call:
         return f"{e.fn}({_fmt(e.arg, 0)})"
-    if isinstance(e, Neg):
+    if cls is Neg:
         s = "-" + _fmt(e.arg, _PREC_NEG)
         return f"({s})" if _PREC_NEG < ctx else s
-    assert isinstance(e, BinOp)
+    assert cls is BinOp
     if e.op in ("+", "-"):
         prec, s = _PREC_ADD, f"{_fmt(e.lhs, _PREC_ADD)}{e.op}{_fmt(e.rhs, _PREC_ADD + 1)}"
     elif e.op in ("*", "/"):
@@ -385,11 +426,7 @@ def to_string(e: Expr) -> str:
 
 def literal_value(e: Expr) -> float | None:
     """Value of a literal or a negated literal; None for any other node."""
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Neg) and isinstance(e.arg, Lit):
-        return -e.arg.value
-    return None
+    return e.lit
 
 
 def _checked_pow(base: float, c: float, node: Expr | None = None) -> float:
@@ -418,16 +455,17 @@ def _domain_error(reason: str, node: Expr | None) -> ArithmeticError | DomainErr
 
 def evaluate(e: Expr, env: Env) -> float:
     """Evaluate at a point; every free variable must be bound."""
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         return e.value
-    if isinstance(e, Var):
+    if cls is Var:
         try:
             return env[e.name]
         except KeyError:
             raise UnboundVariableError(e.name) from None
-    if isinstance(e, Neg):
+    if cls is Neg:
         return -evaluate(e.arg, env)
-    if isinstance(e, Call):
+    if cls is Call:
         x = evaluate(e.arg, env)
         if e.fn == "log" and x <= 0.0:
             raise DomainError("log of non-positive value", e)
@@ -439,10 +477,10 @@ def evaluate(e: Expr, env: Env) -> float:
             raise DomainError(f"overflow in {e.fn}", e) from None
         except ValueError:  # sin, cos or tan of an infinite value
             raise DomainError(f"{e.fn} of infinite value", e) from None
-    assert isinstance(e, BinOp)
+    assert cls is BinOp
     a = evaluate(e.lhs, env)
     if e.op == "^":
-        c = literal_value(e.rhs)
+        c = e.rhs.lit
         if c is not None:
             return _checked_pow(a, c, e)
         b = evaluate(e.rhs, env)
@@ -489,20 +527,21 @@ def _values(e: Expr, envs: Sequence[Env], memo: dict) -> list:
     out = memo.get(id(e))
     if out is not None:
         return out
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         out = [e.value] * len(envs)
-    elif isinstance(e, Var):
+    elif cls is Var:
         name = e.name
         out = [env[name] for env in envs]
-    elif isinstance(e, Neg):
+    elif cls is Neg:
         out = list(map(operator.neg, _values(e.arg, envs, memo)))
-    elif isinstance(e, Call):
+    elif cls is Call:
         # math's log and sqrt raise ValueError exactly where evaluate's checks raise
         out = list(map(FUNCTIONS[e.fn], _values(e.arg, envs, memo)))
     elif e.op != "^":  # a float divided by 0.0 raises ZeroDivisionError, as evaluate raises
         out = list(map(_BATCHED[e.op], _values(e.lhs, envs, memo), _values(e.rhs, envs, memo)))
     else:
-        xs, c = _values(e.lhs, envs, memo), literal_value(e.rhs)
+        xs, c = _values(e.lhs, envs, memo), e.rhs.lit
         if c is None:
             ys = _values(e.rhs, envs, memo)
             if any(a <= 0.0 for a in xs):
@@ -555,18 +594,19 @@ def _straight_line(
         if text is not None:
             return text
         guard = None
-        if isinstance(e, Lit):
+        cls = e.__class__
+        if cls is Lit:
             text = const(e.value)
-        elif isinstance(e, Var):
+        elif cls is Var:
             if e.name not in names:
                 raise UnboundVariableError(e.name)
             text = names[e.name]
-        elif isinstance(e, Neg):
+        elif cls is Neg:
             rhs = f"-{operand(e.arg)}"
-        elif isinstance(e, Call):
+        elif cls is Call:
             rhs = f"_{e.fn}({operand(e.arg)})"
         elif e.op == "^":
-            c = literal_value(e.rhs)
+            c = e.rhs.lit
             if c is not None and float(c).is_integer():
                 # math.pow raises where _checked_pow does; only 0^c with
                 # c > 0 odd differs (-0.0 for a base of -0.0)
@@ -615,28 +655,30 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     The result is rebuilt with the folding constructors, so literals that
     the substitution brings together are folded.
     """
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         return e
-    if isinstance(e, Var):
+    if cls is Var:
         return mapping.get(e.name, e)
-    if isinstance(e, Neg):
+    if cls is Neg:
         return neg(substitute(e.arg, mapping))
-    if isinstance(e, Call):
+    if cls is Call:
         return call(e.fn, substitute(e.arg, mapping))
-    assert isinstance(e, BinOp)
+    assert cls is BinOp
     return _BUILD[e.op](substitute(e.lhs, mapping), substitute(e.rhs, mapping))
 
 
 def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         return set()
-    if isinstance(e, Var):
+    if cls is Var:
         return {e.name}
-    if isinstance(e, Neg):
+    if cls is Neg:
         return free_vars(e.arg)
-    if isinstance(e, Call):
+    if cls is Call:
         return free_vars(e.arg)
-    assert isinstance(e, BinOp)
+    assert cls is BinOp
     return free_vars(e.lhs) | free_vars(e.rhs)
 
 
@@ -673,18 +715,19 @@ def _degree(e: Expr, memo: dict) -> int:
     d = memo.get(id(e))
     if d is not None:
         return d
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         if not math.isfinite(e.value):
             raise _NotProved
         d = 0
-    elif isinstance(e, Var):
+    elif cls is Var:
         d = 1
-    elif isinstance(e, Call):
+    elif cls is Call:
         raise _NotProved
-    elif isinstance(e, Neg):
+    elif cls is Neg:
         d = _degree(e.arg, memo)
     elif e.op == "^":
-        k = literal_value(e.rhs)
+        k = e.rhs.lit
         if k is None or k < 0 or not float(k).is_integer():
             raise _NotProved
         d = int(k) * max(_degree(e.lhs, memo), 1)
@@ -705,16 +748,17 @@ def _expand(e: Expr, memo: dict) -> tuple[dict, int]:
     p = memo.get(id(e))
     if p is not None:
         return p
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         n, den = float(e.value).as_integer_ratio()
         p = {(): n} if n else {}, den
-    elif isinstance(e, Var):
+    elif cls is Var:
         p = {(e.name,): 1}, 1
-    elif isinstance(e, Neg):
+    elif cls is Neg:
         terms, den = _expand(e.arg, memo)
         p = {m: -c for m, c in terms.items()}, den
     elif e.op == "^":
-        (base, den), k = _expand(e.lhs, memo), int(literal_value(e.rhs))
+        (base, den), k = _expand(e.lhs, memo), int(e.rhs.lit)
         terms = {(): 1}
         for _ in range(k):
             terms = _times(terms, base)
@@ -777,23 +821,24 @@ def _bound(e: Expr, bounds: Mapping[str, float], memo: dict) -> float:
     b = memo.get(id(e))
     if b is not None:
         return b
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         b = abs(e.value)
-    elif isinstance(e, Var):
+    elif cls is Var:
         b = bounds.get(e.name, math.inf)
-    elif isinstance(e, Neg):
+    elif cls is Neg:
         b = _bound(e.arg, bounds, memo)
-    elif isinstance(e, Call):
+    elif cls is Call:
         raise _NotProved
     else:
         x, y = _bound(e.lhs, bounds, memo), _bound(e.rhs, bounds, memo)
         if e.op == "^":
-            k = literal_value(e.rhs)
+            k = e.rhs.lit
             if k is None or k < 0 or not float(k).is_integer():
                 raise _NotProved
             b = x ** int(k)
         elif e.op == "/":
-            c = literal_value(e.rhs)
+            c = e.rhs.lit
             b = x / abs(evaluate(e.rhs, {}) if c is None else c)
         else:
             b = x * y if e.op == "*" else x + y
@@ -831,8 +876,9 @@ def _literal(v: float, op: str, a: Expr, b: Expr) -> Expr:
 
 
 def add(a, b) -> Expr:
-    a, b = _lift(a), _lift(b)
-    x, y = literal_value(a), literal_value(b)
+    if a.__class__ not in _KINDS or b.__class__ not in _KINDS:
+        a, b = _lift(a), _lift(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _literal(x + y, "+", a, b)
     if x == 0.0:
@@ -843,8 +889,9 @@ def add(a, b) -> Expr:
 
 
 def sub(a, b) -> Expr:
-    a, b = _lift(a), _lift(b)
-    x, y = literal_value(a), literal_value(b)
+    if a.__class__ not in _KINDS or b.__class__ not in _KINDS:
+        a, b = _lift(a), _lift(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _literal(x - y, "-", a, b)
     if x == 0.0:
@@ -855,8 +902,9 @@ def sub(a, b) -> Expr:
 
 
 def mul(a, b) -> Expr:
-    a, b = _lift(a), _lift(b)
-    x, y = literal_value(a), literal_value(b)
+    if a.__class__ not in _KINDS or b.__class__ not in _KINDS:
+        a, b = _lift(a), _lift(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _literal(x * y, "*", a, b)
     if x == 0.0 or y == 0.0:
@@ -873,8 +921,9 @@ def mul(a, b) -> Expr:
 
 
 def div(a, b) -> Expr:
-    a, b = _lift(a), _lift(b)
-    x, y = literal_value(a), literal_value(b)
+    if a.__class__ not in _KINDS or b.__class__ not in _KINDS:
+        a, b = _lift(a), _lift(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _literal(x / y, "/", a, b) if y else BinOp("/", a, b)  # x/0 raises
     if x == 0.0:
@@ -885,18 +934,20 @@ def div(a, b) -> Expr:
 
 
 def neg(a) -> Expr:
-    a = _lift(a)
-    x = literal_value(a)
+    if a.__class__ not in _KINDS:
+        a = _lift(a)
+    x = a.lit
     if x is not None:
         return _lift(-x)
-    if isinstance(a, Neg):
+    if a.__class__ is Neg:
         return a.arg
     return Neg(a)
 
 
 def power(a, b) -> Expr:
-    a, b = _lift(a), _lift(b)
-    x, y = literal_value(a), literal_value(b)
+    if a.__class__ not in _KINDS or b.__class__ not in _KINDS:
+        a, b = _lift(a), _lift(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _fold(BinOp("^", a, b))
     if y == 1.0:
@@ -905,9 +956,10 @@ def power(a, b) -> Expr:
 
 
 def call(fn: str, a) -> Expr:
-    a = _lift(a)
+    if a.__class__ not in _KINDS:
+        a = _lift(a)
     node = Call(fn, a)
-    return _fold(node) if literal_value(a) is not None else node
+    return _fold(node) if a.lit is not None else node
 
 
 _BUILD = {"+": add, "-": sub, "*": mul, "/": div, "^": power}
@@ -929,30 +981,31 @@ def diff(e: Expr, var: str) -> Expr:
     Built from the folding constructors, so a derivative that vanishes by
     structure comes out as ``Lit(0)``.
     """
-    if isinstance(e, Lit):
+    cls = e.__class__
+    if cls is Lit:
         return _ZERO
-    if isinstance(e, Var):
+    if cls is Var:
         return _ONE if e.name == var else _ZERO
-    if isinstance(e, Neg):
+    if cls is Neg:
         return neg(diff(e.arg, var))
     # Where the derivatives of the operands are literal zeros and the other
     # factors are not literals, the rules below fold to 0: return it unbuilt.
-    if isinstance(e, Call):
+    if cls is Call:
         da = diff(e.arg, var)
-        if literal_value(da) == 0.0 and literal_value(e.arg) is None:
+        if da.lit == 0.0 and e.arg.lit is None:
             return _ZERO
         return mul(_CHAIN[e.fn](e), da)
-    assert isinstance(e, BinOp)
+    assert cls is BinOp
     a, b = e.lhs, e.rhs
     da = diff(a, var)
     if e.op == "^":
-        c = literal_value(b)
+        c = b.lit
         if c == 0.0:
             return _ZERO
         if c == 1.0:
             return da
         if c is not None:
-            if literal_value(da) == 0.0 and literal_value(a) is None:
+            if da.lit == 0.0 and a.lit is None:
                 return _ZERO
             return mul(mul(c, power(a, c - 1.0)), da)
         return mul(e, add(mul(diff(b, var), call("log", a)), div(mul(b, da), a)))
@@ -961,8 +1014,8 @@ def diff(e: Expr, var: str) -> Expr:
         return add(da, db)
     if e.op == "-":
         return sub(da, db)
-    if (e.op == "*" or e.op == "/") and literal_value(da) == literal_value(db) == 0.0:
-        if literal_value(b) is None and (e.op == "/" or literal_value(a) is None):
+    if (e.op == "*" or e.op == "/") and da.lit == db.lit == 0.0:
+        if b.lit is None and (e.op == "/" or a.lit is None):
             return _ZERO
     if e.op == "*":
         return add(mul(da, b), mul(a, db))

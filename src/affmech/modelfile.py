@@ -42,7 +42,7 @@ from pathlib import Path
 from . import expr as ex
 from .algebroid import SamplePlan, check_box_var
 from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
-from .models import ModelBundle
+from .models import MAX_DIMENSION, ModelBundle
 
 __all__ = ["ModelFileError", "load_model", "parse_model_text"]
 
@@ -150,6 +150,8 @@ def _int_field(entries, section, key) -> int:
         raise ModelFileError(f"'{key}' must be an integer, got {value!r}", line) from None
     if n < 1:
         raise ModelFileError(f"'{key}' must be positive", line)
+    if n > MAX_DIMENSION:  # before the chart and its n^3 entries are built
+        raise ModelFileError(f"'{key}' = {n} is past the budget of {MAX_DIMENSION}", line)
     return n
 
 

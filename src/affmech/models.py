@@ -36,7 +36,10 @@ __all__ = [
     "perturbed_so3_chart",
     "by_name",
     "BUILTIN_PATTERNS",
+    "MAX_DIMENSION",
 ]
+
+MAX_DIMENSION = 110  # largest base or fiber dimension of a model: a chart stores n^3 entries
 
 _LEVI_CIVITA = {
     (0, 1, 2): 1.0,
@@ -325,9 +328,9 @@ def by_name(name: str) -> ModelBundle:
             hamiltonian=HamiltonianSection(chart, 0.0),
         )
     if name.startswith("trivial:"):
-        return trivial_fibration(_positive_int(name, name.split(":", 1)[1]))
+        return trivial_fibration(_dimension(name, name.split(":", 1)[1], time=1))
     if name.startswith("linear:tangent"):
-        return linear_tangent_model(_positive_int(name, name[len("linear:tangent"):]))
+        return linear_tangent_model(_dimension(name, name[len("linear:tangent"):], time=0))
     if name.startswith("rigid:"):
         parts = name.split(":", 1)[1].split(",")
         if len(parts) != 3:
@@ -343,12 +346,16 @@ def by_name(name: str) -> ModelBundle:
     raise ModelNameError(f"unknown model '{name}'; builtins: {BUILTIN_PATTERNS}")
 
 
-def _positive_int(name: str, text: str) -> int:
+def _dimension(name: str, text: str, time: int) -> int:
+    """The dimension in a builtin name; the model's base has ``time`` coordinates more."""
     try:
         value = int(text)
     except ValueError:
         raise ModelNameError(f"'{name}': expected an integer dimension") from None
     if value < 1:
         raise ModelNameError(f"'{name}': dimension must be positive")
+    if value + time > MAX_DIMENSION:
+        message = f"base dimension {value + time} is past the budget of {MAX_DIMENSION}"
+        raise ModelNameError(f"'{name}': {message}")
     return value
 

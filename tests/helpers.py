@@ -15,7 +15,10 @@ of its own, so that the tests can check it against the interpreter.
 the folding constructors of ``expr``: each builds the node of a literal
 operation and folds it through ``expr.evaluate``.  ``hamilton_rhs`` sums the
 Hamilton equations term by term from the chart data: the oracle for
-``affgebroid.hamilton_field``.
+``affgebroid.hamilton_field``.  ``FrozenLit``, ``FrozenVar``, ``FrozenNeg``,
+``FrozenBinOp`` and ``FrozenCall`` are the expression nodes as frozen
+dataclasses, with ``frozen_literal_value``: the oracle for the ``==``,
+``hash``, ``repr`` and ``literal_value`` of the slotted nodes of ``expr``.
 """
 
 from __future__ import annotations
@@ -497,3 +500,75 @@ def fold_div(a, b):
     if y == 1.0:
         return a
     return BinOp("/", a, b)
+
+
+# ------------------------------------------- frozen-dataclass oracle for the nodes
+# Each class prints under the name of the node it stands for, as its dataclass did.
+
+
+@dataclass(frozen=True)
+class FrozenLit:
+    __qualname__ = "Lit"
+    value: float
+
+
+@dataclass(frozen=True)
+class FrozenVar:
+    __qualname__ = "Var"
+    name: str
+
+
+@dataclass(frozen=True)
+class FrozenNeg:
+    __qualname__ = "Neg"
+    arg: object
+
+
+@dataclass(frozen=True)
+class FrozenBinOp:
+    __qualname__ = "BinOp"
+    op: str
+    lhs: object
+    rhs: object
+
+
+@dataclass(frozen=True)
+class FrozenCall:
+    __qualname__ = "Call"
+    fn: str
+    arg: object
+
+
+def frozen_literal_value(e):
+    """Value of a literal or a negated literal; None for any other node."""
+    if isinstance(e, FrozenLit):
+        return e.value
+    if isinstance(e, FrozenNeg) and isinstance(e.arg, FrozenLit):
+        return -e.arg.value
+    return None
+
+
+def to_frozen(e):
+    """The same tree as frozen dataclasses; every literal keeps its float object."""
+    if isinstance(e, Lit):
+        return FrozenLit(e.value)
+    if isinstance(e, Var):
+        return FrozenVar(e.name)
+    if isinstance(e, Neg):
+        return FrozenNeg(to_frozen(e.arg))
+    if isinstance(e, Call):
+        return FrozenCall(e.fn, to_frozen(e.arg))
+    return FrozenBinOp(e.op, to_frozen(e.lhs), to_frozen(e.rhs))
+
+
+def from_frozen(e):
+    """The inverse walk of ``to_frozen``: new ``expr`` nodes over the same leaves."""
+    if isinstance(e, FrozenLit):
+        return Lit(e.value)
+    if isinstance(e, FrozenVar):
+        return Var(e.name)
+    if isinstance(e, FrozenNeg):
+        return Neg(from_frozen(e.arg))
+    if isinstance(e, FrozenCall):
+        return Call(e.fn, from_frozen(e.arg))
+    return BinOp(e.op, from_frozen(e.lhs), from_frozen(e.rhs))

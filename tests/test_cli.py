@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmech import cli, dynamics
-from affmech.algebroid import MAX_SAMPLES, SamplePlan
+from affmech import cli, dynamics, models
+from affmech.affgebroid import AffgebroidChart
+from affmech.algebroid import MAX_SAMPLES, AlgebroidChart, SamplePlan
 from affmech.cli import main
-from affmech.models import by_name
+from affmech.modelfile import parse_model_text
+from affmech.models import MAX_DIMENSION, by_name
 
 FREE_PARTICLE = """
 [space]
@@ -198,6 +200,15 @@ def test_flow_aborts_flagged(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert out.strip().splitlines()[-1] == "# ABORTED"
+
+
+def test_flow_abort_says_why_on_stderr(tmp_path, capsys):
+    p = tmp_path / "blowup.model"
+    p.write_text(ZERO_H + "\n[hamiltonian]\nH = u*w^2\n")
+    assert main(["flow", str(p), "--x0", "0", "--y0", "-2", "--t-end", "1", "--step", "1e-3"]) == 1
+    line, out = error_line(capsys)
+    assert line.startswith("error: flow aborted: ") and "at t=0.5" in line
+    assert out.splitlines()[-1] == "# ABORTED"
 
 
 def test_flow_aborts_where_the_hamiltonian_is_undefined(tmp_path, capsys):
@@ -390,6 +401,16 @@ def test_hj_nan_residuals_fail_their_checks(capsys):
         assert line in out.splitlines()
 
 
+def test_hj_nan_values_of_f_print_as_nan(capsys):
+    # f = inf - inf is NaN where q1 > 0.1 and 0 elsewhere: min and max must
+    # not keep whichever of the two they meet first
+    alpha = "alpha0=(1e308*q1)*10-(1e308*q1)*10;alphaV=0"
+    assert main(["hj", "trivial:1", "--alpha", alpha, "--samples", "12", "--seed", "6"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    for line in ("f_min = nan", "f_max = nan", "f_mean = nan"):
+        assert line in out
+
+
 def test_hj_box_must_be_ordered_finite_and_known(capsys):
     for box, fragment in [
         ("t=2,1", "lo < hi"),
@@ -574,6 +595,38 @@ def test_sample_counts_past_the_budget_are_input_errors(argv, monkeypatch, capsy
     line, out = error_line(capsys)
     assert f"at most the sample budget of {MAX_SAMPLES}, got {argv[-1]}" in line and out == ""
     assert SamplePlan(count=MAX_SAMPLES).count == MAX_SAMPLES  # the budget itself is allowed
+
+
+PAST = MAX_DIMENSION + 1
+
+
+@pytest.mark.parametrize("model, message", [
+    (f"trivial:{MAX_DIMENSION}", f"'trivial:{MAX_DIMENSION}': base dimension {PAST}"),
+    (f"linear:tangent{PAST}", f"'linear:tangent{PAST}': base dimension {PAST}"),
+    ("trivial:100000", "'trivial:100000': base dimension 100001"),
+    ("m.model", f"line 3: 'm' = {PAST}"),
+    ("n.model", f"line 4: 'n' = {PAST}"),
+])
+def test_models_past_the_dimension_budget_are_input_errors(model, message, tmp_path, monkeypatch,
+                                                            capsys):
+    (tmp_path / "m.model").write_text(FREE_PARTICLE.replace("m = 2", f"m = {PAST}"))
+    (tmp_path / "n.model").write_text(FREE_PARTICLE.replace("n = 1", f"n = {PAST}"))
+    for chart in (AlgebroidChart, AffgebroidChart):  # refused before any chart is built
+        monkeypatch.setattr(chart, "__init__", lambda *args: pytest.fail("built a chart"))
+    path = tmp_path / model
+    assert main(["validate", str(path) if path.exists() else model]) == 2
+    line, out = error_line(capsys)
+    assert message + f" is past the budget of {MAX_DIMENSION}" in line and out == ""
+
+
+def test_models_at_the_dimension_budget_are_built(monkeypatch):
+    monkeypatch.setattr(models, "trivial_fibration", lambda dim: dim)
+    monkeypatch.setattr(models, "linear_tangent_model", lambda dim: dim)
+    assert by_name(f"trivial:{MAX_DIMENSION - 1}") == MAX_DIMENSION - 1  # base t, q1..q109
+    assert by_name(f"linear:tangent{MAX_DIMENSION}") == MAX_DIMENSION
+    base = ", ".join(f"x{i}" for i in range(MAX_DIMENSION))
+    text = f"[space]\nm = {MAX_DIMENSION}\nn = 1\nvars = {base}, p\n[hamiltonian]\nH = p^2/2\n"
+    assert parse_model_text(text).chart.m == MAX_DIMENSION
 
 
 def test_the_step_budget_is_checked_before_integrating(monkeypatch, capsys):

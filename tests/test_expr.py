@@ -19,6 +19,9 @@ from helpers import (
     fold_div,
     fold_mul,
     fold_sub,
+    frozen_literal_value,
+    from_frozen,
+    to_frozen,
 )
 
 
@@ -246,6 +249,60 @@ def _trees():
 @given(_trees())
 def test_round_trip_property(e):
     assert ex.parse(ex.to_string(e)) == e, ex.to_string(e)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_trees())
+def test_round_trip_agrees_with_the_frozen_oracle(e):
+    back = ex.parse(ex.to_string(e))
+    assert to_frozen(back) == to_frozen(e)
+    assert repr(back) == repr(e)
+
+
+# ------------------------------------------- nodes against the frozen dataclasses
+
+
+def _any_trees():
+    """Trees with every literal a constructor can meet: signed zeros, infinities,
+    NaN and negative values, and negations of negated literals."""
+    special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0])
+    literals = (st.floats() | special).map(Lit)
+    names = st.sampled_from(["x", "y"]).map(Var)
+    return st.recursive(
+        literals | names,
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            sub.map(Neg).map(Neg),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+            st.builds(Call, st.sampled_from(sorted(ex.FUNCTIONS)), sub),
+        ),
+        max_leaves=8,
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_any_trees(), _any_trees())
+def test_nodes_compare_hash_and_print_as_the_frozen_dataclasses(a, b):
+    # from_frozen(to_frozen(a)) is a distinct tree over the same float objects
+    nodes = [a, b, from_frozen(to_frozen(a)), Lit(0.0), Lit(-0.0), Lit(math.nan)]
+    for x in nodes:
+        fx = to_frozen(x)
+        assert hash(x) == hash(fx)
+        assert repr(x) == repr(fx)
+        assert repr(ex.literal_value(x)) == repr(frozen_literal_value(fx))
+        for y in nodes:
+            assert (x == y) == (fx == to_frozen(y))
+            assert (x != y) == (fx != to_frozen(y))
+
+
+def test_node_equality_hand_cases():
+    nan = math.nan
+    assert Lit(0.0) == Lit(-0.0) and hash(Lit(0.0)) == hash(Lit(-0.0))
+    assert repr(Lit(-0.0)) == "Lit(value=-0.0)"
+    assert Lit(nan) == Lit(nan) and Lit(nan) != Lit(float("nan"))  # the same float object, or not
+    assert BinOp("+", Var("x"), Lit(1.0)) != Call("sin", Var("x")) and Var("x") != "x"
+    assert [ex.literal_value(e) for e in (Lit(2.0), Neg(Lit(2.0)), Neg(Neg(Lit(2.0))))] == [2.0, -2.0, None]
+    assert ex.neg(Neg(Neg(Lit(2.0)))) == Neg(Lit(2.0))
 
 
 # ------------------------------------------------------------- substitution

@@ -1,5 +1,5 @@
 """The package's public names, the place of ``expr`` at the bottom of its
-imports, and the one home of the Hamilton formula."""
+imports, the one home of the Hamilton formula, and slotted expression nodes."""
 
 import ast
 import importlib
@@ -43,3 +43,25 @@ def test_only_affgebroid_reads_the_chart_data():
         if isinstance(node, ast.Attribute) and node.attr in {"rho0", "rhoV", "C0", "CV"}
     )
     assert reads and all(r.startswith("affgebroid.py:") for r in reads), reads
+
+
+NODES = [ex.Lit(1.0), ex.Var("x"), ex.Neg(ex.Var("x")), ex.BinOp("+", ex.Var("x"), ex.Lit(1.0)),
+         ex.Call("sin", ex.Var("x"))]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_expression_nodes_are_slotted(node):
+    # a node with a __dict__ or a dataclass __init__ costs several times as much to build
+    assert "__slots__" in vars(type(node))
+    assert not hasattr(node, "__dict__")
+
+
+def test_expr_applies_no_dataclass_decorator():
+    tree = ast.parse(Path(ex.__file__).read_text())
+    decorators = [
+        ast.unparse(d)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        for d in node.decorator_list
+    ]
+    assert not [d for d in decorators if "dataclass" in d]
