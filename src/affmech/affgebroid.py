@@ -10,28 +10,35 @@ stored data reduces to
     C0[a][g]       e_g-coefficient of [e_0, e_a],
     CV[a][b][g]    e_g-coefficient of [e_a, e_b].
 
-From this chart the module builds the vertical subalgebroid, the
-prolongation over the dual of the vertical bundle with its cosymplectic
-pair, the Hamilton field of a Hamiltonian section, the Reeb section (read
-off that field), and the pullback identities satisfied by sections of that
-dual.
+Every entry is an expression in the base variables alone that divides by
+no literal zero; the constructor rejects any other.  From this chart the
+module builds the vertical subalgebroid, the prolongation over the dual of
+the vertical bundle with its cosymplectic pair, the Hamilton field of a
+Hamiltonian section, the Reeb section (read off that field), and the
+pullback identities satisfied by sections of that dual.  ``validate_charts``
+checks the axioms of the bidual, the vertical subalgebroid and the
+prolongation from the bidual's residuals alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import expr as ex
-from .expr import Expr, Lit, Var, add, diff, mul, neg, sub
+from .expr import BinOp, Expr, Lit, Var, add, diff, mul, neg, sub
 from .algebroid import (
     AlgebroidChart,
+    ChartResiduals,
     KSection,
     Morphism,
     Prolongation,
     Report,
     SamplePlan,
+    ValidationReport,
     as_expr,
+    chart_report,
+    chart_residuals,
     differential,
     prolong,
     pullback,
@@ -42,6 +49,7 @@ from .algebroid import (
 
 __all__ = [
     "AffgebroidChart",
+    "validate_charts",
     "HamiltonianSection",
     "CoSection",
     "VStarSection",
@@ -84,11 +92,36 @@ class AffgebroidChart:
             raise ValueError("CV must be n x n x n")
         if set(self.base_vars) & set(self.fiber_vars):
             raise ValueError("base and fiber variable names must not overlap")
+        self._check_entries()
         self._bidual = None
         self._vertical = None
         self._prolongation = None
         self._vertical_prolongation = None
         self._aplus_prolongation = None
+
+    def _check_entries(self) -> None:
+        """Reject an entry that reads a non-base variable or divides by a literal zero.
+
+        Its partial along a fiber coordinate would not be a literal zero, which
+        ``validate_charts`` needs.  One walk covers all entries; only a failed
+        walk looks for the entry, to name it.
+        """
+        base = set(self.base_vars)
+        entries = [*self.rho0, *(e for row in self.rhoV + self.C0 for e in row)]
+        names, zero_divisor = _scan(entries + [e for mat in self.CV for col in mat for e in col])
+        if names <= base and not zero_divisor:
+            return
+        rows = [("rho0", self.rho0)] + [(f"rhoV[{a}]", r) for a, r in enumerate(self.rhoV)]
+        rows += [(f"C0[{a}]", r) for a, r in enumerate(self.C0)]
+        rows += [(f"CV[{a}][{b}]", c) for a, mat in enumerate(self.CV) for b, c in enumerate(mat)]
+        for name, row in rows:
+            for i, e in enumerate(row):
+                names, zero_divisor = _scan([e])
+                if names - base:
+                    what = f"reads variables {sorted(names - base)}, which are not base variables"
+                    raise ValueError(f"chart entry {name}[{i}] {what} {self.base_vars}")
+                if zero_divisor:
+                    raise ValueError(f"chart entry {name}[{i}] divides by a literal zero")
 
     @property
     def m(self) -> int:
@@ -156,6 +189,62 @@ class AffgebroidChart:
 
     def __repr__(self):
         return f"AffgebroidChart(m={self.m}, n={self.n}, base={self.base_vars}, fiber={self.fiber_vars})"
+
+
+def validate_charts(
+    aff: AffgebroidChart, sample: SamplePlan | None = None
+) -> Iterator[tuple[str, ValidationReport]]:
+    """The ``validate_chart`` reports of the bidual, vertical and prolongation charts, in order.
+
+    Only the bidual's residuals are built, each tried with ``expr.is_zero``
+    once.  The vertical chart's data are rows 1..n of the bidual's and no
+    bracket outputs e_0, so its residuals are the bidual's on index tuples
+    without e_0, indices shifted down by one.  The prolongation's lifts
+    carry the bidual's data, and its verticals (anchor 1, in no bracket) add
+    no residual: every partial of the chart data along a fiber coordinate
+    is a literal zero (see ``AffgebroidChart``), which ``differential``
+    skips.  Each view is sampled at its own points.  The reports are
+    yielded one by one, so a caller prints each before a later one's error.
+    """
+    plan = sample if sample is not None else SamplePlan()
+    bidual = aff.bidual_chart()
+    res = chart_residuals(bidual)
+    yield "bidual", chart_report(res, aff.base_vars, bidual.labels, plan)
+    vertical = ChartResiduals(
+        _without_e0(res.sums),
+        {v: _without_e0(family) for v, family in res.coordinates.items()},
+        [_without_e0(family) for family in res.covectors[1:]],
+        res.proved,
+    )
+    yield "vertical", chart_report(vertical, aff.base_vars, bidual.labels[1:], plan)
+    labels = [f"~{label}" for label in bidual.labels]
+    yield "prolongation", chart_report(res, aff.all_vars(), labels, plan)
+
+
+def _without_e0(family: dict) -> dict:
+    """The entries on index tuples without e_0, with every index shifted down by one."""
+    return {tuple(i - 1 for i in key): e for key, e in family.items() if 0 not in key}
+
+
+def _scan(todo: list) -> tuple[set[str], bool]:
+    """The variables the expressions read, and whether one divides by a literal zero.
+
+    The walk uses ``todo`` as its stack, not recursion.
+    """
+    names, zero_divisor = set(), False
+    while todo:
+        e = todo.pop()
+        cls = e.__class__
+        if cls is Lit:
+            continue
+        if cls is Var:
+            names.add(e.name)
+        elif cls is BinOp:
+            todo += (e.lhs, e.rhs)
+            zero_divisor = zero_divisor or (e.op == "/" and e.rhs.lit == 0.0)
+        else:
+            todo.append(e.arg)
+    return names, zero_divisor
 
 
 @dataclass

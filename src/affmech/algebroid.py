@@ -6,6 +6,9 @@ degree-k alternating sections, the exterior differential, pullbacks along
 morphisms, numeric chart validation (antisymmetry, anchor compatibility and
 Jacobi via d.d = 0 at sampled points), and the prolongation of a chart over
 a fibration together with its Liouville and canonical symplectic sections.
+Validation builds a chart's residuals (``chart_residuals``), then checks
+them (``chart_report``), so a chart whose residuals are another's is checked
+without being built (``affgebroid.validate_charts``).
 
 Chart data and morphism data are stored as the expressions ``as_expr``
 returns (anything else is a TypeError).  A KSection stores each coefficient
@@ -32,6 +35,7 @@ with the interpreter's values, errors and error points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,6 +57,9 @@ __all__ = [
     "differential",
     "Report",
     "ValidationReport",
+    "ChartResiduals",
+    "chart_residuals",
+    "chart_report",
     "validate_chart",
     "Morphism",
     "pullback",
@@ -504,15 +511,15 @@ def columns(exprs: Sequence[Expr], envs) -> Iterator[tuple[list, list[list[float
 def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, units=None):
     """``section_max_abs``'s loop over ``nodes`` (key -> residual).
 
-    ``proved`` holds the keys that ``expr.is_zero`` proved (``_proved``); such
-    a residual counts 0 when ``expr.magnitude_below`` bounds it over the
-    points.  The others are evaluated by ``columns``, a chunk of points at a
-    time, and measured point by point in order.  ``units``, for a SamplePlan,
-    returns the plan's unit draws to reuse (see ``SamplePlan.points``).
+    ``proved`` holds the ids of the residuals that ``expr.is_zero`` proved
+    (``_proved``); such a residual counts 0 when ``expr.magnitude_below``
+    bounds it over the points.  The others are evaluated by ``columns``, a
+    chunk of points at a time, and measured point by point in order.  ``units``,
+    for a SamplePlan, returns the plan's unit draws to reuse (see ``SamplePlan.points``).
     """
     left, bounds = {}, None  # key -> residual, for each residual to sample
     for key, node in nodes.items():
-        if key in proved:
+        if id(node) in proved:
             if bounds is None:
                 bounds = _bounds(envs, variables)
             if ex.magnitude_below(node, bounds):
@@ -532,9 +539,9 @@ def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, units=
     return worst, where, at
 
 
-def _proved(nodes: Mapping) -> set:
-    """The keys of ``nodes`` whose residual ``expr.is_zero`` proves 0."""
-    return {key for key, node in nodes.items() if ex.is_zero(node)}
+def _proved(nodes: Iterable[Expr]) -> set:
+    """The ids of the residuals in ``nodes`` that ``expr.is_zero`` proves 0."""
+    return {id(node) for node in nodes if ex.is_zero(node)}
 
 
 def _bounds(envs, variables: Sequence[str]) -> dict[str, float]:
@@ -553,7 +560,7 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     evaluation error records the point it happened at as ``point``.
     """
     nodes = {idx: c.node for idx, c in s.coeffs.items()}
-    return _max_abs(nodes, _proved(nodes), s.chart.base_vars, envs)
+    return _max_abs(nodes, _proved(nodes.values()), s.chart.base_vars, envs)
 
 
 def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple, dict]]:
@@ -563,7 +570,7 @@ def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple, dict]]:
     on every call.  The function takes ``units`` as ``_max_abs`` does.
     """
     nodes = {idx: c.node for idx, c in s.coeffs.items()}
-    proved = _proved(nodes)
+    proved = _proved(nodes.values())
     return lambda envs, units=None: _max_abs(nodes, proved, s.chart.base_vars, envs, units)
 
 
@@ -671,8 +678,60 @@ class ValidationReport(Report):
     jacobi_max: float
     points: int
     worst_jacobi: str = ""
+    worst_anchor: str = ""
 
     valid = Report.verdict
+
+
+class ChartResiduals:
+    """Families (index -> residual) of C^c_ab + C^c_ba, d(d x) by base variable and d(d e^a)
+    by a, and the ids of the residuals that ``expr.is_zero`` proved 0."""
+
+    __slots__ = ("sums", "coordinates", "covectors", "proved")
+
+    def __init__(self, sums: dict, coordinates: dict, covectors: list, proved: set):
+        self.sums, self.coordinates, self.covectors, self.proved = sums, coordinates, covectors, proved
+
+
+def chart_residuals(chart: AlgebroidChart) -> ChartResiduals:
+    """Build the antisymmetry sums and d.d of every coordinate and basis covector."""
+    r = chart.rank
+    sums = {}  # C^c_ab + C^c_ba
+    for a in range(r):
+        for b in range(a, r):
+            cols = {c for c, _ in chart.structure_nonzero(a, b)}
+            cols |= {c for c, _ in chart.structure_nonzero(b, a)}
+            for c in sorted(cols):
+                sums[(a, b, c)] = BinOp("+", chart.structure[a][b][c], chart.structure[b][a][c])
+
+    def dd(s: KSection) -> dict:
+        return {idx: c.node for idx, c in differential(differential(s)).coeffs.items()}
+
+    coordinates = {v: dd(KSection.function(chart, Var(v))) for v in chart.base_vars}
+    covectors = [dd(KSection.basis_covector(chart, a)) for a in range(r)]
+    families = [sums, *coordinates.values(), *covectors]
+    proved = _proved(node for family in families for node in family.values())
+    return ChartResiduals(sums, coordinates, covectors, proved)
+
+
+def chart_report(
+    res: ChartResiduals, variables: Sequence[str], labels: Sequence[str], plan: SamplePlan
+) -> ValidationReport:
+    """Check ``res`` as ``section_max_abs`` does, over ``variables``; ``labels`` name the e^a."""
+    units = functools.cache(lambda: plan.units(len(variables)))  # one draw for every family
+    antisym, _, _ = _max_abs(res.sums, res.proved, variables, plan, units)
+
+    def worst(families) -> tuple[float, str]:
+        top, where = 0.0, ""
+        for name, family in families:
+            value, idx, _ = _max_abs(family, res.proved, variables, plan, units)
+            if value > top or value != value:
+                top, where = value, f"d(d {name}) component {idx}"
+        return top, where
+
+    anchor_max, worst_anchor = worst(res.coordinates.items())
+    jacobi_max, worst_jacobi = worst(zip(labels, res.covectors))
+    return ValidationReport(antisym, anchor_max, jacobi_max, plan.count, worst_jacobi, worst_anchor)
 
 
 def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> ValidationReport:
@@ -683,30 +742,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
     proves or samples its residuals as ``section_max_abs`` does.
     """
     plan = sample if sample is not None else SamplePlan()
-    r = chart.rank
-
-    sums = {}  # C^c_ab + C^c_ba
-    for a in range(r):
-        for b in range(a, r):
-            cols = {c for c, _ in chart.structure_nonzero(a, b)}
-            cols |= {c for c, _ in chart.structure_nonzero(b, a)}
-            for c in cols:
-                fwd, rev = chart.structure[a][b][c], chart.structure[b][a][c]
-                sums[(a, b, c)] = BinOp("+", fwd, rev)
-    antisym, _, _ = _max_abs(sums, _proved(sums), chart.base_vars, plan)
-
-    def dd_max(s: KSection):
-        return section_max_abs(differential(differential(s)), plan)
-
-    anchor_max = nan_max(dd_max(KSection.function(chart, Var(v)))[0] for v in chart.base_vars)
-
-    jacobi_max, worst_info = 0.0, ""
-    for a in range(r):
-        worst, where, _ = dd_max(KSection.basis_covector(chart, a))
-        if worst > jacobi_max or worst != worst:
-            jacobi_max = worst
-            worst_info = f"d(d {chart.labels[a]}) component {where}"
-    return ValidationReport(antisym, anchor_max, jacobi_max, plan.count, worst_jacobi=worst_info)
+    return chart_report(chart_residuals(chart), chart.base_vars, chart.labels, plan)
 
 
 # ------------------------------------------------------------- prolongation

@@ -21,10 +21,8 @@ import sys
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import (
-    MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, columns, nan_max, validate_chart,
-)
-from .affgebroid import CoSection
+from .algebroid import MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, columns, nan_max
+from .affgebroid import CoSection, validate_charts
 from .dynamics import DEFAULT_STEP, MAX_STEPS, check_step_budget, integrate
 from .hj import (
     POINT_TOL,
@@ -151,22 +149,18 @@ def _resolve_model(spec: str) -> ModelBundle:
 
 
 def cmd_validate(bundle: ModelBundle, args) -> int:
-    charts = {
-        "bidual": bundle.chart.bidual_chart(),
-        "vertical": bundle.chart.vertical_chart(),
-        "prolongation": bundle.chart.prolongation().chart,
-    }
     all_valid = True
-    for label, chart in charts.items():
-        try:
-            report = validate_chart(chart, bundle.sample)
-        except ex.EvalError as err:
-            return _evaluation_error(err)
-        for line in report.lines():
-            print(f"{label}_{line}")
-        if not report.valid and report.worst_jacobi:
-            print(f"{label}_worst = {report.worst_jacobi}")
-        all_valid = all_valid and report.valid
+    try:
+        for label, report in validate_charts(bundle.chart, bundle.sample):
+            for line in report.lines():
+                print(f"{label}_{line}")
+            if not report.valid and report.worst_jacobi:
+                print(f"{label}_worst = {report.worst_jacobi}")
+            if not report.anchor_max <= report.TOL:
+                print(f"{label}_worst_anchor = {report.worst_anchor}")
+            all_valid = all_valid and report.valid
+    except ex.EvalError as err:
+        return _evaluation_error(err)
     print(f"model_valid = {all_valid}")
     return EXIT_OK if all_valid else EXIT_CHECK_FAILED
 

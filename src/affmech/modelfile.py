@@ -82,9 +82,12 @@ def parse_model_text(text: str, name: str = "model") -> ModelBundle:
     C0 = _expr_rows(entries, "structure", "C0", n, n)
     CV = _sparse_cv(entries, n)
 
+    try:  # the chart comes from several lines: its message names the entry instead
+        chart = AffgebroidChart(base, fibers, rho0, rhoV, C0, CV)
+    except ValueError as err:
+        raise ModelFileError(str(err)) from None
     h_src, h_line = _field(entries, "hamiltonian", "H", default=("0", None))
     try:
-        chart = AffgebroidChart(base, fibers, rho0, rhoV, C0, CV)
         hamiltonian = HamiltonianSection(chart, _parse_expr(h_src, h_line))
     except ModelFileError:
         raise  # already names its line

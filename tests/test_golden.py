@@ -51,6 +51,51 @@ rhoV = x1*1e308
 [hamiltonian]
 H = y1^2/2
 """,
+    # the Jacobi residual of the sin(t) bracket is sampled, and each chart is
+    # sampled at its own points: the prolongation's maximum differs from the bidual's
+    "so3_sin.model": """
+[space]
+m = 1
+n = 3
+vars = t, p1, p2, p3
+
+[structure]
+1,2,3 = 1
+2,3,1 = 1
+3,1,2 = 1
+1,2,2 = sin(t)
+
+[hamiltonian]
+H = p1^2/2 + p2^2/2 + p3^2/2
+""",
+    # [rho(e0), rho(e1)] = [d/dt, t d/dq1] = d/dq1, while [e0, e1] = 0
+    "anchor_compat.model": """
+[space]
+m = 2
+n = 1
+vars = t, q1, p1
+
+[anchor]
+rho0 = 1, 0
+rhoV = 0, t
+
+[hamiltonian]
+H = p1^2/2
+""",
+    # an anchor that reads the fiber coordinate p1 is an input error
+    "fiber_anchor.model": """
+[space]
+m = 1
+n = 1
+vars = x1, p1
+
+[anchor]
+rho0 = 1
+rhoV = p1
+
+[hamiltonian]
+H = p1^2/2
+""",
     # the antisymmetry sum sqrt(t) - sqrt(t) is sampled, and t < 0 is in the box
     "sqrt_structure.model": """
 [space]
@@ -97,8 +142,11 @@ CORPUS = (
         ["hj", "trivial:1", "--alpha", "alpha0=t;alphaV=exp(1000*q1)"],
         ["hj", "trivial:1", "--alpha", "alpha0=1/0;alphaV=q1"],
         ["hj", "trivial:3", "--alpha", "w_free", "--samples", "1000"],
+        ["validate", f"{DIR}/so3_sin.model"],
+        ["validate", f"{DIR}/anchor_compat.model"],
         # input errors
         ["validate", f"{DIR}/sqrt_structure.model"],
+        ["validate", f"{DIR}/fiber_anchor.model"],
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", f"{DIR}/missing/x.csv"],
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", DIR],
         ["verify", "trivial:1", "--alpha", "w_free;alphaV=1"],
