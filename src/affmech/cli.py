@@ -275,6 +275,16 @@ def _plan_from_args(bundle: ModelBundle, args) -> SamplePlan:
     )
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of ``values``, finite when they all are, even where their sum overflows."""
+    total = sum(values)
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total / len(values)
+    k = len(values).bit_length()  # each value over 2^k: the sum cannot overflow
+    mean = math.ldexp(sum(math.ldexp(v, -k) for v in values) / len(values), k)
+    return min(max(mean, min(values)), max(values))  # rounding may leave the range
+
+
 def cmd_hj(bundle: ModelBundle, args) -> int:
     try:
         alpha = _resolve_alpha(bundle, args.alpha)
@@ -297,7 +307,7 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
     nan = any(v != v for v in values)  # min and max would keep a NaN only if they met it first
     print(f"f_min = {math.nan if nan else min(values):.6e}")
     print(f"f_max = {math.nan if nan else max(values):.6e}")
-    print(f"f_mean = {sum(values)/len(values):.6e}")
+    print(f"f_mean = {_mean(values):.6e}")
     for line in hj.lines():
         print(line)
     passed = coc.is_cocycle and hj.is_solution

@@ -17,7 +17,8 @@ domain error and its message come from it.  ``compile_rk4`` generates the
 same loop, with the same float operations, over the stage emitted as
 straight-line code that walks no expression tree and calls no Python
 function.  ``integrate``, ``integrate_reduced`` and ``hj.verify_theorem``
-compile their kernel on each call, or none where compiling fails; a kernel
+generate their kernel's text on each call, or none where that fails;
+``expr._build`` compiles each distinct text once per process.  A kernel
 hands any step where a stage raises or gives a value that is not finite
 back to ``integrate_field``.  H and the partials are the stage's extras:
 one guard, |v| < ``GUARD_BOUND`` on each variable they read, replaces the
@@ -305,8 +306,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Hamilton equations from a full (base, fiber) state.
 
-    Each call compiles the kernel over ``hamilton_stage`` (none where
-    compiling fails, and then every step runs per stage).
+    Each call generates the kernel over ``hamilton_stage`` (none where
+    that fails, and then every step runs per stage); its code is compiled
+    once per distinct text.
     """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
@@ -342,7 +344,8 @@ def integrate_reduced(
 ) -> Trajectory:
     """Integrate the reduced base-space field from a base point.
 
-    Each call compiles the kernel over ``reduced_stage``.
+    Each call generates the kernel over ``reduced_stage``; its code is
+    compiled once per distinct text.
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")

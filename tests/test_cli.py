@@ -411,6 +411,34 @@ def test_hj_nan_values_of_f_print_as_nan(capsys):
         assert line in out
 
 
+def test_hj_mean_of_finite_values_is_finite_where_their_sum_overflows(capsys):
+    assert main(["hj", "trivial:1", "--alpha", "alpha0=1e308;alphaV=0", "--samples", "12"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in ("f_min = 1.000000e+308", "f_max = 1.000000e+308", "f_mean = 1.000000e+308"):
+        assert line in out
+
+
+def test_mean_at_the_largest_floats():
+    big = sys.float_info.max
+    assert cli._mean([big] * 3) == big
+    assert cli._mean([-big] * 3) == -big
+    assert cli._mean([big] * 12) == big
+    assert math.isclose(cli._mean([big, big, -big]), big / 3)  # big + big overflows first
+    assert cli._mean([-big, big, big]) == big / 3  # this sum is finite: the plain mean
+    assert cli._mean([big, math.inf]) == math.inf
+    assert math.isnan(cli._mean([big, big, math.nan]))
+    assert math.isnan(cli._mean([math.inf, -math.inf]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_mean_of_finite_values_lies_between_their_extremes(values):
+    mean = cli._mean(values)
+    assert min(values) <= mean <= max(values)
+    if math.isfinite(sum(values)):
+        assert mean == sum(values) / len(values)  # the printed bytes do not move
+
+
 def test_hj_box_must_be_ordered_finite_and_known(capsys):
     for box, fragment in [
         ("t=2,1", "lo < hi"),

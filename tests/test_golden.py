@@ -141,6 +141,8 @@ CORPUS = (
         ["hj", "oscillator", "--alpha", "alphaV=log(q1)"],
         ["hj", "trivial:1", "--alpha", "alpha0=t;alphaV=exp(1000*q1)"],
         ["hj", "trivial:1", "--alpha", "alpha0=1/0;alphaV=q1"],
+        # every value of f is finite, and their sum overflows
+        ["hj", "trivial:1", "--alpha", "alpha0=1e308;alphaV=0", "--samples", "12"],
         ["hj", "trivial:3", "--alpha", "w_free", "--samples", "1000"],
         ["validate", f"{DIR}/so3_sin.model"],
         ["validate", f"{DIR}/anchor_compat.model"],
