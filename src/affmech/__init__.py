@@ -7,8 +7,6 @@ condition and the Hamilton equations along reduced trajectories is verified
 on built-in or user-supplied models.
 """
 
-import importlib
-
 from .expr import (
     DomainError,
     EvalError,
@@ -43,34 +41,15 @@ from .affgebroid import (
     reeb,
     vertical_restriction_check,
 )
+from .dynamics import Trajectory, integrate, integrate_reduced
+from .hj import (
+    NotACocycleError,
+    TheoremReport,
+    cocycle_residual,
+    f_of,
+    hj_residual,
+    verify_theorem,
+)
 from . import models
 
 __version__ = "0.1.0"
-
-# dynamics and hj load on first use (PEP 562), so importing the package, or
-# affmech.models and affmech.modelfile to build a model, compiles neither
-_LAZY = {
-    **dict.fromkeys(["dynamics", "Trajectory", "integrate", "integrate_reduced"], "dynamics"),
-    **dict.fromkeys(
-        ["hj", "NotACocycleError", "TheoremReport", "cocycle_residual", "f_of", "hj_residual", "verify_theorem"],
-        "hj",
-    ),
-}
-
-__all__ = [
-    "expr", "algebroid", "affgebroid", "models",
-    "DomainError", "EvalError", "Expr", "ParseError", "UnboundVariableError",
-    "evaluate", "parse", "substitute", "to_string",
-    "AlgebroidChart", "KSection", "Morphism", "SamplePlan", "ValidationReport",
-    "differential", "prolong", "pullback", "validate_chart",
-    "AffgebroidChart", "CoSection", "HamiltonianSection", "VStarSection", "eta", "lambda_h",
-    "omega_h", "pullback_identities", "reeb", "vertical_restriction_check",
-    *_LAZY,
-]
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LAZY[name]}", __name__)
-    return module if _LAZY[name] == name else getattr(module, name)

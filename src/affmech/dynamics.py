@@ -17,10 +17,9 @@ domain error and its message come from it.  ``compile_rk4`` generates the
 same loop, with the same float operations, over the stage emitted as
 straight-line code that walks no expression tree and calls no Python
 function.  ``integrate``, ``integrate_reduced`` and ``hj.verify_theorem``
-generate their kernel's text on each call, or none where that fails;
-``expr._build`` compiles each distinct text once per process.  A kernel
-hands any step where a stage raises or gives a value that is not finite
-back to ``integrate_field``.  H and the partials are the stage's extras:
+compile their kernel on each call, or none where compiling fails; a kernel
+hands any step where a stage raises or the new state is not finite back to
+``integrate_field``.  H and the partials are the stage's extras:
 one guard, |v| < ``GUARD_BOUND`` on each variable they read, replaces the
 polynomial ones.
 """
@@ -175,8 +174,11 @@ def compile_rk4(
     len(variables) values are the field.  ``bound`` maps further names to
     expressions in ``variables``, computed first; in ``exprs`` such a name
     reads that value.  ``rk4`` returns before a step where a stage raises
-    ArithmeticError or ValueError, or where a stage value or the new state
-    (or their sum) is not finite.
+    ArithmeticError or ValueError, or where the new state (or its sum) is
+    not finite.  That covers a field value that is not finite: each of the
+    four enters the new state with a positive weight, and adding to an
+    infinity or a NaN never gives a finite number.  Values past the field
+    are not tested; a check reads them and tests its own values.
 
     ``extras`` are values the stage computes only so that it raises where
     ``evaluate`` does.  It drops those that ``magnitude_below`` bounds while
@@ -211,7 +213,8 @@ def compile_rk4(
         tests = (f"{-GUARD_BOUND!r} < {v} < {GUARD_BOUND!r}" for v in guarded)
         stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
     outs = outs[: len(exprs) + len(kept)]
-    stage.append(_not_finite(outs))
+    if kept:
+        stage.append(_not_finite(outs[len(exprs) :]))
     measure: list[str] = []
     if check:
         names = {v: f"y{j}" for j, v in enumerate(variables)}
@@ -221,14 +224,27 @@ def compile_rk4(
         measure.append(_not_finite(values))
         for g, group in enumerate(check):
             values, mine = values[len(group) :], values[: len(group)]
-            if mine:
-                measure.append(f"m{g} = max(m{g}, {', '.join(f'abs({v})' for v in mine)})")
+            # the values are finite here: |v| <= m without a call, and a
+            # repeated value changes nothing
+            for v in dict.fromkeys(mine):
+                measure.append(f"if not -m{g} <= {v} <= m{g}: m{g} = abs({v})")
         measure.append("n += 1")
         measure.append("if not now < end: return")
     maxima = "".join(f"m{g}, " for g in range(len(check)))
 
     def vec(form: str) -> str:
         return ", ".join(form.format(j=j, k=outs[j]) for j in range(w)) + ","
+
+    def assign(target: str, value: str) -> list[str]:
+        """``target`` = ``value`` for each j, one statement each: no tuple is built."""
+        return [f"{target.format(j=j)} = {value.format(j=j, k=outs[j])}" for j in range(w)]
+
+    # one statement per component, unless a field value is a stage input
+    # that the statements before it would have set
+    if {f"v{j}" for j in range(w)} & set(outs[:w]):
+        step_inputs = [f"{vec('v{j}')} = {vec('y{j} + hv * {k}')}"]
+    else:
+        step_inputs = assign("v{j}", "y{j} + hv * {k}")
 
     lines = [
         *([f"{maxima}n = acc"] if check else []),
@@ -240,20 +256,20 @@ def compile_rk4(
         "        hs = end - now",  # min(step, end - now) without a call
         "        if not hs < step: hs = step",
         "        h2 = 0.5 * hs",
-        f"        {vec('v{j}')} = {vec('y{j}')}",
+        *(f"        {line}" for line in assign("v{j}", "y{j}")),
         "        for s in (0, 1, 2, 3):",
         *(f"            {line}" for line in stage),
         "            if s == 0:",
         *(f"                {line}" for line in measure),
-        f"                {vec('r{j}')} = {vec('{k}')}",
+        *(f"                {line}" for line in assign("r{j}", "{k}")),
         "            elif s < 3:",
-        f"                {vec('r{j}')} = {vec('r{j} + 2.0 * {k}')}",
+        *(f"                {line}" for line in assign("r{j}", "r{j} + 2.0 * {k}")),
         "            else:",
         "                break",
         "            hv = hs if s == 2 else h2",
-        f"            {vec('v{j}')} = {vec('y{j} + hv * {k}')}",
+        *(f"            {line}" for line in step_inputs),
         # r is (k1 + 2.0 * k2) + 2.0 * k3, summed in integrate_field's order
-        f"        {vec('y{j}')} = {vec('y{j} + hs * (r{j} + {k}) / 6.0')}",
+        *(f"        {line}" for line in assign("y{j}", "y{j} + hs * (r{j} + {k}) / 6.0")),
         f"        {_not_finite([f'y{j}' for j in range(w)])}",
         "        i += 1",
         "        now = start + i * step",
@@ -306,9 +322,8 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Hamilton equations from a full (base, fiber) state.
 
-    Each call generates the kernel over ``hamilton_stage`` (none where
-    that fails, and then every step runs per stage); its code is compiled
-    once per distinct text.
+    Each call compiles the kernel over ``hamilton_stage`` (none where
+    compiling fails, and then every step runs per stage).
     """
     aff = h.chart
     if len(state0) != aff.m + aff.n:
@@ -344,8 +359,7 @@ def integrate_reduced(
 ) -> Trajectory:
     """Integrate the reduced base-space field from a base point.
 
-    Each call generates the kernel over ``reduced_stage``; its code is
-    compiled once per distinct text.
+    Each call compiles the kernel over ``reduced_stage``.
     """
     if len(x0) != h.chart.m:
         raise ValueError("x0 must list every base coordinate")

@@ -21,12 +21,11 @@ raise, it declines, and the caller runs ``evaluate`` for the error.
 
 ``_straight_line`` emits expressions as straight-line Python code, one
 assignment per distinct node with common subexpressions computed once, and
-``_build`` compiles generated text, once per distinct text;
-``dynamics.compile_rk4`` builds its RK4 loop from them.  The code does
-exactly the float operations of the interpreter, so its values equal
-``evaluate`` bit for bit.  It builds no error messages: where it raises,
-the caller re-runs the interpreter, which stays the reference and the
-source of every ``DomainError``.
+``_build`` compiles generated text; ``dynamics.compile_rk4`` builds its RK4
+loop from them.  The code does exactly the float operations of the
+interpreter, so its values equal ``evaluate`` bit for bit.  It builds no
+error messages: where it raises, the caller re-runs the interpreter, which
+stays the reference and the source of every ``DomainError``.
 
 ``is_zero`` proves a polynomial 0 by exact expansion, or answers "not
 proved"; ``magnitude_below`` tells whether its evaluation could overflow.
@@ -47,7 +46,6 @@ Known functions: sin, cos, tan, exp, log, sqrt.
 from __future__ import annotations
 
 import builtins
-import functools
 import math
 import operator
 import re
@@ -638,28 +636,11 @@ def _straight_line(
     return lines, [operand(e) for e in exprs]
 
 
-_CODE_MEMO_SIZE = 32  # distinct generated texts whose code objects ``_build`` keeps
-
-
-@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
-def _code(src: str):
-    return builtins.compile(src, "<affmech.expr.compile>", "exec")
-
-
 def _build(inner: str, consts: Mapping[str, object]):
-    """The function a generated builder returns; its ``source`` is the generated text.
-
-    The text is compiled once per distinct text: the code objects of the
-    ``_CODE_MEMO_SIZE`` most recently used texts are kept, keyed by the
-    whole text.  That is exact.  The text holds every finite literal as its
-    ``repr`` and names each other constant as a parameter of the builder,
-    which this call passes its own ``consts``; a code object is immutable.
-    A process that builds each kernel once (one CLI call) gains nothing and
-    pays one hash of the text.
-    """
+    """The function a generated builder returns; its ``source`` is the generated text."""
     src = f"def _build({', '.join([*_COMPILED_NAMES, *consts])}):\n{inner}"
     scope: dict = {}
-    exec(_code(src), scope)
+    exec(builtins.compile(src, "<affmech.expr.compile>", "exec"), scope)
     fn = scope["_build"](**_COMPILED_NAMES, **consts)
     fn.source = src
     return fn

@@ -153,11 +153,9 @@ def verify_theorem(
 
     The call checks every point's length (ValueError) and that alpha is a
     cocycle (NotACocycleError), then builds what no point changes: the
-    partials of alphaV, one RK4 kernel (its text generated on each call,
-    its code compiled once per distinct text), the d^V f check and the
-    plan's unit draws (drawn on first use; every box plan reuses them).  It
-    returns an iterator that checks one point per report, as the report is
-    taken.
+    partials of alphaV, one RK4 kernel, the d^V f check and the plan's unit
+    draws (drawn on first use; every box plan reuses them).  It returns an
+    iterator that checks one point per report, as the report is taken.
 
     Each check integrates the reduced field, restores the curve on the dual
     through alpha, and measures how far it is from solving the Hamilton

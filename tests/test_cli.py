@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affmech import cli, dynamics, models
@@ -432,11 +432,16 @@ def test_mean_at_the_largest_floats():
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
-def test_mean_of_finite_values_lies_between_their_extremes(values):
+@example([sys.float_info.max] * 3)
+@example([-sys.float_info.max] * 7)
+@example([sys.float_info.max, sys.float_info.max, -sys.float_info.max, 1.0])
+@example([0.1, 0.1, 0.1])  # sum/len is 0.10000000000000002 here, above the max
+def test_mean_of_finite_values(values):
     mean = cli._mean(values)
-    assert min(values) <= mean <= max(values)
     if math.isfinite(sum(values)):
-        assert mean == sum(values) / len(values)  # the printed bytes do not move
+        assert mean == sum(values) / len(values)  # the plain mean: the printed bytes do not move
+    else:  # the scaled mean, clamped to the values' range
+        assert math.isfinite(mean) and min(values) <= mean <= max(values)
 
 
 def test_hj_box_must_be_ordered_finite_and_known(capsys):

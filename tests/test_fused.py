@@ -11,6 +11,7 @@ import io
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -437,3 +438,114 @@ def test_every_temporary_of_a_builtin_kernel_is_used():
     # a value computed only for the non-finite check is dead
     extra = compile_rk4([ex.parse("x")], ["x"], None, [ex.parse("log(2 + x^2)")])
     assert dead_temporaries(extra.source) == {"t2"}  # the log; x^2 and 2 + x^2 feed it
+
+
+
+# ------------------------------------------ a stage value that stops being finite
+#
+# The kernel tests the new state, not each stage: a stage value that is inf
+# or NaN reaches the state with a positive weight.  Over (t, x, z) with
+# t' = 1 and x' = t*t, x grows strictly from one stage input to the next;
+# z' is x*K*1e-300 (inf once x*K overflows) or x*K - x*K (NaN there).
+
+
+def first_not_finite(field, y0):
+    """The index of the first call of the per-stage path where a value of ``field`` is not finite."""
+    calls = []
+    integrate_field(lambda s: calls.append(all(map(math.isfinite, field(s)))) or field(s),
+                    y0, 0.0, 1.0, 0.25)
+    return calls.index(False) if False in calls else None
+
+
+def overflowing_from(stage):
+    """K and the call index from which x*K overflows: the given stage of the third step."""
+    xs, field = [], interpret([ex.Lit(1.0), ex.parse("t*t"), ex.Lit(0.0)], ["t", "x", "z"])
+    integrate_field(lambda s: xs.append(s[1]) or field(s), [1.0, 1.0, 0.0], 0.0, 1.0, 0.25)
+    i = 8 + stage
+    assert xs[i - 1] < xs[i]
+    return sys.float_info.max / ((xs[i - 1] + xs[i]) / 2), i
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_a_flow_whose_stage_value_stops_being_finite_aborts_as_per_stage(stage, value):
+    K, i = overflowing_from(stage)
+    xk = ex.parse(f"x*{K!r}")
+    rate = ex.BinOp("*", xk, ex.Lit(1e-300)) if value == "inf" else ex.BinOp("-", xk, xk)
+    exprs, variables, y0 = [ex.Lit(1.0), ex.parse("t*t"), rate], ["t", "x", "z"], [1.0, 1.0, 0.0]
+    field = interpret(exprs, variables)
+    assert first_not_finite(field, y0) == i
+    got = integrate_field(field, y0, 0.0, 1.0, 0.25, compile_rk4(exprs, variables))
+    same(got, integrate_field(field, y0, 0.0, 1.0, 0.25))
+    assert (got.ok, got.error, len(got)) == (False, "non-finite state at t=0.75", 3)
+
+
+def blowup_case(K, alpha_v):
+    """Base (t, x, z), fiber y, H = y^2/2: X = (1, t*t, alphaV*x*K*1e-300)."""
+    chart = AffgebroidChart(["t", "x", "z"], ["y"], ["1", "t*t", "0"],
+                            [["0", "0", f"x*{K!r}*1e-300"]], [[0.0]], [[[0.0]]])
+    return CoSection(chart, "0", [alpha_v]), HamiltonianSection(chart, "y^2/2")
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha_v", ["1", "0"], ids=["inf", "nan"])  # 0*inf is NaN
+def test_a_verify_whose_stage_value_stops_being_finite_gives_the_per_stage_result(
+    stage, alpha_v, per_stage
+):
+    K, i = overflowing_from(stage)
+    alpha, h = blowup_case(K, alpha_v)
+    assert first_not_finite(interpret(*reduced_stage(alpha, h)), [1.0, 1.0, 0.0]) == i
+    fused = outcome(lambda: verify_one(alpha, h, [1.0, 1.0, 0.0], 1.0, 0.25))
+    assert fused == (IntegrationFailure, "reduced flow aborted: non-finite state at t=0.75", None)
+    per_stage()
+    assert outcome(lambda: verify_one(alpha, h, [1.0, 1.0, 0.0], 1.0, 0.25)) == fused
+
+
+@pytest.mark.parametrize("alpha_v", ["1", "0"], ids=["inf", "nan"])
+def test_a_verify_whose_last_state_has_a_stage_value_that_is_not_finite(alpha_v, per_stage):
+    # the horizon ends at the third state, whose first stage is the first not finite
+    alpha, h = blowup_case(overflowing_from(0)[0], alpha_v)
+    fused = outcome(lambda: verify_one(alpha, h, [1.0, 1.0, 0.0], 0.5, 0.25))
+    assert fused == (IntegrationFailure, "base equation failed to hold by construction: defect nan", None)
+    per_stage()
+    assert outcome(lambda: verify_one(alpha, h, [1.0, 1.0, 0.0], 0.5, 0.25)) == fused
+
+
+def test_a_value_past_the_field_that_is_not_finite_leaves_the_step_to_the_kernel(count_rhs):
+    # alphaV is inf from x = 1.5 on; with H = 0 no field row reads it
+    chart = AffgebroidChart(["t", "x"], ["y"], ["1", "t*t"], [["0", "0"]], [[0.0]], [[[0.0]]])
+    alpha, h = CoSection(chart, "0", ["x*1.2e308"]), HamiltonianSection(chart, "0")
+    fused = integrate_reduced(alpha, h, [1.0, 1.0], 0.0, 1.0, 0.25)
+    assert not count_rhs and fused.ok and len(fused) == 5
+    same(fused, reduced_flow(alpha, h, [1.0, 1.0], 1.0, 0.25))
+
+
+@pytest.mark.parametrize("where", [0, 5])
+def test_a_check_value_that_is_nan_at_one_state_reads_as_nan(where, monkeypatch):
+    # (1e300*bump)*1e300 is inf at t_k and 0 at every other state; inf - inf is NaN
+    bundle = by_name("oscillator")
+    h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
+    state = integrate_reduced(alpha, h, [0.1, 0.5], 0.0, 0.1, 1e-2).states[where]
+    bump = ex.parse(f"exp(-((t - ({state[0]!r}))*1000000)^2)")
+    big = ex.BinOp("*", ex.BinOp("*", ex.Lit(1e300), bump), ex.Lit(1e300))
+    real = hj._theorem_check
+
+    def skewed(*args):
+        (base, fiber), slots = real(*args)
+        return [[ex.BinOp("+", base[0], ex.BinOp("-", big, big))] + base[1:], fiber], slots
+
+    monkeypatch.setattr(hj, "_theorem_check", skewed)
+    with pytest.raises(IntegrationFailure, match="defect nan"):
+        verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2)
+
+
+@pytest.mark.parametrize("exprs", [["y", "x"], ["x", "x"], ["y", "y"], ["2*y", "x"]])
+def test_a_field_value_that_is_a_stage_input_is_read_before_the_step_sets_it(exprs):
+    # x' and y' are stage inputs themselves: the kernel must read them all
+    # before it sets the next inputs
+    exprs, variables, calls = [ex.parse(e) for e in exprs], ["x", "y"], []
+    field = interpret(exprs, variables)
+    got = integrate_field(lambda s: calls.append(1) or field(s), [1.0, 0.5], 0.0, 1.0, 0.1,
+                          compile_rk4(exprs, variables))
+    assert not calls  # the kernel took every step
+    same(got, integrate_field(field, [1.0, 0.5], 0.0, 1.0, 0.1))

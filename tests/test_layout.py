@@ -3,10 +3,7 @@ imports, the one home of the Hamilton formula, and slotted expression nodes."""
 
 import ast
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,37 +19,6 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(affmech.__path__) if m.nam
 def test_every_name_in_all_resolves(name):
     module = importlib.import_module(f"affmech.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
-
-
-def test_building_a_model_loads_no_flow_module_and_every_public_name_resolves():
-    # a fresh process that builds models, as perfbench/setup_probe.py does,
-    # compiles neither dynamics nor hj nor cli
-    code = (
-        "import sys, affmech.models, affmech.modelfile\n"
-        "print(sorted(m for m in sys.modules if m.startswith('affmech')))\n"
-        "import affmech\n"
-        "print(sorted(n for n in affmech.__all__ if not hasattr(affmech, n)))\n"
-        "names = {}\n"
-        "exec('from affmech import *', names)\n"
-        "print(sorted(set(names) - {'__builtins__'}) == sorted(affmech.__all__))\n"
-    )
-    src = str(Path(affmech.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    loaded, missing, star = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.splitlines()
-    loaded = ast.literal_eval(loaded)
-    assert "affmech.models" in loaded and "affmech.modelfile" in loaded
-    assert not {"affmech.dynamics", "affmech.hj", "affmech.cli"} & set(loaded), loaded
-    assert (missing, star) == ("[]", "True")
-
-
-def test_the_package_resolves_its_flow_names_on_first_use():
-    assert affmech.integrate is importlib.import_module("affmech.dynamics").integrate
-    assert affmech.verify_theorem is importlib.import_module("affmech.hj").verify_theorem
-    assert affmech.hj is importlib.import_module("affmech.hj")
-    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
-        affmech.nosuch
 
 
 def test_expr_imports_no_other_affmech_module():
