@@ -41,7 +41,7 @@ from .affgebroid import (
     reeb,
     vertical_restriction_check,
 )
-from .dynamics import Trajectory, integrate, integrate_reduced
+from .dynamics import Trajectory, integrate
 from .hj import (
     NotACocycleError,
     TheoremReport,

@@ -22,6 +22,7 @@ prolongation from the bidual's residuals alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -56,7 +57,6 @@ __all__ = [
     "eta",
     "omega_h",
     "lambda_h",
-    "omega_h_from_pullback",
     "hamiltonian_morphism",
     "hamilton_field",
     "reeb",
@@ -252,14 +252,14 @@ class HamiltonianSection:
     """Section of the dual projection, (x, y) -> (x, -H(x, y), y).
 
     ``partials`` holds the symbolic partials of H with respect to every
-    chart variable, base variables first, built once at construction.
-    ``field_rows`` caches ``hamilton_field(self)``, built on its first call.
-    Both are expressions; no compiled code or check result is kept here.
+    chart variable, base variables first, built on first use: ``hj`` and
+    ``validate`` never read them.  ``field_rows`` caches
+    ``hamilton_field(self)``, built on its first call.  Both are
+    expressions; no compiled code or check result is kept here.
     """
 
     chart: AffgebroidChart
     H: Expr
-    partials: list = field(init=False, repr=False, compare=False)
     field_rows: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -267,7 +267,10 @@ class HamiltonianSection:
         extra = ex.free_vars(self.H) - set(self.chart.all_vars())
         if extra:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
-        self.partials = [diff(self.H, v) for v in self.chart.all_vars()]
+
+    @functools.cached_property
+    def partials(self) -> list[Expr]:
+        return [diff(self.H, v) for v in self.chart.all_vars()]
 
 
 @dataclass
@@ -381,12 +384,6 @@ def lambda_h(h: HamiltonianSection) -> KSection:
     """Pullback of the tautological section along the graph morphism of h."""
     ap = h.chart.aplus_prolongation()
     return pullback(hamiltonian_morphism(h), ap.liouville())
-
-
-def omega_h_from_pullback(h: HamiltonianSection) -> KSection:
-    """Pullback of the canonical symplectic section; cross-check route."""
-    ap = h.chart.aplus_prolongation()
-    return pullback(hamiltonian_morphism(h), ap.canonical_symplectic())
 
 
 # ------------------------------------------------------------ Reeb section

@@ -63,7 +63,6 @@ __all__ = [
     "validate_chart",
     "Morphism",
     "pullback",
-    "morphism_defect",
     "Prolongation",
     "prolong",
     "section_max_abs",
@@ -128,10 +127,6 @@ class SplitMix64:
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        (z,) = self._outputs(1)
-        return z
 
     def units(self, k: int) -> list[float]:
         """The next k outputs as floats in [0, 1): the top 53 bits of each, times 2^-53."""
@@ -302,37 +297,8 @@ class KSection:
     def one_section(cls, chart, components):
         return cls(chart, 1, {(a,): c for a, c in enumerate(components)})
 
-    # ---- evaluation
-
-    def component(self, indices, env) -> float:
-        """Value on (e_{i1},...,e_{ik}) for an arbitrary index order."""
-        key, sign = _sort_with_sign(tuple(indices))
-        if key is None:
-            return 0.0
-        c = self.coeffs.get(key)
-        return 0.0 if c is None else sign * c.value(env)
-
-    def values(self, env) -> dict[tuple[int, ...], float]:
-        return {idx: c.value(env) for idx, c in self.coeffs.items()}
-
     def __repr__(self):
         return f"KSection(degree={self.degree}, nonzero={sorted(self.coeffs)})"
-
-
-def _sort_with_sign(indices: tuple[int, ...]):
-    """Sort an index tuple, tracking permutation parity; None on repeats."""
-    idx = list(indices)
-    sign = 1.0
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(idx)):
-        if idx[i - 1] == idx[i]:
-            return None, 0.0
-    return tuple(idx), sign
 
 
 # -------------------------------------------------------------- differential
@@ -467,13 +433,6 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
         for idx, det in dets.items():
             nodes[idx] = add(nodes.get(idx, _ZERO), mul(det, s_b))
     return KSection(morph.src, k, {idx: nodes[idx] for idx in sorted(nodes)})
-
-
-def morphism_defect(morph: Morphism, s: KSection, envs) -> float:
-    """Max deviation of d(pullback s) from pullback(d s) on sample points."""
-    lhs = differential(pullback(morph, s))
-    rhs = pullback(morph, differential(s))
-    return section_max_diff(lhs, rhs, envs)
 
 
 # --------------------------------------------------------------- comparisons

@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hj", help="cocycle and Hamilton-Jacobi residuals of a section")
     p.add_argument("model")
     p.add_argument("--alpha", required=True, help="section name or inline 'alpha0=..;alphaV=..,..'")
-    p.add_argument("--box", action="append", default=[], help="var=lo,hi (repeatable)")
+    p.add_argument("--box", action="append", default=[], help="var=lo,hi (repeatable, once per variable)")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=cmd_hj)
@@ -154,7 +154,7 @@ def cmd_validate(bundle: ModelBundle, args) -> int:
         for label, report in validate_charts(bundle.chart, bundle.sample):
             for line in report.lines():
                 print(f"{label}_{line}")
-            if not report.valid and report.worst_jacobi:
+            if not report.jacobi_max <= report.TOL:
                 print(f"{label}_worst = {report.worst_jacobi}")
             if not report.anchor_max <= report.TOL:
                 print(f"{label}_worst_anchor = {report.worst_anchor}")
@@ -259,17 +259,19 @@ def _resolve_alpha(bundle: ModelBundle, text: str) -> CoSection:
 
 
 def _plan_from_args(bundle: ModelBundle, args) -> SamplePlan:
-    box = dict(bundle.sample.box)
+    given = {}
     for override in args.box:
         if "=" not in override:
             raise ValueError(f"--box expects var=lo,hi, got '{override}'")
         var, bounds = override.split("=", 1)
         var = var.strip()
         check_box_var(var, bundle.chart.base_vars)
+        if var in given:
+            raise ValueError(f"--box sets '{var}' twice")
         lo, hi = _parse_floats(bounds, 2, f"--box {var}")
-        box[var] = (lo, hi)
+        given[var] = (lo, hi)
     return SamplePlan(
-        box=box,
+        box={**bundle.sample.box, **given},
         count=args.samples if args.samples is not None else bundle.sample.count,
         seed=args.seed if args.seed is not None else bundle.sample.seed,
     )

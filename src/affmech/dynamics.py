@@ -16,12 +16,11 @@ stage.  ``interpret`` evaluates it with ``expr.evaluate``, and
 domain error and its message come from it.  ``compile_rk4`` generates the
 same loop, with the same float operations, over the stage emitted as
 straight-line code that walks no expression tree and calls no Python
-function.  ``integrate``, ``integrate_reduced`` and ``hj.verify_theorem``
-compile their kernel on each call, or none where compiling fails; a kernel
-hands any step where a stage raises or the new state is not finite back to
-``integrate_field``.  H and the partials are the stage's extras:
-one guard, |v| < ``GUARD_BOUND`` on each variable they read, replaces the
-polynomial ones.
+function.  ``integrate`` and ``hj.verify_theorem`` compile their kernel on
+each call, or none where compiling fails; a kernel hands any step where a
+stage raises or the new state is not finite back to ``integrate_field``.
+H and the partials are the stage's extras: one guard, |v| < ``GUARD_BOUND``
+on each variable they read, replaces the polynomial ones.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "interpret",
     "hamilton_stage",
     "reduced_stage",
-    "integrate_reduced",
 ]
 
 DEFAULT_STEP = 1e-3
@@ -348,20 +346,3 @@ def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     rows, bound = hamilton_field(h), dict(zip(aff.fiber_vars, alpha.alphaV))
     return rows[: aff.m] + alpha.alphaV, aff.base_vars, bound, rows[aff.m :] + [h.H, *h.partials]
 
-
-def integrate_reduced(
-    alpha: CoSection,
-    h: HamiltonianSection,
-    x0: Sequence[float],
-    t0: float,
-    t_end: float,
-    step: float = DEFAULT_STEP,
-) -> Trajectory:
-    """Integrate the reduced base-space field from a base point.
-
-    Each call compiles the kernel over ``reduced_stage``.
-    """
-    if len(x0) != h.chart.m:
-        raise ValueError("x0 must list every base coordinate")
-    stage = reduced_stage(alpha, h)
-    return integrate_field(interpret(*stage), x0, t0, t_end, step, _kernel(*stage))

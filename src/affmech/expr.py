@@ -159,26 +159,14 @@ class _Node:
     def __add__(self, other):
         return BinOp("+", self, _lift(other))
 
-    def __radd__(self, other):
-        return BinOp("+", _lift(other), self)
-
     def __sub__(self, other):
         return BinOp("-", self, _lift(other))
-
-    def __rsub__(self, other):
-        return BinOp("-", _lift(other), self)
 
     def __mul__(self, other):
         return BinOp("*", self, _lift(other))
 
-    def __rmul__(self, other):
-        return BinOp("*", _lift(other), self)
-
     def __truediv__(self, other):
         return BinOp("/", self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return BinOp("/", _lift(other), self)
 
     def __pow__(self, other):
         return BinOp("^", self, _lift(other))

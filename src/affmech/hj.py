@@ -136,10 +136,6 @@ class TheoremReport:
     def holds_pointwise(self) -> bool:
         return self.hj_max <= POINT_TOL
 
-    @property
-    def agree(self) -> bool:
-        return self.holds_along_trajectory == self.holds_pointwise
-
 
 def verify_theorem(
     alpha: CoSection,

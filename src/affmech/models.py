@@ -4,9 +4,8 @@ Three families ship ready to use:
 
 * a trivial fibration over time (classical time-dependent mechanics), with
   free-particle and harmonic-oscillator presets and known HJ solutions;
-* any valid Lie algebroid re-read as an affgebroid with central adapted
-  section (zero extra anchor, no mixed brackets), specialized to tangent
-  charts of R^d;
+* tangent charts of R^d re-read as affgebroids with central adapted
+  section (zero extra anchor, no mixed brackets);
 * the heavy-top-free rigid body: time extended so(3) coadjoint dynamics in
   a trivialized chart, i.e. the Euler equations dPi/dt = Pi x Omega.
 
@@ -20,7 +19,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from .algebroid import AlgebroidChart, SamplePlan, validate_chart
+from .algebroid import AlgebroidChart, SamplePlan
 from .affgebroid import AffgebroidChart, CoSection, HamiltonianSection
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "trivial_fibration",
     "harmonic_oscillator",
     "tangent_algebroid",
-    "linear_algebroid",
     "linear_tangent_model",
     "rigid_body",
     "so3_chart",
@@ -181,34 +179,15 @@ def tangent_algebroid(dim: int) -> AlgebroidChart:
     return AlgebroidChart(base, anchor, structure)
 
 
-def linear_algebroid(chart: AlgebroidChart, fiber_vars=None) -> AffgebroidChart:
-    """Re-read a Lie algebroid chart as an affgebroid chart.
+def _central(chart: AlgebroidChart) -> AffgebroidChart:
+    """Re-read a Lie algebroid chart as an affgebroid chart, without validating it.
 
     The adapted section is central with zero anchor: rho0 and the mixed
-    structure functions vanish, model data is the input chart.  The input
-    chart must pass validation."""
-    report = validate_chart(chart)
-    if not report.valid:
-        raise ValueError(
-            "input chart fails validation: "
-            f"antisym {report.antisymmetry_max:.2e}, anchor {report.anchor_max:.2e}, "
-            f"jacobi {report.jacobi_max:.2e}"
-        )
-    return _central(chart, fiber_vars)
-
-
-def _central(chart: AlgebroidChart, fiber_vars=None) -> AffgebroidChart:
-    """``linear_algebroid`` without validating its input chart."""
+    structure functions vanish, model data is the input chart.  The fiber
+    coordinates are y1..yn (the builtin base coordinates are t or x1..xm).
+    """
     n, m = chart.rank, chart.dim
-    if fiber_vars is None:
-        fiber_vars = []
-        used = set(chart.base_vars)
-        for a in range(n):
-            name = f"y{a+1}"
-            while name in used:
-                name += "_"
-            used.add(name)
-            fiber_vars.append(name)
+    fiber_vars = [f"y{a+1}" for a in range(n)]
     zeros_m = [0.0] * m
     zeros_nn = [[0.0] * n for _ in range(n)]
     return AffgebroidChart(

@@ -19,6 +19,10 @@ Hamilton equations term by term from the chart data: the oracle for
 ``FrozenBinOp`` and ``FrozenCall`` are the expression nodes as frozen
 dataclasses, with ``frozen_literal_value``: the oracle for the ``==``,
 ``hash``, ``repr`` and ``literal_value`` of the slotted nodes of ``expr``.
+``omega_h_from_pullback`` (the second route to Ω_h), ``morphism_defect``
+(d commutes with a pullback) and ``integrate_reduced`` (the reduced flow on
+its own) are cross-check routes that only the tests take; ``section_values``
+and ``component`` read a section at a point.
 """
 
 from __future__ import annotations
@@ -30,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from affmech import dynamics
 from affmech import expr as ex
-from affmech.affgebroid import omega_h
-from affmech.algebroid import _PERMS, KSection, _sort_with_sign
+from affmech.affgebroid import hamiltonian_morphism, omega_h
+from affmech.algebroid import _PERMS, KSection, differential, pullback, section_max_diff
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 from affmech.hj import verify_theorem
 
@@ -228,6 +233,74 @@ def reeb_solve(h, env, omega=None):
     return ReebResult([float(v) for v in sol], residual, int(rank))
 
 
+# ---------------------------------------------------- sections at a point
+
+
+def section_values(s, env):
+    """Every stored coefficient of a section at one point, keyed by its index tuple."""
+    return {idx: c.value(env) for idx, c in s.coeffs.items()}
+
+
+def sort_with_sign(indices):
+    """Sort an index tuple, tracking permutation parity; (None, 0.0) on repeats."""
+    idx = list(indices)
+    sign = 1.0
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for i in range(1, len(idx)):
+        if idx[i - 1] == idx[i]:
+            return None, 0.0
+    return tuple(idx), sign
+
+
+def component(s, indices, env):
+    """Value of a section on (e_{i1},...,e_{ik}) for an arbitrary index order."""
+    key, sign = sort_with_sign(tuple(indices))
+    if key is None:
+        return 0.0
+    c = s.coeffs.get(key)
+    return 0.0 if c is None else sign * c.value(env)
+
+
+# ------------------------------------------------------ cross-check routes
+
+
+def omega_h_from_pullback(h):
+    """Pullback of the canonical symplectic section along the graph morphism of h.
+
+    The second route to the 2-section of the cosymplectic pair: the oracle
+    for the coefficientwise ``affgebroid.omega_h``.
+    """
+    ap = h.chart.aplus_prolongation()
+    return pullback(hamiltonian_morphism(h), ap.canonical_symplectic())
+
+
+def morphism_defect(morph, s, envs):
+    """Max deviation of d(pullback s) from pullback(d s) on sample points."""
+    lhs = differential(pullback(morph, s))
+    rhs = pullback(morph, differential(s))
+    return section_max_diff(lhs, rhs, envs)
+
+
+def integrate_reduced(alpha, h, x0, t0, t_end, step=dynamics.DEFAULT_STEP):
+    """Integrate the reduced base-space field of ``dynamics.reduced_stage`` from a base point.
+
+    The flow that ``hj.verify_theorem`` integrates, on its own: a kernel
+    compiled over the stage (none where compiling fails), stepped by
+    ``dynamics.integrate_field``.  The names are looked up in ``dynamics`` at
+    call time, so a test that patches them there patches this flow too.
+    """
+    if len(x0) != h.chart.m:
+        raise ValueError("x0 must list every base coordinate")
+    stage = dynamics.reduced_stage(alpha, h)
+    field = dynamics.interpret(*stage)
+    return dynamics.integrate_field(field, x0, t0, t_end, step, dynamics._kernel(*stage))
+
+
 # ------------------------------------------- dense differential and pullback
 
 
@@ -257,7 +330,7 @@ def dense_differential(s):
                 rest = tuple(idx[p] for p in range(k + 1) if p not in (i, j))
                 sign_ij = (-1.0) ** (i + j)
                 for c, c_coeff in chart.structure_nonzero(idx[i], idx[j]):
-                    key, sgn = _sort_with_sign((c,) + rest)
+                    key, sgn = sort_with_sign((c,) + rest)
                     if key is None:
                         continue
                     coeff = s.coeffs.get(key)

@@ -10,7 +10,6 @@ from affmech.algebroid import (
     SamplePlan,
     SplitMix64,
     differential,
-    morphism_defect,
     pullback,
     section_combine,
     section_max_abs,
@@ -28,7 +27,6 @@ from affmech.affgebroid import (
     hamiltonian_morphism,
     lambda_h,
     omega_h,
-    omega_h_from_pullback,
     pullback_identities,
     reeb,
     vertical_inclusion_morphism,
@@ -44,7 +42,16 @@ from affmech.models import (
     trivial_fibration,
 )
 
-from helpers import DegenerateStructureError, evaluate_with_partials, reeb_solve, uniform
+from helpers import (
+    DegenerateStructureError,
+    component,
+    evaluate_with_partials,
+    morphism_defect,
+    omega_h_from_pullback,
+    reeb_solve,
+    section_values,
+    uniform,
+)
 
 
 def all_models():
@@ -157,7 +164,7 @@ def test_prolongation_differential_formulas():
         for g in range(n):
             ds = differential(KSection.basis_covector(pro, 1 + g))
             for env in envs:
-                vals = ds.values(env)
+                vals = section_values(ds, env)
                 for (a, b), v in vals.items():
                     assert b <= n, "no vertical component may appear"
                     if a == 0:
@@ -174,7 +181,7 @@ def test_eta_is_constant_covector_with_zero_differential():
     for bundle in all_models():
         one = eta(bundle.chart)
         env = phase_envs(bundle, count=1)[0]
-        vals = one.values(env)
+        vals = section_values(one, env)
         assert vals == {(0,): 1.0}
         assert differential(one).coeffs == {}
 
@@ -193,7 +200,7 @@ def test_omega_trivial_fibration_classical_form():
     h = HamiltonianSection(aff, "p1^2/2+sin(t)*q1")
     om = omega_h(h)
     for env in SamplePlan(count=25, seed=3).points(["t", "q1", "p1"]):
-        vals = om.values(env)
+        vals = section_values(om, env)
         h_q = math.sin(env["t"])
         h_p = env["p1"]
         assert vals[(1, 2)] == pytest.approx(1.0, abs=1e-14)
@@ -206,7 +213,7 @@ def test_omega_constant_hamiltonian_flat_brackets():
     h = HamiltonianSection(aff, "3.5")
     om = omega_h(h)
     env = SamplePlan(count=1, seed=9).points(aff.prolongation().chart.base_vars)[0]
-    vals = {k: v for k, v in om.values(env).items() if v != 0.0}
+    vals = {k: v for k, v in section_values(om, env).items() if v != 0.0}
     assert vals == {(1, 3): 1.0, (2, 4): 1.0}
 
 
@@ -241,7 +248,7 @@ def test_lambda_local_form():
         aff = bundle.chart
         lam = lambda_h(bundle.hamiltonian)
         for env in phase_envs(bundle, count=10):
-            vals = lam.values(env)
+            vals = section_values(lam, env)
             assert vals.get((0,), 0.0) == pytest.approx(-ex.evaluate(bundle.hamiltonian.H, env), abs=1e-13)
             for a in range(aff.n):
                 assert vals.get((1 + a,), 0.0) == pytest.approx(env[aff.fiber_vars[a]], abs=1e-14)
@@ -294,7 +301,7 @@ def test_reeb_contractions():
         for env in phase_envs(bundle, count=25, seed=13):
             v = r(env)
             for b in range(pro.rank):
-                contraction = sum(v[a] * om.component((a, b), env) for a in range(pro.rank))
+                contraction = sum(v[a] * component(om, (a, b), env) for a in range(pro.rank))
                 assert abs(contraction) <= 1e-10
             assert v[0] == 1.0
 
@@ -318,7 +325,7 @@ def test_pullback_identities_zero_section_constant_hamiltonian():
     morph = covector_morphism(gamma)
     pulled = pullback(morph, lambda_h(h))
     for env in SamplePlan(count=10, seed=2).points(aff.base_vars):
-        assert pulled.values(env) == {(0,): -2.5}
+        assert section_values(pulled, env) == {(0,): -2.5}
     report = pullback_identities(gamma, h)
     assert report.lambda_dev <= 1e-14
     assert report.omega_dev <= 1e-14
@@ -362,7 +369,7 @@ def test_h_compose_components():
     gamma = VStarSection(bundle.chart, ["q1^2"])
     hg = h_compose(bundle.hamiltonian, gamma)
     env = {"t": 0.5, "q1": 0.8}
-    vals = hg.values(env)
+    vals = section_values(hg, env)
     assert vals[(1,)] == pytest.approx(0.64)
     assert vals[(0,)] == pytest.approx(-((0.64**2 + 0.64) / 2.0))
 
@@ -385,7 +392,7 @@ def test_vertical_restriction_trivial_is_configuration_pairing():
     vp = bundle.chart.vertical_prolongation()
     om_v = vp.canonical_symplectic()
     env = {"t": 0.3, "q1": 0.7, "p1": -0.2}
-    assert om_v.values(env) == {(0, 1): 1.0}
+    assert section_values(om_v, env) == {(0, 1): 1.0}
 
 
 # ---------------------------------------------------------------- bad input

@@ -105,6 +105,40 @@ def test_validate_perturbed_file(tmp_path, capsys):
     assert "model_valid = False" in out
 
 
+# only the anchor check fails: the Jacobi residual 1e-12*sin(t) is sampled and below tolerance
+TINY_JACOBI = """
+[space]
+m = 2
+n = 3
+vars = t, s, y1, y2, y3
+
+[anchor]
+rho0 = 1, 0
+rhoV = 0, t; 0, 0; 0, 0
+
+[structure]
+1,2,3 = 1
+2,3,1 = 1
+3,1,2 = 1
+1,2,2 = 1e-12*sin(t)
+"""
+
+
+def test_validate_names_the_worst_jacobi_component_only_where_jacobi_fails(tmp_path, capsys):
+    p = tmp_path / "tiny_jacobi.model"
+    p.write_text(TINY_JACOBI)
+    assert main(["validate", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "bidual_jacobi_max = 1.000e-12\n" in out
+    assert "bidual_worst_anchor = d(d s) component (0, 1)\n" in out
+    for label in ["bidual", "vertical", "prolongation"]:
+        assert f"{label}_valid = False\n" in out and f"{label}_worst_anchor = " in out
+        assert f"{label}_worst = " not in out
+    p.write_text(PERTURBED_SO3)
+    assert main(["validate", str(p)]) == 1
+    assert "bidual_worst = d(d " in capsys.readouterr().out
+
+
 def test_malformed_file_is_input_error(tmp_path, capsys):
     p = tmp_path / "broken.model"
     p.write_text("[space]\nm = 2\n")
@@ -457,6 +491,18 @@ def test_hj_box_must_be_ordered_finite_and_known(capsys):
         assert main(["hj", "oscillator", "--alpha", "w_osc", "--box", box]) == 2, box
         line, out = error_line(capsys)
         assert fragment in line and out == ""
+
+
+def test_hj_box_set_twice_for_one_variable_is_an_input_error(capsys):
+    argv = ["hj", "trivial:2", "--alpha", "w_free", "--box", "q1=0,1"]
+    for again in ["q1=5,6", " q1 =0,1"]:
+        assert main(argv + ["--box", again]) == 2, again
+        line, out = error_line(capsys)
+        assert line == "error: --box sets 'q1' twice" and out == ""
+    # one --box per variable, a variable of the model's own box among them
+    assert main(argv + ["--box", "q2=5,6"]) == 0
+    assert main(["hj", "oscillator", "--alpha", "w_osc", "--box", "t=0.3,1.3"]) == 0
+    capsys.readouterr()
 
 
 def test_hj_draws_its_sample_points_once(monkeypatch, capsys):

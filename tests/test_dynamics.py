@@ -8,11 +8,12 @@ from affmech.dynamics import (
     hamilton_stage,
     integrate,
     integrate_field,
-    integrate_reduced,
     interpret,
     reduced_stage,
 )
 from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
+
+from helpers import integrate_reduced
 
 
 # --------------------------------------------------------------- right side

@@ -24,7 +24,6 @@ from affmech.dynamics import (
     hamilton_stage,
     integrate,
     integrate_field,
-    integrate_reduced,
     interpret,
     reduced_stage,
 )
@@ -32,7 +31,7 @@ from affmech.hj import IntegrationFailure
 from affmech.modelfile import parse_model_text
 from affmech.models import by_name
 
-from helpers import compile_exprs, verify_one
+from helpers import compile_exprs, integrate_reduced, verify_one
 from test_golden import MODEL_FILES
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]

@@ -82,6 +82,24 @@ rhoV = 0, t
 [hamiltonian]
 H = p1^2/2
 """,
+    # only the anchor check fails; the Jacobi residual 1e-12*sin(t) is sampled
+    # and below tolerance, so no chart names a worst Jacobi component
+    "tiny_jacobi.model": """
+[space]
+m = 2
+n = 3
+vars = t, s, y1, y2, y3
+
+[anchor]
+rho0 = 1, 0
+rhoV = 0, t; 0, 0; 0, 0
+
+[structure]
+1,2,3 = 1
+2,3,1 = 1
+3,1,2 = 1
+1,2,2 = 1e-12*sin(t)
+""",
     # an anchor that reads the fiber coordinate p1 is an input error
     "fiber_anchor.model": """
 [space]
@@ -146,6 +164,7 @@ CORPUS = (
         ["hj", "trivial:3", "--alpha", "w_free", "--samples", "1000"],
         ["validate", f"{DIR}/so3_sin.model"],
         ["validate", f"{DIR}/anchor_compat.model"],
+        ["validate", f"{DIR}/tiny_jacobi.model"],
         # input errors
         ["validate", f"{DIR}/sqrt_structure.model"],
         ["validate", f"{DIR}/fiber_anchor.model"],
@@ -153,6 +172,7 @@ CORPUS = (
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", DIR],
         ["verify", "trivial:1", "--alpha", "w_free;alphaV=1"],
         ["hj", "trivial:1", "--alpha", "alphaV=q1;alpha0=t;alphaV=t"],
+        ["hj", "trivial:2", "--alpha", "w_free", "--box", "q1=0,1", "--box", "q1=5,6"],
         ["hj", "trivial:1", "--alpha", "nosuch"],
         ["verify", "trivial:1", "--alpha", "nosuch"],
     ]

@@ -6,9 +6,9 @@ from affmech import dynamics, hj
 from affmech import expr as ex
 from affmech.expr import Lit, Var
 from affmech.algebroid import SamplePlan, SplitMix64
-from affmech.affgebroid import CoSection, HamiltonianSection, hamilton_field
+from affmech.affgebroid import CoSection, HamiltonianSection, hamilton_field, validate_charts
 from affmech.cli import main
-from affmech.dynamics import integrate, integrate_reduced
+from affmech.dynamics import integrate
 from affmech.hj import (
     NotACocycleError,
     cocycle_residual,
@@ -16,9 +16,9 @@ from affmech.hj import (
     hj_residual,
     verify_theorem,
 )
-from affmech.models import harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
+from affmech.models import by_name, harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
-from helpers import evaluate_with_partials, verify_one
+from helpers import evaluate_with_partials, integrate_reduced, verify_one
 
 
 def coboundary(chart_aff, s_node, ds_nodes):
@@ -182,7 +182,7 @@ def test_verify_free_particle_solution():
     report = verify_one(bundle.section("w_free"), bundle.hamiltonian, [0.0, 1.0], 1.0)
     assert report.trajectory_max <= 1e-8
     assert report.hj_max <= 1e-10
-    assert report.holds_along_trajectory and report.holds_pointwise and report.agree
+    assert report.holds_along_trajectory and report.holds_pointwise
     # closed-form trajectory: q(t) = 1 + t
     t_end, q_end = report.trajectory.states[-1]
     assert abs(q_end - (1.0 + t_end)) <= 1e-8
@@ -222,6 +222,36 @@ def test_verify_shares_its_work_within_one_call_and_keeps_none_after_it(monkeypa
         assert not any(map(callable, vars(obj).values())), what
 
 
+@pytest.mark.parametrize("name, sec", [
+    ("trivial:2", "w_free"), ("oscillator", "w_osc"), ("linear:tangent3", "grad_sq"),
+    ("rigid:1,2,3", "cocycle_t"),
+])
+def test_the_partials_of_h_are_built_only_where_they_are_read(name, sec):
+    def fresh():
+        bundle = by_name(name)
+        return bundle, bundle.hamiltonian, bundle.section(sec)
+
+    # what hj and validate run: the cocycle check, f, d^V f and the three charts
+    bundle, h, alpha = fresh()
+    cocycle_residual(alpha)
+    f_of(h, alpha)
+    hj_residual(alpha, h)
+    list(validate_charts(bundle.chart, bundle.sample))
+    assert "partials" not in vars(h)
+    # flow and verify integrate the Hamilton field, which reads them
+    integrate(h, [0.1] * len(h.chart.all_vars()), 0.0, 0.1, 1e-2)
+    assert "partials" in vars(h)
+    bundle, h, alpha = fresh()
+    verify_one(alpha, h, [0.1] * h.chart.m, 0.1, 1e-2)
+    assert "partials" in vars(h)
+
+
+def test_a_hamiltonian_with_an_unknown_variable_is_refused_at_construction():
+    chart = trivial_fibration(1).chart
+    with pytest.raises(ValueError, match=r"unknown variables \['z'\]"):
+        HamiltonianSection(chart, "p1^2/2 + z")
+
+
 def test_verify_draws_its_sample_stream_once_per_call(monkeypatch, capsys):
     draws, real = [], SplitMix64.units
     monkeypatch.setattr(SplitMix64, "units", lambda self, k: draws.append(k) or real(self, k))
@@ -238,7 +268,7 @@ def test_verify_oscillator_solution():
     )
     assert report.trajectory_max <= 1e-6
     assert report.hj_max <= 1e-10
-    assert report.agree
+    assert report.holds_along_trajectory == report.holds_pointwise
 
 
 def test_verify_cubic_nonsolution_fails_both_ways():
@@ -247,7 +277,7 @@ def test_verify_cubic_nonsolution_fails_both_ways():
     assert report.trajectory_max > 1e-3
     assert report.hj_max > 0.1
     assert not report.holds_along_trajectory and not report.holds_pointwise
-    assert report.agree
+    assert report.holds_along_trajectory == report.holds_pointwise
 
 
 def test_verify_rigid_body_time_cocycle():
@@ -255,7 +285,7 @@ def test_verify_rigid_body_time_cocycle():
     report = verify_one(bundle.section("cocycle_t"), bundle.hamiltonian, [0.2], 1.0)
     assert report.trajectory_max == 0.0
     assert report.hj_max == 0.0
-    assert report.agree
+    assert report.holds_along_trajectory == report.holds_pointwise
 
 
 def test_verify_rejects_non_cocycles():
@@ -280,7 +310,7 @@ def test_direction_solution_implies_trajectory_residual():
         )
         for x0, report in zip(x0s, reports, strict=True):
             assert report.trajectory_max <= 1e-6, (bundle.name, name, x0)
-            assert report.agree
+            assert report.holds_along_trajectory == report.holds_pointwise
 
 
 def test_direction_failed_hj_has_trajectory_witness():

@@ -27,13 +27,12 @@ from affmech.dynamics import (
     hamilton_stage,
     integrate,
     integrate_field,
-    integrate_reduced,
     interpret,
     reduced_stage,
 )
 from affmech.models import by_name
 
-from helpers import compile_exprs
+from helpers import compile_exprs, integrate_reduced
 
 CHARTS = {name: by_name(name).chart for name in ("oscillator", "rigid:1,2,3", "linear:tangent3")}
 

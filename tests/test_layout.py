@@ -1,9 +1,11 @@
 """The package's public names, the place of ``expr`` at the bottom of its
-imports, the one home of the Hamilton formula, and slotted expression nodes."""
+imports, the one home of the Hamilton formula, slotted expression nodes, and
+no public function that only the tests call."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,55 @@ def test_expr_applies_no_dataclass_decorator():
         for d in node.decorator_list
     ]
     assert not [d for d in decorators if "dataclass" in d]
+
+
+# public functions that no subcommand, library route or benchmark call reaches, kept on purpose
+UNREACHED_BY_DESIGN = {
+    "reeb": "the Reeb section of the cosymplectic pair, checked by the tests against reeb_solve",
+    "validate_chart": "the validator of one AlgebroidChart, which the tests run on each chart view",
+}
+
+
+def _public_functions(tree):
+    """The public top-level functions and the public methods of the top-level classes."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (f for f in body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
+def _names(tree) -> Counter:
+    """How often each name is read, as a Name, an Attribute or an import."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.asname or node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    """Each public function or method of ``src/`` is named in ``src/`` or ``perfbench/``.
+
+    Names in ``affmech/__init__`` and in the function's own body do not
+    count.  The check is by name only, so a function that shares a common
+    name (``component``, ``values``) with something used passes it.
+    """
+    package = Path(affmech.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    sources = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = Counter()
+    for path, tree in [*sources.items(), *((p, ast.parse(p.read_text())) for p in bench.glob("*.py"))]:
+        if path != package / "__init__.py":
+            used += _names(tree)
+    unused = sorted(
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path, tree in sources.items()
+        for fn in _public_functions(tree)
+        if used[fn.name] <= _names(fn)[fn.name] and fn.name not in UNREACHED_BY_DESIGN
+    )
+    assert unused == []
+    kept = {fn.name for tree in sources.values() for fn in _public_functions(tree)}
+    assert set(UNREACHED_BY_DESIGN) <= kept

@@ -11,12 +11,10 @@ from affmech.models import (
     ModelNameError,
     by_name,
     harmonic_oscillator,
-    linear_algebroid,
     linear_tangent_model,
     perturbed_so3_chart,
     rigid_body,
     so3_chart,
-    tangent_algebroid,
     trivial_fibration,
 )
 
@@ -107,13 +105,8 @@ def test_rigid_body_principal_axis_equilibrium():
     assert rhs[1:] == [0.0, 0.0, 0.0]
 
 
-def test_linear_algebroid_requires_valid_chart():
-    with pytest.raises(ValueError):
-        linear_algebroid(perturbed_so3_chart())
-
-
-def test_linear_algebroid_embedding_structure():
-    aff = linear_algebroid(tangent_algebroid(2))
+def test_linear_tangent_chart_embedding_structure():
+    aff = linear_tangent_model(2).chart
     env = {"x1": 0.2, "x2": -0.8}
     assert [c for c in aff.base_vars] == ["x1", "x2"]
     assert aff.fiber_vars == ["y1", "y2"]
