@@ -23,7 +23,7 @@ prolongation from the bidual's residuals alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import expr as ex
@@ -252,15 +252,14 @@ class HamiltonianSection:
     """Section of the dual projection, (x, y) -> (x, -H(x, y), y).
 
     ``partials`` holds the symbolic partials of H with respect to every
-    chart variable, base variables first, built on first use: ``hj`` and
-    ``validate`` never read them.  ``field_rows`` caches
-    ``hamilton_field(self)``, built on its first call.  Both are
-    expressions; no compiled code or check result is kept here.
+    chart variable, base variables first, and ``field_rows`` the rows of
+    ``hamilton_field(self)``.  Both are expressions, built on first use:
+    ``hj`` and ``validate`` never read them.  No compiled code or check
+    result is kept here.
     """
 
     chart: AffgebroidChart
     H: Expr
-    field_rows: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         self.H = as_expr(self.H)
@@ -271,6 +270,29 @@ class HamiltonianSection:
     @functools.cached_property
     def partials(self) -> list[Expr]:
         return [diff(self.H, v) for v in self.chart.all_vars()]
+
+    @functools.cached_property
+    def field_rows(self) -> list[Expr]:
+        aff = self.chart
+        m, n = aff.m, aff.n
+        hx, hy = self.partials[:m], self.partials[m:]
+        out = []
+        for i in range(m):
+            total = aff.rho0[i]
+            for a in range(n):
+                total = add(total, mul(hy[a], aff.rhoV[a][i]))
+            out.append(total)
+        for a in range(n):
+            total = Lit(0.0)
+            for i in range(m):
+                total = sub(total, mul(aff.rhoV[a][i], hx[i]))
+            for g in range(n):
+                coef = aff.C0[a][g]
+                for b in range(n):
+                    coef = add(coef, mul(aff.CV[b][a][g], hy[b]))
+                total = add(total, mul(Var(aff.fiber_vars[g]), coef))
+            out.append(total)
+        return out
 
 
 @dataclass
@@ -400,31 +422,9 @@ def hamilton_field(h: HamiltonianSection) -> list[Expr]:
     This is the one formula of the Hamilton equations: the stages of
     ``dynamics`` and the check of ``hj`` carry these rows, and both the
     kernels of ``dynamics.compile_rk4`` and ``dynamics.interpret`` compute
-    them.  Built once per section and cached in ``h.field_rows``.
+    them.  They are built once per section, as ``h.field_rows``.
     """
-    if h.field_rows is not None:
-        return h.field_rows
-    aff = h.chart
-    m, n = aff.m, aff.n
-    hx, hy = h.partials[:m], h.partials[m:]
-    out = []
-    for i in range(m):
-        total = aff.rho0[i]
-        for a in range(n):
-            total = add(total, mul(hy[a], aff.rhoV[a][i]))
-        out.append(total)
-    for a in range(n):
-        total = Lit(0.0)
-        for i in range(m):
-            total = sub(total, mul(aff.rhoV[a][i], hx[i]))
-        for g in range(n):
-            coef = aff.C0[a][g]
-            for b in range(n):
-                coef = add(coef, mul(aff.CV[b][a][g], hy[b]))
-            total = add(total, mul(Var(aff.fiber_vars[g]), coef))
-        out.append(total)
-    h.field_rows = out
-    return out
+    return h.field_rows
 
 
 def reeb(h: HamiltonianSection):

@@ -518,8 +518,7 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     the others are sampled.  A NaN coefficient is the largest.  An
     evaluation error records the point it happened at as ``point``.
     """
-    nodes = {idx: c.node for idx, c in s.coeffs.items()}
-    return _max_abs(nodes, _proved(nodes.values()), s.chart.base_vars, envs)
+    return max_abs_check(s)(envs)
 
 
 def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple, dict]]:

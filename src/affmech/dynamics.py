@@ -158,7 +158,7 @@ def compile_rk4(
     variables: Sequence[str],
     bound: Mapping[str, ex.Expr] | None = None,
     extras: Sequence[ex.Expr] = (),
-    check: Sequence[Sequence[ex.Expr]] = (),
+    check: Sequence[ex.Expr] | None = None,
     slots: Sequence[str] = (),
 ) -> Callable[..., None]:
     """The fixed-step RK4 loop of ``integrate_field`` as one generated function.
@@ -186,11 +186,11 @@ def compile_rk4(
     name holds its value); a NaN fails too.  The other extras are computed
     and must be finite.
 
-    ``check`` lists groups of expressions over ``variables`` and ``slots``
+    ``check`` lists expressions over ``variables`` and ``slots``
     (``slots[j]`` names the value of ``exprs[j]``), with their own
-    subexpression table.  ``rk4`` then takes ``acc``, the running max
-    |value| of each group and the count of states measured, and measures
-    the first stage of every state, the last one included.
+    subexpression table.  Given a ``check``, even an empty one, ``rk4``
+    takes ``acc``, [running max |value|, count of states measured], and
+    measures the first stage of every state, the last one included.
 
     Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
     local is named so.  Raises UnboundVariableError for a name missing from
@@ -214,21 +214,17 @@ def compile_rk4(
     if kept:
         stage.append(_not_finite(outs[len(exprs) :]))
     measure: list[str] = []
-    if check:
+    if check is not None:
         names = {v: f"y{j}" for j, v in enumerate(variables)}
         names.update(zip(slots, outs))
-        rows = [e for group in check for e in group]
-        measure, values = ex._straight_line(rows, names, None, "u", consts)
+        measure, values = ex._straight_line(check, names, None, "u", consts)
         measure.append(_not_finite(values))
-        for g, group in enumerate(check):
-            values, mine = values[len(group) :], values[: len(group)]
-            # the values are finite here: |v| <= m without a call, and a
-            # repeated value changes nothing
-            for v in dict.fromkeys(mine):
-                measure.append(f"if not -m{g} <= {v} <= m{g}: m{g} = abs({v})")
+        # the values are finite here: |v| <= m without a call, and a
+        # repeated value changes nothing
+        for v in dict.fromkeys(values):
+            measure.append(f"if not -m <= {v} <= m: m = abs({v})")
         measure.append("n += 1")
         measure.append("if not now < end: return")
-    maxima = "".join(f"m{g}, " for g in range(len(check)))
 
     def vec(form: str) -> str:
         return ", ".join(form.format(j=j, k=outs[j]) for j in range(w)) + ","
@@ -245,12 +241,12 @@ def compile_rk4(
         step_inputs = assign("v{j}", "y{j} + hv * {k}")
 
     lines = [
-        *([f"{maxima}n = acc"] if check else []),
+        *(["m, n = acc"] if measure else []),
         "now = times[-1]",
         "i = len(times) - 1",
         "try:",
         f"    {vec('y{j}')} = states[-1]",
-        f"    while {'True' if check else 'now < end'}:",
+        f"    while {'True' if measure else 'now < end'}:",
         "        hs = end - now",  # min(step, end - now) without a call
         "        if not hs < step: hs = step",
         "        h2 = 0.5 * hs",
@@ -276,9 +272,9 @@ def compile_rk4(
         f"        states.append([{vec('y{j}')}])",
         "except (ArithmeticError, ValueError):",
         "    pass",
-        *(["finally:", f"    acc[:] = {maxima}n"] if check else []),
+        *(["finally:", "    acc[:] = m, n"] if measure else []),
     ]
-    params = "times, states, start, end, step" + (", acc" if check else "")
+    params = "times, states, start, end, step" + (", acc" if measure else "")
     body = "\n".join(f"        {line}" for line in lines)
     return ex._build(f"    def rk4({params}):\n{body}\n    return rk4\n", consts)
 

@@ -114,6 +114,25 @@ rhoV = p1
 [hamiltonian]
 H = p1^2/2
 """,
+    # X = (1, t*t, x*K*1e-300) with K*x overflowing first at the last state's
+    # first stage: the kernel leaves that state to the interpreter, whose fiber
+    # residual is NaN, so condition (i) fails
+    "last_state_overflow.model": """
+[space]
+m = 3
+n = 1
+vars = t, x, z, y
+
+[anchor]
+rho0 = 1, t*t, 0
+rhoV = 0, 0, x*1.0037283370223616e+308*1e-300
+
+[hamiltonian]
+H = y^2/2
+
+[sections]
+one.alphaV = 1
+""",
     # the antisymmetry sum sqrt(t) - sqrt(t) is sampled, and t < 0 is in the box
     "sqrt_structure.model": """
 [space]
@@ -151,6 +170,8 @@ CORPUS = (
         # an error at the second point follows the first point's line
         ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,2;0.5,-0.3"],
         ["verify", "oscillator", "--alpha", "alphaV=log(q1)", "--x0-set", "0.5,2;0.5,0.5"],
+        ["verify", f"{DIR}/last_state_overflow.model", "--alpha", "one", "--x0-set", "1,1,0",
+         "--horizon", "0.5", "--step", "0.25"],
         ["flow", f"{DIR}/log_h.model", "--x0", "0,0.5", "--y0", "-2", "--t-end", "1", "--step", "0.01"],
         ["flow", f"{DIR}/inf_anchor.model", "--x0", "1.5", "--y0", "0", "--t-end", "0.5", "--step", "0.05"],
         # the divisor 2*I1 of H overflows to inf
