@@ -106,22 +106,15 @@ class AffgebroidChart:
         ``validate_charts`` needs.  One walk covers all entries; only a failed
         walk looks for the entry, to name it.
         """
-        base = set(self.base_vars)
         entries = [*self.rho0, *(e for row in self.rhoV + self.C0 for e in row)]
         names, zero_divisor = _scan(entries + [e for mat in self.CV for col in mat for e in col])
-        if names <= base and not zero_divisor:
+        if names <= set(self.base_vars) and not zero_divisor:
             return
         rows = [("rho0", self.rho0)] + [(f"rhoV[{a}]", r) for a, r in enumerate(self.rhoV)]
         rows += [(f"C0[{a}]", r) for a, r in enumerate(self.C0)]
         rows += [(f"CV[{a}][{b}]", c) for a, mat in enumerate(self.CV) for b, c in enumerate(mat)]
-        for name, row in rows:
-            for i, e in enumerate(row):
-                names, zero_divisor = _scan([e])
-                if names - base:
-                    what = f"reads variables {sorted(names - base)}, which are not base variables"
-                    raise ValueError(f"chart entry {name}[{i}] {what} {self.base_vars}")
-                if zero_divisor:
-                    raise ValueError(f"chart entry {name}[{i}] divides by a literal zero")
+        labels = [(f"chart entry {name}[{i}]", e) for name, row in rows for i, e in enumerate(row)]
+        _check_over_base(self, labels)
 
     @property
     def m(self) -> int:
@@ -226,6 +219,19 @@ def _without_e0(family: dict) -> dict:
     return {tuple(i - 1 for i in key): e for key, e in family.items() if 0 not in key}
 
 
+def _check_over_base(chart: AffgebroidChart, entries) -> None:
+    """Raise ValueError for the first (label, expression) entry that reads a
+    variable other than the chart's base variables or divides by a literal zero."""
+    base = set(chart.base_vars)
+    for label, e in entries:
+        names, zero_divisor = _scan([e])
+        if names - base:
+            what = f"reads variables {sorted(names - base)}, which are not base variables"
+            raise ValueError(f"{label} {what} {chart.base_vars}")
+        if zero_divisor:
+            raise ValueError(f"{label} divides by a literal zero")
+
+
 def _scan(todo: list) -> tuple[set[str], bool]:
     """The variables the expressions read, and whether one divides by a literal zero.
 
@@ -299,7 +305,9 @@ class HamiltonianSection:
 class CoSection:
     """Section of the full dual bundle: components (alpha0, alphaV) over the base.
 
-    The components are expressions (``as_expr``); a callable is a TypeError.
+    The components are expressions (``as_expr``); a callable is a TypeError,
+    and one that reads a non-base variable or divides by a literal zero a
+    ValueError naming it.
     """
 
     chart: AffgebroidChart
@@ -311,6 +319,8 @@ class CoSection:
         self.alphaV = [as_expr(c) for c in self.alphaV]
         if len(self.alphaV) != self.chart.n:
             raise ValueError("alphaV needs one component per fiber coordinate")
+        named = [("alpha0", self.alpha0), *((f"alphaV[{a}]", c) for a, c in enumerate(self.alphaV))]
+        _check_over_base(self.chart, named)
 
     def as_bidual_section(self) -> KSection:
         return KSection.one_section(self.chart.bidual_chart(), [self.alpha0] + self.alphaV)
@@ -318,7 +328,10 @@ class CoSection:
 
 @dataclass
 class VStarSection:
-    """Section of the dual of the vertical bundle, gamma = gamma_a e^a."""
+    """Section of the dual of the vertical bundle, gamma = gamma_a e^a.
+
+    Its components are checked as ``CoSection``'s are.
+    """
 
     chart: AffgebroidChart
     gammaV: list
@@ -327,6 +340,7 @@ class VStarSection:
         self.gammaV = [as_expr(c) for c in self.gammaV]
         if len(self.gammaV) != self.chart.n:
             raise ValueError("gammaV needs one component per fiber coordinate")
+        _check_over_base(self.chart, [(f"gammaV[{a}]", c) for a, c in enumerate(self.gammaV)])
 
 
 # ------------------------------------------------------- cosymplectic pair

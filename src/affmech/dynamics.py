@@ -14,11 +14,11 @@ bound, extras), which ``hamilton_stage`` and ``reduced_stage`` build from
 stage.  ``interpret`` evaluates it with ``expr.evaluate``, and
 ``integrate_field`` steps that field: this is the reference, and every
 domain error and its message come from it.  ``compile_rk4`` generates the
-same loop, with the same float operations, over the stage emitted as
-straight-line code that walks no expression tree and calls no Python
-function.  ``integrate`` and ``hj.verify_theorem`` compile their kernel on
-each call, or none where compiling fails; a kernel hands any step where a
-stage raises or the new state is not finite back to ``integrate_field``.
+same loop over the stage as straight-line code, with the same float
+operations, and a check over the stage's names in the same temporaries.
+``integrate`` and ``hj.verify_theorem`` compile their kernel on each call,
+or none where compiling fails; a kernel hands any step where a stage
+raises or the new state is not finite back to ``integrate_field``.
 H and the partials are the stage's extras: one guard, |v| < ``GUARD_BOUND``
 on each variable they read, replaces the polynomial ones.
 """
@@ -84,8 +84,7 @@ def integrate_field(
 ) -> Trajectory:
     """Fixed-step RK4 for an autonomous field; aborts on non-finite states.
 
-    ``f`` maps a state to a list whose first len(y0) values are the field;
-    it may list more, as ``interpret`` does for a stage's further values.
+    ``f`` maps a state to the field there, one value per component of y0.
     ``kernel``, when given, is the ``compile_rk4`` loop over the stage that
     ``f`` interprets.  It runs first and again after every step that it
     left to ``f``, which is one where it met an error, a value that is not
@@ -159,24 +158,22 @@ def compile_rk4(
     bound: Mapping[str, ex.Expr] | None = None,
     extras: Sequence[ex.Expr] = (),
     check: Sequence[ex.Expr] | None = None,
-    slots: Sequence[str] = (),
 ) -> Callable[..., None]:
     """The fixed-step RK4 loop of ``integrate_field`` as one generated function.
 
     ``rk4(times, states, start, end, step)`` steps from ``states[-1]`` at
     ``times[-1]`` with ``integrate_field``'s float operations, appending
     each time and state.  Its stage, emitted once inside the loop over the
-    four stages, computes ``exprs`` over ``variables`` as straight-line
-    code: one assignment per distinct node, with the interpreter's float
-    operations, so each value equals ``evaluate`` bit for bit.  Its first
-    len(variables) values are the field.  ``bound`` maps further names to
-    expressions in ``variables``, computed first; in ``exprs`` such a name
-    reads that value.  ``rk4`` returns before a step where a stage raises
-    ArithmeticError or ValueError, or where the new state (or its sum) is
-    not finite.  That covers a field value that is not finite: each of the
-    four enters the new state with a positive weight, and adding to an
-    infinity or a NaN never gives a finite number.  Values past the field
-    are not tested; a check reads them and tests its own values.
+    four stages, computes the field ``exprs`` over ``variables`` as
+    straight-line code: one assignment per distinct node, with the
+    interpreter's float operations, so each value equals ``evaluate`` bit
+    for bit.  ``bound`` maps further names to expressions in ``variables``,
+    computed first; in ``exprs`` such a name reads that value.  ``rk4``
+    returns before a step where a stage raises ArithmeticError or
+    ValueError, or where the new state (or its sum) is not finite.  That
+    covers a field value that is not finite: each of the four enters the
+    new state with a positive weight, and adding to an infinity or a NaN
+    never gives a finite number.
 
     ``extras`` are values the stage computes only so that it raises where
     ``evaluate`` does.  It drops those that ``magnitude_below`` bounds while
@@ -186,17 +183,18 @@ def compile_rk4(
     name holds its value); a NaN fails too.  The other extras are computed
     and must be finite.
 
-    ``check`` lists expressions over ``variables`` and ``slots``
-    (``slots[j]`` names the value of ``exprs[j]``), with their own
-    subexpression table.  Given a ``check``, even an empty one, ``rk4``
-    takes ``acc``, [running max |value|, count of states measured], and
-    measures the first stage of every state, the last one included.
+    ``check`` lists expressions over ``variables`` and the ``bound``
+    names, emitted into the stage's subexpression table.  Given a
+    ``check``, even an empty one, ``rk4`` takes ``acc``, [running max
+    |value|, count of states measured], and measures it after the first
+    stage of every state, the last one included.
 
-    Temporaries are ``t`` (stage) or ``u`` (check) and a number; no loop
-    local is named so.  Raises UnboundVariableError for a name missing from
-    ``variables``, and RecursionError for input too deep to walk.
+    Temporaries are ``t`` and a number; no loop local is named so.  Raises
+    UnboundVariableError for a name missing from ``variables``, and
+    RecursionError for input too deep to walk.
     """
     consts: dict[str, object] = {}
+    table = ({}, {})  # shared by the stage and the check
     w = len(variables)
     names = {v: f"v{j}" for j, v in enumerate(variables)}
     bounds = dict.fromkeys([*variables, *(bound or ())], GUARD_BOUND)
@@ -205,7 +203,7 @@ def compile_rk4(
     read = set().union(*(ex.free_vars(e) for e, drop in zip(extras, dropped) if drop))
     reads = [v for v in bounds if v in read]
     rows = [*exprs, *kept, *map(ex.Var, reads)]  # a Var's operand is the local holding its value
-    stage, outs = ex._straight_line(rows, names, bound, "t", consts)
+    stage, outs = ex._straight_line(rows, names, bound, "t", consts, table)
     if reads:
         guarded = dict.fromkeys(outs[-len(reads) :])
         tests = (f"{-GUARD_BOUND!r} < {v} < {GUARD_BOUND!r}" for v in guarded)
@@ -215,9 +213,7 @@ def compile_rk4(
         stage.append(_not_finite(outs[len(exprs) :]))
     measure: list[str] = []
     if check is not None:
-        names = {v: f"y{j}" for j, v in enumerate(variables)}
-        names.update(zip(slots, outs))
-        measure, values = ex._straight_line(check, names, None, "u", consts)
+        measure, values = ex._straight_line(check, names, bound, "t", consts, table)
         measure.append(_not_finite(values))
         # the values are finite here: |v| <= m without a call, and a
         # repeated value changes nothing
@@ -329,16 +325,16 @@ def integrate(
 def reduced_stage(alpha: CoSection, h: HamiltonianSection):
     """The reduced field's stage as ``compile_rk4``'s (exprs, variables, bound, extras).
 
-    Values: the first m rows of ``hamilton_field`` with the fiber variables
-    ``bound`` to alphaV, which is the reduced field of the theorem,
+    The field is the first m rows of ``hamilton_field`` with the fiber
+    variables ``bound`` to alphaV, the reduced field of the theorem,
 
-        X^i(x) = rho0^i(x) + dH/dy_a(x, alphaV(x)) rhoV[a]^i(x),
+        X^i(x) = rho0^i(x) + dH/dy_a(x, alphaV(x)) rhoV[a]^i(x).
 
-    then alphaV from index m.  The extras are the n fiber rows, H and its
-    m+n partials: no value reads them, but the field is undefined where one
-    is.  A guard on a fiber variable tests its alphaV value.
+    The extras are the n fiber rows, H and its m+n partials: X does not
+    read them, but is undefined where one is.  A guard on a fiber variable
+    tests its alphaV value.
     """
     aff = h.chart
     rows, bound = hamilton_field(h), dict(zip(aff.fiber_vars, alpha.alphaV))
-    return rows[: aff.m] + alpha.alphaV, aff.base_vars, bound, rows[aff.m :] + [h.H, *h.partials]
+    return rows[: aff.m], aff.base_vars, bound, rows[aff.m :] + [h.H, *h.partials]
 

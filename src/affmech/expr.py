@@ -557,18 +557,21 @@ def _straight_line(
     bound: Mapping[str, Expr] | None,
     prefix: str,
     consts: dict[str, object],
+    table: tuple[dict, dict] | None = None,
 ) -> tuple[list[str], list[str]]:
     """The assignments computing ``exprs``, and each value's operand text.
 
     ``names`` maps variables to locals; temporaries are ``prefix`` and a
     number, and constants without exact source text go into ``consts``.
+    A later call given the same ``table`` (and ``names``, ``bound``,
+    ``prefix``) reads the temporaries of the calls before it, whose nodes
+    must stay alive: the table keys them by id.
     """
     names = dict(names)
-    # Sharing is keyed on the emitted right-hand side rather than on node
-    # equality, which treats Lit(0.0) and Lit(-0.0) as equal.
-    seen: dict[str, str] = {}  # right-hand side -> the temporary holding it
+    # right-hand side -> its temporary, and id(node) -> its operand text.  Sharing
+    # is keyed on the right-hand side, not on node equality (Lit(0.0) == Lit(-0.0)).
+    seen, memo = table if table is not None else ({}, {})
     lines: list[str] = []
-    memo: dict[int, str] = {}  # id(node) -> its operand text
 
     def const(v) -> str:
         if type(v) is float and math.isfinite(v):

@@ -21,7 +21,7 @@ from .algebroid import (
     section_max_abs,
     values_at,
 )
-from .affgebroid import CoSection, HamiltonianSection, hamilton_field
+from .affgebroid import CoSection, HamiltonianSection
 from .dynamics import DEFAULT_STEP, Trajectory, _kernel, integrate_field, interpret, reduced_stage
 
 __all__ = [
@@ -151,8 +151,8 @@ def verify_theorem(
 
     The call checks every point's length (ValueError) and that alpha is a
     cocycle (NotACocycleError), then builds what no point changes: the
-    partials of alphaV, one RK4 kernel, the d^V f check and the plan's unit
-    draws (drawn on first use; every box plan reuses them).  It returns an
+    residuals, one RK4 kernel, the d^V f check and the plan's unit draws
+    (drawn on first use; every box plan reuses them).  It returns an
     iterator that checks one point per report, as the report is taken.
 
     Each check integrates the reduced field X, the Hamilton field's base
@@ -164,9 +164,10 @@ def verify_theorem(
     evaluation error, with x0 as its ``point``.
 
     The RK4 kernel of ``dynamics.reduced_stage`` measures the residuals on
-    the first stage of every state, the last one included, keeping their
-    running maximum.  If it missed a state, ``dynamics.interpret`` measures
-    every state again, and its errors record the state as their ``point``.
+    the first stage of every state, the last one included.  If it missed a
+    state, ``dynamics.interpret`` measures each state again in one call
+    (bound names, extras, X, residuals); its errors record the state as
+    their ``point``.
     """
     aff = h.chart
     m = aff.m
@@ -178,12 +179,12 @@ def verify_theorem(
     coc = CocycleReport(worst, where, plan.count)
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
-    dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in aff.base_vars]  # at a*m + i
-    stage, (residuals, slots) = reduced_stage(alpha, h), _theorem_check(h, dalpha)
-    kernel = _kernel(*stage, residuals, slots)
+    stage = exprs, variables, bound, extras = reduced_stage(alpha, h)
+    residuals = _theorem_check(alpha, stage)
+    kernel = _kernel(*stage, residuals)
     df = max_abs_check(_vertical_df(alpha, h))
     field = interpret(*stage)
-    measure = interpret(residuals, aff.base_vars + slots)  # at (x, field(x))
+    measure = interpret(residuals, variables, bound, [*extras, *exprs])
 
     def check(x0) -> TheoremReport:
         acc = [0.0, 0]  # max |fiber residual|, states measured
@@ -199,7 +200,7 @@ def verify_theorem(
         traj_max, measured = acc
         if measured != len(traj):
             envs = [dict(zip(aff.base_vars, s)) for s in traj.states]
-            rows = values_at(lambda env: measure([*env.values(), *field(env.values())]), envs)
+            rows = values_at(lambda env: measure(list(env.values())), envs)
             traj_max = nan_max(abs(v) for r in rows for v in r)
 
         box = {var: (min(col), max(col)) for var, col in zip(aff.base_vars, zip(*traj.states))}
@@ -217,28 +218,27 @@ def verify_theorem(
     return map(check, points)
 
 
-def _theorem_check(h: HamiltonianSection, dalpha: list) -> tuple[list, list]:
-    """The per-state check of ``verify_theorem``, as ``compile_rk4``'s (check, slots).
+def _theorem_check(alpha: CoSection, stage) -> list[ex.Expr]:
+    """The n fiber residuals of condition (i), over the names of ``stage``.
 
-    Its inputs are a base point x and the values of ``dynamics.reduced_stage``
-    at x: ``slots`` names them, the reduced field X(x) first and then
-    alphaV(x) from index m under the fiber coordinates' names.  It lists the
-    n signed fiber residuals ``sum_i dalpha[a*m + i] X_i - rhs_(m+a)``, where
-    rhs is ``hamilton_field`` with the fiber coordinates read as inputs (the
-    stage binds them to alphaV instead).  The sums over i are unfolded
-    BinOps, so a zero factor still meets an infinite or NaN X_i.
+    ``stage`` is ``dynamics.reduced_stage``'s (X, base variables, bound,
+    extras), and the residuals are built from its own nodes:
+
+        R_a(x) = sum_i d alphaV_a/dx^i X_i(x) - F_a(x, alphaV(x)),
+
+    with X_i the field row ``X[i]`` and F_a the fiber row of
+    ``hamilton_field`` that is ``extras[a]``, its fiber variables bound to
+    alphaV.  A field skewed off the Hamilton field shows in R.  The sums
+    over i are unfolded BinOps, so a zero factor still meets an infinite or
+    NaN X_i.
     """
-    aff = h.chart
-    m, n = aff.m, aff.n
-    slots = [f"k1[{i}]" for i in range(m)] + aff.fiber_vars  # names no parsed variable can have
-    xdot = [ex.Var(v) for v in slots[:m]]
-    rhs = hamilton_field(h)
+    X, base_vars, _, extras = stage
     fiber = []
-    for a in range(n):
-        terms = [ex.BinOp("*", dalpha[a * m + i], xdot[i]) for i in range(m)]
+    for c, rhs in zip(alpha.alphaV, extras):  # the first n extras are the fiber rows
+        terms = [ex.BinOp("*", ex.diff(c, v), x) for v, x in zip(base_vars, X)]
         total = functools.reduce(functools.partial(ex.BinOp, "+"), terms or [ex.Lit(0.0)])
-        fiber.append(ex.BinOp("-", total, rhs[m + a]))
-    return fiber, slots
+        fiber.append(ex.BinOp("-", total, rhs))
+    return fiber
 
 
 def _vertical_df(alpha: CoSection, h: HamiltonianSection) -> KSection:

@@ -244,7 +244,11 @@ def _sections(entries, chart, n):
             alphaV = [_parse_expr(p, av_line) for p in comps]
         else:
             alphaV = [ex.parse("0")] * n
-        out[name] = CoSection(chart, alpha0, alphaV)
+        try:
+            out[name] = CoSection(chart, alpha0, alphaV)
+        except ValueError as err:  # it names the component, alpha0 or alphaV[a]: give its line
+            part = "alpha0" if str(err).startswith("alpha0") else "alphaV"
+            raise ModelFileError(f"section '{name}': {err}", parts[part][1]) from None
     return out
 
 

@@ -32,7 +32,7 @@ from affmech.modelfile import parse_model_text
 from affmech.models import by_name
 
 from helpers import compile_exprs, integrate_reduced, verify_one
-from test_golden import MODEL_FILES
+from test_golden import MODEL_FILES, builtin_kernels
 
 BUILTINS = ["trivial:3", "oscillator", "linear:tangent3", "rigid:1,2,3", "perturbed-so3"]
 SECTIONS = [(name, sec) for name in BUILTINS for sec in by_name(name).sections]
@@ -246,9 +246,9 @@ def skew_check_at(monkeypatch, state):
     real = hj._theorem_check
 
     def skewed(*args):
-        fiber, slots = real(*args)
+        fiber = real(*args)
         bump = ex.parse(f"1e-9*exp(-((t - ({state[0]!r}))*1000000)^2)")
-        return [ex.BinOp("+", fiber[0], bump)] + fiber[1:], slots
+        return [ex.BinOp("+", fiber[0], bump)] + fiber[1:]
 
     monkeypatch.setattr(hj, "_theorem_check", skewed)
 
@@ -295,18 +295,19 @@ def test_the_pass_measures_each_state_once(monkeypatch, count_rhs):
     assert not count_rhs  # no state was measured per stage
 
 
-def test_the_reduced_stage_gives_the_per_stage_values():
+def test_the_reduced_stage_is_the_base_rows_with_the_fiber_bound_to_alpha_v():
     bundle = by_name("oscillator")
     h, alpha = bundle.hamiltonian, bundle.sections["w_osc"]
     exprs, variables, bound, extras = reduced_stage(alpha, h)
+    m = h.chart.m
+    assert (len(exprs), variables) == (m, h.chart.base_vars)
+    assert bound == dict(zip(h.chart.fiber_vars, alpha.alphaV))
     x = [0.3, 0.7]
-    out = compile_exprs(exprs, variables, bound)(x)
-    w = len(exprs) - len(alpha.alphaV)
-    y = out[w:]
+    y = [ex.evaluate(c, dict(zip(variables, x))) for c in alpha.alphaV]
     rows = hamilton_field(h)
-    assert out[:w] == compile_exprs(rows, h.chart.all_vars())(x + y)[:w]
-    assert extras == rows[w:] + [h.H, *h.partials]
-    assert y == [ex.evaluate(c, dict(zip(variables, x))) for c in alpha.alphaV]
+    want = compile_exprs(rows, h.chart.all_vars())(x + y)[:m]
+    assert compile_exprs(exprs, variables, bound)(x) == want
+    assert extras == rows[m:] + [h.H, *h.partials]
 
 
 def test_compile_with_bound_names_equals_evaluate():
@@ -414,7 +415,7 @@ def test_no_builtin_flow_stage_computes_a_power(name):
 
 
 def dead_temporaries(source):
-    """The ``t``/``u`` temporaries of a kernel that only a raise-only ``if`` reads.
+    """The ``t`` temporaries of a kernel that only a raise-only ``if`` reads.
 
     Such an ``if`` (the non-finite checks and the guard) decides whether the
     kernel gives the step up; a value that nothing else reads feeds neither
@@ -427,20 +428,9 @@ def dead_temporaries(source):
         if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise)
         for name in ast.walk(node.test)
     }
-    temps = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and re.fullmatch(r"[tu]\d+", n.id)]
+    temps = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and re.fullmatch(r"t\d+", n.id)]
     stored = {n.id for n in temps if isinstance(n.ctx, ast.Store)}
     return stored - {n.id for n in temps if isinstance(n.ctx, ast.Load) and id(n) not in tests}
-
-
-def builtin_kernels():
-    for name in BUILTINS + ["trivial:1"]:
-        bundle = by_name(name)
-        h = bundle.hamiltonian
-        yield f"flow {name}", compile_rk4(*hamilton_stage(h))
-        for sec, alpha in bundle.sections.items():
-            dalpha = [ex.diff(c, v) for c in alpha.alphaV for v in h.chart.base_vars]
-            check = hj._theorem_check(h, dalpha)
-            yield f"verify {name} {sec}", compile_rk4(*reduced_stage(alpha, h), *check)
 
 
 def test_every_temporary_of_a_builtin_kernel_is_used():
@@ -451,6 +441,35 @@ def test_every_temporary_of_a_builtin_kernel_is_used():
     # a value computed only for the non-finite check is dead
     extra = compile_rk4([ex.parse("x")], ["x"], None, [ex.parse("log(2 + x^2)")])
     assert dead_temporaries(extra.source) == {"t2"}  # the log; x^2 and 2 + x^2 feed it
+
+
+def test_the_check_reads_the_stage_s_subexpressions():
+    # the fiber residual of w_osc reads sin(t) and cos(t), which the stage computes
+    source = dict(builtin_kernels())["verify oscillator w_osc"].source
+    assert source.count("_sin(") == source.count("_cos(") == 1, source
+
+
+ALL_SECTIONS = SECTIONS + [("trivial:1", sec) for sec in by_name("trivial:1").sections]
+
+
+@pytest.mark.parametrize("name,sec", ALL_SECTIONS)
+def test_the_per_state_re_measure_equals_the_kernel_maximum_bit_for_bit(
+    name, sec, per_stage, count_rhs
+):
+    bundle = by_name(name)
+    h, alpha = bundle.hamiltonian, bundle.sections[sec]
+    x0 = [random.Random(sec).uniform(-0.5, 0.5) for _ in h.chart.base_vars]
+    try:
+        fused = verify_one(alpha, h, x0, 0.3, 1e-2).trajectory_max
+    except hj.NotACocycleError:  # verify measures no state of a section that is no cocycle
+        per_stage()
+        with pytest.raises(hj.NotACocycleError):
+            verify_one(alpha, h, x0, 0.3, 1e-2)
+        return
+    assert not count_rhs  # the kernel measured every state
+    per_stage()
+    assert verify_one(alpha, h, x0, 0.3, 1e-2).trajectory_max.hex() == fused.hex()
+    assert count_rhs  # every state was measured again per stage
 
 
 
@@ -546,8 +565,8 @@ def test_a_check_value_that_is_nan_at_one_state_reads_as_nan(where, monkeypatch)
     real = hj._theorem_check
 
     def skewed(*args):
-        fiber, slots = real(*args)
-        return [ex.BinOp("+", fiber[0], ex.BinOp("-", big, big))] + fiber[1:], slots
+        fiber = real(*args)
+        return [ex.BinOp("+", fiber[0], ex.BinOp("-", big, big))] + fiber[1:]
 
     monkeypatch.setattr(hj, "_theorem_check", skewed)
     assert math.isnan(verify_one(alpha, h, [0.1, 0.5], 0.1, 1e-2).trajectory_max)

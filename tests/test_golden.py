@@ -1,9 +1,13 @@
-"""Golden CLI output: exit code, stdout and stderr of a fixed command corpus.
+"""Golden CLI output and golden RK4 kernel sources.
 
-``golden_cli.json`` holds the output of every command below.  A change that
-alters any of them shows up here as a byte difference.  To rewrite the file
-from the current sources, run ``PYTHONPATH=src python tests/test_golden.py``
-from the repository root.
+``golden_cli.json`` holds the exit code, stdout and stderr of every command
+of a fixed corpus, and ``golden_kernels.json`` the generated source of the
+22 builtin RK4 kernels (one ``flow`` kernel per builtin Hamiltonian, one
+``verify`` kernel per builtin section), one list of lines each.  A change
+that alters any of them shows up here as a byte difference, and in the
+files' diff once they are rewritten.  To rewrite both files from the current
+sources, run ``PYTHONPATH=src python tests/test_golden.py`` from the
+repository root.
 """
 
 import contextlib
@@ -15,10 +19,13 @@ from pathlib import Path
 
 import pytest
 
+from affmech import hj
 from affmech.cli import main
+from affmech.dynamics import compile_rk4, hamilton_stage, reduced_stage
 from affmech.models import by_name
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+KERNELS = Path(__file__).with_name("golden_kernels.json")
 DIR = "{dir}"  # stands for a scratch directory holding MODEL_FILES
 
 MODEL_FILES = {
@@ -133,6 +140,21 @@ H = y^2/2
 [sections]
 one.alphaV = 1
 """,
+    # a section component that reads the fiber coordinate p1 is an input
+    # error, reported at the component's line
+    "fiber_section.model": """
+[space]
+m = 1
+n = 1
+vars = x1, p1
+
+[hamiltonian]
+H = p1^2/2
+
+[sections]
+one.alpha0 = x1
+one.alphaV = p1
+""",
     # the antisymmetry sum sqrt(t) - sqrt(t) is sampled, and t < 0 is in the box
     "sqrt_structure.model": """
 [space]
@@ -192,6 +214,10 @@ CORPUS = (
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", f"{DIR}/missing/x.csv"],
         ["flow", "trivial:1", "--x0", "0,0", "--y0", "1", *SHORT, "--out", DIR],
         ["verify", "trivial:1", "--alpha", "w_free;alphaV=1"],
+        # a section that reads a variable other than the base variables
+        ["verify", "trivial:1", "--alpha", "alpha0=z;alphaV=q1", "--points", "1"],
+        ["verify", "trivial:1", "--alpha", "alpha0=p1*0;alphaV=q1", "--points", "1"],
+        ["verify", f"{DIR}/fiber_section.model", "--alpha", "one", "--points", "1"],
         ["hj", "trivial:1", "--alpha", "alphaV=q1;alpha0=t;alphaV=t"],
         ["hj", "trivial:2", "--alpha", "w_free", "--box", "q1=0,1", "--box", "q1=5,6"],
         ["hj", "trivial:1", "--alpha", "nosuch"],
@@ -253,6 +279,25 @@ def test_the_golden_file_holds_exactly_the_corpus(golden):
     assert sorted(golden) == sorted(map(key, CORPUS))
 
 
+def builtin_kernels():
+    """The RK4 kernel of every builtin ``flow`` and ``verify --alpha SECTION`` run, by name."""
+    for name in BUILTINS + ["trivial:1"]:
+        bundle = by_name(name)
+        h = bundle.hamiltonian
+        yield f"flow {name}", compile_rk4(*hamilton_stage(h))
+        for sec, alpha in bundle.sections.items():
+            stage = reduced_stage(alpha, h)
+            yield f"verify {name} {sec}", compile_rk4(*stage, hj._theorem_check(alpha, stage))
+
+
+def kernel_sources() -> dict:
+    return {what: kernel.source.splitlines() for what, kernel in builtin_kernels()}
+
+
+def test_builtin_kernel_sources_equal_the_golden_sources():
+    assert kernel_sources() == json.loads(KERNELS.read_text())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch)
@@ -260,3 +305,6 @@ if __name__ == "__main__":
         outputs = {key(argv): run(argv, directory) for argv in CORPUS}
     GOLDEN.write_text(json.dumps(outputs, indent=1) + "\n")
     print(f"wrote {len(outputs)} commands to {GOLDEN}", file=sys.stderr)
+    sources = kernel_sources()
+    KERNELS.write_text(json.dumps(sources, indent=1) + "\n")
+    print(f"wrote {len(sources)} kernel sources to {KERNELS}", file=sys.stderr)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from affmech import affgebroid, algebroid
 from affmech import expr as ex
-from affmech.affgebroid import AffgebroidChart, validate_charts
+from affmech.affgebroid import AffgebroidChart, CoSection, VStarSection, validate_charts
 from affmech.algebroid import SamplePlan, chart_residuals, validate_chart
 from affmech.cli import main
 from affmech.modelfile import ModelFileError, load_model, parse_model_text
@@ -144,7 +144,10 @@ def test_builtins_give_the_reports_of_the_charts(name):
     assert_derived(bundle.chart, SamplePlan(count=7, seed=3))
 
 
-@pytest.mark.parametrize("name", sorted(set(MODEL_FILES) - {"fiber_anchor.model"}))  # loads no chart
+LOADS_NO_MODEL = {"fiber_anchor.model", "fiber_section.model"}
+
+
+@pytest.mark.parametrize("name", sorted(set(MODEL_FILES) - LOADS_NO_MODEL))
 def test_golden_model_files_give_the_reports_of_the_charts(name, tmp_path):
     path = tmp_path / name
     path.write_text(MODEL_FILES[name])
@@ -222,6 +225,39 @@ def test_chart_entries_name_their_place_when_they_read_other_variables(field, da
     shape = {"rho0": ["0", "0"], "rhoV": [["0", "0"]], "C0": [["0"]], "CV": [[["0"]]], field: data}
     with pytest.raises(ValueError, match=re.escape(f"chart entry {name} reads variables")):
         AffgebroidChart(["x", "s"], ["y"], **shape)
+
+
+@pytest.mark.parametrize("alpha0, alpha_v, message", [
+    ("z", "q1", "alpha0 reads variables ['z'], which are not base variables ['t', 'q1']"),
+    ("p1*0", "q1", "alpha0 reads variables ['p1'], which are not base variables ['t', 'q1']"),
+    ("1/0", "q1", "alpha0 divides by a literal zero"),
+    ("t", "p1 + q1", "alphaV[0] reads variables ['p1'], which are not base variables ['t', 'q1']"),
+    ("t", "1 + q1/(-0)", "alphaV[0] divides by a literal zero"),
+])
+def test_a_section_that_reads_a_non_base_variable_is_an_input_error(
+        alpha0, alpha_v, message, tmp_path, capsys):
+    chart = by_name("trivial:1").chart
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CoSection(chart, ex.parse(alpha0), [ex.parse(alpha_v)])
+    for command in ("hj", "verify"):
+        assert main([command, "trivial:1", "--alpha", f"alpha0={alpha0};alphaV={alpha_v}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+    # in a model file, the message names the section and the component's line
+    path = tmp_path / "bad.model"
+    path.write_text("[space]\nm = 2\nn = 1\nvars = t, q1, p1\n[hamiltonian]\nH = p1^2/2\n"
+                    f"[sections]\none.alpha0 = {alpha0}\none.alphaV = {alpha_v}\n")
+    line = 8 if message.startswith("alpha0") else 9
+    with pytest.raises(ModelFileError, match=re.escape(f"line {line}: section 'one': {message}")):
+        load_model(path)
+
+
+def test_a_v_star_section_that_reads_a_non_base_variable_is_refused():
+    chart = by_name("trivial:1").chart
+    with pytest.raises(ValueError, match=re.escape("gammaV[0] reads variables ['p1'], which")):
+        VStarSection(chart, [ex.parse("q1*p1")])
+    with pytest.raises(ValueError, match=re.escape("gammaV[0] divides by a literal zero")):
+        VStarSection(chart, [ex.parse("t/0")])
 
 
 def test_a_deep_chart_entry_is_checked_without_recursion():
