@@ -47,7 +47,7 @@ from .hj import (
     TheoremReport,
     cocycle_residual,
     f_of,
-    hj_residual,
+    hj_reports,
     verify_theorem,
 )
 from . import models

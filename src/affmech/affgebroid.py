@@ -261,7 +261,9 @@ class HamiltonianSection:
     chart variable, base variables first, and ``field_rows`` the rows of
     ``hamilton_field(self)``.  Both are expressions, built on first use:
     ``hj`` and ``validate`` never read them.  No compiled code or check
-    result is kept here.
+    result is kept here.  An H that reads a variable of no chart coordinate
+    or divides by a literal zero is a ValueError, found by the walk the
+    other constructors use (``_scan``).
     """
 
     chart: AffgebroidChart
@@ -269,9 +271,12 @@ class HamiltonianSection:
 
     def __post_init__(self):
         self.H = as_expr(self.H)
-        extra = ex.free_vars(self.H) - set(self.chart.all_vars())
+        names, zero_divisor = _scan([self.H])
+        extra = names - set(self.chart.all_vars())
         if extra:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
+        if zero_divisor:
+            raise ValueError("Hamiltonian divides by a literal zero")
 
     @functools.cached_property
     def partials(self) -> list[Expr]:
@@ -580,5 +585,5 @@ def vertical_restriction_check(
     omega_dev = section_max_diff(pullback(incl, omega_h(h)), vp.canonical_symplectic(), plan)
     lambda_dev = section_max_diff(pullback(incl, lambda_h(h)), vp.liouville(), plan)
     eta_restricted = pullback(incl, eta(aff))
-    eta_dev, _, _ = section_max_abs(eta_restricted, plan)
+    eta_dev, _ = section_max_abs(eta_restricted, plan)
     return RestrictionReport(lambda_dev, omega_dev, eta_dev, plan.count)

@@ -27,10 +27,18 @@ polynomial whose exact rational expansion is 0 (``expr.is_zero``) and whose
 every node stays below ``expr.SAFE_MAGNITUDE`` over the points, so that its
 evaluation cannot overflow to a NaN (``expr.magnitude_below``).  Every other
 residual (calls, non-constant divisors, nonzero or too large polynomials,
-possible overflow) is sampled at every point; a check given a SamplePlan
-draws its points only then.  Sampled residuals are evaluated together, one
-``expr.evaluate_many`` walk per chunk of ``CHUNK`` points (``columns``),
-with the interpreter's values, errors and error points.
+possible overflow) is sampled at every point.  A check samples all of its
+families of residuals in one ``_max_abs`` call, with one
+``expr.evaluate_many`` walk per chunk of ``CHUNK`` points over their
+sampled residuals together.  The walk reads a chunk's points as one column
+of values per variable, and a check given a SamplePlan draws a variable's
+column of a chunk only when the walk first reads it, so residuals that read
+no variable draw nothing.  A point's coordinates are consecutive draws of one
+SplitMix64 stream, which is counter-based: one variable's column is drawn
+alone, with the values that drawing every point in turn gives.  Each
+family's largest |value| and its key are reduced from the columns in C.
+Where the walk declines, the per-point path (``columns``) gives the
+interpreter's values, errors and error points.
 """
 
 from __future__ import annotations
@@ -121,28 +129,38 @@ def _nonzero(entries: Sequence[Expr]) -> list[tuple[int, Expr]]:
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG (splitmix64), identical on every platform."""
+    """Deterministic 64-bit PRNG (splitmix64), identical on every platform.
+
+    Output i of the stream of ``seed`` is mix(seed + (i + 1) * GAMMA) mod
+    2^64, a function of i alone: ``SplitMix64(seed, start)`` reads the stream
+    from output ``start`` on without computing the outputs before it.
+    """
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
 
-    def __init__(self, seed: int):
-        self.state = seed & self._MASK
+    def __init__(self, seed: int, start: int = 0):
+        self.state = (seed + start * self._GAMMA) & self._MASK
 
-    def units(self, k: int) -> list[float]:
-        """The next k outputs as floats in [0, 1): the top 53 bits of each, times 2^-53."""
-        return [(z >> 11) * 2.0**-53 for z in self._outputs(k)]
+    def units(self, k: int, stride: int = 1) -> list[float]:
+        """k outputs, one in every ``stride`` from the next, as floats in [0, 1): the
+        top 53 bits of each, times 2^-53."""
+        return [(z >> 11) * 2.0**-53 for z in self._outputs(k, stride)]
 
-    def _outputs(self, k: int) -> Iterator[int]:
-        mask, state = self._MASK, self.state
+    def _outputs(self, k: int, stride: int = 1) -> Iterator[int]:
+        """Outputs 0, stride, ..., (k - 1) * stride from here; the state moves past k * stride."""
+        mask, gamma = self._MASK, self._GAMMA
+        step = (stride * gamma) & mask
+        state = (self.state + gamma - step) & mask  # one step before output 0
         for _ in range(k):
-            state = (state + 0x9E3779B97F4A7C15) & mask
+            state = (state + step) & mask
             z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
             yield z ^ (z >> 31)
-        self.state = state
+        self.state = (state + step - gamma) & mask
 
 
-MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; each is a dict held at once
+MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; a check draws them a chunk at a time
 
 
 @dataclass(frozen=True)
@@ -175,19 +193,41 @@ class SamplePlan:
     def interval(self, var: str) -> tuple[float, float]:
         return self.box.get(var, self.DEFAULT_INTERVAL)
 
-    def units(self, k: int) -> list[float]:
-        """The unit draws of ``points`` over k variables: ``count * k`` of them."""
-        return SplitMix64(self.seed).units(self.count * k)
+    def units(self, k: int, j: int, start: int, n: int) -> list[float]:
+        """Variable j's unit draws at the n points from ``start``: draw p*k + j at point p.
 
-    def points(self, variables: Sequence[str], units=None) -> list[dict[str, float]]:
-        """``count`` points; each coordinate is ``lo + (hi - lo) * u``, variable by variable.
-
-        ``units``, when given, is ``self.units(len(variables))`` or the same
-        draws of a plan with this seed and count over another box, reused.
+        A point takes k consecutive draws of the SplitMix64 stream of
+        ``seed``, one per variable in order.  The stream is counter-based, so
+        one variable's draws at some of the points are made alone, without
+        the others'.
         """
-        spans = [(v, *self.interval(v)) for v in variables]
-        draws = iter(self.units(len(spans)) if units is None else units)
-        return [{v: lo + (hi - lo) * next(draws) for v, lo, hi in spans} for _ in range(self.count)]
+        return SplitMix64(self.seed, start * k + j).units(n, k)
+
+    def column(self, var: str, units: Sequence[float]) -> list[float]:
+        """The coordinate ``lo + (hi - lo) * u`` of ``var`` for each unit draw u."""
+        lo, hi = self.interval(var)
+        return [lo + (hi - lo) * u for u in units]
+
+    def coordinates(self, variables: Sequence[str], draw=None) -> list[list[float]]:
+        """One column per variable: its coordinate at each of the ``count`` points.
+
+        ``draw(j, start, n)``, when given, returns
+        ``self.units(len(variables), j, start, n)``, or the same draws of a
+        plan with this seed and count over another box, reused.
+        """
+        draw = draw or functools.partial(self.units, len(variables))
+        return [self.column(v, draw(j, 0, self.count)) for j, v in enumerate(variables)]
+
+    def points(self, variables: Sequence[str], draw=None) -> list[dict[str, float]]:
+        """The ``count`` points as dicts, from ``coordinates``; ``draw`` is as there."""
+        return _dicts(variables, self.coordinates(variables, draw), self.count)
+
+
+def _dicts(variables: Sequence[str], columns: list[list[float]], count: int) -> list[dict]:
+    """The ``count`` points whose coordinates ``columns`` hold, one dict each."""
+    if not columns:
+        return [{} for _ in range(count)]
+    return [dict(zip(variables, row)) for row in zip(*columns)]
 
 
 def check_box_var(var: str, variables: Sequence[str]) -> None:
@@ -441,61 +481,140 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
 CHUNK = 256  # points per expr.evaluate_many call, which holds a value of every node at each
 
 
-def columns(exprs: Sequence[Expr], envs) -> Iterator[tuple[list, list[list[float]]]]:
-    """(points, values) for each chunk of at most ``CHUNK`` points of ``envs``, in order.
+def columns(exprs: Sequence[Expr], envs) -> Iterator[list[list[float]]]:
+    """For each chunk of ``CHUNK`` points, ``values``: ``values[i][p]`` is ``exprs[i]`` at point p.
 
-    ``values[i][p]`` is ``exprs[i]`` at ``points[p]``, from one
-    ``expr.evaluate_many`` walk per chunk.  From the first chunk that
-    ``evaluate_many`` declines on, ``expr.evaluate`` evaluates every point,
-    point by point, so each value, each evaluation error and the ``point``
-    it records are those of a loop of ``evaluate`` over the points.
+    The per-point path: ``expr.evaluate`` evaluates every expression at one
+    point of ``envs`` before the next point, so each value, each evaluation
+    error and the ``point`` it records are those of a loop of ``evaluate``
+    over the points.
     """
-    batched = True
     for start in range(0, len(envs), CHUNK):
-        chunk = envs[start : start + CHUNK]
-        values = ex.evaluate_many(exprs, chunk) if batched else None
-        if values is None:
-            batched = False
-            values = [[] for _ in exprs]
-            for env in chunk:
-                try:
-                    for column, e in zip(values, exprs):
-                        column.append(ex.evaluate(e, env))
-                except ex.EvalError as err:
-                    err.point = env
-                    raise
-        yield chunk, values
+        values = [[] for _ in exprs]
+        for env in envs[start : start + CHUNK]:
+            try:
+                for column, e in zip(values, exprs):
+                    column.append(ex.evaluate(e, env))
+            except ex.EvalError as err:
+                err.point = env
+                raise
+        yield values
 
 
-def _max_abs(nodes: Mapping, proved: set, variables: Sequence[str], envs, units=None):
-    """``section_max_abs``'s loop over ``nodes`` (key -> residual).
+class _Columns(dict):
+    """Variable -> its values at the points, made by ``make(variable)`` when first read."""
 
-    ``proved`` holds the ids of the residuals that ``expr.is_zero`` proved
-    (``_proved``); such a residual counts 0 when ``expr.magnitude_below``
-    bounds it over the points.  The others are evaluated by ``columns``, a
-    chunk of points at a time, and measured point by point in order.  ``units``,
-    for a SamplePlan, returns the plan's unit draws to reuse (see ``SamplePlan.points``).
+    def __init__(self, make: Callable[[str], list]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, name: str) -> list:
+        column = self[name] = self.make(name)  # a KeyError declines evaluate_many's walk
+        return column
+
+
+def _max_abs(families: Iterable, variables: Sequence[str], envs, draw=None, keep=()) -> list:
+    """(worst, where, kept) of each family of residuals, all checked at one set of points.
+
+    ``families`` yields pairs (key -> residual, ids of the residuals that
+    ``expr.is_zero`` proved); a generator builds each family when asked.  A
+    proved residual counts 0 when ``expr.magnitude_below`` bounds it over
+    the points.  The others, of every family, are evaluated in one
+    ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points, over one
+    column per variable of the chunk (see the module docstring;
+    ``draw(j, start, n)`` is as in ``SamplePlan.coordinates``).  ``worst``
+    is a family's largest |value| and ``where`` its key, as ``_fold`` picks
+    them: 0.0 and () when every value is 0.  ``kept`` holds, for a family
+    whose position is in ``keep``, the values of each sampled residual at
+    every point, and is None for the others.
+
+    Where the walk declines (``evaluate_many`` returns None), or building a
+    family raises, the families built so far run from that chunk on, one
+    after the other, through the per-point path (``columns``) over point
+    dicts of every variable.  So each error is the first that a loop of
+    ``expr.evaluate`` over the families, then the points, meets.
     """
-    left, bounds = {}, None  # key -> residual, for each residual to sample
-    for key, node in nodes.items():
-        if id(node) in proved:
-            if bounds is None:
-                bounds = _bounds(envs, variables)
-            if ex.magnitude_below(node, bounds):
-                continue
-        left[key] = node
-    if not left:
-        return 0.0, (), {}
-    if isinstance(envs, SamplePlan):
-        envs = envs.points(variables, units()) if units else envs.points(variables)
-    worst, where, at, keys = 0.0, (), {}, list(left)
-    for chunk, values in columns(list(left.values()), envs):
-        for env, row in zip(chunk, zip(*values)):
-            for key, v in zip(keys, row):
-                v = abs(v)
-                if v > worst or v != v:
-                    worst, where, at = v, key, env
-    return worst, where, at
+    plan = envs if isinstance(envs, SamplePlan) else None
+    if plan is None:
+        count = len(envs)
+    else:
+        count, index = plan.count, {v: j for j, v in enumerate(variables)}
+        draw = draw or functools.partial(plan.units, len(variables))
+    lefts, found = [], []  # per family: key -> residual to sample; [worst, where, kept]
+
+    def part(start: int, n: int) -> _Columns:
+        """The columns of the n points from ``start``, each made when first read."""
+        if plan is None:
+            return _Columns(lambda v: [env[v] for env in envs[start : start + n]])
+        return _Columns(lambda v: plan.column(v, draw(index[v], start, n)))
+
+    def per_point(start: int) -> None:
+        """Measure every family in turn at the points from ``start``, by ``columns``."""
+        if not any(lefts):
+            return
+        if plan is None:
+            points = envs[start:]
+        else:
+            cols = part(start, count - start)
+            points = _dicts(variables, [cols[v] for v in variables], count - start)
+        for left, state in zip(lefts, found):
+            for values in columns(list(left.values()), points):
+                _fold(state, list(left), values)
+
+    bounds = None
+    try:
+        for nodes, proved in families:
+            left = {}
+            for key, node in nodes.items():
+                if id(node) in proved:
+                    if bounds is None:
+                        bounds = _bounds(envs, variables)
+                    if ex.magnitude_below(node, bounds):
+                        continue
+                left[key] = node
+            found.append([0.0, (), [[] for _ in left] if len(lefts) in keep else None])
+            lefts.append(left)
+    except Exception:
+        per_point(0)  # the families built before come first, as do their errors
+        raise
+    exprs = [node for left in lefts for node in left.values()]
+    for start in range(0, count, CHUNK) if exprs else ():
+        size = min(CHUNK, count - start)
+        values = ex.evaluate_many(exprs, part(start, size), size)
+        if values is None:
+            per_point(start)
+            break
+        i = 0
+        for left, state in zip(lefts, found):
+            _fold(state, list(left), values[i : i + len(left)])
+            i += len(left)
+    return [tuple(state) for state in found]
+
+
+def _fold(state: list, keys: list, values: list[list[float]]) -> None:
+    """Measure a chunk into ``state`` = [worst, where, kept]; ``values[q]`` is ``keys[q]``'s column.
+
+    A loop over the chunk's points, then the keys, keeps the first strict
+    maximum of |value| or, once it meets a NaN, the last NaN.  Here each
+    column is reduced in C, and only a column with a NaN is searched in
+    Python.  The chunk's pick meets ``state`` as the loop's next value would.
+    """
+    if state[2] is not None:
+        for kept, column in zip(state[2], values):
+            kept += column
+    nan, top = None, (0.0,)  # the last NaN's (point, q); the maximum's (|value|, -point, -q)
+    for q, column in enumerate(values):
+        a = list(map(abs, column))
+        total = sum(a)
+        if total != total:  # a sum of values >= 0 is NaN only when one of them is
+            nan = max(nan or (-1,), (max(i for i, v in enumerate(a) if v != v), q))
+        elif total and nan is None:
+            m = max(a)
+            top = max(top, (m, -a.index(m), -q))
+    if nan is not None:
+        state[0], state[1] = abs(values[nan[1]][nan[0]]), keys[nan[1]]
+    elif top[0] > state[0]:
+        state[0], state[1] = top[0], keys[-top[2]]
 
 
 def _proved(nodes: Iterable[Expr]) -> set:
@@ -510,8 +629,8 @@ def _bounds(envs, variables: Sequence[str]) -> dict[str, float]:
     return {v: nan_max(abs(env.get(v, math.nan)) for env in envs) for v in variables}
 
 
-def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
-    """Largest |coefficient| over the points, its index and its point.
+def section_max_abs(s: KSection, envs) -> tuple[float, tuple]:
+    """Largest |coefficient| over the points, and its index.
 
     ``envs`` is a list of points or a SamplePlan over the chart's base
     variables.  A proved coefficient (see the module docstring) counts 0;
@@ -521,15 +640,20 @@ def section_max_abs(s: KSection, envs) -> tuple[float, tuple, dict]:
     return max_abs_check(s)(envs)
 
 
-def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple, dict]]:
+def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple]]:
     """``section_max_abs(s, envs)`` as a function of ``envs``, for one section checked often.
 
     Each coefficient is tried with ``expr.is_zero`` once, here, rather than
-    on every call.  The function takes ``units`` as ``_max_abs`` does.
+    on every call.  The function takes ``draw`` as ``_max_abs`` does.
     """
+    family = _family(s)
+    return lambda envs, draw=None: _max_abs([family], s.chart.base_vars, envs, draw)[0][:2]
+
+
+def _family(s: KSection) -> tuple[dict, set]:
+    """The coefficients of ``s`` as a family of ``_max_abs``: index -> node, and the proved ids."""
     nodes = {idx: c.node for idx, c in s.coeffs.items()}
-    proved = _proved(nodes.values())
-    return lambda envs, units=None: _max_abs(nodes, proved, s.chart.base_vars, envs, units)
+    return nodes, _proved(nodes.values())
 
 
 def nan_max(values: Iterable[float]) -> float:
@@ -675,20 +799,24 @@ def chart_residuals(chart: AlgebroidChart) -> ChartResiduals:
 def chart_report(
     res: ChartResiduals, variables: Sequence[str], labels: Sequence[str], plan: SamplePlan
 ) -> ValidationReport:
-    """Check ``res`` as ``section_max_abs`` does, over ``variables``; ``labels`` name the e^a."""
-    units = functools.cache(lambda: plan.units(len(variables)))  # one draw for every family
-    antisym, _, _ = _max_abs(res.sums, res.proved, variables, plan, units)
+    """Check ``res`` as ``section_max_abs`` does, over ``variables``; ``labels`` name the e^a.
 
-    def worst(families) -> tuple[float, str]:
+    Every family of ``res`` is sampled in one ``_max_abs`` call.
+    """
+    families = [res.sums, *res.coordinates.values(), *res.covectors]
+    found = _max_abs([(f, res.proved) for f in families], variables, plan)
+    n = 1 + len(res.coordinates)
+
+    def worst(names, results) -> tuple[float, str]:
         top, where = 0.0, ""
-        for name, family in families:
-            value, idx, _ = _max_abs(family, res.proved, variables, plan, units)
+        for name, (value, idx, _) in zip(names, results):
             if value > top or value != value:
                 top, where = value, f"d(d {name}) component {idx}"
         return top, where
 
-    anchor_max, worst_anchor = worst(res.coordinates.items())
-    jacobi_max, worst_jacobi = worst(zip(labels, res.covectors))
+    anchor_max, worst_anchor = worst(res.coordinates, found[1:n])
+    jacobi_max, worst_jacobi = worst(labels, found[n:])
+    antisym = found[0][0]
     return ValidationReport(antisym, anchor_max, jacobi_max, plan.count, worst_jacobi, worst_anchor)
 
 

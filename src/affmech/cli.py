@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import expr as ex
-from .algebroid import MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, columns, nan_max
+from .algebroid import MAX_SAMPLES, VALIDATION_TOL, SamplePlan, check_box_var, nan_max
 from .affgebroid import CoSection, validate_charts
 from .dynamics import DEFAULT_STEP, MAX_STEPS, check_step_budget, integrate
 from .hj import (
@@ -29,9 +29,7 @@ from .hj import (
     TRAJECTORY_TOL,
     IntegrationFailure,
     NotACocycleError,
-    cocycle_residual,
-    f_of,
-    hj_residual,
+    hj_reports,
     verify_theorem,
 )
 from .models import ModelBundle, ModelNameError, by_name
@@ -296,11 +294,7 @@ def cmd_hj(bundle: ModelBundle, args) -> int:
         return EXIT_INPUT_ERROR
 
     try:
-        envs = plan.points(bundle.chart.base_vars)  # f is always sampled: draw once, share
-        coc = cocycle_residual(alpha, envs)
-        f = f_of(bundle.hamiltonian, alpha)
-        values = [v for _, (column,) in columns([f], envs) for v in column]
-        hj = hj_residual(alpha, bundle.hamiltonian, envs)
+        coc, values, hj = hj_reports(alpha, bundle.hamiltonian, plan)
     except ex.EvalError as err:
         return _evaluation_error(err)
 
@@ -348,7 +342,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
             if args.points < 1:
                 raise ValueError(f"--points must be at least 1, got {args.points}")
             plan = dataclasses.replace(bundle.sample, count=args.points)
-            points = [[env[v] for v in chart.base_vars] for env in plan.points(chart.base_vars)]
+            points = list(zip(*plan.coordinates(chart.base_vars)))
         if not points:
             raise ValueError("no initial points given")
     except (ValueError, ex.ParseError) as err:

@@ -16,8 +16,9 @@ computed once when the node is built; ``literal_value(e)`` returns it.  The
 tree walkers dispatch on ``e.__class__``.
 
 ``evaluate_many`` evaluates expressions at many points in one walk over
-their nodes, with the interpreter's float operations; where a point would
-raise, it declines, and the caller runs ``evaluate`` for the error.
+their nodes, with the interpreter's float operations, reading the points as
+one column of values per variable; where a point would raise, it declines,
+and the caller runs ``evaluate`` for the error.
 
 ``_straight_line`` emits expressions as straight-line Python code, one
 assignment per distinct node with common subexpressions computed once, and
@@ -493,45 +494,51 @@ def evaluate(e: Expr, env: Env) -> float:
 _BATCHED = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def evaluate_many(exprs: Sequence[Expr], envs: Sequence[Env]) -> list[list[float]] | None:
+def evaluate_many(
+    exprs: Sequence[Expr], columns: Mapping[str, Sequence[float]], count: int
+) -> list[list[float]] | None:
     """``[[evaluate(e, env) for env in envs] for e in exprs]``, or None.
 
-    Walks each distinct node once, computing its value at every point with
-    the interpreter's float operations on the interpreter's operands, so
-    each value equals ``evaluate``'s bit for bit.  ``evaluate`` evaluates
-    every node of a tree, so where it would raise at some point, some node
-    here fails at that point too: then this returns None and builds no
-    error; the caller runs ``evaluate`` for the error and its message.
+    The ``count`` points come as one column per variable:
+    ``columns[name][p]`` is ``name`` at point p, and a column is read only
+    for a variable that some expression reads.  Walks each distinct node
+    once, computing its value at every point with the interpreter's float
+    operations on the interpreter's operands, so each value equals
+    ``evaluate``'s bit for bit.  ``evaluate`` evaluates every node of a
+    tree, so where it would raise at some point, some node here fails at
+    that point too; a column that ``columns`` lacks raises KeyError.  Then
+    this returns None and builds no error; the caller runs ``evaluate`` for
+    the error and its message.
     """
     memo: dict[int, list] = {}  # id(node) -> its values
     try:
-        return [_values(e, envs, memo) for e in exprs]
+        return [_values(e, columns, count, memo) for e in exprs]
     except (ArithmeticError, ValueError, KeyError, RecursionError):
         return None
 
 
-def _values(e: Expr, envs: Sequence[Env], memo: dict) -> list:
-    """``evaluate_many``'s walk: the values of ``e`` at ``envs``."""
+def _values(e: Expr, columns: Mapping[str, Sequence[float]], count: int, memo: dict) -> list:
+    """``evaluate_many``'s walk: the values of ``e`` at the points."""
     out = memo.get(id(e))
     if out is not None:
         return out
     cls = e.__class__
     if cls is Lit:
-        out = [e.value] * len(envs)
+        out = [e.value] * count
     elif cls is Var:
-        name = e.name
-        out = [env[name] for env in envs]
+        out = columns[e.name]
     elif cls is Neg:
-        out = list(map(operator.neg, _values(e.arg, envs, memo)))
+        out = list(map(operator.neg, _values(e.arg, columns, count, memo)))
     elif cls is Call:
         # math's log and sqrt raise ValueError exactly where evaluate's checks raise
-        out = list(map(FUNCTIONS[e.fn], _values(e.arg, envs, memo)))
+        out = list(map(FUNCTIONS[e.fn], _values(e.arg, columns, count, memo)))
     elif e.op != "^":  # a float divided by 0.0 raises ZeroDivisionError, as evaluate raises
-        out = list(map(_BATCHED[e.op], _values(e.lhs, envs, memo), _values(e.rhs, envs, memo)))
+        lhs, rhs = _values(e.lhs, columns, count, memo), _values(e.rhs, columns, count, memo)
+        out = list(map(_BATCHED[e.op], lhs, rhs))
     else:
-        xs, c = _values(e.lhs, envs, memo), e.rhs.lit
+        xs, c = _values(e.lhs, columns, count, memo), e.rhs.lit
         if c is None:
-            ys = _values(e.rhs, envs, memo)
+            ys = _values(e.rhs, columns, count, memo)
             if any(a <= 0.0 for a in xs):
                 raise ArithmeticError
             out = list(map(math.pow, xs, ys))

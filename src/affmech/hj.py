@@ -15,10 +15,11 @@ from .algebroid import (
     KSection,
     Report,
     SamplePlan,
+    _family,
+    _max_abs,
     differential,
     max_abs_check,
     nan_max,
-    section_max_abs,
     values_at,
 )
 from .affgebroid import CoSection, HamiltonianSection
@@ -31,7 +32,7 @@ __all__ = [
     "CocycleReport",
     "cocycle_residual",
     "HJReport",
-    "hj_residual",
+    "hj_reports",
     "NotACocycleError",
     "IntegrationFailure",
     "TheoremReport",
@@ -64,13 +65,14 @@ class CocycleReport(Report):
     is_cocycle = Report.verdict
 
 
-def cocycle_residual(alpha: CoSection, sample=None) -> CocycleReport:
+def cocycle_residual(alpha: CoSection, sample=None, draw=None) -> CocycleReport:
     """Max coefficient of the differential of alpha on the bidual chart.
 
-    ``sample``: a SamplePlan (default ``SamplePlan()``) or a list of points.
+    ``sample``: a SamplePlan (default ``SamplePlan()``) or a list of points;
+    ``draw`` is as in ``algebroid.SamplePlan.coordinates``.
     """
     envs = sample if sample is not None else SamplePlan()
-    worst, where, _ = section_max_abs(differential(alpha.as_bidual_section()), envs)
+    worst, where = max_abs_check(differential(alpha.as_bidual_section()))(envs, draw)
     return CocycleReport(worst, where, _count(envs))
 
 
@@ -91,16 +93,32 @@ class HJReport(Report):
     is_solution = Report.verdict
 
 
-def hj_residual(alpha: CoSection, h: HamiltonianSection, sample=None) -> HJReport:
-    """Max vertical derivative of the scalar defect at sampled base points.
+def hj_reports(
+    alpha: CoSection, h: HamiltonianSection, sample=None
+) -> tuple[CocycleReport, list[float], HJReport]:
+    """The cocycle report of alpha, the values of ``f_of(h, alpha)`` and the HJ report.
 
-    The components rhoV[a]^i df/dx^i are the coefficients of the vertical
+    The HJ residuals are the coefficients rhoV[a]^i df/dx^i of the vertical
     differential of f; the section solves the HJ equation when they vanish.
-    ``sample`` is as in ``cocycle_residual``.
+    The three families (the coefficients of d alpha, f and those of d^V f)
+    are built in that order and sampled in one ``algebroid._max_abs`` call,
+    one walk per chunk of points over the nodes they share (alphaV's among
+    them).  f's family proves nothing, so f is always sampled, and every
+    value of it is kept.  ``sample`` is as in ``cocycle_residual``.
     """
     envs = sample if sample is not None else SamplePlan()
-    worst, where, _ = section_max_abs(_vertical_df(alpha, h), envs)
-    return HJReport(worst, where[0] if where else -1, _count(envs))
+
+    def families():
+        yield _family(differential(alpha.as_bidual_section()))
+        f = f_of(h, alpha)
+        yield {(): f}, set()
+        yield _family(_vertical_df(alpha, h, f))
+
+    (coc, coc_where, _), (_, _, (values,)), (hj, hj_where, _) = _max_abs(
+        families(), h.chart.base_vars, envs, keep=(1,)
+    )
+    n, component = _count(envs), hj_where[0] if hj_where else -1
+    return CocycleReport(coc, coc_where, n), values, HJReport(hj, component, n)
 
 
 class NotACocycleError(ValueError):
@@ -152,16 +170,17 @@ def verify_theorem(
     The call checks every point's length (ValueError) and that alpha is a
     cocycle (NotACocycleError), then builds what no point changes: the
     residuals, one RK4 kernel, the d^V f check and the plan's unit draws
-    (drawn on first use; every box plan reuses them).  It returns an
-    iterator that checks one point per report, as the report is taken.
+    (a variable's drawn on first use; every box plan reuses them).  It
+    returns an iterator that checks one point per report, as the report is
+    taken.
 
     Each check integrates the reduced field X, the Hamilton field's base
     rows at (x, alphaV(x)), so the base equations hold along (x, alphaV(x))
     identically; at every state it measures the n fiber residuals of
     ``_theorem_check``, with exact partials of alpha.  The pointwise HJ
     residual is evaluated on the bounding box of the computed trajectory.  A
-    start point where the reduced field cannot be evaluated raises the
-    evaluation error, with x0 as its ``point``.
+    start point where alpha0 or the reduced field cannot be evaluated raises
+    the evaluation error, with x0 as its ``point``.
 
     The RK4 kernel of ``dynamics.reduced_stage`` measures the residuals on
     the first stage of every state, the last one included.  If it missed a
@@ -174,9 +193,8 @@ def verify_theorem(
     if any(len(x0) != m for x0 in points):
         raise ValueError("x0 must list every base coordinate")
     plan = sample if sample is not None else SamplePlan()
-    units = functools.cache(lambda: plan.units(m))
-    worst, where, _ = max_abs_check(differential(alpha.as_bidual_section()))(plan, units)
-    coc = CocycleReport(worst, where, plan.count)
+    draw = functools.cache(functools.partial(plan.units, m))  # a variable's draws, for every box
+    coc = cocycle_residual(alpha, plan, draw)
     if not coc.is_cocycle:
         raise NotACocycleError(coc)
     stage = exprs, variables, bound, extras = reduced_stage(alpha, h)
@@ -187,14 +205,16 @@ def verify_theorem(
     measure = interpret(residuals, variables, bound, [*extras, *exprs])
 
     def check(x0) -> TheoremReport:
+        # a start point outside the section's domain is an input error, not a
+        # failed check or flow; evaluating there raises it with x0 as its point
+        start = [dict(zip(aff.base_vars, map(float, x0)))]
+        values_at(lambda env: ex.evaluate(alpha.alpha0, env), start)
         acc = [0.0, 0]  # max |fiber residual|, states measured
         traj = integrate_field(
             field, x0, 0.0, horizon, step, kernel and (lambda *args: kernel(*args, acc))
         )
         if not traj.ok:
-            # a start point outside the section's domain is an input error, not a
-            # failed flow; evaluating there raises it with x0 as its point
-            values_at(lambda _: field(x0), [dict(zip(aff.base_vars, map(float, x0)))])
+            values_at(lambda _: field(x0), start)
             raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
         traj_max, measured = acc
@@ -204,7 +224,7 @@ def verify_theorem(
             traj_max = nan_max(abs(v) for r in rows for v in r)
 
         box = {var: (min(col), max(col)) for var, col in zip(aff.base_vars, zip(*traj.states))}
-        hj_max, _, _ = df(SamplePlan(box=box, count=plan.count, seed=plan.seed), units)
+        hj_max, _ = df(SamplePlan(box=box, count=plan.count, seed=plan.seed), draw)
 
         return TheoremReport(
             x0=list(map(float, x0)),
@@ -241,6 +261,7 @@ def _theorem_check(alpha: CoSection, stage) -> list[ex.Expr]:
     return fiber
 
 
-def _vertical_df(alpha: CoSection, h: HamiltonianSection) -> KSection:
-    """d^V f, whose coefficients rhoV[a]^i df/dx^i are the HJ residuals."""
-    return differential(KSection.function(h.chart.vertical_chart(), f_of(h, alpha)))
+def _vertical_df(alpha: CoSection, h: HamiltonianSection, f=None) -> KSection:
+    """d^V f, whose coefficients rhoV[a]^i df/dx^i are the HJ residuals (``f`` is ``f_of``'s)."""
+    f = f_of(h, alpha) if f is None else f
+    return differential(KSection.function(h.chart.vertical_chart(), f))

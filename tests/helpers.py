@@ -20,9 +20,13 @@ Hamilton equations term by term from the chart data: the oracle for
 dataclasses, with ``frozen_literal_value``: the oracle for the ``==``,
 ``hash``, ``repr`` and ``literal_value`` of the slotted nodes of ``expr``.
 ``omega_h_from_pullback`` (the second route to Ω_h), ``morphism_defect``
-(d commutes with a pullback) and ``integrate_reduced`` (the reduced flow on
-its own) are cross-check routes that only the tests take; ``section_values``
-and ``component`` read a section at a point.
+(d commutes with a pullback), ``integrate_reduced`` (the reduced flow on
+its own) and ``hj_residual`` (the HJ check without the cocycle check and f)
+are cross-check routes that only the tests take; ``section_values`` and
+``component`` read a section at a point.  ``point_major_max_abs`` is the
+oracle for the reduction of ``algebroid._max_abs``: a loop over the points,
+then the keys, and ``by_column`` turns points into the columns that
+``expr.evaluate_many`` reads.
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ import numpy as np
 from affmech import dynamics
 from affmech import expr as ex
 from affmech.affgebroid import hamiltonian_morphism, omega_h
-from affmech.algebroid import _PERMS, KSection, differential, pullback, section_max_diff
+from affmech import hj
+from affmech.algebroid import (
+    _PERMS, KSection, SamplePlan, differential, pullback, section_max_abs, section_max_diff,
+)
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 from affmech.hj import verify_theorem
 
@@ -301,6 +308,18 @@ def integrate_reduced(alpha, h, x0, t0, t_end, step=dynamics.DEFAULT_STEP):
     return dynamics.integrate_field(field, x0, t0, t_end, step, dynamics._kernel(*stage))
 
 
+def hj_residual(alpha, h, sample=None):
+    """Max vertical derivative of the scalar defect at sampled base points.
+
+    The HJ report of ``hj.hj_reports`` on its own: the coefficients
+    rhoV[a]^i df/dx^i of d^V f, checked by ``section_max_abs``.  ``sample``
+    is a SamplePlan (default ``SamplePlan()``) or a list of points.
+    """
+    envs = sample if sample is not None else SamplePlan()
+    worst, where = section_max_abs(hj._vertical_df(alpha, h), envs)
+    return hj.HJReport(worst, where[0] if where else -1, hj._count(envs))
+
+
 # ------------------------------------------- dense differential and pullback
 
 
@@ -374,6 +393,30 @@ def dense_pullback(morph, s):
 def uniform(rng, lo, hi):
     """The next draw of the SplitMix64 ``rng`` in [lo, hi), as ``SamplePlan.points`` makes it."""
     return lo + (hi - lo) * rng.units(1)[0]
+
+
+# ----------------------------------------------------- sampled-check oracles
+
+
+def point_major_max_abs(keys, values):
+    """(worst |value|, its key), with ``values[q][p]`` the value of ``keys[q]`` at point p.
+
+    The measuring loop that ``algebroid._max_abs`` ran point by point: over
+    the points, then the keys, it keeps the first strict maximum, or, once
+    it meets a NaN, the last NaN; 0.0 and () when every value is 0.
+    """
+    worst, where = 0.0, ()
+    for row in zip(*values):
+        for key, v in zip(keys, row):
+            v = abs(v)
+            if v > worst or v != v:
+                worst, where = v, key
+    return worst, where
+
+
+def by_column(envs):
+    """``expr.evaluate_many``'s arguments for ``envs``: a column per variable, and the count."""
+    return {v: [env[v] for env in envs] for v in (envs[0] if envs else ())}, len(envs)
 
 
 # ------------------------------------------------------- structure oracles

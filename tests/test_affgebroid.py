@@ -220,7 +220,7 @@ def test_omega_constant_hamiltonian_flat_brackets():
 def test_omega_closed_for_every_model():
     for bundle in all_models():
         d_om = differential(omega_h(bundle.hamiltonian))
-        worst, _, _ = section_max_abs(d_om, phase_envs(bundle, count=25))
+        worst, _ = section_max_abs(d_om, phase_envs(bundle, count=25))
         assert worst <= 1e-8, bundle.name
 
 

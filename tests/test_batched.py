@@ -4,13 +4,20 @@
 by ``repr``, so signed zeros, inf and NaN count), and decline exactly where
 ``evaluate`` raises at some point.  ``algebroid.columns`` then reruns the
 interpreter, so every error, its message and its ``point`` are those of a
-loop of ``evaluate`` over the points, at any chunk size.
+loop of ``evaluate`` over the points, at any chunk size.  The largest
+|value| of each family and its key, reduced from the columns, must be those
+of the point-by-point loop (``helpers.point_major_max_abs``); a check walks
+all of its families at once and draws only the variables it reads.
 """
 
+import contextlib
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affmech import algebroid, hj
 from affmech import expr as ex
@@ -21,7 +28,7 @@ from affmech.algebroid import (
 from affmech.cli import main
 from affmech.models import by_name
 
-from helpers import CORPUS_VARS, corpus_points, expression_corpus
+from helpers import CORPUS_VARS, by_column, corpus_points, expression_corpus, point_major_max_abs
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, math.inf, -math.inf, math.nan]
 
@@ -42,12 +49,17 @@ def batched(exprs, envs):
     """``columns`` over the points, in the shape of ``interpreted``."""
     values = [[] for _ in exprs]
     try:
-        for _, chunk in columns(exprs, envs):
+        for chunk in columns(exprs, envs):
             for column, part in zip(values, chunk):
                 column += part
     except ex.EvalError as err:
         return type(err), str(err), err.point
     return repr(values)
+
+
+def many(exprs, envs):
+    """``expr.evaluate_many`` at ``envs``, read as columns."""
+    return ex.evaluate_many(exprs, *by_column(envs))
 
 
 def raises_somewhere(e, envs):
@@ -81,14 +93,14 @@ def test_evaluate_many_equals_evaluate_on_the_corpus():
     corpus = expression_corpus(200)
     for e in corpus:
         envs = corpus_points(e, count=20)
-        assert repr(ex.evaluate_many([e], envs)) == repr([[ex.evaluate(e, env) for env in envs]])
+        assert repr(many([e], envs)) == repr([[ex.evaluate(e, env) for env in envs]])
     # the whole corpus in one walk
     rng = random.Random(3)
     envs = [{v: rng.uniform(-0.3, 0.3) for v in CORPUS_VARS} for _ in range(30)]
     envs = [env for env in envs if not any(raises_somewhere(e, [env]) for e in corpus)]
     assert len(envs) > 10
     want = [[ex.evaluate(e, env) for env in envs] for e in corpus]
-    assert repr(ex.evaluate_many(corpus, envs)) == repr(want)
+    assert repr(many(corpus, envs)) == repr(want)
 
 
 def test_evaluate_many_equals_evaluate_or_declines_where_it_raises():
@@ -97,7 +109,7 @@ def test_evaluate_many_equals_evaluate_or_declines_where_it_raises():
     declined = 0
     for e in generated(1500, seed=8):
         envs = rng.sample(grid, 6) + [{"x": rng.uniform(-3, 3), "y": rng.uniform(-3, 3)}]
-        got = ex.evaluate_many([e], envs)
+        got = many([e], envs)
         if raises_somewhere(e, envs):
             assert got is None, ex.to_string(e)
             declined += 1
@@ -118,21 +130,21 @@ def test_evaluate_many_keeps_signed_zeros_and_non_finite_values():
         envs = [{"x": value}]
         for e in exprs:
             want = interpreted([e], envs)
-            got = ex.evaluate_many([e], envs)
+            got = many([e], envs)
             assert (got is None) if isinstance(want, tuple) else repr(got) == want, (e, value)
     # NaN reaches log, sqrt and ^ without an error, as in the interpreter
     nan = [{"x": math.nan}]
     for src in ("log(x)", "sqrt(x)", "x^0.5", "x^2", "x^-1", "2^x", "x^x", "1.5^(x*0)"):
         e = ex.parse(src)
-        assert repr(ex.evaluate_many([e], nan)) == repr([[ex.evaluate(e, nan[0])]]), src
+        assert repr(many([e], nan)) == repr([[ex.evaluate(e, nan[0])]]), src
 
 
 def test_evaluate_many_declines_an_unbound_variable_and_a_tree_too_deep():
-    assert ex.evaluate_many([ex.parse("x + w")], [{"x": 1.0}]) is None
+    assert many([ex.parse("x + w")], [{"x": 1.0}]) is None
     e = ex.Var("x")
     for _ in range(5000):
         e = ex.Call("sin", e)
-    assert ex.evaluate_many([e], [{"x": 0.3}]) is None
+    assert many([e], [{"x": 0.3}]) is None
     with pytest.raises(RecursionError):
         batched([e], [{"x": 0.3}])  # the interpreter's error, not swallowed
 
@@ -163,9 +175,9 @@ def test_nan_inputs_and_errors_of_a_section_are_the_interpreters(src, monkeypatc
     envs = [{"t": 0.5, "q1": q} for q in (0.5, math.nan, 0.25, -0.5, 0.0, 2.0)]
     prefixes = [envs[:2], envs[:3], envs]  # NaN only, then NaN and a number, then an error
     got = [outcome(lambda: section_max_abs(s, part)) for part in prefixes]
-    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, envs: None)
+    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)
     assert got == [outcome(lambda: section_max_abs(s, part)) for part in prefixes]
-    assert got[0] == got[1] == repr((math.nan, (1,), envs[1]))
+    assert got[0] == got[1] == repr((math.nan, (1,)))
     assert got[2][0] is ex.DomainError
 
 
@@ -195,7 +207,7 @@ def test_results_do_not_depend_on_the_chunk_size(name, sec, monkeypatch):
     for size in (1, algebroid.CHUNK, algebroid.CHUNK + 1):
         monkeypatch.setattr(algebroid, "CHUNK", size)
         results.append([outcome(lambda: section_max_abs(s, plan)) for s in checks])
-    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, envs: None)
+    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)
     results.append([outcome(lambda: section_max_abs(s, plan)) for s in checks])
     assert results[0] == results[1] == results[2] == results[3]
 
@@ -220,8 +232,8 @@ def test_sampled_check_evaluates_in_batches_and_reruns_the_interpreter_on_errors
     check = max_abs_check(s)
     evaluated, real = [], ex.evaluate
     monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(env["t"]) or real(e, env))
-    assert check([{"t": 0.01}]) == (0.01 * 1e308 * 10, (1,), {"t": 0.01})
-    assert check([{"t": 0.5}]) == (math.inf, (1,), {"t": 0.5})
+    assert check([{"t": 0.01}]) == (0.01 * 1e308 * 10, (1,))
+    assert check([{"t": 0.5}]) == (math.inf, (1,))
     assert evaluated == []  # the batched values served both points, inf included
     monkeypatch.setattr(algebroid, "CHUNK", 2)
     points = [{"t": 0.01}, {"t": 0.02}, {"t": 0.03}, {"t": -1.0}, {"t": 0.04}]
@@ -239,7 +251,8 @@ def test_the_sampled_check_samples_only_the_unproved_coefficients(monkeypatch):
     s = KSection(chart, 1, {k: ex.parse(c) for k, c in coeffs.items()})
     plan = SamplePlan(count=5)
     walked, real = [], ex.evaluate_many
-    monkeypatch.setattr(ex, "evaluate_many", lambda e, envs: walked.append(e) or real(e, envs))
+    monkeypatch.setattr(ex, "evaluate_many",
+                        lambda e, cols, n: walked.append(e) or real(e, cols, n))
     assert max_abs_check(s)(plan) == section_max_abs(s, plan)
     assert max_abs_check(s)(plan)[1] == (2,)
     assert walked == [[ex.parse("sin(t)"), ex.parse("cos(t)")]] * 3
@@ -263,3 +276,132 @@ def test_the_sampled_check_proves_its_coefficients_once(monkeypatch):
         assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", points]) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# ------------------------------------------------------- the reduction
+
+
+VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -2.0, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    count=st.sampled_from([1, algebroid.CHUNK, algebroid.CHUNK + 1]),
+    sizes=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_the_columnar_reduction_keeps_the_point_major_winner(count, sizes, seed):
+    # families of residuals that each read one column: mostly zeros, with values from a
+    # small pool, so that ties across keys and points, NaNs at several points and keys,
+    # +-0.0, +-inf, all-zero and empty families all occur
+    rng = random.Random(seed)
+    pool = rng.sample(VALUES[1:-1], rng.randint(1, 3)) + [math.nan] * rng.randint(0, 1)
+    dense = rng.choice([0.0, 2 / count, 0.05, 0.5, 1.0])
+    values, families = {}, []
+    for f, size in enumerate(sizes):
+        nodes = {}
+        for q in range(size):
+            name = f"v{f}_{q}"
+            values[name] = [rng.choice(pool) if rng.random() < dense else 0.0 for _ in range(count)]
+            nodes[(f, q)] = ex.Var(name)
+        families.append(nodes)
+    envs = [{name: column[p] for name, column in values.items()} for p in range(count)]
+    want = [repr(point_major_max_abs(list(nodes), [values[e.name] for e in nodes.values()]))
+            for nodes in families]
+    declined = mock.patch.object(ex, "evaluate_many", lambda exprs, columns, count: None)
+    for route in (contextlib.nullcontext(), declined):  # the walk, then the per-point path
+        with route:
+            got = algebroid._max_abs([(nodes, set()) for nodes in families], [], envs)
+        assert [repr(found[:2]) for found in got] == want
+
+
+def test_a_check_of_several_families_keeps_the_values_it_is_asked_to_keep():
+    plan = SamplePlan(count=algebroid.CHUNK + 3, seed=4)
+    f, g = ex.parse("t*t - 1"), ex.parse("sin(t)")
+    got = algebroid._max_abs([({(): f}, set()), ({(0,): g}, set())], ["t"], plan, keep=(0,))
+    points = plan.points(["t"])
+    assert got[0][2] == [[ex.evaluate(f, env) for env in points]] and got[1][2] is None
+    assert got[1][:2] == point_major_max_abs([(0,)], [[ex.evaluate(g, env) for env in points]])
+
+
+# ------------------------------------------------------- one walk, few draws
+
+
+def test_hj_walks_its_three_families_in_one_call(monkeypatch, capsys):
+    calls, real = [], ex.evaluate_many
+    monkeypatch.setattr(ex, "evaluate_many",
+                        lambda e, cols, n: calls.append((list(e), n)) or real(e, cols, n))
+    draws, real_units = [], SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units",
+                        lambda self, *a: draws.append(a) or real_units(self, *a))
+    argv = ["hj", "trivial:3", "--alpha", "w_free", "--samples"]
+    assert main(argv + [str(algebroid.CHUNK)]) == 0
+    capsys.readouterr()
+    bundle = by_name("trivial:3")
+    alpha, h = bundle.section("w_free"), bundle.hamiltonian
+    sampled = [
+        [c.node for c in s.coeffs.values() if not ex.is_zero(c.node)]
+        for s in (differential(alpha.as_bidual_section()), hj._vertical_df(alpha, h))
+    ]
+    assert sampled[0] and sampled[1]
+    assert calls == [([*sampled[0], hj.f_of(h, alpha), *sampled[1]], algebroid.CHUNK)]
+    # past one chunk, one walk per chunk, which draws each variable's units at its points
+    calls.clear()
+    draws.clear()
+    assert main(argv + [str(algebroid.CHUNK + 1)]) == 0
+    capsys.readouterr()
+    assert [n for _, n in calls] == [algebroid.CHUNK, 1]
+    chunks = [(0, algebroid.CHUNK), (algebroid.CHUNK, 1)]
+    assert sorted(draws) == sorted((4, j, *c) for c in chunks for j in range(4))
+
+
+SO3_OFF_DIAGONAL = """
+[space]
+m = 1
+n = 3
+vars = t, p1, p2, p3
+
+[structure]
+1,2,3 = 0.7
+2,3,1 = 1.3
+3,1,2 = -0.4
+1,2,2 = 0.9
+
+[hamiltonian]
+H = p1^2/2 + p2^2/2 + p3^2/2
+"""
+
+
+def test_checks_whose_residuals_read_no_variable_draw_nothing(monkeypatch, capsys, tmp_path):
+    draws, real = [], SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units", lambda self, *a: draws.append(a) or real(self, *a))
+    path = tmp_path / "so3_off_diagonal.model"
+    path.write_text(SO3_OFF_DIAGONAL)
+    for model in ("perturbed-so3", str(path)):
+        assert main(["validate", model]) == 1  # a constant Jacobi residual fails
+        assert "bidual_valid = False" in capsys.readouterr().out
+    assert draws == []
+    # a residual that reads t draws t alone, once per view, and no fiber coordinate
+    path.write_text(SO3_OFF_DIAGONAL.replace("1,2,2 = 0.9", "1,2,2 = sin(t)"))
+    assert main(["validate", str(path)]) == 1
+    capsys.readouterr()
+    # the bidual, vertical and prolongation views
+    assert draws == [(1, 0, 0, 100), (1, 0, 0, 100), (4, 0, 0, 100)]
+
+
+def test_a_family_that_cannot_be_built_raises_after_the_errors_of_those_before(monkeypatch):
+    bundle = by_name("oscillator")
+    h, plan = bundle.hamiltonian, bundle.sample
+    broken = CoSection(bundle.chart, "0", [ex.parse("sqrt(q1)*t")])  # d alpha fails at q1 < 0
+    with pytest.raises(ex.DomainError) as first:
+        hj.cocycle_residual(broken, plan)
+
+    def unbuildable(*args):
+        raise RecursionError("d^V f")
+
+    monkeypatch.setattr(hj, "_vertical_df", unbuildable)
+    with pytest.raises(ex.DomainError) as info:
+        hj.hj_reports(broken, h, plan)
+    assert (str(info.value), info.value.point) == (str(first.value), first.value.point)
+    with pytest.raises(RecursionError, match="d\\^V f"):
+        hj.hj_reports(bundle.section("w_osc"), h, plan)

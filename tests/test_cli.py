@@ -506,16 +506,11 @@ def test_hj_box_set_twice_for_one_variable_is_an_input_error(capsys):
 
 
 def test_hj_draws_its_sample_points_once(monkeypatch, capsys):
-    draws, real = [], SamplePlan.points
-
-    def counted(plan, variables):
-        draws.append(list(variables))
-        return real(plan, variables)
-
-    monkeypatch.setattr(SamplePlan, "points", counted)
+    draws, real = [], SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units", lambda self, *a: draws.append(a) or real(self, *a))
     assert main(["hj", "oscillator", "--alpha", "w_osc"]) == 0
     capsys.readouterr()
-    assert draws == [["t", "q1"]]
+    assert sorted(draws) == [(2, 0, 0, 100), (2, 1, 0, 100)]  # t and q1, once each
 
 
 def test_hj_one_point_box_pins_the_variable(capsys):
@@ -855,7 +850,7 @@ def test_unexpected_exception_exits_three_with_one_line(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr(cli, "cocycle_residual", boom)
+    monkeypatch.setattr(cli, "hj_reports", boom)
     assert main(["hj", "oscillator", "--alpha", "w_osc"]) == 3
     line, out = error_line(capsys)
     assert line == "error: internal error: RuntimeError: boom second line"

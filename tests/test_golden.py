@@ -155,6 +155,16 @@ H = p1^2/2
 one.alpha0 = x1
 one.alphaV = p1
 """,
+    # a Hamiltonian that divides by a literal zero is an input error at its line
+    "zero_h.model": """
+[space]
+m = 1
+n = 1
+vars = x1, p1
+
+[hamiltonian]
+H = p1^2/0
+""",
     # the antisymmetry sum sqrt(t) - sqrt(t) is sampled, and t < 0 is in the box
     "sqrt_structure.model": """
 [space]
@@ -218,6 +228,10 @@ CORPUS = (
         ["verify", "trivial:1", "--alpha", "alpha0=z;alphaV=q1", "--points", "1"],
         ["verify", "trivial:1", "--alpha", "alpha0=p1*0;alphaV=q1", "--points", "1"],
         ["verify", f"{DIR}/fiber_section.model", "--alpha", "one", "--points", "1"],
+        ["hj", f"{DIR}/zero_h.model", "--alpha", "alphaV=x1"],
+        ["flow", f"{DIR}/zero_h.model", "--x0", "0", "--y0", "1", "--t-end", "0.01"],
+        # alpha0 is undefined at every point: its derivatives fold the zero divisor away
+        ["verify", "trivial:1", "--alpha", "alpha0=t/(q1-q1);alphaV=q1", "--points", "1"],
         ["hj", "trivial:1", "--alpha", "alphaV=q1;alpha0=t;alphaV=t"],
         ["hj", "trivial:2", "--alpha", "w_free", "--box", "q1=0,1", "--box", "q1=5,6"],
         ["hj", "trivial:1", "--alpha", "nosuch"],

@@ -5,7 +5,7 @@ import pytest
 from affmech import dynamics, hj
 from affmech import expr as ex
 from affmech.expr import Lit, Var
-from affmech.algebroid import SamplePlan, SplitMix64
+from affmech.algebroid import SamplePlan
 from affmech.affgebroid import CoSection, HamiltonianSection, hamilton_field, validate_charts
 from affmech.cli import main
 from affmech.dynamics import integrate
@@ -13,12 +13,11 @@ from affmech.hj import (
     NotACocycleError,
     cocycle_residual,
     f_of,
-    hj_residual,
     verify_theorem,
 )
 from affmech.models import by_name, harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
-from helpers import evaluate_with_partials, integrate_reduced, verify_one
+from helpers import evaluate_with_partials, hj_residual, integrate_reduced, verify_one
 
 
 def coboundary(chart_aff, s_node, ds_nodes):
@@ -250,15 +249,19 @@ def test_a_hamiltonian_with_an_unknown_variable_is_refused_at_construction():
     chart = trivial_fibration(1).chart
     with pytest.raises(ValueError, match=r"unknown variables \['z'\]"):
         HamiltonianSection(chart, "p1^2/2 + z")
+    with pytest.raises(ValueError, match="Hamiltonian divides by a literal zero"):
+        HamiltonianSection(chart, "p1^2/0")
 
 
 def test_verify_draws_its_sample_stream_once_per_call(monkeypatch, capsys):
-    draws, real = [], SplitMix64.units
-    monkeypatch.setattr(SplitMix64, "units", lambda self, k: draws.append(k) or real(self, k))
+    draws, real = [], SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units", lambda self, *a: draws.append(a) or real(self, *a))
     assert main(["verify", "trivial:3", "--alpha", "w_free", "--points", "5"]) == 0
     assert capsys.readouterr().out.count("point_") == 5
-    # the 5 start points, then 100 points of 4 variables for the cocycle check and every box
-    assert draws == [5 * 4, 100 * 4]
+    # the 5 start points, then 100 points for the cocycle check and every box:
+    # each of the 4 variables is drawn once
+    assert draws[:4] == [(4, j, 0, 5) for j in range(4)]
+    assert sorted(draws[4:]) == [(4, j, 0, 100) for j in range(4)]
 
 
 def test_verify_oscillator_solution():

@@ -164,7 +164,7 @@ def test_compiled_sampled_checks_equal_the_interpreted_ones(name, sec, monkeypat
         check = max_abs_check(s)
         for plan in plans:
             got += [outcome(lambda: check(plan)), outcome(lambda: section_max_abs(s, plan))]
-    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, envs: None)
+    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)
     want = []
     for s in sections:
         for plan in plans:

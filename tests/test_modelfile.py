@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from affmech import expr as ex
 from affmech.cli import main
 from affmech.algebroid import validate_chart
-from affmech.hj import hj_residual, cocycle_residual
+from affmech.hj import cocycle_residual
 from affmech.modelfile import ModelFileError, load_model, parse_model_text
+
+from helpers import hj_residual
 
 FREE_PARTICLE = """
 # free particle on the line, with the spreading-packet solution

@@ -5,7 +5,7 @@ import pytest
 from affmech import expr as ex
 from affmech.algebroid import SamplePlan, validate_chart
 from affmech.dynamics import hamilton_stage, integrate, interpret
-from affmech.hj import cocycle_residual, hj_residual
+from affmech.hj import cocycle_residual
 from affmech.affgebroid import reeb
 from affmech.models import (
     ModelNameError,
@@ -17,6 +17,8 @@ from affmech.models import (
     so3_chart,
     trivial_fibration,
 )
+
+from helpers import hj_residual
 
 
 def test_all_shipped_charts_validate():

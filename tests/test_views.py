@@ -144,7 +144,7 @@ def test_builtins_give_the_reports_of_the_charts(name):
     assert_derived(bundle.chart, SamplePlan(count=7, seed=3))
 
 
-LOADS_NO_MODEL = {"fiber_anchor.model", "fiber_section.model"}
+LOADS_NO_MODEL = {"fiber_anchor.model", "fiber_section.model", "zero_h.model"}
 
 
 @pytest.mark.parametrize("name", sorted(set(MODEL_FILES) - LOADS_NO_MODEL))

@@ -134,13 +134,13 @@ def test_expansion_past_the_term_cap_is_sampled_quickly(monkeypatch):
     a, b = ex.parse(src), ex.parse(src)
     chart = AlgebroidChart(variables, [[0.0] * 8], [[[0.0]]])
     draws = []
-    real = SamplePlan.points
-    monkeypatch.setattr(SamplePlan, "points", lambda self, v: draws.append(v) or real(self, v))
+    real = SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units", lambda self, *a: draws.append(a) or real(self, *a))
     start = time.perf_counter()
     dev = section_max_diff(KSection.function(chart, a), KSection.function(chart, b),
                            SamplePlan(count=5))
     assert time.perf_counter() - start < 1.0
-    assert dev == 0.0 and len(draws) == 1
+    assert dev == 0.0 and sorted(draws) == [(8, j, 0, 5) for j in range(8)]  # each variable once
 
 
 # ------------------------------------------------- what a proof may skip
@@ -151,11 +151,11 @@ def test_overflowing_proved_identity_is_still_sampled():
     s = KSection.function(chart, "t*t - t*t")
     assert ex.is_zero(s.coeffs[()].node)
     # t*t overflows to inf on this box, and inf - inf is NaN
-    worst, _, _ = section_max_abs(s, SamplePlan(box={"t": (1e200, 1e201)}, count=3))
+    worst, _ = section_max_abs(s, SamplePlan(box={"t": (1e200, 1e201)}, count=3))
     assert worst != worst
     assert not ex.magnitude_below(s.coeffs[()].node, {"t": 1e201})
     # on the default box the same identity is proved and nothing is drawn
-    assert section_max_abs(s, SamplePlan(count=3)) == (0.0, (), {})
+    assert section_max_abs(s, SamplePlan(count=3)) == (0.0, ())
 
 
 @PROPERTY
@@ -203,8 +203,8 @@ def test_magnitude_below_divides_by_a_literal_without_the_interpreter(monkeypatc
 
 def test_fully_proved_checks_draw_no_points(monkeypatch):
     draws = []
-    real = SamplePlan.points
-    monkeypatch.setattr(SamplePlan, "points", lambda self, v: draws.append(v) or real(self, v))
+    real = SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units", lambda self, *a: draws.append(a) or real(self, *a))
     bundle = by_name("trivial:3")
     plan = SamplePlan(box=dict(bundle.sample.box), seed=5)
     gamma = VStarSection(bundle.chart, ["q1*q2 + 0.5*t", "t^2", "-q3"])
