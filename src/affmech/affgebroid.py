@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import expr as ex
-from .expr import BinOp, Expr, Lit, Var, add, diff, mul, neg, sub
+from .expr import Expr, Lit, Var, add, diff, mul, neg, sub
 from .algebroid import (
     AlgebroidChart,
     ChartResiduals,
@@ -43,7 +43,6 @@ from .algebroid import (
     differential,
     prolong,
     pullback,
-    section_combine,
     section_max_abs,
     section_max_diff,
 )
@@ -107,7 +106,7 @@ class AffgebroidChart:
         walk looks for the entry, to name it.
         """
         entries = [*self.rho0, *(e for row in self.rhoV + self.C0 for e in row)]
-        names, zero_divisor = _scan(entries + [e for mat in self.CV for col in mat for e in col])
+        names, zero_divisor = ex.scan(entries + [e for mat in self.CV for col in mat for e in col])
         if names <= set(self.base_vars) and not zero_divisor:
             return
         rows = [("rho0", self.rho0)] + [(f"rhoV[{a}]", r) for a, r in enumerate(self.rhoV)]
@@ -196,22 +195,25 @@ def validate_charts(
     carry the bidual's data, and its verticals (anchor 1, in no bracket) add
     no residual: every partial of the chart data along a fiber coordinate
     is a literal zero (see ``AffgebroidChart``), which ``differential``
-    skips.  Each view is sampled at its own points.  The reports are
-    yielded one by one, so a caller prints each before a later one's error.
+    skips.  The bidual and vertical views, over the base variables, are
+    sampled at one set of points in one ``chart_report`` call: every
+    vertical residual is a bidual residual, so every error of the vertical
+    view is one of the bidual at the same point.  The reports are yielded
+    one by one, so a caller prints each before a later one's error.
     """
     plan = sample if sample is not None else SamplePlan()
     bidual = aff.bidual_chart()
     res = chart_residuals(bidual)
-    yield "bidual", chart_report(res, aff.base_vars, bidual.labels, plan)
     vertical = ChartResiduals(
         _without_e0(res.sums),
         {v: _without_e0(family) for v, family in res.coordinates.items()},
         [_without_e0(family) for family in res.covectors[1:]],
         res.proved,
     )
-    yield "vertical", chart_report(vertical, aff.base_vars, bidual.labels[1:], plan)
+    views = [(res, bidual.labels), (vertical, bidual.labels[1:])]
+    yield from zip(("bidual", "vertical"), chart_report(views, aff.base_vars, plan))
     labels = [f"~{label}" for label in bidual.labels]
-    yield "prolongation", chart_report(res, aff.all_vars(), labels, plan)
+    yield "prolongation", chart_report([(res, labels)], aff.all_vars(), plan)[0]
 
 
 def _without_e0(family: dict) -> dict:
@@ -224,33 +226,12 @@ def _check_over_base(chart: AffgebroidChart, entries) -> None:
     variable other than the chart's base variables or divides by a literal zero."""
     base = set(chart.base_vars)
     for label, e in entries:
-        names, zero_divisor = _scan([e])
+        names, zero_divisor = ex.scan([e])
         if names - base:
             what = f"reads variables {sorted(names - base)}, which are not base variables"
             raise ValueError(f"{label} {what} {chart.base_vars}")
         if zero_divisor:
             raise ValueError(f"{label} divides by a literal zero")
-
-
-def _scan(todo: list) -> tuple[set[str], bool]:
-    """The variables the expressions read, and whether one divides by a literal zero.
-
-    The walk uses ``todo`` as its stack, not recursion.
-    """
-    names, zero_divisor = set(), False
-    while todo:
-        e = todo.pop()
-        cls = e.__class__
-        if cls is Lit:
-            continue
-        if cls is Var:
-            names.add(e.name)
-        elif cls is BinOp:
-            todo += (e.lhs, e.rhs)
-            zero_divisor = zero_divisor or (e.op == "/" and e.rhs.lit == 0.0)
-        else:
-            todo.append(e.arg)
-    return names, zero_divisor
 
 
 @dataclass
@@ -263,7 +244,7 @@ class HamiltonianSection:
     ``hj`` and ``validate`` never read them.  No compiled code or check
     result is kept here.  An H that reads a variable of no chart coordinate
     or divides by a literal zero is a ValueError, found by the walk the
-    other constructors use (``_scan``).
+    other constructors use (``expr.scan``).
     """
 
     chart: AffgebroidChart
@@ -271,7 +252,7 @@ class HamiltonianSection:
 
     def __post_init__(self):
         self.H = as_expr(self.H)
-        names, zero_divisor = _scan([self.H])
+        names, zero_divisor = ex.scan([self.H])
         extra = names - set(self.chart.all_vars())
         if extra:
             raise ValueError(f"Hamiltonian uses unknown variables {sorted(extra)}")
@@ -529,7 +510,9 @@ def pullback_identities(
     lambda_dev = section_max_diff(lam_pulled, hg, plan)
 
     om_pulled = pullback(morph, omega_h(h))
-    minus_dhg = section_combine(-1.0, differential(hg), 0.0, KSection.zero(aff.bidual_chart(), 2))
+    minus_dhg = KSection(
+        aff.bidual_chart(), 2, {idx: neg(c.node) for idx, c in differential(hg).coeffs.items()}
+    )
     omega_dev = section_max_diff(om_pulled, minus_dhg, plan)
     return PullbackIdentitiesReport(lambda_dev, omega_dev, plan.count)
 

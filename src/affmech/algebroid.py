@@ -27,18 +27,21 @@ polynomial whose exact rational expansion is 0 (``expr.is_zero``) and whose
 every node stays below ``expr.SAFE_MAGNITUDE`` over the points, so that its
 evaluation cannot overflow to a NaN (``expr.magnitude_below``).  Every other
 residual (calls, non-constant divisors, nonzero or too large polynomials,
-possible overflow) is sampled at every point.  A check samples all of its
+possible overflow) is sampled at every point.  The points of a check are
+those of one SamplePlan, its only input.  A check samples all of its
 families of residuals in one ``_max_abs`` call, with one
 ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points over their
 sampled residuals together.  The walk reads a chunk's points as one column
-of values per variable, and a check given a SamplePlan draws a variable's
-column of a chunk only when the walk first reads it, so residuals that read
-no variable draw nothing.  A point's coordinates are consecutive draws of one
-SplitMix64 stream, which is counter-based: one variable's column is drawn
-alone, with the values that drawing every point in turn gives.  Each
-family's largest |value| and its key are reduced from the columns in C.
-Where the walk declines, the per-point path (``columns``) gives the
-interpreter's values, errors and error points.
+of values per variable, and a variable's column of a chunk is drawn only
+when the walk first reads it, so residuals that read no variable draw
+nothing.  A point's coordinates are consecutive draws of one SplitMix64
+stream, which is counter-based: one variable's column is drawn alone, with
+the values that drawing every point in turn gives.  Each family's largest
+|value| and its key are reduced from the columns in C.  Where the walk
+declines, the families are measured one after the other, a chunk at a
+time, and only a chunk whose own walk declines runs through the per-point
+path (``columns``), which gives the interpreter's values, errors and error
+points.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ __all__ = [
     "nan_max",
     "values_at",
     "section_max_diff",
-    "section_combine",
 ]
 
 VALIDATION_TOL = 1e-8
@@ -208,26 +210,10 @@ class SamplePlan:
         lo, hi = self.interval(var)
         return [lo + (hi - lo) * u for u in units]
 
-    def coordinates(self, variables: Sequence[str], draw=None) -> list[list[float]]:
-        """One column per variable: its coordinate at each of the ``count`` points.
-
-        ``draw(j, start, n)``, when given, returns
-        ``self.units(len(variables), j, start, n)``, or the same draws of a
-        plan with this seed and count over another box, reused.
-        """
-        draw = draw or functools.partial(self.units, len(variables))
-        return [self.column(v, draw(j, 0, self.count)) for j, v in enumerate(variables)]
-
-    def points(self, variables: Sequence[str], draw=None) -> list[dict[str, float]]:
-        """The ``count`` points as dicts, from ``coordinates``; ``draw`` is as there."""
-        return _dicts(variables, self.coordinates(variables, draw), self.count)
-
-
-def _dicts(variables: Sequence[str], columns: list[list[float]], count: int) -> list[dict]:
-    """The ``count`` points whose coordinates ``columns`` hold, one dict each."""
-    if not columns:
-        return [{} for _ in range(count)]
-    return [dict(zip(variables, row)) for row in zip(*columns)]
+    def coordinates(self, variables: Sequence[str]) -> list[list[float]]:
+        """One column per variable: its coordinate at each of the ``count`` points."""
+        k = len(variables)
+        return [self.column(v, self.units(k, j, 0, self.count)) for j, v in enumerate(variables)]
 
 
 def check_box_var(var: str, variables: Sequence[str]) -> None:
@@ -481,24 +467,15 @@ def pullback(morph: Morphism, s: KSection) -> KSection:
 CHUNK = 256  # points per expr.evaluate_many call, which holds a value of every node at each
 
 
-def columns(exprs: Sequence[Expr], envs) -> Iterator[list[list[float]]]:
-    """For each chunk of ``CHUNK`` points, ``values``: ``values[i][p]`` is ``exprs[i]`` at point p.
+def columns(exprs: Sequence[Expr], envs: Sequence[Mapping]) -> list[list[float]]:
+    """``values``: ``values[i][p]`` is ``exprs[i]`` at point p of ``envs``.
 
     The per-point path: ``expr.evaluate`` evaluates every expression at one
-    point of ``envs`` before the next point, so each value, each evaluation
-    error and the ``point`` it records are those of a loop of ``evaluate``
-    over the points.
+    point before the next, so each value, each evaluation error and the
+    ``point`` it records are those of a loop of ``evaluate`` over the points.
     """
-    for start in range(0, len(envs), CHUNK):
-        values = [[] for _ in exprs]
-        for env in envs[start : start + CHUNK]:
-            try:
-                for column, e in zip(values, exprs):
-                    column.append(ex.evaluate(e, env))
-            except ex.EvalError as err:
-                err.point = env
-                raise
-        yield values
+    rows = values_at(lambda env: [ex.evaluate(e, env) for e in exprs], envs)
+    return [list(column) for column in zip(*rows)] or [[] for _ in exprs]
 
 
 class _Columns(dict):
@@ -513,53 +490,52 @@ class _Columns(dict):
         return column
 
 
-def _max_abs(families: Iterable, variables: Sequence[str], envs, draw=None, keep=()) -> list:
-    """(worst, where, kept) of each family of residuals, all checked at one set of points.
+def _max_abs(
+    families: Iterable, variables: Sequence[str], plan: SamplePlan, draw=None, keep=()
+) -> list:
+    """(worst, where, kept) of each family of residuals, all checked at the points of ``plan``.
 
     ``families`` yields pairs (key -> residual, ids of the residuals that
     ``expr.is_zero`` proved); a generator builds each family when asked.  A
     proved residual counts 0 when ``expr.magnitude_below`` bounds it over
-    the points.  The others, of every family, are evaluated in one
+    the plan's box.  The others, of every family, are evaluated in one
     ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points, over one
-    column per variable of the chunk (see the module docstring;
-    ``draw(j, start, n)`` is as in ``SamplePlan.coordinates``).  ``worst``
-    is a family's largest |value| and ``where`` its key, as ``_fold`` picks
-    them: 0.0 and () when every value is 0.  ``kept`` holds, for a family
-    whose position is in ``keep``, the values of each sampled residual at
-    every point, and is None for the others.
+    column per variable of the chunk (see the module docstring).
+    ``draw(j, start, n)``, when given, returns
+    ``plan.units(len(variables), j, start, n)``, or the same draws of a plan
+    with this seed and count over another box, reused.  ``worst`` is a
+    family's largest |value| and ``where`` its key, as ``_fold`` picks them:
+    0.0 and () when every value is 0.  ``kept`` holds, for a family whose
+    position is in ``keep``, the values of each sampled residual at every
+    point, and is None for the others.
 
     Where the walk declines (``evaluate_many`` returns None), or building a
-    family raises, the families built so far run from that chunk on, one
-    after the other, through the per-point path (``columns``) over point
-    dicts of every variable.  So each error is the first that a loop of
-    ``expr.evaluate`` over the families, then the points, meets.
+    family raises, the families built so far are measured from that chunk
+    on, one after the other, a chunk at a time: each chunk of a family is
+    walked alone, and one whose walk declines runs through the per-point
+    path (``columns``).  So each error is the first that a loop of
+    ``expr.evaluate`` over the families, then the points, meets, and no
+    more than a chunk of points is drawn at once.
     """
-    plan = envs if isinstance(envs, SamplePlan) else None
-    if plan is None:
-        count = len(envs)
-    else:
-        count, index = plan.count, {v: j for j, v in enumerate(variables)}
-        draw = draw or functools.partial(plan.units, len(variables))
+    count, index = plan.count, {v: j for j, v in enumerate(variables)}
+    draw = draw or functools.partial(plan.units, len(variables))
     lefts, found = [], []  # per family: key -> residual to sample; [worst, where, kept]
 
-    def part(start: int, n: int) -> _Columns:
-        """The columns of the n points from ``start``, each made when first read."""
-        if plan is None:
-            return _Columns(lambda v: [env[v] for env in envs[start : start + n]])
-        return _Columns(lambda v: plan.column(v, draw(index[v], start, n)))
+    def chunks(start: int) -> Iterator[tuple[int, int, _Columns]]:
+        """(start, size, columns) of each chunk from ``start``, a column drawn when first read."""
+        for s in range(start, count, CHUNK):
+            n = min(CHUNK, count - s)
+            yield s, n, _Columns(lambda v, s=s, n=n: plan.column(v, draw(index[v], s, n)))
 
     def per_point(start: int) -> None:
-        """Measure every family in turn at the points from ``start``, by ``columns``."""
-        if not any(lefts):
-            return
-        if plan is None:
-            points = envs[start:]
-        else:
-            cols = part(start, count - start)
-            points = _dicts(variables, [cols[v] for v in variables], count - start)
+        """Measure every family in turn, a chunk at a time from ``start``."""
         for left, state in zip(lefts, found):
-            for values in columns(list(left.values()), points):
-                _fold(state, list(left), values)
+            keys, nodes = list(left), list(left.values())
+            for _, n, cols in chunks(start) if nodes else ():
+                values = ex.evaluate_many(nodes, cols, n)
+                if values is None:  # the chunk's points, one dict each
+                    values = columns(nodes, [{v: cols[v][p] for v in variables} for p in range(n)])
+                _fold(state, keys, values)
 
     bounds = None
     try:
@@ -568,7 +544,7 @@ def _max_abs(families: Iterable, variables: Sequence[str], envs, draw=None, keep
             for key, node in nodes.items():
                 if id(node) in proved:
                     if bounds is None:
-                        bounds = _bounds(envs, variables)
+                        bounds = {v: max(map(abs, plan.interval(v))) for v in variables}
                     if ex.magnitude_below(node, bounds):
                         continue
                 left[key] = node
@@ -578,9 +554,8 @@ def _max_abs(families: Iterable, variables: Sequence[str], envs, draw=None, keep
         per_point(0)  # the families built before come first, as do their errors
         raise
     exprs = [node for left in lefts for node in left.values()]
-    for start in range(0, count, CHUNK) if exprs else ():
-        size = min(CHUNK, count - start)
-        values = ex.evaluate_many(exprs, part(start, size), size)
+    for start, n, cols in chunks(0) if exprs else ():
+        values = ex.evaluate_many(exprs, cols, n)
         if values is None:
             per_point(start)
             break
@@ -622,32 +597,25 @@ def _proved(nodes: Iterable[Expr]) -> set:
     return {id(node) for node in nodes if ex.is_zero(node)}
 
 
-def _bounds(envs, variables: Sequence[str]) -> dict[str, float]:
-    """Bound of |v| over a plan's box or over a list of points."""
-    if isinstance(envs, SamplePlan):
-        return {v: max(map(abs, envs.interval(v))) for v in variables}
-    return {v: nan_max(abs(env.get(v, math.nan)) for env in envs) for v in variables}
+def section_max_abs(s: KSection, plan: SamplePlan) -> tuple[float, tuple]:
+    """Largest |coefficient| over the points of ``plan``, and its index.
 
-
-def section_max_abs(s: KSection, envs) -> tuple[float, tuple]:
-    """Largest |coefficient| over the points, and its index.
-
-    ``envs`` is a list of points or a SamplePlan over the chart's base
-    variables.  A proved coefficient (see the module docstring) counts 0;
-    the others are sampled.  A NaN coefficient is the largest.  An
-    evaluation error records the point it happened at as ``point``.
+    ``plan`` samples the chart's base variables.  A proved coefficient (see
+    the module docstring) counts 0; the others are sampled.  A NaN
+    coefficient is the largest.  An evaluation error records the point it
+    happened at as ``point``.
     """
-    return max_abs_check(s)(envs)
+    return max_abs_check(s)(plan)
 
 
 def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple]]:
-    """``section_max_abs(s, envs)`` as a function of ``envs``, for one section checked often.
+    """``section_max_abs(s, plan)`` as a function of ``plan``, for one section checked often.
 
     Each coefficient is tried with ``expr.is_zero`` once, here, rather than
     on every call.  The function takes ``draw`` as ``_max_abs`` does.
     """
     family = _family(s)
-    return lambda envs, draw=None: _max_abs([family], s.chart.base_vars, envs, draw)[0][:2]
+    return lambda plan, draw=None: _max_abs([family], s.chart.base_vars, plan, draw)[0][:2]
 
 
 def _family(s: KSection) -> tuple[dict, set]:
@@ -684,8 +652,8 @@ def values_at(fn, envs) -> list:
     return out
 
 
-def section_max_diff(s1: KSection, s2: KSection, envs) -> float:
-    """Largest |s1 - s2| over the coefficients and the points.
+def section_max_diff(s1: KSection, s2: KSection, plan: SamplePlan) -> float:
+    """Largest |s1 - s2| over the coefficients and the points of ``plan``.
 
     Each difference of coefficients (a missing one is 0) is proved or
     sampled as in ``section_max_abs``.
@@ -697,24 +665,7 @@ def section_max_diff(s1: KSection, s2: KSection, envs) -> float:
         idx: BinOp("-", as_expr(s1.coeffs.get(idx, 0.0)), as_expr(s2.coeffs.get(idx, 0.0)))
         for idx in keys
     }
-    return section_max_abs(KSection(s1.chart, s1.degree, diffs), envs)[0]
-
-
-def section_combine(a: float, s: KSection, b: float, t: KSection) -> KSection:
-    """Pointwise a*s + b*t for sections of one chart and degree."""
-    if s.chart is not t.chart or s.degree != t.degree:
-        raise ValueError("sections must share chart and degree")
-    ns = {idx: c.node for idx, c in s.coeffs.items()}
-    nt = {idx: c.node for idx, c in t.coeffs.items()}
-    out: dict[tuple, Expr] = {}
-    for idx in set(ns) | set(nt):
-        node = _ZERO
-        if idx in ns:
-            node = add(node, mul(a, ns[idx]))
-        if idx in nt:
-            node = add(node, mul(b, nt[idx]))
-        out[idx] = node
-    return KSection(s.chart, s.degree, out)
+    return section_max_abs(KSection(s1.chart, s1.degree, diffs), plan)[0]
 
 
 # --------------------------------------------------------------- validation
@@ -797,27 +748,38 @@ def chart_residuals(chart: AlgebroidChart) -> ChartResiduals:
 
 
 def chart_report(
-    res: ChartResiduals, variables: Sequence[str], labels: Sequence[str], plan: SamplePlan
-) -> ValidationReport:
-    """Check ``res`` as ``section_max_abs`` does, over ``variables``; ``labels`` name the e^a.
+    views: Sequence[tuple[ChartResiduals, Sequence[str]]],
+    variables: Sequence[str],
+    plan: SamplePlan,
+) -> list[ValidationReport]:
+    """The report of each view (residuals, labels of the e^a), checked as ``section_max_abs`` does.
 
-    Every family of ``res`` is sampled in one ``_max_abs`` call.
+    Every family of every view is sampled over ``variables`` in one
+    ``_max_abs`` call, so views that share residuals evaluate each once.
     """
-    families = [res.sums, *res.coordinates.values(), *res.covectors]
-    found = _max_abs([(f, res.proved) for f in families], variables, plan)
-    n = 1 + len(res.coordinates)
+    families = [
+        (family, res.proved)
+        for res, _ in views
+        for family in (res.sums, *res.coordinates.values(), *res.covectors)
+    ]
+    found = iter(_max_abs(families, variables, plan))
 
-    def worst(names, results) -> tuple[float, str]:
+    def worst(names, n: int) -> tuple[float, str]:
         top, where = 0.0, ""
-        for name, (value, idx, _) in zip(names, results):
+        for name, (value, idx, _) in zip(names, itertools.islice(found, n)):
             if value > top or value != value:
                 top, where = value, f"d(d {name}) component {idx}"
         return top, where
 
-    anchor_max, worst_anchor = worst(res.coordinates, found[1:n])
-    jacobi_max, worst_jacobi = worst(labels, found[n:])
-    antisym = found[0][0]
-    return ValidationReport(antisym, anchor_max, jacobi_max, plan.count, worst_jacobi, worst_anchor)
+    reports = []
+    for res, labels in views:
+        antisym = next(found)[0]
+        anchor_max, worst_anchor = worst(res.coordinates, len(res.coordinates))
+        jacobi_max, worst_jacobi = worst(labels, len(res.covectors))
+        reports.append(ValidationReport(
+            antisym, anchor_max, jacobi_max, plan.count, worst_jacobi, worst_anchor
+        ))
+    return reports
 
 
 def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> ValidationReport:
@@ -828,7 +790,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
     proves or samples its residuals as ``section_max_abs`` does.
     """
     plan = sample if sample is not None else SamplePlan()
-    return chart_report(chart_residuals(chart), chart.base_vars, chart.labels, plan)
+    return chart_report([(chart_residuals(chart), chart.labels)], chart.base_vars, plan)[0]
 
 
 # ------------------------------------------------------------- prolongation

@@ -200,7 +200,7 @@ def compile_rk4(
     bounds = dict.fromkeys([*variables, *(bound or ())], GUARD_BOUND)
     dropped = [ex.magnitude_below(e, bounds) for e in extras]  # the guard stands in for these
     kept = [e for e, drop in zip(extras, dropped) if not drop]
-    read = set().union(*(ex.free_vars(e) for e, drop in zip(extras, dropped) if drop))
+    read, _ = ex.scan([e for e, drop in zip(extras, dropped) if drop])
     reads = [v for v in bounds if v in read]
     rows = [*exprs, *kept, *map(ex.Var, reads)]  # a Var's operand is the local holding its value
     stage, outs = ex._straight_line(rows, names, bound, "t", consts, table)

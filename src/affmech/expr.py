@@ -71,7 +71,7 @@ __all__ = [
     "evaluate",
     "evaluate_many",
     "substitute",
-    "free_vars",
+    "scan",
     "is_zero",
     "magnitude_below",
     "SAFE_MAGNITUDE",
@@ -666,18 +666,25 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     return _BUILD[e.op](substitute(e.lhs, mapping), substitute(e.rhs, mapping))
 
 
-def free_vars(e: Expr) -> set[str]:
-    cls = e.__class__
-    if cls is Lit:
-        return set()
-    if cls is Var:
-        return {e.name}
-    if cls is Neg:
-        return free_vars(e.arg)
-    if cls is Call:
-        return free_vars(e.arg)
-    assert cls is BinOp
-    return free_vars(e.lhs) | free_vars(e.rhs)
+def scan(exprs: Sequence[Expr]) -> tuple[set[str], bool]:
+    """The variables the expressions read, and whether one divides by a literal zero.
+
+    One walk over every node, with a stack, not recursion.
+    """
+    names, zero_divisor, todo = set(), False, list(exprs)
+    while todo:
+        e = todo.pop()
+        cls = e.__class__
+        if cls is Lit:
+            continue
+        if cls is Var:
+            names.add(e.name)
+        elif cls is BinOp:
+            todo += (e.lhs, e.rhs)
+            zero_divisor = zero_divisor or (e.op == "/" and e.rhs.lit == 0.0)
+        else:
+            todo.append(e.arg)
+    return names, zero_divisor
 
 
 # ------------------------------------------------------------- exact zeros

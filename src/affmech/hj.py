@@ -65,19 +65,17 @@ class CocycleReport(Report):
     is_cocycle = Report.verdict
 
 
-def cocycle_residual(alpha: CoSection, sample=None, draw=None) -> CocycleReport:
+def cocycle_residual(
+    alpha: CoSection, sample: SamplePlan | None = None, draw=None
+) -> CocycleReport:
     """Max coefficient of the differential of alpha on the bidual chart.
 
-    ``sample``: a SamplePlan (default ``SamplePlan()``) or a list of points;
-    ``draw`` is as in ``algebroid.SamplePlan.coordinates``.
+    ``sample`` is the SamplePlan of the points (default ``SamplePlan()``);
+    ``draw`` is as in ``algebroid._max_abs``.
     """
-    envs = sample if sample is not None else SamplePlan()
-    worst, where = max_abs_check(differential(alpha.as_bidual_section()))(envs, draw)
-    return CocycleReport(worst, where, _count(envs))
-
-
-def _count(envs) -> int:
-    return envs.count if isinstance(envs, SamplePlan) else len(envs)
+    plan = sample if sample is not None else SamplePlan()
+    worst, where = max_abs_check(differential(alpha.as_bidual_section()))(plan, draw)
+    return CocycleReport(worst, where, plan.count)
 
 
 @dataclass
@@ -94,19 +92,20 @@ class HJReport(Report):
 
 
 def hj_reports(
-    alpha: CoSection, h: HamiltonianSection, sample=None
+    alpha: CoSection, h: HamiltonianSection, sample: SamplePlan | None = None
 ) -> tuple[CocycleReport, list[float], HJReport]:
     """The cocycle report of alpha, the values of ``f_of(h, alpha)`` and the HJ report.
 
     The HJ residuals are the coefficients rhoV[a]^i df/dx^i of the vertical
     differential of f; the section solves the HJ equation when they vanish.
     The three families (the coefficients of d alpha, f and those of d^V f)
-    are built in that order and sampled in one ``algebroid._max_abs`` call,
-    one walk per chunk of points over the nodes they share (alphaV's among
-    them).  f's family proves nothing, so f is always sampled, and every
-    value of it is kept.  ``sample`` is as in ``cocycle_residual``.
+    are built in that order and sampled at the points of ``sample`` (as in
+    ``cocycle_residual``) in one ``algebroid._max_abs`` call, one walk per
+    chunk of points over the nodes they share (alphaV's among them).  f's
+    family proves nothing, so f is always sampled, and every value of it is
+    kept.
     """
-    envs = sample if sample is not None else SamplePlan()
+    plan = sample if sample is not None else SamplePlan()
 
     def families():
         yield _family(differential(alpha.as_bidual_section()))
@@ -115,10 +114,10 @@ def hj_reports(
         yield _family(_vertical_df(alpha, h, f))
 
     (coc, coc_where, _), (_, _, (values,)), (hj, hj_where, _) = _max_abs(
-        families(), h.chart.base_vars, envs, keep=(1,)
+        families(), h.chart.base_vars, plan, keep=(1,)
     )
-    n, component = _count(envs), hj_where[0] if hj_where else -1
-    return CocycleReport(coc, coc_where, n), values, HJReport(hj, component, n)
+    component = hj_where[0] if hj_where else -1
+    return CocycleReport(coc, coc_where, plan.count), values, HJReport(hj, component, plan.count)
 
 
 class NotACocycleError(ValueError):
@@ -142,7 +141,6 @@ class TheoremReport:
     trajectory; (ii): ``hj_max``, on its bounding box.  A NaN fails."""
 
     x0: list[float]
-    cocycle_max: float
     trajectory_max: float
     hj_max: float
     trajectory: Trajectory
@@ -228,7 +226,6 @@ def verify_theorem(
 
         return TheoremReport(
             x0=list(map(float, x0)),
-            cocycle_max=coc.max_residual,
             trajectory_max=traj_max,
             hj_max=hj_max,
             trajectory=traj,

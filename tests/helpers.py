@@ -23,10 +23,14 @@ dataclasses, with ``frozen_literal_value``: the oracle for the ``==``,
 (d commutes with a pullback), ``integrate_reduced`` (the reduced flow on
 its own) and ``hj_residual`` (the HJ check without the cocycle check and f)
 are cross-check routes that only the tests take; ``section_values`` and
-``component`` read a section at a point.  ``point_major_max_abs`` is the
-oracle for the reduction of ``algebroid._max_abs``: a loop over the points,
-then the keys, and ``by_column`` turns points into the columns that
-``expr.evaluate_many`` reads.
+``component`` read a section at a point, and ``section_combine`` builds a
+linear combination of sections.  ``points`` lists the points of a
+SamplePlan as dicts, and ``FixedPoints`` stands in for a SamplePlan that
+serves given points (NaN inputs included) to the sampled checks.
+``point_major_max_abs`` is the oracle for the reduction of
+``algebroid._max_abs``: a loop over the points, then the keys, and
+``by_column`` turns points into the columns that ``expr.evaluate_many``
+reads.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from affmech import expr as ex
 from affmech.affgebroid import hamiltonian_morphism, omega_h
 from affmech import hj
 from affmech.algebroid import (
-    _PERMS, KSection, SamplePlan, differential, pullback, section_max_abs, section_max_diff,
+    _PERMS, KSection, SamplePlan, differential, nan_max, pullback, section_max_abs,
+    section_max_diff,
 )
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 from affmech.hj import verify_theorem
@@ -273,6 +278,23 @@ def component(s, indices, env):
     return 0.0 if c is None else sign * c.value(env)
 
 
+def section_combine(a, s, b, t):
+    """Pointwise a*s + b*t for sections of one chart and degree."""
+    if s.chart is not t.chart or s.degree != t.degree:
+        raise ValueError("sections must share chart and degree")
+    ns = {idx: c.node for idx, c in s.coeffs.items()}
+    nt = {idx: c.node for idx, c in t.coeffs.items()}
+    out = {}
+    for idx in set(ns) | set(nt):
+        node = Lit(0.0)
+        if idx in ns:
+            node = ex.add(node, ex.mul(a, ns[idx]))
+        if idx in nt:
+            node = ex.add(node, ex.mul(b, nt[idx]))
+        out[idx] = node
+    return KSection(s.chart, s.degree, out)
+
+
 # ------------------------------------------------------ cross-check routes
 
 
@@ -286,11 +308,11 @@ def omega_h_from_pullback(h):
     return pullback(hamiltonian_morphism(h), ap.canonical_symplectic())
 
 
-def morphism_defect(morph, s, envs):
-    """Max deviation of d(pullback s) from pullback(d s) on sample points."""
+def morphism_defect(morph, s, plan):
+    """Max deviation of d(pullback s) from pullback(d s) at the points of ``plan``."""
     lhs = differential(pullback(morph, s))
     rhs = pullback(morph, differential(s))
-    return section_max_diff(lhs, rhs, envs)
+    return section_max_diff(lhs, rhs, plan)
 
 
 def integrate_reduced(alpha, h, x0, t0, t_end, step=dynamics.DEFAULT_STEP):
@@ -313,11 +335,11 @@ def hj_residual(alpha, h, sample=None):
 
     The HJ report of ``hj.hj_reports`` on its own: the coefficients
     rhoV[a]^i df/dx^i of d^V f, checked by ``section_max_abs``.  ``sample``
-    is a SamplePlan (default ``SamplePlan()``) or a list of points.
+    is the SamplePlan of the points (default ``SamplePlan()``).
     """
-    envs = sample if sample is not None else SamplePlan()
-    worst, where = section_max_abs(hj._vertical_df(alpha, h), envs)
-    return hj.HJReport(worst, where[0] if where else -1, hj._count(envs))
+    plan = sample if sample is not None else SamplePlan()
+    worst, where = section_max_abs(hj._vertical_df(alpha, h), plan)
+    return hj.HJReport(worst, where[0] if where else -1, plan.count)
 
 
 # ------------------------------------------- dense differential and pullback
@@ -391,8 +413,40 @@ def dense_pullback(morph, s):
 
 
 def uniform(rng, lo, hi):
-    """The next draw of the SplitMix64 ``rng`` in [lo, hi), as ``SamplePlan.points`` makes it."""
+    """The next draw of the SplitMix64 ``rng`` in [lo, hi), as ``points`` makes it."""
     return lo + (hi - lo) * rng.units(1)[0]
+
+
+def points(plan, variables):
+    """The ``plan.count`` points of ``plan`` over ``variables``, in order, one dict each."""
+    columns = plan.coordinates(variables)
+    if not columns:
+        return [{} for _ in range(plan.count)]
+    return [dict(zip(variables, row)) for row in zip(*columns)]
+
+
+class FixedPoints:
+    """A stand-in for a SamplePlan that serves the points ``envs``, in order.
+
+    The sampled checks read a plan through ``count``, ``units``, ``column``
+    and ``interval``.  Here a variable's unit draws at the points from
+    ``start`` are their indices, ``column`` reads the variable at those
+    points, NaN inputs included, and ``interval`` bounds |v| over the
+    points (NaN where one of them is NaN).
+    """
+
+    def __init__(self, envs):
+        self.envs, self.count = list(envs), len(envs)
+
+    def units(self, k, j, start, n):
+        return range(start, start + n)
+
+    def column(self, var, units):
+        return [self.envs[p][var] for p in units]
+
+    def interval(self, var):
+        bound = nan_max(abs(env.get(var, math.nan)) for env in self.envs)
+        return -bound, bound
 
 
 # ----------------------------------------------------- sampled-check oracles
@@ -494,7 +548,7 @@ def expression_corpus(count=200, seed=20240811, max_depth=4):
 def corpus_points(e, count=100, seed=99, box=(-2.0, 2.0), fd_step=1e-6):
     """Seeded points where e and its finite-difference stencil are defined."""
     rng = random.Random(seed)
-    variables = sorted(ex.free_vars(e)) or ["x"]
+    variables = sorted(ex.scan([e])[0]) or ["x"]
     points = []
     attempts = 0
     while len(points) < count and attempts < count * 20:

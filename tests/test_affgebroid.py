@@ -11,7 +11,6 @@ from affmech.algebroid import (
     SplitMix64,
     differential,
     pullback,
-    section_combine,
     section_max_abs,
     section_max_diff,
     validate_chart,
@@ -48,7 +47,9 @@ from helpers import (
     evaluate_with_partials,
     morphism_defect,
     omega_h_from_pullback,
+    points,
     reeb_solve,
+    section_combine,
     section_values,
     uniform,
 )
@@ -64,15 +65,19 @@ def all_models():
     ]
 
 
+def phase_plan(bundle, count=30, seed=17):
+    """A plan over the model's box, for checks of sections of the prolongation."""
+    return SamplePlan(box=dict(bundle.sample.box), count=count, seed=seed)
+
+
 def phase_envs(bundle, count=30, seed=17):
-    chart = bundle.chart.prolongation().chart
-    return SamplePlan(box=dict(bundle.sample.box), count=count, seed=seed).points(chart.base_vars)
+    """The points of ``phase_plan`` over the prolongation's base variables."""
+    return points(phase_plan(bundle, count, seed), bundle.chart.prolongation().chart.base_vars)
 
 
-def base_envs(bundle, count=30, seed=23):
-    return SamplePlan(box=dict(bundle.sample.box), count=count, seed=seed).points(
-        bundle.chart.base_vars
-    )
+def base_plan(bundle, count=30, seed=23):
+    """A plan over the model's box, for checks of sections of the bidual."""
+    return SamplePlan(box=dict(bundle.sample.box), count=count, seed=seed)
 
 
 def seeded_polynomial_gammas(aff, count=5, seed=31):
@@ -199,7 +204,7 @@ def test_omega_trivial_fibration_classical_form():
     aff = trivial_fibration(1).chart
     h = HamiltonianSection(aff, "p1^2/2+sin(t)*q1")
     om = omega_h(h)
-    for env in SamplePlan(count=25, seed=3).points(["t", "q1", "p1"]):
+    for env in points(SamplePlan(count=25, seed=3), ["t", "q1", "p1"]):
         vals = section_values(om, env)
         h_q = math.sin(env["t"])
         h_p = env["p1"]
@@ -212,7 +217,7 @@ def test_omega_constant_hamiltonian_flat_brackets():
     aff = trivial_fibration(2).chart
     h = HamiltonianSection(aff, "3.5")
     om = omega_h(h)
-    env = SamplePlan(count=1, seed=9).points(aff.prolongation().chart.base_vars)[0]
+    env = points(SamplePlan(count=1, seed=9), aff.prolongation().chart.base_vars)[0]
     vals = {k: v for k, v in section_values(om, env).items() if v != 0.0}
     assert vals == {(1, 3): 1.0, (2, 4): 1.0}
 
@@ -220,7 +225,7 @@ def test_omega_constant_hamiltonian_flat_brackets():
 def test_omega_closed_for_every_model():
     for bundle in all_models():
         d_om = differential(omega_h(bundle.hamiltonian))
-        worst, _ = section_max_abs(d_om, phase_envs(bundle, count=25))
+        worst, _ = section_max_abs(d_om, phase_plan(bundle, count=25))
         assert worst <= 1e-8, bundle.name
 
 
@@ -230,7 +235,7 @@ def test_omega_equals_pullback_construction():
     for bundle in all_models():
         om_local = omega_h(bundle.hamiltonian)
         om_pulled = omega_h_from_pullback(bundle.hamiltonian)
-        assert section_max_diff(om_local, om_pulled, phase_envs(bundle, count=20)) <= 1e-12
+        assert section_max_diff(om_local, om_pulled, phase_plan(bundle, count=20)) <= 1e-12
 
 
 def test_omega_equals_minus_d_lambda():
@@ -238,7 +243,7 @@ def test_omega_equals_minus_d_lambda():
         lam = lambda_h(bundle.hamiltonian)
         pro = bundle.chart.prolongation().chart
         minus_dlam = section_combine(-1.0, differential(lam), 0.0, KSection.zero(pro, 2))
-        worst = section_max_diff(omega_h(bundle.hamiltonian), minus_dlam, phase_envs(bundle, count=15))
+        worst = section_max_diff(omega_h(bundle.hamiltonian), minus_dlam, phase_plan(bundle, count=15))
         assert worst <= 1e-8, bundle.name
 
 
@@ -324,7 +329,7 @@ def test_pullback_identities_zero_section_constant_hamiltonian():
     gamma = VStarSection(aff, [0.0])
     morph = covector_morphism(gamma)
     pulled = pullback(morph, lambda_h(h))
-    for env in SamplePlan(count=10, seed=2).points(aff.base_vars):
+    for env in points(SamplePlan(count=10, seed=2), aff.base_vars):
         assert section_values(pulled, env) == {(0,): -2.5}
     report = pullback_identities(gamma, h)
     assert report.lambda_dev <= 1e-14
@@ -346,22 +351,22 @@ def test_covector_morphism_commutes_with_differential():
         pro = aff.prolongation().chart
         gamma = seeded_polynomial_gammas(aff, count=1, seed=67)[0]
         morph = covector_morphism(gamma)
-        envs = base_envs(bundle, count=15)
+        plan = base_plan(bundle, count=15)
         fiber_poly = KSection.function(pro, ex.parse(f"{aff.fiber_vars[0]}^2+{aff.base_vars[0]}"))
-        assert morphism_defect(morph, fiber_poly, envs) <= 1e-8
+        assert morphism_defect(morph, fiber_poly, plan) <= 1e-8
         for a in (0, 1, aff.n + 1):
             cov = KSection.basis_covector(pro, a)
-            assert morphism_defect(morph, cov, envs) <= 1e-8
-        assert morphism_defect(morph, lambda_h(bundle.hamiltonian), envs) <= 1e-8
+            assert morphism_defect(morph, cov, plan) <= 1e-8
+        assert morphism_defect(morph, lambda_h(bundle.hamiltonian), plan) <= 1e-8
 
 
 def test_hamiltonian_morphism_commutes_with_differential():
     bundle = harmonic_oscillator()
     morph = hamiltonian_morphism(bundle.hamiltonian)
     ap = bundle.chart.aplus_prolongation()
-    envs = phase_envs(bundle, count=10, seed=3)
-    assert morphism_defect(morph, ap.liouville(), envs) <= 1e-8
-    assert morphism_defect(morph, KSection.basis_covector(ap.chart, 0), envs) <= 1e-8
+    plan = phase_plan(bundle, count=10, seed=3)
+    assert morphism_defect(morph, ap.liouville(), plan) <= 1e-8
+    assert morphism_defect(morph, KSection.basis_covector(ap.chart, 0), plan) <= 1e-8
 
 
 def test_h_compose_components():
@@ -414,7 +419,7 @@ def test_hamiltonian_rejects_unknown_variables():
 def test_hamiltonian_gradients_match_dual_arithmetic():
     aff = trivial_fibration(2).chart
     h = HamiltonianSection(aff, "p1^2/2+exp(t)*p2*q1-sin(q2)*p1/(2+t^2)")
-    for env in SamplePlan(count=20, seed=5).points(aff.all_vars()):
+    for env in points(SamplePlan(count=20, seed=5), aff.all_vars()):
         dv, parts = evaluate_with_partials(h.H, env, aff.all_vars())
         assert ex.evaluate(h.H, env) == dv
         assert [ex.evaluate(d, env) for d in h.partials] == pytest.approx(parts, rel=1e-12, abs=1e-15)

@@ -12,18 +12,18 @@ from affmech.algebroid import (
     SplitMix64,
     differential,
     pullback,
-    section_combine,
     section_max_abs,
     section_max_diff,
     validate_chart,
 )
 from affmech.models import by_name, perturbed_so3_chart, so3_chart, tangent_algebroid
 
-from helpers import component, dense_differential, jacobi_cyclic_residual, section_values, uniform
+from helpers import (
+    component, dense_differential, jacobi_cyclic_residual, points, section_combine, section_values,
+    uniform,
+)
 
-
-def envs_for(chart, count=40, seed=11, box=None):
-    return SamplePlan(box=box or {}, count=count, seed=seed).points(chart.base_vars)
+PLAN = SamplePlan(count=40, seed=11)  # the points of the checks below
 
 
 # ------------------------------------------------------------------ sampling
@@ -40,12 +40,13 @@ def test_splitmix_known_values():
 
 def test_sample_plan_deterministic_and_boxed():
     plan = SamplePlan(box={"a": (0.5, 2.0)}, count=50, seed=123)
-    pts1 = plan.points(["a", "b"])
-    pts2 = plan.points(["a", "b"])
+    pts1 = points(plan, ["a", "b"])
+    pts2 = points(plan, ["a", "b"])
     assert pts1 == pts2
     assert all(0.5 <= p["a"] <= 2.0 for p in pts1)
     assert all(-1.0 <= p["b"] <= 1.0 for p in pts1)
-    assert SamplePlan(count=50, seed=124).points(["a"]) != SamplePlan(count=50, seed=123).points(["a"])
+    other = points(SamplePlan(count=50, seed=124), ["a"])
+    assert other != points(SamplePlan(count=50, seed=123), ["a"])
 
 
 # -------------------------------------------------------------- differential
@@ -61,7 +62,7 @@ def test_differential_tangent_product_rule():
     # tangent chart of the plane: d(x1 x2) has coefficients (x2, x1)
     chart = tangent_algebroid(2)
     df = differential(KSection.function(chart, ex.parse("x1*x2")))
-    for env in envs_for(chart):
+    for env in points(PLAN, chart.base_vars):
         vals = section_values(df, env)
         assert vals[(0,)] == pytest.approx(env["x2"], abs=1e-14)
         assert vals[(1,)] == pytest.approx(env["x1"], abs=1e-14)
@@ -83,7 +84,7 @@ def test_differential_linearity():
     a, b = uniform(rng, -2, 2), uniform(rng, -2, 2)
     lhs = differential(section_combine(a, s, b, t))
     rhs = section_combine(a, differential(s), b, differential(t))
-    assert section_max_diff(lhs, rhs, envs_for(chart)) <= 1e-12
+    assert section_max_diff(lhs, rhs, PLAN) <= 1e-12
 
 
 def test_differential_keeps_the_zero_partial_term_of_an_infinite_anchor_entry():
@@ -105,13 +106,13 @@ def test_differential_degree_cap():
 def test_dd_zero_on_section_corpus():
     charts = [tangent_algebroid(2), so3_chart()]
     for chart in charts:
-        envs = envs_for(chart, count=100, seed=5)
+        plan = SamplePlan(count=100, seed=5)
         polys = ["t^2", "0.5*t", "t^3-t", "1"] if chart.dim == 1 else ["x1*x2", "x1^2", "x2", "1"]
         f = KSection.function(chart, ex.parse(polys[0]))
-        assert section_max_abs(differential(differential(f)), envs)[0] <= 1e-8
+        assert section_max_abs(differential(differential(f)), plan)[0] <= 1e-8
         comps = [ex.parse(polys[(k + 1) % len(polys)]) for k in range(chart.rank)]
         one = KSection.one_section(chart, comps)
-        assert section_max_abs(differential(differential(one)), envs)[0] <= 1e-8
+        assert section_max_abs(differential(differential(one)), plan)[0] <= 1e-8
 
 
 # ---------------------------------------------------------------- validation
@@ -213,9 +214,9 @@ def test_pullback_identity_morphism():
         [[1.0 if i == j else 0.0 for j in range(3)] for i in range(3)],
     )
     s = KSection.one_section(chart, [ex.parse("t"), ex.parse("t^2"), Lit(3.0)])
-    assert section_max_diff(pullback(ident, s), s, envs_for(chart)) <= 1e-15
+    assert section_max_diff(pullback(ident, s), s, PLAN) <= 1e-15
     two = differential(s)
-    assert section_max_diff(pullback(ident, two), two, envs_for(chart)) <= 1e-15
+    assert section_max_diff(pullback(ident, two), two, PLAN) <= 1e-15
 
 
 def test_pullback_scaling():
@@ -229,12 +230,12 @@ def test_pullback_scaling():
     s = KSection.one_section(chart, [ex.parse("t"), Lit(1.0), Lit(-2.0)])
     scaled = pullback(double, s)
     doubled = section_combine(2.0, s, 0.0, KSection.zero(chart, 1))
-    assert section_max_diff(scaled, doubled, envs_for(chart)) <= 1e-15
+    assert section_max_diff(scaled, doubled, PLAN) <= 1e-15
     # degree 2 picks up the determinant of the 2x2 blocks: factor 4
     two = KSection(chart, 2, {(0, 1): ex.parse("t"), (1, 2): Lit(1.0)})
     quad = pullback(double, two)
     expected = section_combine(4.0, two, 0.0, KSection.zero(chart, 2))
-    assert section_max_diff(quad, expected, envs_for(chart)) <= 1e-15
+    assert section_max_diff(quad, expected, PLAN) <= 1e-15
 
 
 def test_pullback_chart_mismatch():
@@ -277,9 +278,9 @@ def test_nan_residuals_are_the_maximum():
     assert not report.valid
     assert "antisymmetry_max = nan" in report.lines()
     nan_section = KSection.function(chart, "t*t - t*t")
-    envs = envs_for(chart, count=3, box={"t": (1e200, 1e201)})
-    assert math.isnan(section_max_abs(nan_section, envs)[0])
-    assert math.isnan(section_max_diff(nan_section, KSection.zero(chart, 0), envs))
+    plan = SamplePlan(box={"t": (1e200, 1e201)}, count=3)
+    assert math.isnan(section_max_abs(nan_section, plan)[0])
+    assert math.isnan(section_max_diff(nan_section, KSection.zero(chart, 0), plan))
 
 
 # -------------------------------------------------------------- k-sections
@@ -310,7 +311,7 @@ def test_sample_plan_rejects_reversed_and_non_finite_boxes():
     for interval in [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]:
         with pytest.raises(ValueError, match="box for 'a'"):
             SamplePlan(box={"a": interval})
-    assert SamplePlan(box={"a": (2.0, 2.0)}, count=3).points(["a"]) == [{"a": 2.0}] * 3
+    assert points(SamplePlan(box={"a": (2.0, 2.0)}, count=3), ["a"]) == [{"a": 2.0}] * 3
 
 
 def test_sample_points_are_the_splitmix_uniform_draws_bit_for_bit():
@@ -326,7 +327,7 @@ def test_sample_points_are_the_splitmix_uniform_draws_bit_for_bit():
                         {v: uniform(rng, *plan.interval(v)) for v in variables}
                         for _ in range(count)
                     ]
-                    got = plan.points(variables)
+                    got = points(plan, variables)
                     assert [list(p) for p in got] == [list(p) for p in want]
                     assert [[x.hex() for x in p.values()] for p in got] == [
                         [x.hex() for x in p.values()] for p in want

@@ -7,7 +7,10 @@ interpreter, so every error, its message and its ``point`` are those of a
 loop of ``evaluate`` over the points, at any chunk size.  The largest
 |value| of each family and its key, reduced from the columns, must be those
 of the point-by-point loop (``helpers.point_major_max_abs``); a check walks
-all of its families at once and draws only the variables it reads.
+all of its families at once and draws only the variables it reads, and
+where that walk declines it draws and interprets no more than a chunk at a
+time.  ``helpers.FixedPoints`` serves given points, NaN inputs included, in
+place of a SamplePlan.
 """
 
 import contextlib
@@ -28,7 +31,10 @@ from affmech.algebroid import (
 from affmech.cli import main
 from affmech.models import by_name
 
-from helpers import CORPUS_VARS, by_column, corpus_points, expression_corpus, point_major_max_abs
+from helpers import (
+    CORPUS_VARS, FixedPoints, by_column, corpus_points, expression_corpus, point_major_max_abs,
+    points,
+)
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, math.inf, -math.inf, math.nan]
 
@@ -47,14 +53,10 @@ def interpreted(exprs, envs):
 
 def batched(exprs, envs):
     """``columns`` over the points, in the shape of ``interpreted``."""
-    values = [[] for _ in exprs]
     try:
-        for chunk in columns(exprs, envs):
-            for column, part in zip(values, chunk):
-                column += part
+        return repr(columns(exprs, envs))
     except ex.EvalError as err:
         return type(err), str(err), err.point
-    return repr(values)
 
 
 def many(exprs, envs):
@@ -174,9 +176,9 @@ def test_nan_inputs_and_errors_of_a_section_are_the_interpreters(src, monkeypatc
     s = KSection(chart, 1, {(0,): ex.parse("t*q1"), (1,): ex.parse(src)})
     envs = [{"t": 0.5, "q1": q} for q in (0.5, math.nan, 0.25, -0.5, 0.0, 2.0)]
     prefixes = [envs[:2], envs[:3], envs]  # NaN only, then NaN and a number, then an error
-    got = [outcome(lambda: section_max_abs(s, part)) for part in prefixes]
+    got = [outcome(lambda: section_max_abs(s, FixedPoints(part))) for part in prefixes]
     monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)
-    assert got == [outcome(lambda: section_max_abs(s, part)) for part in prefixes]
+    assert got == [outcome(lambda: section_max_abs(s, FixedPoints(part))) for part in prefixes]
     assert got[0] == got[1] == repr((math.nan, (1,)))
     assert got[2][0] is ex.DomainError
 
@@ -232,13 +234,13 @@ def test_sampled_check_evaluates_in_batches_and_reruns_the_interpreter_on_errors
     check = max_abs_check(s)
     evaluated, real = [], ex.evaluate
     monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(env["t"]) or real(e, env))
-    assert check([{"t": 0.01}]) == (0.01 * 1e308 * 10, (1,))
-    assert check([{"t": 0.5}]) == (math.inf, (1,))
+    assert check(FixedPoints([{"t": 0.01}])) == (0.01 * 1e308 * 10, (1,))
+    assert check(FixedPoints([{"t": 0.5}])) == (math.inf, (1,))
     assert evaluated == []  # the batched values served both points, inf included
     monkeypatch.setattr(algebroid, "CHUNK", 2)
-    points = [{"t": 0.01}, {"t": 0.02}, {"t": 0.03}, {"t": -1.0}, {"t": 0.04}]
+    envs = [{"t": 0.01}, {"t": 0.02}, {"t": 0.03}, {"t": -1.0}, {"t": 0.04}]
     with pytest.raises(ex.DomainError, match="log of non-positive value") as info:
-        check(points)
+        check(FixedPoints(envs))
     assert info.value.point == {"t": -1.0}
     # the first chunk was batched; the interpreter ran the second from its start
     assert set(evaluated) == {0.03, -1.0}
@@ -311,7 +313,9 @@ def test_the_columnar_reduction_keeps_the_point_major_winner(count, sizes, seed)
     declined = mock.patch.object(ex, "evaluate_many", lambda exprs, columns, count: None)
     for route in (contextlib.nullcontext(), declined):  # the walk, then the per-point path
         with route:
-            got = algebroid._max_abs([(nodes, set()) for nodes in families], [], envs)
+            got = algebroid._max_abs(
+                [(nodes, set()) for nodes in families], list(values), FixedPoints(envs)
+            )
         assert [repr(found[:2]) for found in got] == want
 
 
@@ -319,9 +323,9 @@ def test_a_check_of_several_families_keeps_the_values_it_is_asked_to_keep():
     plan = SamplePlan(count=algebroid.CHUNK + 3, seed=4)
     f, g = ex.parse("t*t - 1"), ex.parse("sin(t)")
     got = algebroid._max_abs([({(): f}, set()), ({(0,): g}, set())], ["t"], plan, keep=(0,))
-    points = plan.points(["t"])
-    assert got[0][2] == [[ex.evaluate(f, env) for env in points]] and got[1][2] is None
-    assert got[1][:2] == point_major_max_abs([(0,)], [[ex.evaluate(g, env) for env in points]])
+    envs = points(plan, ["t"])
+    assert got[0][2] == [[ex.evaluate(f, env) for env in envs]] and got[1][2] is None
+    assert got[1][:2] == point_major_max_abs([(0,)], [[ex.evaluate(g, env) for env in envs]])
 
 
 # ------------------------------------------------------- one walk, few draws
@@ -381,12 +385,12 @@ def test_checks_whose_residuals_read_no_variable_draw_nothing(monkeypatch, capsy
         assert main(["validate", model]) == 1  # a constant Jacobi residual fails
         assert "bidual_valid = False" in capsys.readouterr().out
     assert draws == []
-    # a residual that reads t draws t alone, once per view, and no fiber coordinate
+    # a residual that reads t draws t alone, and no fiber coordinate: once for the
+    # bidual and vertical views, which share their points, once for the prolongation
     path.write_text(SO3_OFF_DIAGONAL.replace("1,2,2 = 0.9", "1,2,2 = sin(t)"))
     assert main(["validate", str(path)]) == 1
     capsys.readouterr()
-    # the bidual, vertical and prolongation views
-    assert draws == [(1, 0, 0, 100), (1, 0, 0, 100), (4, 0, 0, 100)]
+    assert draws == [(1, 0, 0, 100), (4, 0, 0, 100)]
 
 
 def test_a_family_that_cannot_be_built_raises_after_the_errors_of_those_before(monkeypatch):
@@ -405,3 +409,30 @@ def test_a_family_that_cannot_be_built_raises_after_the_errors_of_those_before(m
     assert (str(info.value), info.value.point) == (str(first.value), first.value.point)
     with pytest.raises(RecursionError, match="d\\^V f"):
         hj.hj_reports(bundle.section("w_osc"), h, plan)
+
+
+def test_a_declined_walk_draws_a_chunk_at_a_time_and_interprets_only_its_declining_chunk(
+    monkeypatch,
+):
+    # f = log(q1) is the second family of hj_reports; d alpha, the first, reads 1/q1 and
+    # passes.  The first q1 <= 0 is point 10, in the second of three chunks; point 17 is another
+    monkeypatch.setattr(algebroid, "CHUNK", 8)
+    bundle = by_name("trivial:3")
+    alpha, h = CoSection(bundle.chart, "log(q1)", ["0", "0", "0"]), bundle.hamiltonian
+    plan = SamplePlan(box={"q1": (-0.1, 1.0)}, count=3 * algebroid.CHUNK, seed=11)
+    envs = points(plan, bundle.chart.base_vars)
+    assert [p for p, env in enumerate(envs) if env["q1"] <= 0.0] == [10, 17]
+    want = interpreted([hj.f_of(h, alpha)], envs)
+    assert want[2] is envs[10]
+    draws, real_units = [], SamplePlan.units
+    monkeypatch.setattr(SamplePlan, "units",
+                        lambda self, *a: draws.append(a) or real_units(self, *a))
+    evaluated, real = [], ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(env) or real(e, env))
+    assert outcome(lambda: hj.hj_reports(alpha, h, plan)) == want
+    assert draws and max(n for *_, n in draws) <= algebroid.CHUNK
+    at_points = [env for env in evaluated if env]  # _fold evaluates literal nodes at {}
+    assert at_points and all(env in envs[8:16] for env in at_points)
+    # the per-point path from the first chunk on, as a loop of evaluate meets the error
+    monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)
+    assert outcome(lambda: hj.hj_reports(alpha, h, plan)) == want

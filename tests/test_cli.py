@@ -664,7 +664,7 @@ def test_runs_past_the_step_budget_are_input_errors(argv, capsys):
     ["verify", "trivial:1", "--alpha", "w_free", "--points", str(MAX_SAMPLES + 1)],
 ])
 def test_sample_counts_past_the_budget_are_input_errors(argv, monkeypatch, capsys):
-    monkeypatch.setattr(SamplePlan, "points", lambda plan, variables: pytest.fail("drew points"))
+    monkeypatch.setattr(SamplePlan, "units", lambda plan, *args: pytest.fail("drew points"))
     assert main(argv) == 2
     line, out = error_line(capsys)
     assert f"at most the sample budget of {MAX_SAMPLES}, got {argv[-1]}" in line and out == ""

@@ -48,7 +48,7 @@ RAISES = object()
 
 def test_compiled_corpus_equals_evaluate_bit_for_bit():
     for e in expression_corpus():
-        variables = sorted(ex.free_vars(e)) or ["x"]
+        variables = sorted(ex.scan([e])[0]) or ["x"]
         fn = compile_exprs([e], variables)
         for env in corpus_points(e):
             assert fn([env[v] for v in variables]) == [ex.evaluate(e, env)]

@@ -189,7 +189,7 @@ def test_ad_matches_fd_on_corpus():
     corpus = expression_corpus(200)
     checked = 0
     for k, e in enumerate(corpus):
-        variables = sorted(ex.free_vars(e))
+        variables = sorted(ex.scan([e])[0])
         if not variables:
             continue
         for env in corpus_points(e, count=8, seed=1000 + k):
@@ -323,8 +323,13 @@ def test_substitute_is_simultaneous():
     assert ex.evaluate(swapped, {"x": 2.0, "y": 5.0}) == 3.0
 
 
-def test_free_vars():
-    assert ex.free_vars(ex.parse("x*sin(y)+2")) == {"x", "y"}
+def test_scan_lists_the_variables_and_finds_a_literal_zero_divisor():
+    assert ex.scan([ex.parse("x*sin(y)+2")]) == ({"x", "y"}, False)
+    assert ex.scan([ex.parse("x"), ex.BinOp("/", ex.Var("z"), ex.Lit(0.0))]) == ({"x", "z"}, True)
+    deep = ex.Var("w")
+    for _ in range(5000):  # past the recursion limit: the walk keeps a stack
+        deep = ex.Call("sin", deep)
+    assert ex.scan([deep]) == ({"w"}, False)
 
 
 # -------------------------------------------------- folding and diff
@@ -451,7 +456,7 @@ def test_diff_equals_its_rules_where_it_skips_zero_terms():
 def test_diff_matches_dual_arithmetic_on_corpus():
     checked = 0
     for k, e in enumerate(expression_corpus(200)):
-        variables = sorted(ex.free_vars(e))
+        variables = sorted(ex.scan([e])[0])
         if not variables:
             continue
         derivs = [ex.diff(e, v) for v in variables]
@@ -483,7 +488,7 @@ def test_diff_matches_sympy_on_corpus():
     sp = pytest.importorskip("sympy")
     checked = 0
     for k, e in enumerate(expression_corpus(60)):
-        variables = sorted(ex.free_vars(e))
+        variables = sorted(ex.scan([e])[0])
         if not variables:
             continue
         sym = _to_sympy(e, sp)
@@ -510,7 +515,7 @@ def test_non_literal_exponents_diff_dual_and_compile_agree():
     # and the non-literal branch of dual arithmetic need their own inputs
     for k, src in enumerate(NON_LITERAL_POWERS):
         e = ex.parse(src)
-        variables = sorted(ex.free_vars(e))
+        variables = sorted(ex.scan([e])[0])
         derivs = [ex.diff(e, v) for v in variables]
         fn = compile_exprs([e], variables)
         points = corpus_points(e, count=20, seed=3000 + k, box=(0.1, 2.0))
@@ -527,7 +532,7 @@ def test_non_literal_exponents_diff_matches_sympy():
     for k, src in enumerate(NON_LITERAL_POWERS):
         e = ex.parse(src)
         sym = _to_sympy(e, sp)
-        for v in sorted(ex.free_vars(e)):
+        for v in sorted(ex.scan([e])[0]):
             reference = sp.diff(sym, sp.Symbol(v))
             d = ex.diff(e, v)
             for env in corpus_points(e, count=5, seed=3100 + k, box=(0.1, 2.0)):

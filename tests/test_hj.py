@@ -17,7 +17,7 @@ from affmech.hj import (
 )
 from affmech.models import by_name, harmonic_oscillator, linear_tangent_model, rigid_body, trivial_fibration
 
-from helpers import evaluate_with_partials, hj_residual, integrate_reduced, verify_one
+from helpers import evaluate_with_partials, hj_residual, integrate_reduced, points, verify_one
 
 
 def coboundary(chart_aff, s_node, ds_nodes):
@@ -25,7 +25,7 @@ def coboundary(chart_aff, s_node, ds_nodes):
 
     The partials are cross-checked against dual arithmetic before use, so a
     wrong hand derivative fails loudly here rather than downstream."""
-    for env in SamplePlan(count=20, seed=77).points(chart_aff.base_vars):
+    for env in points(SamplePlan(count=20, seed=77), chart_aff.base_vars):
         _, ad = evaluate_with_partials(s_node, env, chart_aff.base_vars)
         hand = [ex.evaluate(d, env) for d in ds_nodes]
         assert all(abs(a - b) <= 1e-10 for a, b in zip(ad, hand)), "bad hand partials"
@@ -50,7 +50,7 @@ def test_f_linear_mode_is_hamiltonian_after_insertion():
     bundle = linear_tangent_model(2)
     alpha = bundle.section("grad_sq")
     f = f_of(bundle.hamiltonian, alpha)
-    for env in SamplePlan(count=50, seed=5).points(bundle.chart.base_vars):
+    for env in points(SamplePlan(count=50, seed=5), bundle.chart.base_vars):
         inserted = dict(env)
         for a, v in enumerate(bundle.chart.fiber_vars):
             inserted[v] = ex.evaluate(alpha.alphaV[a], env)
@@ -61,7 +61,7 @@ def test_f_trivial_fibration_generating_function_formula():
     # alpha from W: f = dW/dt + H(t, q, dW/dq)
     bundle = trivial_fibration(1)
     f = f_of(bundle.hamiltonian, bundle.section("w_free"))
-    for env in SamplePlan(box={"t": (-0.5, 1.0)}, count=40, seed=6).points(["t", "q1"]):
+    for env in points(SamplePlan(box={"t": (-0.5, 1.0)}, count=40, seed=6), ["t", "q1"]):
         t, q = env["t"], env["q1"]
         w_t = -q * q / (2.0 * (t + 1.0) ** 2)
         w_q = q / (t + 1.0)
@@ -162,7 +162,7 @@ def test_hj_residual_quadratic_nonsolution():
     bundle = trivial_fibration(1)
     plan = bundle.sample
     report = hj_residual(bundle.section("w_sq"), bundle.hamiltonian, plan)
-    expected = max(abs(env["q1"]) for env in plan.points(bundle.chart.base_vars))
+    expected = max(abs(env["q1"]) for env in points(plan, bundle.chart.base_vars))
     assert report.max_residual == pytest.approx(expected, rel=1e-12)
     assert not report.is_solution
 
@@ -306,7 +306,7 @@ def test_direction_solution_implies_trajectory_residual():
         (linear_tangent_model(2), "const"),
     ]
     for bundle, name in cases:
-        starts = bundle.sample.points(bundle.chart.base_vars)[:10]
+        starts = points(bundle.sample, bundle.chart.base_vars)[:10]
         x0s = [[env[v] for v in bundle.chart.base_vars] for env in starts]
         reports = verify_theorem(
             bundle.section(name), bundle.hamiltonian, x0s, 1.0, sample=bundle.sample
@@ -337,15 +337,16 @@ def test_direction_failed_hj_has_trajectory_witness():
         df = differential(
             KSection.function(bundle.chart.vertical_chart(), _f_of(bundle.hamiltonian, alpha))
         )
-        for env in plan.points(bundle.chart.base_vars):
+        for env in points(plan, bundle.chart.base_vars):
             worst_here = max(abs(c.value(env)) for c in df.coeffs.values())
             if worst_here > worst_val:
                 worst_env, worst_val = env, worst_here
-        witnesses = SamplePlan(
+        near = SamplePlan(
             box={v: (worst_env[v] - 0.05, worst_env[v] + 0.05) for v in bundle.chart.base_vars},
             count=5,
             seed=plan.seed,
-        ).points(bundle.chart.base_vars)
+        )
+        witnesses = points(near, bundle.chart.base_vars)
         found = False
         for env in witnesses:
             x0 = [env[v] for v in bundle.chart.base_vars]

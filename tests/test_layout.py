@@ -1,6 +1,7 @@
 """The package's public names, the place of ``expr`` at the bottom of its
-imports, the one home of the Hamilton formula, slotted expression nodes, and
-no public function that only the tests call."""
+imports, the one home of the Hamilton formula, the one caller of the batched
+walk, slotted expression nodes, and no public function that only the tests
+call."""
 
 import ast
 import importlib
@@ -45,6 +46,21 @@ def test_only_affgebroid_reads_the_chart_data():
         if isinstance(node, ast.Attribute) and node.attr in {"rho0", "rhoV", "C0", "CV"}
     )
     assert reads and all(r.startswith("affgebroid.py:") for r in reads), reads
+
+
+def test_only_the_sampled_route_calls_the_batched_walk():
+    # every sampled check measures its residuals through algebroid._max_abs; a second
+    # caller of expr.evaluate_many would be a second route, with its own fallback
+    package = Path(affmech.__file__).parent
+    callers = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in package.glob("*.py")
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "evaluate_many" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    )
+    assert set(callers) == {"algebroid._max_abs"}, callers
 
 
 NODES = [ex.Lit(1.0), ex.Var("x"), ex.Neg(ex.Var("x")), ex.BinOp("+", ex.Var("x"), ex.Lit(1.0)),

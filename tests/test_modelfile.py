@@ -12,7 +12,7 @@ from affmech.algebroid import validate_chart
 from affmech.hj import cocycle_residual
 from affmech.modelfile import ModelFileError, load_model, parse_model_text
 
-from helpers import hj_residual
+from helpers import hj_residual, points
 
 FREE_PARTICLE = """
 # free particle on the line, with the spreading-packet solution
@@ -187,7 +187,7 @@ def test_sampling_entries_are_checked_on_their_line():
         assert fragment in str(err.value)
         assert err.value.line == lines.index(old) + 1, new
     pinned = parse_model_text(FREE_PARTICLE.replace("box.t = -0.5, 1", "box.t = 0.5, 0.5"))
-    assert {p["t"] for p in pinned.sample.points(["t", "q1"])} == {0.5}
+    assert {p["t"] for p in points(pinned.sample, ["t", "q1"])} == {0.5}
 
 
 # ------------------------------------------------- generated model-file text

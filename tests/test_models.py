@@ -18,7 +18,7 @@ from affmech.models import (
     trivial_fibration,
 )
 
-from helpers import hj_residual
+from helpers import hj_residual, points
 
 
 def test_all_shipped_charts_validate():
@@ -64,7 +64,7 @@ def test_trivial_fibration_reeb_is_classical():
     bundle = trivial_fibration(1)
     h = bundle.hamiltonian
     r = reeb(h)
-    for env in SamplePlan(count=20, seed=3).points(["t", "q1", "p1"]):
+    for env in points(SamplePlan(count=20, seed=3), ["t", "q1", "p1"]):
         coeffs = r(env)
         _, dq, dp = [ex.evaluate(d, env) for d in h.partials]  # dH/dt, dH/dq, dH/dp
         assert coeffs[0] == 1.0

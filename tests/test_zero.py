@@ -28,7 +28,7 @@ from affmech.dynamics import compile_rk4, hamilton_stage
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
-from helpers import expression_corpus
+from helpers import expression_corpus, points
 
 sp = pytest.importorskip("sympy")
 
@@ -163,7 +163,7 @@ def test_overflowing_proved_identity_is_still_sampled():
 def test_a_bounded_polynomial_evaluates_finite(e, r):
     if ex.magnitude_below(e, dict.fromkeys("xyz", r)):
         corner = dict.fromkeys("xyz", -r)
-        for env in SamplePlan(box=dict.fromkeys("xyz", (-r, r)), count=5).points("xyz") + [corner]:
+        for env in points(SamplePlan(box=dict.fromkeys("xyz", (-r, r)), count=5), "xyz") + [corner]:
             assert math.isfinite(ex.evaluate(e, env)), (ex.to_string(e), env)
 
 
