@@ -248,11 +248,11 @@ def _resolve_alpha(bundle: ModelBundle, text: str) -> CoSection:
     unknown = set(parts) - {"alpha0", "alphaV"}
     if unknown:
         raise ValueError(f"inline alpha has unknown fields {sorted(unknown)}")
-    alpha0 = ex.parse(parts.get("alpha0", "0"))
+    alpha0 = ex.parse(parts["alpha0"]) if "alpha0" in parts else ex.Lit(0.0)
     if "alphaV" in parts:
         comps = [ex.parse(p.strip()) for p in parts["alphaV"].split(",")]
     else:
-        comps = [ex.parse("0")] * bundle.chart.n
+        comps = [ex.Lit(0.0)] * bundle.chart.n
     return CoSection(bundle.chart, alpha0, comps)
 
 

@@ -33,11 +33,10 @@ proved"; ``magnitude_below`` tells whether its evaluation could overflow.
 
 Grammar (EBNF)::
 
-    expr   := term (('+'|'-') term)*
-    term   := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power  := atom ('^' factor)?
-    atom   := number | ident | ident '(' expr ')' | '(' expr ')'
+    sum     := product (('+'|'-') product)*
+    product := factor (('*'|'/') factor)*
+    factor  := '-' factor | atom ('^' factor)?
+    atom    := number | ident | ident '(' sum ')' | '(' sum ')'
 
 '^' is right-associative and binds tighter than unary minus, so "-x^2"
 means -(x^2).  Numbers are decimals with optional fraction and exponent.
@@ -50,7 +49,7 @@ import builtins
 import math
 import operator
 import re
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 __all__ = [
     "Expr",
@@ -94,7 +93,8 @@ class ExprError(Exception):
 
 
 class ParseError(ExprError):
-    """Syntax error; carries the byte offset and the expected-token set."""
+    """Syntax error; carries the character offset (an index into the ``str``,
+    so 'é' counts once) and the expected-token set."""
 
     def __init__(self, message: str, offset: int, expected: frozenset[str]):
         hint = f" (expected {sorted(expected)})" if expected else ""
@@ -240,140 +240,117 @@ def _lift(obj) -> Expr:
 
 
 # ----------------------------------------------------------------- parsing
+#
+# One findall splits the source into token strings: a number, an identifier,
+# an operator or parenthesis, or any other single character, which no token
+# may start with and which is reported before any syntax error.  The parser
+# walks an index into that list, with "" for the end of input.  A token's
+# character offset is computed only when an error is raised, by scanning the
+# source again.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"\s*([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[a-zA-Z_][a-zA-Z0-9_]*|[-+*/^()]|\S)"
 )
-
-
-def _tokenize(src: str) -> Iterator[tuple[str, str, int]]:
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(src) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at, frozenset({"token"}))
-        pos = m.end()
-        if m.lastgroup == "num":
-            yield "num", m.group("num"), m.start("num")
-        elif m.lastgroup == "ident":
-            yield "ident", m.group("ident"), m.start("ident")
-        else:
-            yield m.group("op"), m.group("op"), m.start("op")
-    yield "eof", "", len(src)
-
+_FIRST = operator.itemgetter(0)
+_STARTS = frozenset("-+*/^()_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 MAX_DEPTH = 100  # deepest nesting (parentheses, calls, minus signs, exponents) parse accepts
 
 
-class _Parser:
-    """Recursive descent; ``nest`` counts the levels it is inside, up to ``MAX_DEPTH``."""
+class _Descent:
+    """Recursive descent over the token strings.  ``depth`` counts the levels a
+    call is inside; ``factor`` checks it, before it reads the first token
+    of a nested level."""
 
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = list(_tokenize(src))
-        self.i = 0
-        self.nest = 0
+    def __init__(self, src: str, tokens: list[str]):
+        self.src, self.tokens, self.i = src, tokens, 0
 
-    def nested(self, parse: Callable[[], Expr]) -> Expr:
-        if self.nest == MAX_DEPTH:
-            message = f"expression nested deeper than {MAX_DEPTH} levels"
-            raise ParseError(message, self.peek()[2], frozenset())
-        self.nest += 1
-        e = parse()
-        self.nest -= 1
-        return e
+    def offset(self, at: int) -> int:
+        """The character offset of token ``at``, or the length of the source at its end."""
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(self.src)]
+        return starts[at] if at < len(starts) else len(self.src)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
+    def close(self) -> None:
+        t = self.tokens[self.i]
+        if t != ")":
+            raise ParseError(f"unexpected token {t!r}", self.offset(self.i), frozenset({")"}))
         self.i += 1
-        return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], frozenset({kind}))
-        return self.take()
+    def sum(self, depth: int) -> Expr:
+        e = self.product(depth)
+        op = self.tokens[self.i]
+        while op == "+" or op == "-":
+            self.i += 1
+            e = BinOp(op, e, self.product(depth))
+            op = self.tokens[self.i]
+        return e
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok[0] != "eof":
+    def product(self, depth: int) -> Expr:
+        e = self.factor(depth)
+        op = self.tokens[self.i]
+        while op == "*" or op == "/":
+            self.i += 1
+            e = BinOp(op, e, self.factor(depth))
+            op = self.tokens[self.i]
+        return e
+
+    def factor(self, depth: int) -> Expr:
+        """'-' factor, or an atom with an optional '^' factor."""
+        tokens, i = self.tokens, self.i
+        if depth > MAX_DEPTH:
+            message = f"expression nested deeper than {MAX_DEPTH} levels"
+            raise ParseError(message, self.offset(i), frozenset())
+        t = tokens[i]
+        self.i = i + 1
+        if t == "-":
+            return Neg(self.factor(depth + 1))
+        if t == "(":
+            e = self.sum(depth + 1)
+            self.close()
+        elif t.isidentifier():
+            if tokens[i + 1] == "(":
+                if t not in FUNCTIONS:
+                    raise UnknownFunctionError(t, self.offset(i))
+                self.i = i + 2
+                e = Call(t, self.sum(depth + 1))
+                self.close()
+            else:
+                e = Var(t)
+        elif t[:1].isdigit():  # only ASCII digits get past the check in parse
+            e = Lit(float(t))
+        else:
             raise ParseError(
-                f"trailing input {tok[1]!r}", tok[2], frozenset({"+", "-", "*", "/", "^", "eof"})
+                f"unexpected token {t!r}" if t else "unexpected end of input",
+                self.offset(i),
+                frozenset({"number", "identifier", "(", "-"}),
             )
+        if tokens[self.i] == "^":
+            self.i += 1
+            return BinOp("^", e, self.factor(depth + 1))
         return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            e = BinOp(op, e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.nested(self.factor))
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            return BinOp("^", base, self.nested(self.factor))
-        return base
-
-    def atom(self) -> Expr:
-        kind, text, offset = self.peek()
-        if kind == "num":
-            self.take()
-            return Lit(float(text))
-        if kind == "ident":
-            self.take()
-            if self.peek()[0] == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownFunctionError(text, offset)
-                self.take()
-                arg = self.nested(self.expr)
-                self.expect(")")
-                return Call(text, arg)
-            return Var(text)
-        if kind == "(":
-            self.take()
-            e = self.nested(self.expr)
-            self.expect(")")
-            return e
-        raise ParseError(
-            f"unexpected token {text!r}" if text else "unexpected end of input",
-            offset,
-            frozenset({"number", "identifier", "(", "-"}),
-        )
 
 
 def parse(src: str) -> Expr:
     """Parse a source string into an expression AST.
 
-    Input nested deeper than ``MAX_DEPTH`` levels raises ParseError rather
-    than exhausting the interpreter's recursion limit.  Long sums and
-    products are not nested: they parse in a loop, at any length.
+    One regex pass gives the token strings; a character that starts no
+    token raises ParseError before any syntax error.  Error offsets are
+    computed only when an error is raised.  Input nested deeper than
+    ``MAX_DEPTH`` levels raises ParseError rather than exhausting the
+    interpreter's recursion limit.  Long sums and products are not nested:
+    they parse in a loop, at any length.
     """
-    return _Parser(src).parse()
+    tokens = _TOKEN_RE.findall(src)
+    p = _Descent(src, tokens)
+    if not _STARTS.issuperset(map(_FIRST, tokens)):
+        at = next(k for k, t in enumerate(tokens) if t[0] not in _STARTS)
+        raise ParseError(f"unexpected character {tokens[at]!r}", p.offset(at), frozenset({"token"}))
+    tokens.append("")
+    e = p.sum(0)
+    if tokens[p.i]:
+        expected = frozenset({"+", "-", "*", "/", "^", "eof"})
+        raise ParseError(f"trailing input {tokens[p.i]!r}", p.offset(p.i), expected)
+    return e
 
 
 # ---------------------------------------------------------------- printing

@@ -77,7 +77,7 @@ def parse_model_text(text: str, name: str = "model") -> ModelBundle:
         raise ModelFileError("variable names must be distinct", line)
     base, fibers = names[:m], names[m:]
 
-    rho0 = _expr_list(entries, "anchor", "rho0", m, default="0")
+    rho0 = _expr_list(entries, "anchor", "rho0", m)
     rhoV = _expr_rows(entries, "anchor", "rhoV", n, m)
     C0 = _expr_rows(entries, "structure", "C0", n, n)
     CV = _sparse_cv(entries, n)
@@ -165,9 +165,9 @@ def _parse_expr(src: str, line):
         raise ModelFileError(f"bad expression {src!r}: {err}", line) from None
 
 
-def _expr_list(entries, section, key, count, default="0"):
+def _expr_list(entries, section, key, count):
     if key not in entries[section]:
-        return [ex.parse(default)] * count
+        return [ex.Lit(0.0)] * count
     value, line = entries[section][key]
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != count:
@@ -177,7 +177,7 @@ def _expr_list(entries, section, key, count, default="0"):
 
 def _expr_rows(entries, section, key, rows, cols):
     if key not in entries[section] or not entries[section][key][0]:
-        return [[ex.parse("0")] * cols for _ in range(rows)]
+        return [[ex.Lit(0.0)] * cols for _ in range(rows)]
     value, line = entries[section][key]
     raw_rows = [r.strip() for r in value.split(";")]
     if len(raw_rows) != rows:
@@ -192,7 +192,8 @@ def _expr_rows(entries, section, key, rows, cols):
 
 
 def _sparse_cv(entries, n):
-    CV = [[[ex.parse("0") for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    zero = ex.Lit(0.0)  # one node for every default entry: n^3 of them at the dimension budget
+    CV = [[[zero] * n for _ in range(n)] for _ in range(n)]
     seen = set()
     for key, (value, line) in entries["structure"].items():
         if key == "C0":
@@ -243,7 +244,7 @@ def _sections(entries, chart, n):
                 )
             alphaV = [_parse_expr(p, av_line) for p in comps]
         else:
-            alphaV = [ex.parse("0")] * n
+            alphaV = [ex.Lit(0.0)] * n
         try:
             out[name] = CoSection(chart, alpha0, alphaV)
         except ValueError as err:  # it names the component, alpha0 or alphaV[a]: give its line

@@ -30,7 +30,9 @@ serves given points (NaN inputs included) to the sampled checks.
 ``point_major_max_abs`` is the oracle for the reduction of
 ``algebroid._max_abs``: a loop over the points, then the keys, and
 ``by_column`` turns points into the columns that ``expr.evaluate_many``
-reads.
+reads.  ``reference_parse`` (the tokenizer and parser that ``expr.parse``
+replaced) is the oracle for ``expr.parse``, and ``parse_outcome`` puts a
+tree or a ParseError in a form that compares node for node.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -742,3 +745,161 @@ def from_frozen(e):
     if isinstance(e, FrozenCall):
         return Call(e.fn, from_frozen(e.arg))
     return BinOp(e.op, from_frozen(e.lhs), from_frozen(e.rhs))
+
+
+# --------------------------------------------------------- reference parser
+# The tokenizer and parser that ``expr.parse`` replaced: one named-group match
+# and one (kind, text, offset) triple per token, then five nested methods per atom.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize(src):
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_RE.match(src, pos)
+        if m is None:
+            stripped = src[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(src) - len(stripped)
+            raise ex.ParseError(f"unexpected character {stripped[0]!r}", at, frozenset({"token"}))
+        pos = m.end()
+        if m.lastgroup == "num":
+            yield "num", m.group("num"), m.start("num")
+        elif m.lastgroup == "ident":
+            yield "ident", m.group("ident"), m.start("ident")
+        else:
+            yield m.group("op"), m.group("op"), m.start("op")
+    yield "eof", "", len(src)
+
+
+class _Parser:
+    """Recursive descent; ``nest`` counts the levels it is inside, up to ``MAX_DEPTH``."""
+
+    def __init__(self, src):
+        self.src = src
+        self.tokens = list(_tokenize(src))
+        self.i = 0
+        self.nest = 0
+
+    def nested(self, parse):
+        if self.nest == ex.MAX_DEPTH:
+            message = f"expression nested deeper than {ex.MAX_DEPTH} levels"
+            raise ex.ParseError(message, self.peek()[2], frozenset())
+        self.nest += 1
+        e = parse()
+        self.nest -= 1
+        return e
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ex.ParseError(f"unexpected token {tok[1]!r}", tok[2], frozenset({kind}))
+        return self.take()
+
+    def parse(self):
+        e = self.expr()
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise ex.ParseError(
+                f"trailing input {tok[1]!r}", tok[2], frozenset({"+", "-", "*", "/", "^", "eof"})
+            )
+        return e
+
+    def expr(self):
+        e = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            e = BinOp(op, e, self.term())
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.peek()[0] in ("*", "/"):
+            op = self.take()[0]
+            e = BinOp(op, e, self.factor())
+        return e
+
+    def factor(self):
+        if self.peek()[0] == "-":
+            self.take()
+            return Neg(self.nested(self.factor))
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.take()
+            return BinOp("^", base, self.nested(self.factor))
+        return base
+
+    def atom(self):
+        kind, text, offset = self.peek()
+        if kind == "num":
+            self.take()
+            return Lit(float(text))
+        if kind == "ident":
+            self.take()
+            if self.peek()[0] == "(":
+                if text not in ex.FUNCTIONS:
+                    raise ex.UnknownFunctionError(text, offset)
+                self.take()
+                arg = self.nested(self.expr)
+                self.expect(")")
+                return Call(text, arg)
+            return Var(text)
+        if kind == "(":
+            self.take()
+            e = self.nested(self.expr)
+            self.expect(")")
+            return e
+        raise ex.ParseError(
+            f"unexpected token {text!r}" if text else "unexpected end of input",
+            offset,
+            frozenset({"number", "identifier", "(", "-"}),
+        )
+
+
+def reference_parse(src):
+    """The oracle for ``expr.parse``: its tree, or its ParseError."""
+    return _Parser(src).parse()
+
+
+def parse_outcome(parse, src):
+    """What ``parse(src)`` gives, in a form that compares node for node: the
+    tree as nested tuples, each literal by ``float.hex``, or the error as its
+    class, ``str``, ``offset`` and ``expected``."""
+    try:
+        e = parse(src)
+    except ex.ParseError as err:
+        return type(err), str(err), err.offset, err.expected
+    out, stack = [], [e]
+    while stack:  # a 20,000-term sum is too deep for a recursive walk
+        node = stack.pop()
+        if node.__class__ is Lit:
+            out.append(("Lit", node.value.hex()))
+        elif node.__class__ is Var:
+            out.append(("Var", node.name))
+        elif node.__class__ is Neg:
+            out.append(("Neg",))
+            stack.append(node.arg)
+        elif node.__class__ is Call:
+            out.append(("Call", node.fn))
+            stack.append(node.arg)
+        else:
+            out.append(("BinOp", node.op))
+            stack += [node.rhs, node.lhs]
+    return out

@@ -21,6 +21,8 @@ from helpers import (
     fold_sub,
     frozen_literal_value,
     from_frozen,
+    parse_outcome,
+    reference_parse,
     to_frozen,
 )
 
@@ -87,6 +89,58 @@ def test_unknown_function_name():
         ex.parse("sinh(x)")
     assert err.value.name == "sinh"
     assert err.value.offset == 0
+
+
+# reference_parse in helpers is the oracle of expr.parse: every outcome must be
+# its outcome, trees and errors alike.
+ALPHABET = [
+    *"0123456789", ".", "e", "E", *"+-*/^()", "x", "q1", " ", "\t", "\xa0", "\x1c",
+    "\u0663", "$", "sin(", "sqrt(", "log(", "sinh(", "f(", "2.5", "1e3", "7E-2",
+]
+
+
+def _well_formed(rng, depth):
+    """A well-formed source string, with random spacing."""
+    pad = lambda: rng.choice(["", "", " ", "\t", "\xa0 "])
+    if depth <= 0 or rng.random() < 0.2:
+        atom = rng.choice(["x", "q1", "t_2", "0", "3", "0.25", "12.5e-3", "4E+2", "9e9"])
+        return pad() + atom + pad()
+    kind = rng.randrange(5)
+    if kind == 0:
+        return _well_formed(rng, depth - 1) + rng.choice("+-*/^") + _well_formed(rng, depth - 1)
+    if kind == 1:
+        return pad() + "-" + _well_formed(rng, depth - 1)
+    if kind == 2:
+        return pad() + rng.choice(sorted(ex.FUNCTIONS)) + "(" + _well_formed(rng, depth - 1) + ")"
+    if kind == 3:
+        return pad() + "(" + _well_formed(rng, depth - 1) + ")" + pad()
+    return "*".join(_well_formed(rng, depth - 2) for _ in range(rng.randint(2, 4)))
+
+
+def test_parse_matches_the_reference_on_generated_strings():
+    rng = random.Random(20261021)
+    sources = ["".join(rng.choices(ALPHABET, k=rng.randint(0, 12))) for _ in range(50_000)]
+    sources += [_well_formed(rng, 6) for _ in range(3_000)]
+    outcomes = [parse_outcome(ex.parse, src) for src in sources]
+    assert outcomes == [parse_outcome(reference_parse, src) for src in sources]
+    trees = sum(isinstance(o, list) for o in outcomes)
+    assert 3_000 < trees < len(sources) - 10_000  # both trees and errors are well represented
+
+
+@pytest.mark.parametrize("src", ["", "   ", "x ", "2.", ".5", "1e", "x y", "sinh(x)"])
+def test_parse_edge_cases_match_the_reference(src):
+    assert parse_outcome(ex.parse, src) == parse_outcome(reference_parse, src)
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_long_sums_and_products_parse_to_the_left_deep_tree(op):
+    src = op.join(f"x{k}" for k in range(20_000))
+    e = ex.parse(src)
+    for k in reversed(range(1, 20_000)):
+        assert e.op == op and e.rhs == Var(f"x{k}")
+        e = e.lhs
+    assert e == Var("x0")
+    assert parse_outcome(ex.parse, src) == parse_outcome(reference_parse, src)
 
 
 # --------------------------------------------------------------- evaluation
@@ -562,6 +616,7 @@ DEPTH_K = {  # name -> source nested k levels deep
     "calls": lambda k: "sin(" * k + "x" + ")" * k,
     "minus": lambda k: "-" * k + "x",
     "powers": lambda k: "2^" * k + "x",
+    "powers of x": lambda k: "x^" * k + "x",
 }
 
 
@@ -571,6 +626,9 @@ def test_parse_accepts_the_depth_limit_and_rejects_one_more(nest):
     assert ex.parse(ex.to_string(e)) == e
     with pytest.raises(ex.ParseError, match="nested deeper than 100 levels"):
         ex.parse(nest(ex.MAX_DEPTH + 1))
+    # with a tail after it, the depth error's token is not the end of the input
+    for src in [nest(ex.MAX_DEPTH), nest(ex.MAX_DEPTH + 1), nest(ex.MAX_DEPTH + 1) + " + 1"]:
+        assert parse_outcome(ex.parse, src) == parse_outcome(reference_parse, src)
 
 
 def test_long_sums_and_products_are_not_nesting():

@@ -1,7 +1,7 @@
 """The package's public names, the place of ``expr`` at the bottom of its
 imports, the one home of the Hamilton formula, the one caller of the batched
-walk, slotted expression nodes, and no public function that only the tests
-call."""
+walk, the one tokenizer and parser, slotted expression nodes, and no public
+function that only the tests call."""
 
 import ast
 import importlib
@@ -61,6 +61,32 @@ def test_only_the_sampled_route_calls_the_batched_walk():
         and "evaluate_many" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     )
     assert set(callers) == {"algebroid._max_abs"}, callers
+
+
+def test_expr_holds_the_one_tokenizer_and_parser():
+    # one findall and one descent over its token strings; the tokenizer and parser
+    # they replaced live on only as the reference parser in tests/helpers.py
+    package = Path(affmech.__file__).parent
+    kept, regex_users = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        kept += [
+            f"{path.name}:{node.lineno} {node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name in {"_tokenize", "_Parser"}
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [node.module]
+            else:
+                continue
+            if "re" in imported:
+                regex_users.append(path.stem)
+    assert kept == []
+    assert regex_users == ["expr"]
 
 
 NODES = [ex.Lit(1.0), ex.Var("x"), ex.Neg(ex.Var("x")), ex.BinOp("+", ex.Var("x"), ex.Lit(1.0)),
