@@ -37,14 +37,15 @@ from .algebroid import (
     Report,
     SamplePlan,
     ValidationReport,
+    _difference,
+    _family,
+    _max_abs,
     as_expr,
     chart_report,
     chart_residuals,
     differential,
     prolong,
     pullback,
-    section_max_abs,
-    section_max_diff,
 )
 
 __all__ = [
@@ -499,21 +500,22 @@ def pullback_identities(
 
     Checks that pulling the tautological pairing back along the graph of
     gamma reproduces h composed with gamma, and that pulling the 2-section
-    back gives minus the differential of that composite.
+    back gives minus the differential of that composite.  The two families
+    of differences are sampled in one ``algebroid._max_abs`` call.
     """
     aff = gamma.chart
     plan = sample if sample is not None else SamplePlan()
     morph = covector_morphism(gamma)
     hg = h_compose(h, gamma)
 
-    lam_pulled = pullback(morph, lambda_h(h))
-    lambda_dev = section_max_diff(lam_pulled, hg, plan)
+    def families():
+        yield _difference(pullback(morph, lambda_h(h)), hg)
+        minus_dhg = KSection(
+            aff.bidual_chart(), 2, {idx: neg(c.node) for idx, c in differential(hg).coeffs.items()}
+        )
+        yield _difference(pullback(morph, omega_h(h)), minus_dhg)
 
-    om_pulled = pullback(morph, omega_h(h))
-    minus_dhg = KSection(
-        aff.bidual_chart(), 2, {idx: neg(c.node) for idx, c in differential(hg).coeffs.items()}
-    )
-    omega_dev = section_max_diff(om_pulled, minus_dhg, plan)
+    (lambda_dev, _, _), (omega_dev, _, _) = _max_abs(families(), aff.base_vars, plan)
     return PullbackIdentitiesReport(lambda_dev, omega_dev, plan.count)
 
 
@@ -559,14 +561,19 @@ def vertical_restriction_check(
 
     The 2-section must restrict to the canonical symplectic section of the
     vertical chart, the tautological section to its own, and the adapted
-    1-section to zero."""
+    1-section to zero.  The three families are sampled in one
+    ``algebroid._max_abs`` call."""
     aff = h.chart
     plan = sample if sample is not None else SamplePlan()
     incl = vertical_inclusion_morphism(aff)
     vp = aff.vertical_prolongation()
 
-    omega_dev = section_max_diff(pullback(incl, omega_h(h)), vp.canonical_symplectic(), plan)
-    lambda_dev = section_max_diff(pullback(incl, lambda_h(h)), vp.liouville(), plan)
-    eta_restricted = pullback(incl, eta(aff))
-    eta_dev, _ = section_max_abs(eta_restricted, plan)
+    def families():
+        yield _difference(pullback(incl, omega_h(h)), vp.canonical_symplectic())
+        yield _difference(pullback(incl, lambda_h(h)), vp.liouville())
+        yield _family(pullback(incl, eta(aff)))
+
+    (omega_dev, _, _), (lambda_dev, _, _), (eta_dev, _, _) = _max_abs(
+        families(), vp.chart.base_vars, plan
+    )
     return RestrictionReport(lambda_dev, omega_dev, eta_dev, plan.count)

@@ -21,26 +21,28 @@ The differential and the pullback walk only nonzero entries (coefficients,
 anchor rows, structure functions, fiber-map entries), never the whole basis,
 and sum the terms of each output in the order of a walk over the basis.
 
-The checks (``section_max_abs``, ``section_max_diff``, ``validate_chart``)
-count a residual as exactly 0, without evaluating it, when it is *proved*: a
-polynomial whose exact rational expansion is 0 (``expr.is_zero``) and whose
-every node stays below ``expr.SAFE_MAGNITUDE`` over the points, so that its
-evaluation cannot overflow to a NaN (``expr.magnitude_below``).  Every other
-residual (calls, non-constant divisors, nonzero or too large polynomials,
-possible overflow) is sampled at every point.  The points of a check are
-those of one SamplePlan, its only input.  A check samples all of its
-families of residuals in one ``_max_abs`` call, with one
-``expr.evaluate_many`` walk per chunk of ``CHUNK`` points over their
-sampled residuals together.  The walk reads a chunk's points as one column
-of values per variable, and a variable's column of a chunk is drawn only
-when the walk first reads it, so residuals that read no variable draw
-nothing.  A point's coordinates are consecutive draws of one SplitMix64
+A sampled check (``validate_chart``, and those of ``affgebroid`` and ``hj``)
+measures families of residuals, such as the coefficients of a section
+(``_family``) or the differences of two sections' coefficients
+(``_difference``).  It counts a residual as exactly 0, without evaluating
+it, when it is *proved*: a polynomial whose exact rational expansion is 0
+(``expr.is_zero``) and whose every node stays below ``expr.SAFE_MAGNITUDE``
+over the points, so that its evaluation cannot overflow to a NaN
+(``expr.magnitude_below``).  Every other residual (calls, non-constant
+divisors, nonzero or too large polynomials, possible overflow) is sampled at
+every point.  The points of a check are those of one SamplePlan, its only
+input.  A check samples all of its families of residuals in one ``_max_abs``
+call, with one ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points
+over their sampled residuals together.  The walk reads a chunk's points as
+one column of values per variable, and a variable's column of a chunk is
+drawn only when the walk first reads it, so residuals that read no variable
+draw nothing.  A point's coordinates are consecutive draws of one SplitMix64
 stream, which is counter-based: one variable's column is drawn alone, with
 the values that drawing every point in turn gives.  Each family's largest
 |value| and its key are reduced from the columns in C.  Where the walk
-declines, the families are measured one after the other, a chunk at a
-time, and only a chunk whose own walk declines runs through the per-point
-path (``columns``), which gives the interpreter's values, errors and error
+declines, the families are measured one after the other, a chunk at a time,
+and only a chunk whose own walk declines runs through the per-point path
+(``columns``), which gives the interpreter's values, errors and error
 points.
 """
 
@@ -76,13 +78,10 @@ __all__ = [
     "pullback",
     "Prolongation",
     "prolong",
-    "section_max_abs",
-    "max_abs_check",
     "CHUNK",
     "columns",
     "nan_max",
     "values_at",
-    "section_max_diff",
 ]
 
 VALIDATION_TOL = 1e-8
@@ -124,7 +123,7 @@ def as_expr(obj) -> Expr:
 
 def _nonzero(entries: Sequence[Expr]) -> list[tuple[int, Expr]]:
     """(position, entry) of each entry that is not a literal zero."""
-    return [(i, e) for i, e in enumerate(entries) if ex.literal_value(e) != 0.0]
+    return [(i, e) for i, e in enumerate(entries) if e.lit != 0.0]
 
 
 # ------------------------------------------------------------------ sampling
@@ -302,7 +301,7 @@ class KSection:
             if any(not 0 <= a < chart.rank for a in idx):
                 raise ValueError(f"index tuple {idx} out of range for rank {chart.rank}")
             node = as_expr(c)
-            if ex.literal_value(node) != 0.0:
+            if node.lit != 0.0:
                 self.coeffs[idx] = ExprCoeff(node)
 
     # ---- constructors
@@ -361,7 +360,7 @@ def differential(s: KSection) -> KSection:
                 if vi not in partials:
                     partials[vi] = ex.diff(coeff.node, chart.base_vars[vi])
                 partial = partials[vi]
-                if ex.literal_value(partial) == 0.0 and math.isfinite(ex.literal_value(rc) or 0):
+                if partial.lit == 0.0 and math.isfinite(rc.lit or 0):
                     continue  # the term would fold to a zero literal, which add drops
                 term = mul((-1.0) ** i, mul(rc, partial))
                 terms.setdefault(idx, []).append(((0, i, vi), term))
@@ -495,19 +494,20 @@ def _max_abs(
 ) -> list:
     """(worst, where, kept) of each family of residuals, all checked at the points of ``plan``.
 
+    The one sampling entry of the package: every sampled check is one call.
     ``families`` yields pairs (key -> residual, ids of the residuals that
-    ``expr.is_zero`` proved); a generator builds each family when asked.  A
-    proved residual counts 0 when ``expr.magnitude_below`` bounds it over
-    the plan's box.  The others, of every family, are evaluated in one
-    ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points, over one
-    column per variable of the chunk (see the module docstring).
-    ``draw(j, start, n)``, when given, returns
-    ``plan.units(len(variables), j, start, n)``, or the same draws of a plan
-    with this seed and count over another box, reused.  ``worst`` is a
-    family's largest |value| and ``where`` its key, as ``_fold`` picks them:
-    0.0 and () when every value is 0.  ``kept`` holds, for a family whose
-    position is in ``keep``, the values of each sampled residual at every
-    point, and is None for the others.
+    ``expr.is_zero`` proved), as ``_family`` and ``_difference`` build them;
+    a generator builds each family when asked.  A proved residual counts 0
+    when ``expr.magnitude_below`` bounds it over the plan's box.  The
+    others, of every family, are evaluated in one ``expr.evaluate_many``
+    walk per chunk of ``CHUNK`` points, over one column per variable of the
+    chunk (see the module docstring).  ``draw(j, start, n)``, when given,
+    returns ``plan.units(len(variables), j, start, n)``, or the same draws
+    of a plan with this seed and count over another box, reused.  ``worst``
+    is a family's largest |value| and ``where`` its key, as ``_fold`` picks
+    them: 0.0 and () when every value is 0.  ``kept`` holds, for a family
+    whose position is in ``keep``, the values of each sampled residual at
+    every point, and is None for the others.
 
     Where the walk declines (``evaluate_many`` returns None), or building a
     family raises, the families built so far are measured from that chunk
@@ -597,30 +597,23 @@ def _proved(nodes: Iterable[Expr]) -> set:
     return {id(node) for node in nodes if ex.is_zero(node)}
 
 
-def section_max_abs(s: KSection, plan: SamplePlan) -> tuple[float, tuple]:
-    """Largest |coefficient| over the points of ``plan``, and its index.
-
-    ``plan`` samples the chart's base variables.  A proved coefficient (see
-    the module docstring) counts 0; the others are sampled.  A NaN
-    coefficient is the largest.  An evaluation error records the point it
-    happened at as ``point``.
-    """
-    return max_abs_check(s)(plan)
-
-
-def max_abs_check(s: KSection) -> Callable[..., tuple[float, tuple]]:
-    """``section_max_abs(s, plan)`` as a function of ``plan``, for one section checked often.
-
-    Each coefficient is tried with ``expr.is_zero`` once, here, rather than
-    on every call.  The function takes ``draw`` as ``_max_abs`` does.
-    """
-    family = _family(s)
-    return lambda plan, draw=None: _max_abs([family], s.chart.base_vars, plan, draw)[0][:2]
-
-
 def _family(s: KSection) -> tuple[dict, set]:
-    """The coefficients of ``s`` as a family of ``_max_abs``: index -> node, and the proved ids."""
+    """The coefficients of ``s`` as a family of ``_max_abs``: index -> node, and the proved ids.
+
+    Each coefficient is tried with ``expr.is_zero`` once, here, so a family
+    that is checked often is built once.
+    """
     nodes = {idx: c.node for idx, c in s.coeffs.items()}
+    return nodes, _proved(nodes.values())
+
+
+def _difference(s1: KSection, s2: KSection) -> tuple[dict, set]:
+    """s1 - s2 as a family of ``_max_abs``: index -> the difference of the coefficients (a
+    missing one is 0), over the indices of either section, and the proved ids."""
+    nodes = {
+        idx: BinOp("-", as_expr(s1.coeffs.get(idx, _ZERO)), as_expr(s2.coeffs.get(idx, _ZERO)))
+        for idx in set(s1.coeffs) | set(s2.coeffs)
+    }
     return nodes, _proved(nodes.values())
 
 
@@ -650,22 +643,6 @@ def values_at(fn, envs) -> list:
             err.point = env
             raise
     return out
-
-
-def section_max_diff(s1: KSection, s2: KSection, plan: SamplePlan) -> float:
-    """Largest |s1 - s2| over the coefficients and the points of ``plan``.
-
-    Each difference of coefficients (a missing one is 0) is proved or
-    sampled as in ``section_max_abs``.
-    """
-    if s1.degree != s2.degree:
-        raise ValueError("sections must have equal degree")
-    keys = set(s1.coeffs) | set(s2.coeffs)
-    diffs = {
-        idx: BinOp("-", as_expr(s1.coeffs.get(idx, 0.0)), as_expr(s2.coeffs.get(idx, 0.0)))
-        for idx in keys
-    }
-    return section_max_abs(KSection(s1.chart, s1.degree, diffs), plan)[0]
 
 
 # --------------------------------------------------------------- validation
@@ -752,7 +729,7 @@ def chart_report(
     variables: Sequence[str],
     plan: SamplePlan,
 ) -> list[ValidationReport]:
-    """The report of each view (residuals, labels of the e^a), checked as ``section_max_abs`` does.
+    """The report of each view (residuals, labels of the e^a), checked at the points of ``plan``.
 
     Every family of every view is sampled over ``variables`` in one
     ``_max_abs`` call, so views that share residuals evaluate each once.
@@ -787,7 +764,7 @@ def validate_chart(chart: AlgebroidChart, sample: SamplePlan | None = None) -> V
 
     d.d on coordinate functions encodes compatibility of the anchor with the
     bracket; d.d on basis covectors encodes the Jacobi identity.  Each check
-    proves or samples its residuals as ``section_max_abs`` does.
+    proves or samples its residuals (see the module docstring).
     """
     plan = sample if sample is not None else SamplePlan()
     return chart_report([(chart_residuals(chart), chart.labels)], chart.base_vars, plan)[0]

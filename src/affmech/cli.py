@@ -167,7 +167,9 @@ def cmd_validate(bundle: ModelBundle, args) -> int:
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
+    if "" in parts:
+        raise ValueError(f"{what} has an empty field in {text.strip()!r}")
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated values, got {len(parts)}")
     values = [float(p) for p in parts]
@@ -334,7 +336,7 @@ def cmd_verify(bundle: ModelBundle, args) -> int:
         alpha = _resolve_alpha(bundle, args.alpha)
         if args.x0_set is not None:
             points = [
-                _parse_floats(p, chart.m, "initial point")
+                _parse_floats(p, chart.m, "--x0-set point")
                 for p in args.x0_set.split(";")
                 if p.strip()
             ]

@@ -180,8 +180,7 @@ def compile_rk4(
     each name they read stays below B = ``GUARD_BOUND``: they are
     polynomials that cannot raise there.  Each stage then raises
     ArithmeticError unless -B < v < B for every name they read (a bound
-    name holds its value); a NaN fails too.  The other extras are computed
-    and must be finite.
+    name holds its value); a NaN fails too.
 
     ``check`` lists expressions over ``variables`` and the ``bound``
     names, emitted into the stage's subexpression table.  Given a
@@ -208,9 +207,6 @@ def compile_rk4(
         guarded = dict.fromkeys(outs[-len(reads) :])
         tests = (f"{-GUARD_BOUND!r} < {v} < {GUARD_BOUND!r}" for v in guarded)
         stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
-    outs = outs[: len(exprs) + len(kept)]
-    if kept:
-        stage.append(_not_finite(outs[len(exprs) :]))
     measure: list[str] = []
     if check is not None:
         measure, values = ex._straight_line(check, names, bound, "t", consts, table)

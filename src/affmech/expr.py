@@ -12,8 +12,8 @@ do: same class, then the fields compared as a tuple, so ``Lit(0.0) ==
 Lit(-0.0)``, and a NaN literal equals only a literal holding the same float
 object; ``repr`` prints ``Lit(value=-0.0)``.  Each node carries ``lit``, the
 value of a literal or a negated literal and None for any other node,
-computed once when the node is built; ``literal_value(e)`` returns it.  The
-tree walkers dispatch on ``e.__class__``.
+computed once when the node is built.  The tree walkers dispatch on
+``e.__class__``.
 
 ``evaluate_many`` evaluates expressions at many points in one walk over
 their nodes, with the interpreter's float operations, reading the points as
@@ -74,7 +74,6 @@ __all__ = [
     "is_zero",
     "magnitude_below",
     "SAFE_MAGNITUDE",
-    "literal_value",
     "add",
     "sub",
     "mul",
@@ -388,11 +387,6 @@ def to_string(e: Expr) -> str:
 
 
 # -------------------------------------------------------------- evaluation
-
-
-def literal_value(e: Expr) -> float | None:
-    """Value of a literal or a negated literal; None for any other node."""
-    return e.lit
 
 
 def _checked_pow(base: float, c: float, node: Expr | None = None) -> float:

@@ -18,7 +18,6 @@ from .algebroid import (
     _family,
     _max_abs,
     differential,
-    max_abs_check,
     nan_max,
     values_at,
 )
@@ -70,11 +69,13 @@ def cocycle_residual(
 ) -> CocycleReport:
     """Max coefficient of the differential of alpha on the bidual chart.
 
-    ``sample`` is the SamplePlan of the points (default ``SamplePlan()``);
-    ``draw`` is as in ``algebroid._max_abs``.
+    The coefficients are one family of ``algebroid._max_abs``, sampled at
+    the points of ``sample`` (default ``SamplePlan()``); ``draw`` is as in
+    ``_max_abs``.
     """
     plan = sample if sample is not None else SamplePlan()
-    worst, where = max_abs_check(differential(alpha.as_bidual_section()))(plan, draw)
+    family = _family(differential(alpha.as_bidual_section()))
+    worst, where, _ = _max_abs([family], alpha.chart.base_vars, plan, draw)[0]
     return CocycleReport(worst, where, plan.count)
 
 
@@ -99,8 +100,8 @@ def hj_reports(
     The HJ residuals are the coefficients rhoV[a]^i df/dx^i of the vertical
     differential of f; the section solves the HJ equation when they vanish.
     The three families (the coefficients of d alpha, f and those of d^V f)
-    are built in that order and sampled at the points of ``sample`` (as in
-    ``cocycle_residual``) in one ``algebroid._max_abs`` call, one walk per
+    are built in that order and sampled at the points of ``sample`` (default
+    ``SamplePlan()``) in one ``algebroid._max_abs`` call, one walk per
     chunk of points over the nodes they share (alphaV's among them).  f's
     family proves nothing, so f is always sampled, and every value of it is
     kept.
@@ -167,10 +168,10 @@ def verify_theorem(
 
     The call checks every point's length (ValueError) and that alpha is a
     cocycle (NotACocycleError), then builds what no point changes: the
-    residuals, one RK4 kernel, the d^V f check and the plan's unit draws
-    (a variable's drawn on first use; every box plan reuses them).  It
-    returns an iterator that checks one point per report, as the report is
-    taken.
+    residuals, one RK4 kernel, the family of d^V f, proved once, and the
+    plan's unit draws (a variable's drawn on first use; every box plan
+    reuses them).  It returns an iterator that checks one point per report,
+    as the report is taken.
 
     Each check integrates the reduced field X, the Hamilton field's base
     rows at (x, alphaV(x)), so the base equations hold along (x, alphaV(x))
@@ -198,7 +199,7 @@ def verify_theorem(
     stage = exprs, variables, bound, extras = reduced_stage(alpha, h)
     residuals = _theorem_check(alpha, stage)
     kernel = _kernel(*stage, residuals)
-    df = max_abs_check(_vertical_df(alpha, h))
+    df = _family(_vertical_df(alpha, h))
     field = interpret(*stage)
     measure = interpret(residuals, variables, bound, [*extras, *exprs])
 
@@ -222,7 +223,8 @@ def verify_theorem(
             traj_max = nan_max(abs(v) for r in rows for v in r)
 
         box = {var: (min(col), max(col)) for var, col in zip(aff.base_vars, zip(*traj.states))}
-        hj_max, _ = df(SamplePlan(box=box, count=plan.count, seed=plan.seed), draw)
+        box_plan = SamplePlan(box=box, count=plan.count, seed=plan.seed)
+        hj_max, _, _ = _max_abs([df], aff.base_vars, box_plan, draw)[0]
 
         return TheoremReport(
             x0=list(map(float, x0)),

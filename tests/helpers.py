@@ -18,7 +18,7 @@ Hamilton equations term by term from the chart data: the oracle for
 ``affgebroid.hamilton_field``.  ``FrozenLit``, ``FrozenVar``, ``FrozenNeg``,
 ``FrozenBinOp`` and ``FrozenCall`` are the expression nodes as frozen
 dataclasses, with ``frozen_literal_value``: the oracle for the ``==``,
-``hash``, ``repr`` and ``literal_value`` of the slotted nodes of ``expr``.
+``hash``, ``repr`` and ``lit`` of the slotted nodes of ``expr``.
 ``omega_h_from_pullback`` (the second route to Ω_h), ``morphism_defect``
 (d commutes with a pullback), ``integrate_reduced`` (the reduced flow on
 its own) and ``hj_residual`` (the HJ check without the cocycle check and f)
@@ -27,6 +27,10 @@ are cross-check routes that only the tests take; ``section_values`` and
 linear combination of sections.  ``points`` lists the points of a
 SamplePlan as dicts, and ``FixedPoints`` stands in for a SamplePlan that
 serves given points (NaN inputs included) to the sampled checks.
+``section_max_abs`` and ``section_max_diff`` check one section or one
+difference of two sections at a time (``section_check`` is the first as a
+function of the plan): the oracles for the checks that sample all of their
+families in one ``algebroid._max_abs`` call.
 ``point_major_max_abs`` is the oracle for the reduction of
 ``algebroid._max_abs``: a loop over the points, then the keys, and
 ``by_column`` turns points into the columns that ``expr.evaluate_many``
@@ -45,14 +49,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affmech import dynamics
+from affmech import algebroid, dynamics
 from affmech import expr as ex
 from affmech.affgebroid import hamiltonian_morphism, omega_h
 from affmech import hj
-from affmech.algebroid import (
-    _PERMS, KSection, SamplePlan, differential, nan_max, pullback, section_max_abs,
-    section_max_diff,
-)
+from affmech.algebroid import _PERMS, KSection, SamplePlan, as_expr, differential, nan_max, pullback
 from affmech.expr import BinOp, Call, DomainError, Lit, Neg, UnboundVariableError, Var
 from affmech.hj import verify_theorem
 
@@ -126,7 +127,7 @@ def _dual(e, env, slot, n):
     assert isinstance(e, BinOp)
     a, da = _dual(e.lhs, env, slot, n)
     if e.op == "^":
-        c = ex.literal_value(e.rhs)
+        c = e.rhs.lit
         if c is not None:
             v = ex._checked_pow(a, c, e)
             if c == 0.0:
@@ -401,7 +402,7 @@ def dense_pullback(morph, s):
             det = ex.Lit(0.0)
             for perm, sign in _PERMS[k]:
                 entries = [morph.fiber_map[bkey[perm[p]]][idx[p]] for p in range(k)]
-                if any(ex.literal_value(e) == 0.0 for e in entries):
+                if any(e.lit == 0.0 for e in entries):
                     continue
                 prod = sign
                 for e in entries:
@@ -453,6 +454,45 @@ class FixedPoints:
 
 
 # ----------------------------------------------------- sampled-check oracles
+
+
+def section_check(s):
+    """The check of the coefficients of ``s`` as a function of the plan, and of ``draw``.
+
+    The coefficients become one family of ``algebroid._max_abs`` once, here
+    (``algebroid._family`` proves them), and each call samples that family
+    alone, so a section checked often is proved once.
+    """
+    family, variables = algebroid._family(s), s.chart.base_vars
+    return lambda plan, draw=None: algebroid._max_abs([family], variables, plan, draw)[0][:2]
+
+
+def section_max_abs(s, plan):
+    """Largest |coefficient| of ``s`` over the points of ``plan``, and its index.
+
+    ``plan`` samples the chart's base variables.  A proved coefficient counts
+    0; the others are sampled.  A NaN coefficient is the largest.  An
+    evaluation error records the point it happened at as ``point``.
+    """
+    return section_check(s)(plan)
+
+
+def section_max_diff(s1, s2, plan):
+    """Largest |s1 - s2| over the coefficients and the points of ``plan``.
+
+    One comparison: each difference of coefficients (a missing one is 0)
+    becomes a coefficient of a KSection, checked by ``section_max_abs``.
+    The per-comparison route of the checks of ``affgebroid``, which sample
+    all of their comparisons in one ``algebroid._max_abs`` call.
+    """
+    if s1.degree != s2.degree:
+        raise ValueError("sections must have equal degree")
+    keys = set(s1.coeffs) | set(s2.coeffs)
+    diffs = {
+        idx: BinOp("-", as_expr(s1.coeffs.get(idx, 0.0)), as_expr(s2.coeffs.get(idx, 0.0)))
+        for idx in keys
+    }
+    return section_max_abs(KSection(s1.chart, s1.degree, diffs), plan)[0]
 
 
 def point_major_max_abs(keys, values):
@@ -623,7 +663,7 @@ def _fold(node):
 
 def fold_add(a, b):
     a, b = ex._lift(a), ex._lift(b)
-    x, y = ex.literal_value(a), ex.literal_value(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _fold(BinOp("+", a, b))
     if x == 0.0:
@@ -635,7 +675,7 @@ def fold_add(a, b):
 
 def fold_sub(a, b):
     a, b = ex._lift(a), ex._lift(b)
-    x, y = ex.literal_value(a), ex.literal_value(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _fold(BinOp("-", a, b))
     if x == 0.0:
@@ -647,7 +687,7 @@ def fold_sub(a, b):
 
 def fold_mul(a, b):
     a, b = ex._lift(a), ex._lift(b)
-    x, y = ex.literal_value(a), ex.literal_value(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _fold(BinOp("*", a, b))
     if x == 0.0 or y == 0.0:
@@ -665,7 +705,7 @@ def fold_mul(a, b):
 
 def fold_div(a, b):
     a, b = ex._lift(a), ex._lift(b)
-    x, y = ex.literal_value(a), ex.literal_value(b)
+    x, y = a.lit, b.lit
     if x is not None and y is not None:
         return _fold(BinOp("/", a, b))
     if x == 0.0:

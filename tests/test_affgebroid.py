@@ -11,8 +11,6 @@ from affmech.algebroid import (
     SplitMix64,
     differential,
     pullback,
-    section_max_abs,
-    section_max_diff,
     validate_chart,
 )
 from affmech.affgebroid import (
@@ -50,6 +48,8 @@ from helpers import (
     points,
     reeb_solve,
     section_combine,
+    section_max_abs,
+    section_max_diff,
     section_values,
     uniform,
 )

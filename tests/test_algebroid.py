@@ -12,15 +12,13 @@ from affmech.algebroid import (
     SplitMix64,
     differential,
     pullback,
-    section_max_abs,
-    section_max_diff,
     validate_chart,
 )
 from affmech.models import by_name, perturbed_so3_chart, so3_chart, tangent_algebroid
 
 from helpers import (
-    component, dense_differential, jacobi_cyclic_residual, points, section_combine, section_values,
-    uniform,
+    component, dense_differential, jacobi_cyclic_residual, points, section_combine, section_max_abs,
+    section_max_diff, section_values, uniform,
 )
 
 PLAN = SamplePlan(count=40, seed=11)  # the points of the checks below

@@ -14,6 +14,7 @@ place of a SamplePlan.
 """
 
 import contextlib
+import dataclasses
 import math
 import random
 from unittest import mock
@@ -22,18 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affmech import algebroid, hj
+from affmech import affgebroid, algebroid, hj
 from affmech import expr as ex
-from affmech.affgebroid import CoSection
-from affmech.algebroid import (
-    KSection, SamplePlan, columns, differential, max_abs_check, section_max_abs,
+from affmech.affgebroid import (
+    CoSection, HamiltonianSection, PullbackIdentitiesReport, RestrictionReport, VStarSection,
 )
+from affmech.algebroid import KSection, SamplePlan, columns, differential, pullback
 from affmech.cli import main
+from affmech.modelfile import parse_model_text
 from affmech.models import by_name
 
 from helpers import (
     CORPUS_VARS, FixedPoints, by_column, corpus_points, expression_corpus, point_major_max_abs,
-    points,
+    points, section_check, section_max_abs, section_max_diff,
 )
 
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, math.inf, -math.inf, math.nan]
@@ -231,7 +233,7 @@ def test_f_values_of_hj_do_not_depend_on_the_chunk_size(monkeypatch, capsys):
 def test_sampled_check_evaluates_in_batches_and_reruns_the_interpreter_on_errors(monkeypatch):
     chart = by_name("rigid:1,2,3").chart.bidual_chart()  # one base variable, t
     s = KSection(chart, 1, {(0,): ex.parse("log(t)"), (1,): ex.parse("t*1e308*10")})
-    check = max_abs_check(s)
+    check = section_check(s)
     evaluated, real = [], ex.evaluate
     monkeypatch.setattr(ex, "evaluate", lambda e, env: evaluated.append(env["t"]) or real(e, env))
     assert check(FixedPoints([{"t": 0.01}])) == (0.01 * 1e308 * 10, (1,))
@@ -255,8 +257,8 @@ def test_the_sampled_check_samples_only_the_unproved_coefficients(monkeypatch):
     walked, real = [], ex.evaluate_many
     monkeypatch.setattr(ex, "evaluate_many",
                         lambda e, cols, n: walked.append(e) or real(e, cols, n))
-    assert max_abs_check(s)(plan) == section_max_abs(s, plan)
-    assert max_abs_check(s)(plan)[1] == (2,)
+    assert section_check(s)(plan) == section_max_abs(s, plan)
+    assert section_check(s)(plan)[1] == (2,)
     assert walked == [[ex.parse("sin(t)"), ex.parse("cos(t)")]] * 3
 
 
@@ -266,7 +268,7 @@ def test_the_sampled_check_proves_its_coefficients_once(monkeypatch):
     chart = by_name("rigid:1,2,3").chart.bidual_chart()
     coeffs = {(0,): "t*t - t*t", (1,): "sin(t)", (2,): "t^2 - 1"}
     s = KSection(chart, 1, {k: ex.parse(c) for k, c in coeffs.items()})
-    check = max_abs_check(s)
+    check = section_check(s)
     assert len(calls) == 3
     for plan in (SamplePlan(count=5), SamplePlan(box={"t": (2.0, 3.0)}, count=4, seed=9)):
         assert check(plan) == section_max_abs(s, plan)
@@ -391,6 +393,109 @@ def test_checks_whose_residuals_read_no_variable_draw_nothing(monkeypatch, capsy
     assert main(["validate", str(path)]) == 1
     capsys.readouterr()
     assert draws == [(1, 0, 0, 100), (4, 0, 0, 100)]
+
+
+# ------------------------------------------------------- one call per check
+
+
+def pullback_identities_per_comparison(gamma, h, plan):
+    """``affgebroid.pullback_identities`` with one ``helpers.section_max_diff`` per identity."""
+    morph, hg = affgebroid.covector_morphism(gamma), affgebroid.h_compose(h, gamma)
+    lambda_dev = section_max_diff(pullback(morph, affgebroid.lambda_h(h)), hg, plan)
+    minus_dhg = {idx: ex.neg(c.node) for idx, c in differential(hg).coeffs.items()}
+    minus_dhg = KSection(gamma.chart.bidual_chart(), 2, minus_dhg)
+    omega_dev = section_max_diff(pullback(morph, affgebroid.omega_h(h)), minus_dhg, plan)
+    return PullbackIdentitiesReport(lambda_dev, omega_dev, plan.count)
+
+
+def restriction_per_comparison(h, plan):
+    """``affgebroid.vertical_restriction_check`` with one helper of tests/helpers.py per section."""
+    aff = h.chart
+    incl, vp = affgebroid.vertical_inclusion_morphism(aff), aff.vertical_prolongation()
+    omega = pullback(incl, affgebroid.omega_h(h))
+    omega_dev = section_max_diff(omega, vp.canonical_symplectic(), plan)
+    lambda_dev = section_max_diff(pullback(incl, affgebroid.lambda_h(h)), vp.liouville(), plan)
+    eta_dev, _ = section_max_abs(pullback(incl, affgebroid.eta(aff)), plan)
+    return RestrictionReport(lambda_dev, omega_dev, eta_dev, plan.count)
+
+
+def sqrt_structure(box):
+    """A chart whose bracket reads sqrt(t), an H and a plan of CHUNK + 3 points over ``box``."""
+    bundle = parse_model_text(SO3_OFF_DIAGONAL.replace("1,2,2 = 0.9", "1,2,2 = sqrt(t)"))
+    return bundle.hamiltonian, SamplePlan(box=box, count=algebroid.CHUNK + 3, seed=8)
+
+
+TRIVIAL3 = by_name("trivial:3")
+OSCILLATOR = by_name("oscillator")
+LOG_T = HamiltonianSection(OSCILLATOR.chart, "p1^2/2 + log(t)")
+WIDE = SamplePlan(count=algebroid.CHUNK + 3, seed=8)  # every variable over (-1, 1)
+POSITIVE_T = dataclasses.replace(WIDE, box={"t": (0.2, 2.9)})
+PULLBACK_CASES = [
+    (VStarSection(TRIVIAL3.chart, ["sin(t)*q1", "q2", "q3*q1"]), TRIVIAL3.hamiltonian, WIDE),
+    (VStarSection(TRIVIAL3.chart, ["log(q1)", "q2", "sqrt(q3)"]), TRIVIAL3.hamiltonian, WIDE),
+    (VStarSection(OSCILLATOR.chart, ["sin(t)"]), LOG_T, POSITIVE_T),
+    (VStarSection(OSCILLATOR.chart, ["sin(t)"]), LOG_T, WIDE),  # log(t) at t <= 0
+]
+RESTRICTION_CASES = [
+    (LOG_T, WIDE),
+    sqrt_structure({"t": (0.1, 2.0)}),
+    sqrt_structure({}),  # sqrt(t) at t < 0
+]
+
+
+@pytest.fixture
+def max_abs_calls(monkeypatch):
+    """The ``_max_abs`` calls of affgebroid and the unit draws (k, j, start, n) of every plan."""
+    calls, draws = [], []
+    real, real_units = algebroid._max_abs, SamplePlan.units
+    monkeypatch.setattr(affgebroid, "_max_abs", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(SamplePlan, "units",
+                        lambda self, *a: draws.append(a) or real_units(self, *a))
+    return calls, draws
+
+
+@pytest.mark.parametrize("gamma, h, plan", PULLBACK_CASES[:1] + PULLBACK_CASES[2:3])
+def test_the_pullback_identities_are_one_call_that_draws_each_column_once(
+    gamma, h, plan, max_abs_calls
+):
+    calls, draws = max_abs_calls
+    assert affgebroid.pullback_identities(gamma, h, plan).holds
+    assert len(calls) == 1
+    # sin(t) is sampled: t is drawn at every chunk, once
+    assert {(j, start) for _, j, start, _ in draws} >= {(0, 0), (0, algebroid.CHUNK)}
+    assert len(draws) == len(set(draws))
+
+
+def test_the_vertical_restriction_is_one_call_that_draws_each_column_once(max_abs_calls):
+    calls, draws = max_abs_calls
+    h, plan = RESTRICTION_CASES[1]
+    assert affgebroid.vertical_restriction_check(h, plan).holds
+    assert len(calls) == 1
+    # sqrt(t) multiplies fiber coordinates: each column read is drawn at every chunk, once
+    assert {(j, start) for _, j, start, _ in draws} >= {(0, 0), (0, algebroid.CHUNK)}
+    assert len(draws) == len(set(draws))
+
+
+@pytest.mark.parametrize("gamma, h, plan", PULLBACK_CASES)
+def test_the_pullback_identities_report_and_fail_as_one_comparison_at_a_time(gamma, h, plan):
+    got = outcome(lambda: affgebroid.pullback_identities(gamma, h, plan))
+    assert got == outcome(lambda: pullback_identities_per_comparison(gamma, h, plan))
+
+
+@pytest.mark.parametrize("h, plan", RESTRICTION_CASES)
+def test_the_vertical_restriction_reports_and_fails_as_one_comparison_at_a_time(h, plan):
+    got = outcome(lambda: affgebroid.vertical_restriction_check(h, plan))
+    assert got == outcome(lambda: restriction_per_comparison(h, plan))
+
+
+def test_the_failing_cases_raise_a_domain_error_at_a_point():
+    # the two routes above agree on these errors, message and point
+    failing = [PULLBACK_CASES[1], PULLBACK_CASES[3]]
+    for gamma, h, plan in failing:
+        assert outcome(lambda: affgebroid.pullback_identities(gamma, h, plan))[0] is ex.DomainError
+    h, plan = RESTRICTION_CASES[2]
+    got = outcome(lambda: affgebroid.vertical_restriction_check(h, plan))
+    assert got[:2] == (ex.DomainError, "sqrt of negative value in 'sqrt(t)'") and got[2]["t"] < 0
 
 
 def test_a_family_that_cannot_be_built_raises_after_the_errors_of_those_before(monkeypatch):

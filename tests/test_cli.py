@@ -544,6 +544,30 @@ def test_non_finite_start_points_are_input_errors(argv, capsys):
     assert "needs finite values" in line and out == ""
 
 
+FLOW = ["flow", "trivial:1", "--t-end", "0.01"]  # base t, q1; fiber p1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (FLOW + ["--x0", "0,,1", "--y0", "1"], "--x0 has an empty field in '0,,1'"),
+    (FLOW + ["--x0", "0,1,", "--y0", "1"], "--x0 has an empty field in '0,1,'"),
+    (FLOW + ["--x0", ",0", "--y0", "1"], "--x0 has an empty field in ',0'"),
+    (FLOW + ["--x0", "0,1", "--y0", "1, "], "--y0 has an empty field in '1,'"),
+    (["hj", "oscillator", "--alpha", "w_osc", "--box", "t=0.5,,1"],
+     "--box t has an empty field in '0.5,,1'"),
+    (["verify", "trivial:1", "--alpha", "w_free", "--x0-set", "0.1,0.2;0,,1"],
+     "--x0-set point has an empty field in '0,,1'"),
+    # a wholly empty value has no fields at all
+    (FLOW + ["--x0", "", "--y0", "1"], "--x0 needs 2 comma-separated values, got 0"),
+    (FLOW + ["--x0", "0,1", "--y0", "  "], "--y0 needs 1 comma-separated values, got 0"),
+    (["hj", "oscillator", "--alpha", "w_osc", "--box", "t="],
+     "--box t needs 2 comma-separated values, got 0"),
+])
+def test_an_empty_field_of_a_list_of_numbers_is_an_input_error(argv, message, capsys):
+    assert main(argv) == 2
+    line, out = error_line(capsys)
+    assert line == f"error: {message}" and out == ""
+
+
 @pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
 def test_trig_of_an_infinite_value_is_an_input_error_at_the_point(fn, capsys):
     assert main(["hj", "trivial:1", f"--alpha=alpha0={fn}(q1*1e308*10)"]) == 2

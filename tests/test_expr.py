@@ -343,7 +343,7 @@ def test_nodes_compare_hash_and_print_as_the_frozen_dataclasses(a, b):
         fx = to_frozen(x)
         assert hash(x) == hash(fx)
         assert repr(x) == repr(fx)
-        assert repr(ex.literal_value(x)) == repr(frozen_literal_value(fx))
+        assert repr(x.lit) == repr(frozen_literal_value(fx))
         for y in nodes:
             assert (x == y) == (fx == to_frozen(y))
             assert (x != y) == (fx != to_frozen(y))
@@ -355,7 +355,7 @@ def test_node_equality_hand_cases():
     assert repr(Lit(-0.0)) == "Lit(value=-0.0)"
     assert Lit(nan) == Lit(nan) and Lit(nan) != Lit(float("nan"))  # the same float object, or not
     assert BinOp("+", Var("x"), Lit(1.0)) != Call("sin", Var("x")) and Var("x") != "x"
-    assert [ex.literal_value(e) for e in (Lit(2.0), Neg(Lit(2.0)), Neg(Neg(Lit(2.0))))] == [2.0, -2.0, None]
+    assert [e.lit for e in (Lit(2.0), Neg(Lit(2.0)), Neg(Neg(Lit(2.0))))] == [2.0, -2.0, None]
     assert ex.neg(Neg(Neg(Lit(2.0)))) == Neg(Lit(2.0))
 
 
@@ -466,7 +466,7 @@ def _rule_diff(e, var):
     a, b = e.lhs, e.rhs
     da = _rule_diff(a, var)
     if e.op == "^":
-        c = ex.literal_value(b)
+        c = b.lit
         if c == 0.0:
             return Lit(0.0)
         if c == 1.0:

@@ -554,6 +554,21 @@ def test_a_value_past_the_field_that_is_not_finite_leaves_the_step_to_the_kernel
     same(fused, reduced_flow(alpha, h, [1.0, 1.0], 1.0, 0.25))
 
 
+def test_an_extra_that_overflows_without_raising_leaves_the_step_to_the_kernel(count_rhs):
+    # H is inf past t = 1.341e4, and evaluating it raises nothing: the interpreter takes
+    # the steps, so the kernel takes them too, with the same floats
+    h = HamiltonianSection(by_name("trivial:1").chart, "p1^2/2 + 1e300*t^2")
+    state0 = [1.4e4, 0.0, 1.0]
+    assert math.isinf(ex.evaluate(h.H, dict(zip(h.chart.all_vars(), state0))))
+    fused = integrate(h, state0, 0.0, 0.5, 1e-3)
+    assert not count_rhs and fused.ok and len(fused) == 501
+    per_stage = integrate_field(interpret(*hamilton_stage(h)), state0, 0.0, 0.5, 1e-3)
+    assert list(map(float.hex, fused.times)) == list(map(float.hex, per_stage.times))
+    assert [list(map(float.hex, s)) for s in fused.states] == [
+        list(map(float.hex, s)) for s in per_stage.states
+    ]
+
+
 @pytest.mark.parametrize("where", [0, 5])
 def test_a_check_value_that_is_nan_at_one_state_reads_as_nan(where, monkeypatch):
     # (1e300*bump)*1e300 is inf at t_k and 0 at every other state; inf - inf is NaN

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from affmech import expr as ex
 from affmech import hj
 from affmech.affgebroid import AffgebroidChart, CoSection, HamiltonianSection, hamilton_field
-from affmech.algebroid import SamplePlan, differential, max_abs_check, section_max_abs
+from affmech.algebroid import SamplePlan, differential
 from affmech.dynamics import (
     compile_rk4,
     hamilton_stage,
@@ -32,7 +32,7 @@ from affmech.dynamics import (
 )
 from affmech.models import by_name
 
-from helpers import compile_exprs, integrate_reduced
+from helpers import compile_exprs, integrate_reduced, section_check, section_max_abs
 
 CHARTS = {name: by_name(name).chart for name in ("oscillator", "rigid:1,2,3", "linear:tangent3")}
 
@@ -161,7 +161,7 @@ def test_compiled_sampled_checks_equal_the_interpreted_ones(name, sec, monkeypat
     sections = (differential(alpha.as_bidual_section()), hj._vertical_df(alpha, h))
     got = []
     for s in sections:
-        check = max_abs_check(s)
+        check = section_check(s)
         for plan in plans:
             got += [outcome(lambda: check(plan)), outcome(lambda: section_max_abs(s, plan))]
     monkeypatch.setattr(ex, "evaluate_many", lambda exprs, columns, count: None)

@@ -1,7 +1,7 @@
 """The package's public names, the place of ``expr`` at the bottom of its
 imports, the one home of the Hamilton formula, the one caller of the batched
-walk, the one tokenizer and parser, slotted expression nodes, and no public
-function that only the tests call."""
+walk, one sampling call per check, the one tokenizer and parser, slotted
+expression nodes, and no public function that only the tests call."""
 
 import ast
 import importlib
@@ -61,6 +61,27 @@ def test_only_the_sampled_route_calls_the_batched_walk():
         and "evaluate_many" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     )
     assert set(callers) == {"algebroid._max_abs"}, callers
+
+
+def test_each_sampled_check_is_one_call_of_the_sampling_entry():
+    # a check samples all of its families in one algebroid._max_abs call; the wrappers that
+    # sampled one section or one difference per call live on only in tests/helpers.py
+    package = Path(affmech.__file__).parent
+    wrappers, calls = [], Counter()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in {
+                    "max_abs_check", "section_max_abs", "section_max_diff"
+                }:
+                    wrappers.append(f"{path.name}:{node.lineno} {node.name}")
+                elif isinstance(node, ast.Call) and "_max_abs" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    calls[f"{path.stem}.{getattr(top, 'name', '<module>')}"] += 1
+    assert wrappers == []
+    assert {"affgebroid.pullback_identities", "affgebroid.vertical_restriction_check"} <= set(calls)
+    assert {caller: n for caller, n in calls.items() if n > 1} == {}
 
 
 def test_expr_holds_the_one_tokenizer_and_parser():

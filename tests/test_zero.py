@@ -19,8 +19,6 @@ from affmech.algebroid import (
     AlgebroidChart,
     KSection,
     SamplePlan,
-    section_max_abs,
-    section_max_diff,
     validate_chart,
 )
 from affmech.affgebroid import VStarSection, pullback_identities, vertical_restriction_check
@@ -28,7 +26,7 @@ from affmech.dynamics import compile_rk4, hamilton_stage
 from affmech.expr import BinOp, Call, Lit, Neg, Var
 from affmech.models import by_name
 
-from helpers import expression_corpus, points
+from helpers import expression_corpus, points, section_max_abs, section_max_diff
 
 sp = pytest.importorskip("sympy")
 
