@@ -36,9 +36,10 @@ call, with one ``expr.evaluate_many`` walk per chunk of ``CHUNK`` points
 over their sampled residuals together.  The walk reads a chunk's points as
 one column of values per variable, and a variable's column of a chunk is
 drawn only when the walk first reads it, so residuals that read no variable
-draw nothing.  A point's coordinates are consecutive draws of one SplitMix64
-stream, which is counter-based: one variable's column is drawn alone, with
-the values that drawing every point in turn gives.  Each family's largest
+draw nothing.  A point's coordinates are consecutive draws of the plan's
+splitmix64 stream, and each draw is computed from its index alone
+(``SamplePlan.units``): one variable's column is drawn alone, with the
+values that drawing every point in turn gives.  Each family's largest
 |value| and its key are reduced from the columns in C.  Where the walk
 declines, the families are measured one after the other, a chunk at a time,
 and only a chunk whose own walk declines runs through the per-point path
@@ -61,7 +62,6 @@ __all__ = [
     "VALIDATION_TOL",
     "ExprCoeff",
     "as_expr",
-    "SplitMix64",
     "MAX_SAMPLES",
     "SamplePlan",
     "check_box_var",
@@ -129,38 +129,6 @@ def _nonzero(entries: Sequence[Expr]) -> list[tuple[int, Expr]]:
 # ------------------------------------------------------------------ sampling
 
 
-class SplitMix64:
-    """Deterministic 64-bit PRNG (splitmix64), identical on every platform.
-
-    Output i of the stream of ``seed`` is mix(seed + (i + 1) * GAMMA) mod
-    2^64, a function of i alone: ``SplitMix64(seed, start)`` reads the stream
-    from output ``start`` on without computing the outputs before it.
-    """
-
-    _MASK = (1 << 64) - 1
-    _GAMMA = 0x9E3779B97F4A7C15
-
-    def __init__(self, seed: int, start: int = 0):
-        self.state = (seed + start * self._GAMMA) & self._MASK
-
-    def units(self, k: int, stride: int = 1) -> list[float]:
-        """k outputs, one in every ``stride`` from the next, as floats in [0, 1): the
-        top 53 bits of each, times 2^-53."""
-        return [(z >> 11) * 2.0**-53 for z in self._outputs(k, stride)]
-
-    def _outputs(self, k: int, stride: int = 1) -> Iterator[int]:
-        """Outputs 0, stride, ..., (k - 1) * stride from here; the state moves past k * stride."""
-        mask, gamma = self._MASK, self._GAMMA
-        step = (stride * gamma) & mask
-        state = (self.state + gamma - step) & mask  # one step before output 0
-        for _ in range(k):
-            state = (state + step) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            yield z ^ (z >> 31)
-        self.state = (state + step - gamma) & mask
-
-
 MAX_SAMPLES = 1_000_000  # points one SamplePlan may draw; a check draws them a chunk at a time
 
 
@@ -197,12 +165,22 @@ class SamplePlan:
     def units(self, k: int, j: int, start: int, n: int) -> list[float]:
         """Variable j's unit draws at the n points from ``start``: draw p*k + j at point p.
 
-        A point takes k consecutive draws of the SplitMix64 stream of
-        ``seed``, one per variable in order.  The stream is counter-based, so
-        one variable's draws at some of the points are made alone, without
-        the others'.
+        Draw i is splitmix64's output mix(seed + (i + 1) * GAMMA) mod 2^64 as
+        a float in [0, 1), its top 53 bits times 2^-53: a function of i alone,
+        the same on every platform.  A point takes k consecutive draws, one
+        per variable in order, so one variable's draws at some of the points
+        are made alone, without the others'.
         """
-        return SplitMix64(self.seed, start * k + j).units(n, k)
+        mask, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+        step = (k * gamma) & mask
+        state = (self.seed + (start * k + j + 1) * gamma - step) & mask  # a step before the first
+        out = []
+        for _ in range(n):
+            state = (state + step) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            out.append(((z ^ (z >> 31)) >> 11) * 2.0**-53)
+        return out
 
     def column(self, var: str, units: Sequence[float]) -> list[float]:
         """The coordinate ``lo + (hi - lo) * u`` of ``var`` for each unit draw u."""
@@ -305,10 +283,6 @@ class KSection:
                 self.coeffs[idx] = ExprCoeff(node)
 
     # ---- constructors
-
-    @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {})
 
     @classmethod
     def function(cls, chart, f):
@@ -502,8 +476,9 @@ def _max_abs(
     others, of every family, are evaluated in one ``expr.evaluate_many``
     walk per chunk of ``CHUNK`` points, over one column per variable of the
     chunk (see the module docstring).  ``draw(j, start, n)``, when given,
-    returns ``plan.units(len(variables), j, start, n)``, or the same draws
-    of a plan with this seed and count over another box, reused.  ``worst``
+    stands in for ``plan.units(len(variables), j, start, n)``: the draws
+    depend on the seed and not on the box, so it may return those of a plan
+    with this seed over another box, kept from an earlier call.  ``worst``
     is a family's largest |value| and ``where`` its key, as ``_fold`` picks
     them: 0.0 and () when every value is 0.  ``kept`` holds, for a family
     whose position is in ``keep``, the values of each sampled residual at

@@ -172,7 +172,12 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
         raise ValueError(f"{what} has an empty field in {text.strip()!r}")
     if len(parts) != count:
         raise ValueError(f"{what} needs {count} comma-separated values, got {len(parts)}")
-    values = [float(p) for p in parts]
+    try:
+        if any("_" in p for p in parts):  # a digit separator to float, not to expr.parse
+            raise ValueError
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{what} needs numbers, got {text.strip()!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} needs finite values, got {text.strip()!r}")
     return values

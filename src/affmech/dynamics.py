@@ -202,14 +202,14 @@ def compile_rk4(
     read, _ = ex.scan([e for e, drop in zip(extras, dropped) if drop])
     reads = [v for v in bounds if v in read]
     rows = [*exprs, *kept, *map(ex.Var, reads)]  # a Var's operand is the local holding its value
-    stage, outs = ex._straight_line(rows, names, bound, "t", consts, table)
+    stage, outs = ex._straight_line(rows, names, bound, consts, table)
     if reads:
         guarded = dict.fromkeys(outs[-len(reads) :])
         tests = (f"{-GUARD_BOUND!r} < {v} < {GUARD_BOUND!r}" for v in guarded)
         stage.append(f"if not ({' and '.join(tests)}): raise ArithmeticError")
     measure: list[str] = []
     if check is not None:
-        measure, values = ex._straight_line(check, names, bound, "t", consts, table)
+        measure, values = ex._straight_line(check, names, bound, consts, table)
         measure.append(_not_finite(values))
         # the values are finite here: |v| <= m without a call, and a
         # repeated value changes nothing

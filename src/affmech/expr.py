@@ -533,17 +533,16 @@ def _straight_line(
     exprs: Sequence[Expr],
     names: Mapping[str, str],
     bound: Mapping[str, Expr] | None,
-    prefix: str,
     consts: dict[str, object],
     table: tuple[dict, dict] | None = None,
 ) -> tuple[list[str], list[str]]:
     """The assignments computing ``exprs``, and each value's operand text.
 
-    ``names`` maps variables to locals; temporaries are ``prefix`` and a
-    number, and constants without exact source text go into ``consts``.
-    A later call given the same ``table`` (and ``names``, ``bound``,
-    ``prefix``) reads the temporaries of the calls before it, whose nodes
-    must stay alive: the table keys them by id.
+    ``names`` maps variables to locals; temporaries are ``t`` and a number,
+    and constants without exact source text go into ``consts``.  A later
+    call given the same ``table`` (and ``names`` and ``bound``) reads the
+    temporaries of the calls before it, whose nodes must stay alive: the
+    table keys them by id.
     """
     names = dict(names)
     # right-hand side -> its temporary, and id(node) -> its operand text.  Sharing
@@ -593,7 +592,7 @@ def _straight_line(
         if text is None:
             text = seen.get(rhs)
             if text is None:
-                text = seen[rhs] = f"{prefix}{len(seen)}"
+                text = seen[rhs] = f"t{len(seen)}"
                 if guard:
                     lines.append(guard)
                 lines.append(f"{text} = {rhs}")

@@ -182,10 +182,10 @@ def verify_theorem(
     the evaluation error, with x0 as its ``point``.
 
     The RK4 kernel of ``dynamics.reduced_stage`` measures the residuals on
-    the first stage of every state, the last one included.  If it missed a
-    state, ``dynamics.interpret`` measures each state again in one call
-    (bound names, extras, X, residuals); its errors record the state as
-    their ``point``.
+    the first stage of every state it visits, the last one included, unless
+    that stage or the check raises there.  ``dynamics.interpret`` measures
+    the states no kernel run measured, in order, in one call (bound names,
+    extras, X, residuals); its errors record the state as their ``point``.
     """
     aff = h.chart
     m = aff.m
@@ -208,19 +208,23 @@ def verify_theorem(
         # failed check or flow; evaluating there raises it with x0 as its point
         start = [dict(zip(aff.base_vars, map(float, x0)))]
         values_at(lambda env: ex.evaluate(alpha.alpha0, env), start)
-        acc = [0.0, 0]  # max |fiber residual|, states measured
-        traj = integrate_field(
-            field, x0, 0.0, horizon, step, kernel and (lambda *args: kernel(*args, acc))
-        )
+        acc, runs = [0.0, 0], [(0, 0)]  # max |fiber residual| and count; states each run measured
+
+        def run(times, states, *args):  # a run measures the states it visits, but maybe the last
+            first, count = len(states) - 1, acc[1]
+            kernel(times, states, *args, acc)
+            runs.append((first, first + acc[1] - count))
+
+        traj = integrate_field(field, x0, 0.0, horizon, step, kernel and run)
         if not traj.ok:
             values_at(lambda _: field(x0), start)
             raise IntegrationFailure(f"reduced flow aborted: {traj.error}")
 
-        traj_max, measured = acc
-        if measured != len(traj):
-            envs = [dict(zip(aff.base_vars, s)) for s in traj.states]
-            rows = values_at(lambda env: measure(list(env.values())), envs)
-            traj_max = nan_max(abs(v) for r in rows for v in r)
+        runs.append((len(traj), len(traj)))
+        gaps = [traj.states[end:first] for (_, end), (first, _) in zip(runs, runs[1:])]
+        envs = [dict(zip(aff.base_vars, s)) for gap in gaps for s in gap]  # no run measured these
+        rows = values_at(lambda env: measure(list(env.values())), envs)
+        traj_max = nan_max([acc[0], *(abs(v) for r in rows for v in r)])
 
         box = {var: (min(col), max(col)) for var, col in zip(aff.base_vars, zip(*traj.states))}
         box_plan = SamplePlan(box=box, count=plan.count, seed=plan.seed)

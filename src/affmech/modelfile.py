@@ -147,15 +147,23 @@ def _field(entries, section, key, default=None):
 
 def _int_field(entries, section, key) -> int:
     value, line = _field(entries, section, key)
-    try:
-        n = int(value)
-    except ValueError:
-        raise ModelFileError(f"'{key}' must be an integer, got {value!r}", line) from None
+    n = _number(int, value, f"'{key}' must be an integer, got {value!r}", line)
     if n < 1:
         raise ModelFileError(f"'{key}' must be positive", line)
     if n > MAX_DIMENSION:  # before the chart and its n^3 entries are built
         raise ModelFileError(f"'{key}' = {n} is past the budget of {MAX_DIMENSION}", line)
     return n
+
+
+def _number(kind, text: str, message: str, line):
+    """``kind(text)`` (int or float), else a ModelFileError with ``message`` on ``line``.
+    A '_' is refused: int and float read it as a digit separator, ``expr.parse`` does not."""
+    try:
+        if "_" not in text:
+            return kind(text)
+    except ValueError:
+        pass
+    raise ModelFileError(message, line)
 
 
 def _parse_expr(src: str, line):
@@ -203,10 +211,7 @@ def _sparse_cv(entries, n):
             raise ModelFileError(
                 f"structure keys are 'C0' or index triples 'a,b,c', got '{key}'", line
             )
-        try:
-            a, b, c = (int(p) for p in parts)
-        except ValueError:
-            raise ModelFileError(f"non-integer index in triple '{key}'", line) from None
+        a, b, c = (_number(int, p, f"non-integer index in triple '{key}'", line) for p in parts)
         if not all(1 <= v <= n for v in (a, b, c)):
             raise ModelFileError(f"triple '{key}' out of range 1..{n}", line)
         if a == b:
@@ -258,10 +263,7 @@ def _sampling(entries, base_vars):
     count, seed = 100, 42
     for key, (value, line) in entries["sampling"].items():
         if key in ("count", "seed"):
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise ModelFileError(f"'{key}' must be an integer, got {value!r}", line) from None
+            parsed = _number(int, value, f"'{key}' must be an integer, got {value!r}", line)
             if key == "count":
                 _check_plan(line, count=parsed)
                 count = parsed
@@ -276,10 +278,8 @@ def _sampling(entries, base_vars):
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 2:
                 raise ModelFileError(f"box needs 'lo, hi', got {value!r}", line)
-            try:
-                lo, hi = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise ModelFileError(f"box bounds must be numbers, got {value!r}", line) from None
+            message = f"box bounds must be numbers, got {value!r}"
+            lo, hi = (_number(float, p, message, line) for p in parts)
             _check_plan(line, box={var: (lo, hi)})
             box[var] = (lo, hi)
         else:

@@ -37,6 +37,9 @@ families in one ``algebroid._max_abs`` call.
 reads.  ``reference_parse`` (the tokenizer and parser that ``expr.parse``
 replaced) is the oracle for ``expr.parse``, and ``parse_outcome`` puts a
 tree or a ParseError in a form that compares node for node.
+``SplitMix64`` (the stateful generator that ``SamplePlan.units`` replaced)
+reads the stream in order: the oracle for ``SamplePlan.units``, and the
+seeded source of generated test inputs.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -416,6 +420,38 @@ def dense_pullback(morph, s):
 # ---------------------------------------------------------- seeded draws
 
 
+class SplitMix64:
+    """Deterministic 64-bit PRNG (splitmix64), identical on every platform.
+
+    Output i of the stream of ``seed`` is mix(seed + (i + 1) * GAMMA) mod
+    2^64, a function of i alone: ``SplitMix64(seed, start)`` reads the stream
+    from output ``start`` on without computing the outputs before it.
+    """
+
+    _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+
+    def __init__(self, seed: int, start: int = 0):
+        self.state = (seed + start * self._GAMMA) & self._MASK
+
+    def units(self, k: int, stride: int = 1) -> list[float]:
+        """k outputs, one in every ``stride`` from the next, as floats in [0, 1): the
+        top 53 bits of each, times 2^-53."""
+        return [(z >> 11) * 2.0**-53 for z in self._outputs(k, stride)]
+
+    def _outputs(self, k: int, stride: int = 1) -> Iterator[int]:
+        """Outputs 0, stride, ..., (k - 1) * stride from here; the state moves past k * stride."""
+        mask, gamma = self._MASK, self._GAMMA
+        step = (stride * gamma) & mask
+        state = (self.state + gamma - step) & mask  # one step before output 0
+        for _ in range(k):
+            state = (state + step) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            yield z ^ (z >> 31)
+        self.state = (state + step - gamma) & mask
+
+
 def uniform(rng, lo, hi):
     """The next draw of the SplitMix64 ``rng`` in [lo, hi), as ``points`` makes it."""
     return lo + (hi - lo) * rng.units(1)[0]
@@ -631,7 +667,7 @@ def compile_exprs(exprs, variables, bound=None):
     """
     consts = {}
     names = {v: f"v{i}" for i, v in enumerate(variables)}
-    lines, outputs = ex._straight_line(exprs, names, bound, "t", consts)
+    lines, outputs = ex._straight_line(exprs, names, bound, consts)
     body = "\n".join(f"        {line}" for line in lines)
     return ex._build(
         f"    def compiled(x):\n"

@@ -8,7 +8,6 @@ from affmech.algebroid import (
     ExprCoeff,
     KSection,
     SamplePlan,
-    SplitMix64,
     differential,
     pullback,
     validate_chart,
@@ -41,6 +40,7 @@ from affmech.models import (
 
 from helpers import (
     DegenerateStructureError,
+    SplitMix64,
     component,
     evaluate_with_partials,
     morphism_defect,
@@ -242,7 +242,7 @@ def test_omega_equals_minus_d_lambda():
     for bundle in all_models():
         lam = lambda_h(bundle.hamiltonian)
         pro = bundle.chart.prolongation().chart
-        minus_dlam = section_combine(-1.0, differential(lam), 0.0, KSection.zero(pro, 2))
+        minus_dlam = section_combine(-1.0, differential(lam), 0.0, KSection(pro, 2, {}))
         worst = section_max_diff(omega_h(bundle.hamiltonian), minus_dlam, phase_plan(bundle, count=15))
         assert worst <= 1e-8, bundle.name
 

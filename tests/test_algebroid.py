@@ -5,11 +5,11 @@ import pytest
 from affmech import expr as ex
 from affmech.expr import Lit, Var
 from affmech.algebroid import (
+    MAX_SAMPLES,
     AlgebroidChart,
     KSection,
     Morphism,
     SamplePlan,
-    SplitMix64,
     differential,
     pullback,
     validate_chart,
@@ -17,8 +17,8 @@ from affmech.algebroid import (
 from affmech.models import by_name, perturbed_so3_chart, so3_chart, tangent_algebroid
 
 from helpers import (
-    component, dense_differential, jacobi_cyclic_residual, points, section_combine, section_max_abs,
-    section_max_diff, section_values, uniform,
+    SplitMix64, component, dense_differential, jacobi_cyclic_residual, points, section_combine,
+    section_max_abs, section_max_diff, section_values, uniform,
 )
 
 PLAN = SamplePlan(count=40, seed=11)  # the points of the checks below
@@ -29,11 +29,23 @@ PLAN = SamplePlan(count=40, seed=11)  # the points of the checks below
 
 def test_splitmix_known_values():
     rng = SplitMix64(42)
-    assert list(rng._outputs(3)) == [
-        13679457532755275413,
-        2949826092126892291,
-        5139283748462763858,
-    ]
+    outputs = [13679457532755275413, 2949826092126892291, 5139283748462763858]
+    assert list(rng._outputs(3)) == outputs
+    assert SamplePlan(seed=42).units(1, 0, 0, 3) == [(z >> 11) * 2.0**-53 for z in outputs]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, -7, 2**64 + 5, 2**70])
+def test_units_are_the_strided_draws_of_the_sequential_stream_bit_for_bit(seed):
+    # the draws of points start, ..., start + n - 1, read in order, then those of variable j
+    for k in range(1, 6):
+        for start in (0, 1, 255, 256, MAX_SAMPLES - 1):
+            for n in (0, 1, 257):
+                drawn = SplitMix64(seed, start * k).units(n * k)
+                for j in range(k):
+                    got = SamplePlan(seed=seed).units(k, j, start, n)
+                    assert list(map(float.hex, got)) == list(map(float.hex, drawn[j::k])), (
+                        k, j, start, n
+                    )
 
 
 def test_sample_plan_deterministic_and_boxed():
@@ -227,12 +239,12 @@ def test_pullback_scaling():
     )
     s = KSection.one_section(chart, [ex.parse("t"), Lit(1.0), Lit(-2.0)])
     scaled = pullback(double, s)
-    doubled = section_combine(2.0, s, 0.0, KSection.zero(chart, 1))
+    doubled = section_combine(2.0, s, 0.0, KSection(chart, 1, {}))
     assert section_max_diff(scaled, doubled, PLAN) <= 1e-15
     # degree 2 picks up the determinant of the 2x2 blocks: factor 4
     two = KSection(chart, 2, {(0, 1): ex.parse("t"), (1, 2): Lit(1.0)})
     quad = pullback(double, two)
-    expected = section_combine(4.0, two, 0.0, KSection.zero(chart, 2))
+    expected = section_combine(4.0, two, 0.0, KSection(chart, 2, {}))
     assert section_max_diff(quad, expected, PLAN) <= 1e-15
 
 
@@ -278,7 +290,7 @@ def test_nan_residuals_are_the_maximum():
     nan_section = KSection.function(chart, "t*t - t*t")
     plan = SamplePlan(box={"t": (1e200, 1e201)}, count=3)
     assert math.isnan(section_max_abs(nan_section, plan)[0])
-    assert math.isnan(section_max_diff(nan_section, KSection.zero(chart, 0), plan))
+    assert math.isnan(section_max_diff(nan_section, KSection(chart, 0, {}), plan))
 
 
 # -------------------------------------------------------------- k-sections

@@ -568,6 +568,40 @@ def test_an_empty_field_of_a_list_of_numbers_is_an_input_error(argv, message, ca
     assert line == f"error: {message}" and out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    # float reads '_' as a digit separator (float("1_0") is 10.0); expr.parse does not
+    (FLOW + ["--x0", "1_0,0", "--y0", "1"], "--x0 needs numbers, got '1_0,0'"),
+    (FLOW + ["--x0", "0,1", "--y0", "1_0"], "--y0 needs numbers, got '1_0'"),
+    (["hj", "oscillator", "--alpha", "w_osc", "--box", "t=0_5,1"],
+     "--box t needs numbers, got '0_5,1'"),
+    (["verify", "trivial:1", "--alpha", "w_free", "--x0-set", "0.1,0.2;0,1_0"],
+     "--x0-set point needs numbers, got '0,1_0'"),
+    (FLOW + ["--x0", "one,0", "--y0", "1"], "--x0 needs numbers, got 'one,0'"),
+])
+def test_a_field_of_a_list_of_numbers_that_is_no_number_is_an_input_error(argv, message, capsys):
+    assert main(argv) == 2
+    line, out = error_line(capsys)
+    assert line == f"error: {message}" and out == ""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("m = 2", "m = 0_2", "line 3: 'm' must be an integer, got '0_2'"),
+    ("n = 1", "n = 0_1", "line 4: 'n' must be an integer, got '0_1'"),
+    ("box.t = -0.5, 1", "box.t = 0_5, 1_0", "line 19: box bounds must be numbers, got '0_5, 1_0'"),
+    ("box.t = -0.5, 1", "box.t = -0.5, 1\ncount = 1_0", "line 20: 'count' must be an integer"),
+    ("box.t = -0.5, 1", "box.t = -0.5, 1\nseed = 4_2", "line 20: 'seed' must be an integer"),
+    ("[hamiltonian]", "[structure]\n1,1_0,1 = 0\n[hamiltonian]",
+     "line 12: non-integer index in triple '1,1_0,1'"),
+])
+def test_a_model_file_number_with_an_underscore_is_an_input_error(old, new, message, tmp_path,
+                                                                   capsys):
+    path = tmp_path / "m.model"
+    path.write_text(FREE_PARTICLE.replace(old, new))
+    assert main(["validate", str(path)]) == 2
+    line, out = error_line(capsys)
+    assert line.startswith(f"error: {message}") and out == ""
+
+
 @pytest.mark.parametrize("fn", ["sin", "cos", "tan"])
 def test_trig_of_an_infinite_value_is_an_input_error_at_the_point(fn, capsys):
     assert main(["hj", "trivial:1", f"--alpha=alpha0={fn}(q1*1e308*10)"]) == 2

@@ -154,6 +154,49 @@ def test_verify_leaving_the_domain_gives_the_per_stage_output(x0, code, per_stag
     assert run(argv) == fused
 
 
+# alphaV = exp(50 t) passes GUARD_BOUND near t = 0.887, and from there every step runs per stage
+PAST_THE_BOUND = ["verify", "trivial:1", "--alpha", "alpha0=50*q1*exp(50*t);alphaV=exp(50*t)",
+                  "--x0-set", "0,0", "--horizon", "1"]
+
+
+def test_verify_measures_per_stage_only_the_states_the_kernel_left_unmeasured(monkeypatch,
+                                                                              per_stage):
+    calls, missed = [], []  # calls of each field interpreted for verify; per kernel run, its misses
+    real_interpret, real_kernel = hj.interpret, hj._kernel
+
+    def interpret(*stage):
+        field, i = real_interpret(*stage), len(calls)
+        calls.append(0)
+
+        def counted(state):
+            calls[i] += 1
+            return field(state)
+
+        return counted
+
+    def kernel(*stage):
+        rk4 = real_kernel(*stage)
+
+        def counted(times, states, t0, t_end, step, acc):
+            first, measured = len(states) - 1, acc[1]
+            rk4(times, states, t0, t_end, step, acc)
+            missed.append(len(states) - first - (acc[1] - measured))
+
+        return counted
+
+    monkeypatch.setattr(hj, "interpret", interpret)
+    monkeypatch.setattr(hj, "_kernel", kernel)
+    fused = run(PAST_THE_BOUND)
+    field_calls, checks = calls  # the reduced field, then the per-state check
+    assert set(missed) == {0, 1}  # a run misses at most its last state
+    assert checks == sum(missed) == 113  # one check per state that the kernel left unmeasured
+    assert field_calls == 4 * 113  # its steps past the bound
+    calls.clear()
+    per_stage()
+    assert run(PAST_THE_BOUND) == fused
+    assert calls[1] == 1001  # with no kernel, every state is measured per stage
+
+
 @pytest.mark.parametrize("name,sec", SECTIONS)
 def test_theorem_report_equals_the_per_state_residuals(name, sec, per_stage):
     bundle = by_name(name)

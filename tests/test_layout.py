@@ -1,7 +1,8 @@
 """The package's public names, the place of ``expr`` at the bottom of its
 imports, the one home of the Hamilton formula, the one caller of the batched
-walk, one sampling call per check, the one tokenizer and parser, slotted
-expression nodes, and no public function that only the tests call."""
+walk, one sampling call per check, the one tokenizer and parser, the one
+statement of the sample stream, slotted expression nodes, and no public
+function that only the tests call."""
 
 import ast
 import importlib
@@ -110,6 +111,24 @@ def test_expr_holds_the_one_tokenizer_and_parser():
     assert regex_users == ["expr"]
 
 
+def test_sample_plan_units_is_the_one_statement_of_the_sample_stream():
+    # each draw is computed from its index in SamplePlan.units; the stateful generator it
+    # replaced lives on only in tests/helpers.py, as its oracle
+    package = Path(affmech.__file__).parent
+    mix = 0xBF58476D1CE4E5B9  # the first multiplier of splitmix64's output mix
+    generators, mixes = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "SplitMix64":
+                generators.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(c, ast.Constant) and c.value == mix for c in ast.walk(node)
+            ):
+                mixes.append(f"{path.stem}.{node.name}")
+    assert generators == []
+    assert mixes == ["algebroid.units"]
+
+
 NODES = [ex.Lit(1.0), ex.Var("x"), ex.Neg(ex.Var("x")), ex.BinOp("+", ex.Var("x"), ex.Lit(1.0)),
          ex.Call("sin", ex.Var("x"))]
 
@@ -140,20 +159,26 @@ UNREACHED_BY_DESIGN = {
 
 
 def _public_functions(tree):
-    """The public top-level functions and the public methods of the top-level classes."""
+    """(function, whether it is a method) for each public top-level function and each public
+    method of a top-level class."""
     for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        yield from (f for f in body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+        method = isinstance(node, ast.ClassDef)
+        for f in node.body if method else [node]:
+            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                yield f, method
 
 
-def _names(tree) -> Counter:
-    """How often each name is read, as a Name, an Attribute or an import."""
+def _names(tree, attributes_only: bool) -> Counter:
+    """How often each name is read, as a Name, an Attribute or an import, or as an Attribute
+    only."""
     found = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found[node.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            found[node.id] += 1
         elif isinstance(node, ast.alias):
             found[node.asname or node.name.rsplit(".", 1)[-1]] += 1
     return found
@@ -163,22 +188,26 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     """Each public function or method of ``src/`` is named in ``src/`` or ``perfbench/``.
 
     Names in ``affmech/__init__`` and in the function's own body do not
-    count.  The check is by name only, so a function that shares a common
-    name (``component``, ``values``) with something used passes it.
+    count, and a method counts only where its name is read as an attribute,
+    so a local variable of the same name (``zero``) does not use it.  The
+    check is by name only, so a function that shares a common name
+    (``component``, ``values``) with something used passes it.
     """
     package = Path(affmech.__file__).parent
     bench = package.parents[1] / "perfbench"
     sources = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    used = Counter()
+    used = {False: Counter(), True: Counter()}  # by whether only attribute reads count
     for path, tree in [*sources.items(), *((p, ast.parse(p.read_text())) for p in bench.glob("*.py"))]:
         if path != package / "__init__.py":
-            used += _names(tree)
+            for method in used:
+                used[method] += _names(tree, method)
     unused = sorted(
         f"{path.name}:{fn.lineno} {fn.name}"
         for path, tree in sources.items()
-        for fn in _public_functions(tree)
-        if used[fn.name] <= _names(fn)[fn.name] and fn.name not in UNREACHED_BY_DESIGN
+        for fn, method in _public_functions(tree)
+        if used[method][fn.name] <= _names(fn, method)[fn.name]
+        and fn.name not in UNREACHED_BY_DESIGN
     )
     assert unused == []
-    kept = {fn.name for tree in sources.values() for fn in _public_functions(tree)}
+    kept = {fn.name for tree in sources.values() for fn, _ in _public_functions(tree)}
     assert set(UNREACHED_BY_DESIGN) <= kept

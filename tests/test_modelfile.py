@@ -145,6 +145,26 @@ def test_structure_triple_errors():
     assert "duplicate" in str(err.value)
 
 
+@pytest.mark.parametrize("model, old, new, message", [
+    ("free", "m = 2", "m = 0_2", "'m' must be an integer, got '0_2'"),
+    ("free", "n = 1", "n = 0_1", "'n' must be an integer, got '0_1'"),
+    ("free", "count = 60", "count = 6_0", "'count' must be an integer, got '6_0'"),
+    ("free", "seed = 7", "seed = 0_7", "'seed' must be an integer, got '0_7'"),
+    ("free", "box.t = -0.5, 1", "box.t = -0_5, 1",
+     "box bounds must be numbers, got '-0_5, 1'"),
+    ("free", "box.t = -0.5, 1", "box.t = -0.5, 1_0",
+     "box bounds must be numbers, got '-0.5, 1_0'"),
+    ("so3", "2,3,1 = 1", "2,3,0_1 = 1", "non-integer index in triple '2,3,0_1'"),
+])
+def test_a_number_with_an_underscore_is_an_error_on_its_line(model, old, new, message):
+    text = {"free": FREE_PARTICLE, "so3": SO3_LINEAR}[model]
+    # int and float read '_' as a digit separator (int("0_2") is 2); expr.parse does not
+    with pytest.raises(ModelFileError) as err:
+        parse_model_text(text.replace(old, new))
+    assert err.value.line == text.splitlines().index(old) + 1
+    assert str(err.value) == f"line {err.value.line}: {message}"
+
+
 def test_mirrored_triple_rejected():
     with pytest.raises(ModelFileError) as err:
         parse_model_text(SO3_LINEAR.replace("2,3,1 = 1", "2,1,3 = -1"))
